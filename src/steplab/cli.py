@@ -25,19 +25,13 @@ from .dataio import (FormatError, load_dataset, save_dataset,
                      write_bench_csv, write_bound_json, write_cross_csv,
                      write_metrics_csv, write_sweep_csv)
 from .discretize import heuristic_times, load_checkpoint, save_checkpoint
-from .evaluate import (bench_cell, bench_eval_assets, cross_eval,
-                       estimate_bound, solve_batch, solver_map, sweep_r)
+from .evaluate import (JacobianError, bench_cell, bench_eval_assets,
+                       cross_eval, estimate_bound, solve_batch, solver_map,
+                       sweep_r)
 from .solvers import DivergenceError, GridError, SolverSpec
 from .training import Dataset, TrainingError, generate_dataset, train
 
 _CROSS_DEFAULT_ORDER = {"euler": 1, "dpmpp": 2, "ipndm": 4}
-
-
-def _load_cfg(args):
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = int(args.seed)
-    return cfg
 
 
 def _ensure_dir(path):
@@ -57,10 +51,7 @@ def _load_ds(args, sched):
     return ds
 
 
-def _cmd_gen_data(args):
-    cfg = _load_cfg(args)
-    sched = build_schedule(cfg)
-    den = build_denoiser(cfg, sched)
+def _cmd_gen_data(args, cfg, sched, den):
     teacher = build_teacher(cfg, den, sched)
     ds = generate_dataset(den, sched, teacher, cfg["data.count"], cfg["seed"])
     out = args.out or "dataset.bin"
@@ -73,19 +64,20 @@ def _cmd_gen_data(args):
     return 0
 
 
-def _cmd_train(args):
-    cfg = _load_cfg(args)
-    sched = build_schedule(cfg)
-    den = build_denoiser(cfg, sched)
+def _cmd_train(args, cfg, sched, den):
     ds = _load_ds(args, sched)
     spec = build_solver_spec(cfg)
     tc = build_train_config(cfg)
     out = _ensure_dir(args.out or "run")
     report = train(ds, den, sched, spec, tc)
-    disc = report.best_discretization(sched, spec.nfe)
-    save_checkpoint(os.path.join(out, "checkpoint.json"), disc, spec)
     write_metrics_csv(os.path.join(out, "metrics.csv"), report)
     write_snapshot(cfg, os.path.join(out, "config.txt"))
+    if report.aborted and report.best_epoch < 0:
+        print(f"error: training aborted before its first checkpoint; "
+              f"no checkpoint written to {out}", file=sys.stderr)
+        return 1
+    disc = report.best_discretization(sched, spec.nfe)
+    save_checkpoint(os.path.join(out, "checkpoint.json"), disc, spec)
     status = "aborted" if report.aborted else "done"
     print(f"{status}: best val {report.best_val:.6e} at epoch "
           f"{report.best_epoch}; artifacts in {out}")
@@ -103,10 +95,7 @@ def _spec_from_checkpoint(cfg, solver_info):
                       nfe=int(solver_info["nfe"]))
 
 
-def _cmd_sample(args):
-    cfg = _load_cfg(args)
-    sched = build_schedule(cfg)
-    den = build_denoiser(cfg, sched)
+def _cmd_sample(args, cfg, sched, den):
     ckpt = cfg["sample.checkpoint"]
     if not ckpt:
         raise ConfigError("sample needs sample.checkpoint in the config")
@@ -145,10 +134,7 @@ def _bench_worker(cfg, ds_fields, method, nfe, assets):
                       cfg["seed"])
 
 
-def _cmd_bench(args):
-    cfg = _load_cfg(args)
-    sched = build_schedule(cfg)
-    den = build_denoiser(cfg, sched)
+def _cmd_bench(args, cfg, sched, den):
     ds = _load_ds(args, sched)
     teacher = build_teacher(cfg, den, sched)
     assets = bench_eval_assets(den, sched, teacher,
@@ -172,10 +158,7 @@ def _cmd_bench(args):
     return 0
 
 
-def _cmd_sweep_r(args):
-    cfg = _load_cfg(args)
-    sched = build_schedule(cfg)
-    den = build_denoiser(cfg, sched)
+def _cmd_sweep_r(args, cfg, sched, den):
     ds = _load_ds(args, sched)
     spec = build_solver_spec(cfg)
     tc = build_train_config(cfg)
@@ -188,10 +171,7 @@ def _cmd_sweep_r(args):
     return 0
 
 
-def _cmd_bound(args):
-    cfg = _load_cfg(args)
-    sched = build_schedule(cfg)
-    den = build_denoiser(cfg, sched)
+def _cmd_bound(args, cfg, sched, den):
     teacher = build_teacher(cfg, den, sched)
     spec = build_solver_spec(cfg)
     grid = cfg["bound.grid"]
@@ -219,10 +199,7 @@ def _cmd_bound(args):
     return 0
 
 
-def _cmd_cross_eval(args):
-    cfg = _load_cfg(args)
-    sched = build_schedule(cfg)
-    den = build_denoiser(cfg, sched)
+def _cmd_cross_eval(args, cfg, sched, den):
     ds = _load_ds(args, sched)
     tc = build_train_config(cfg)
     nfe = int(cfg["solver.nfe"])
@@ -279,9 +256,13 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     handler = _COMMANDS[args.command][0]
     try:
-        return handler(args)
+        cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg["seed"] = int(args.seed)
+        sched = build_schedule(cfg)
+        return handler(args, cfg, sched, build_denoiser(cfg, sched))
     except (ConfigError, FormatError, GridError, DivergenceError,
-            TrainingError, OSError) as exc:
+            JacobianError, TrainingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

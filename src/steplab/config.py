@@ -84,8 +84,6 @@ def _coerce(key, raw, default):
             if isinstance(elem, float):
                 return tuple(float(p) for p in parts)
             return tuple(int(p) for p in parts)
-        if isinstance(default, bool):
-            return raw.lower() in ("1", "true", "yes")
         if isinstance(default, int):
             return int(raw)
         if isinstance(default, float):
@@ -145,13 +143,18 @@ def write_snapshot(cfg, path):
 
 def build_schedule(cfg):
     fam = cfg["schedule.family"]
-    if fam == "ve_edm":
-        return schedmod.ve_edm(T=cfg["schedule.T"], t_min=cfg["schedule.t_min"])
-    if fam == "vp_linear":
-        return schedmod.vp_linear(beta0=cfg["schedule.beta0"],
-                                  beta1=cfg["schedule.beta1"],
-                                  T=cfg["schedule.T"],
-                                  t_min=cfg["schedule.t_min"])
+    try:
+        if fam == "ve_edm":
+            return schedmod.ve_edm(T=cfg["schedule.T"],
+                                   t_min=cfg["schedule.t_min"])
+        if fam == "vp_linear":
+            return schedmod.vp_linear(beta0=cfg["schedule.beta0"],
+                                      beta1=cfg["schedule.beta1"],
+                                      T=cfg["schedule.T"],
+                                      t_min=cfg["schedule.t_min"])
+    except schedmod.ScheduleDomainError as exc:
+        raise ConfigError(f"schedule.t_min = {cfg['schedule.t_min']!r} with "
+                          f"schedule.T = {cfg['schedule.T']!r}: {exc}") from exc
     raise ConfigError(f"unknown schedule.family {fam!r}")
 
 
@@ -186,6 +189,8 @@ def build_teacher(cfg, den, sched):
 
 
 def build_train_config(cfg):
+    if cfg["train.batch"] < 1:
+        raise ConfigError(f"train.batch must be >= 1, got {cfg['train.batch']}")
     return TrainConfig(
         gamma=cfg["train.gamma"],
         r_override=cfg["train.r"],

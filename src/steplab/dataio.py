@@ -78,23 +78,14 @@ def _fmt(v):
 
 def write_metrics_csv(path, report):
     """Chronological rows: each iteration, then its epoch's summary row."""
-    lines = [METRICS_HEADER]
-    by_epoch = {}
-    for row in report.iter_rows:
-        by_epoch.setdefault(row[1], []).append(row)
-    epochs = []
-    for erow in report.epoch_rows:
-        epochs.append(erow[0])
-    all_epochs = sorted(set(by_epoch) | set(epochs))
-    epoch_map = {erow[0]: erow for erow in report.epoch_rows}
-    for epoch in all_epochs:
-        for it, ep, phase, loss, lr_xi, lr_xic in by_epoch.get(epoch, []):
-            lines.append(f"{it},{ep},{phase},{_fmt(loss)},,{_fmt(lr_xi)},"
-                         f"{_fmt(lr_xic)},")
-        if epoch in epoch_map:
-            ep, phase, val, lr_xi, lr_xic, wall = epoch_map[epoch]
-            lines.append(f",{ep},{phase},,{_fmt(val)},{_fmt(lr_xi)},"
-                         f"{_fmt(lr_xic)},{_fmt(wall)}")
+    rows = [(ep, 0, f"{it},{ep},{phase},{_fmt(loss)},,{_fmt(lr_xi)},"
+                    f"{_fmt(lr_xic)},")
+            for it, ep, phase, loss, lr_xi, lr_xic in report.iter_rows]
+    rows += [(ep, 1, f",{ep},{phase},,{_fmt(val)},{_fmt(lr_xi)},"
+                     f"{_fmt(lr_xic)},{_fmt(wall)}")
+             for ep, phase, val, lr_xi, lr_xic, wall in report.epoch_rows]
+    rows.sort(key=lambda row: row[:2])  # stable: iterations keep their order
+    lines = [METRICS_HEADER] + [line for _, _, line in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -35,14 +35,13 @@ def _mixture_log_terms(x, t, sched, weights, means, variances):
     a, s = sched.alpha_sigma(t)
     d = means.shape[1]
     s2 = en.mul(s, s)
-    a2 = en.mul(a, a) if not isinstance(a, float) else a * a
+    a2 = a * a
     terms = []
     diffs = []
     varis = []
     for k in range(means.shape[0]):
         v = a2 * float(variances[k]) + s2
-        diff = en.sub(x, en.mul(a, means[k]) if not isinstance(a, float)
-                      else a * means[k])
+        diff = en.sub(x, a * means[k])
         q = en.dot(diff, diff)
         logn = -0.5 * d * (en.log(v) + _LOG_2PI) - q / (2.0 * v)
         terms.append(float(np.log(weights[k])) + logn)
@@ -74,8 +73,7 @@ def point_epsilon(x, t, sched, x0):
     """Exact epsilon when the data distribution is a point mass at x0."""
     sched.check_domain(t)
     a, s = sched.alpha_sigma(t)
-    ax0 = en.mul(a, x0) if not isinstance(a, float) else a * x0
-    return en.div(en.sub(x, ax0), s)
+    return en.div(en.sub(x, a * x0), s)
 
 
 @dataclass(frozen=True)
@@ -153,8 +151,8 @@ class PointDenoiser:
 def _time_features(lam, freqs):
     feats = []
     for f in freqs:
-        feats.append(en.sin(en.mul(f, lam) if isinstance(lam, en.Value) else f * lam))
-        feats.append(en.cos(en.mul(f, lam) if isinstance(lam, en.Value) else f * lam))
+        feats.append(en.sin(f * lam))
+        feats.append(en.cos(f * lam))
     return feats
 
 

@@ -18,9 +18,9 @@ import numpy as np
 from . import engine as en
 from . import rng as rngmod
 from .discretize import Discretization, heuristic_times
-from .solvers import SolverSpec, initial_state, make_steps, solve
-from .training import (Dataset, distance, mean_hard_loss, split_indices,
-                       train)
+from .solvers import (SolverSpec, initial_state, make_steps, march, solve,
+                      validate_grid)
+from .training import distance, mean_loss, split_indices, train
 
 
 class JacobianError(RuntimeError):
@@ -59,20 +59,9 @@ def w1(a, b):
 
 def solver_map(den, sched, spec, times, times_c=None):
     """Closure x_T -> x_0 suitable for Jacobian extraction (taped or raw)."""
-    times = np.asarray(times, dtype=np.float64)
-    if times_c is None:
-        times_c = times
-    times_c = np.asarray(times_c, dtype=np.float64)
+    shared = validate_grid(sched, times, times_c, nfe=spec.nfe)
     steps = make_steps(den, sched, spec, spec.nfe)
-    shared = (times, times_c)
-
-    def map_fn(x):
-        state = initial_state(spec, x)
-        for step in steps:
-            state = step(state, shared)
-        return state[0]
-
-    return map_fn
+    return lambda x: march(steps, shared, initial_state(spec, x))[0]
 
 
 def solve_batch(den, sched, spec, times, times_c, xs):
@@ -88,7 +77,7 @@ def log_abs_det_jacobian(map_fn, x):
     x = np.asarray(x, dtype=np.float64)
     d = x.shape[0]
     if d > 4:
-        raise JacobianError("log-det Jacobian supports d <= 4")
+        raise JacobianError(f"log-det Jacobian needs data.d <= 4, got {d}")
     tape = en.Tape()
     xv = tape.leaf(x)
     y = map_fn(xv)
@@ -151,10 +140,8 @@ def sweep_r(ds, den, sched, spec, cfg, r_values):
     [(r, best validation soft loss)]."""
     rows = []
     for r in r_values:
-        ds_r = Dataset(x_T=ds.x_T.copy(), x_prime=ds.x_T.copy(),
-                       y=ds.y.copy(), seed=ds.seed,
-                       schedule_hash=ds.schedule_hash)
-        report = train(ds_r, den, sched, spec, replace(cfg, r_override=float(r)))
+        report = train(ds.fresh(), den, sched, spec,
+                       replace(cfg, r_override=float(r)))
         rows.append((float(r), report.best_val))
     return rows
 
@@ -170,13 +157,7 @@ def cross_eval(ds, den, sched, specs, cfg):
     if len(nfes) != 1:
         raise ValueError("cross_eval requires a shared NFE")
     _, val_idx = split_indices(ds.count, ds.seed)
-    trained = []
-    for spec in specs:
-        ds_i = Dataset(x_T=ds.x_T.copy(), x_prime=ds.x_T.copy(),
-                       y=ds.y.copy(), seed=ds.seed,
-                       schedule_hash=ds.schedule_hash)
-        report = train(ds_i, den, sched, spec, cfg)
-        trained.append(report)
+    trained = [train(ds.fresh(), den, sched, spec, cfg) for spec in specs]
     n = len(specs)
     matrix = np.zeros((n, n), dtype=np.float64)
     for i, rep in enumerate(trained):
@@ -184,8 +165,8 @@ def cross_eval(ds, den, sched, specs, cfg):
             xi_c = rep.best_xi_c if i == j else None
             disc = Discretization.create(sched, spec_j.nfe, xi=rep.best_xi,
                                          xi_c=xi_c)
-            matrix[i, j] = mean_hard_loss(disc, den, sched, spec_j, ds,
-                                          val_idx)
+            matrix[i, j] = mean_loss(disc, den, sched, spec_j,
+                                     ds.x_T[val_idx], ds.y[val_idx])
     return matrix
 
 
@@ -211,10 +192,7 @@ def bench_cell(ds, den, sched, spec, cfg, method, nfe, assets, seed):
     x_eval, y_eval, ref_out, gt = assets
     spec_n = SolverSpec(family=spec.family, order=spec.order, nfe=int(nfe))
     if method == "learned":
-        ds_c = Dataset(x_T=ds.x_T.copy(), x_prime=ds.x_T.copy(),
-                       y=ds.y.copy(), seed=ds.seed,
-                       schedule_hash=ds.schedule_hash)
-        report = train(ds_c, den, sched, spec_n, replace(cfg, seed=seed))
+        report = train(ds.fresh(), den, sched, spec_n, replace(cfg, seed=seed))
         disc = report.best_discretization(sched, spec_n.nfe)
         times, times_c = disc.times(), disc.times_c()
     else:

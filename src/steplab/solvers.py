@@ -23,6 +23,10 @@ the training loop exploits this for checkpointed backpropagation.  The
 inter-step state has a fixed width per solver spec (history slots are
 zero-padded before they fill), which keeps the number of arrays cached per
 step constant regardless of grid length.
+
+`march` is the one loop that applies the steps outside the engine's chain
+gradients: `solve`, the transport maps of `evaluate.solver_map` and, through
+`solve`, teacher targets and student losses all run it.
 """
 
 from __future__ import annotations
@@ -175,6 +179,7 @@ def _ipndm_step(den, sched, i, order):
 
 
 def validate_grid(sched, times, times_c=None, nfe=None):
+    """Checked float64 (times, times_c); times_c defaults to times."""
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.shape[0] < 2:
         raise GridError("time grid needs at least two points")
@@ -183,12 +188,25 @@ def validate_grid(sched, times, times_c=None, nfe=None):
     if not np.all(np.diff(times) < 0.0):
         raise GridError("time grid must be strictly decreasing")
     sched.check_domain(times)
-    if times_c is not None:
-        times_c = np.asarray(times_c, dtype=np.float64)
-        if times_c.shape != times.shape:
-            raise GridError("times_c must match the grid shape")
-        sched.check_domain(times_c)
-    return times
+    if times_c is None:
+        return times, times
+    times_c = np.asarray(times_c, dtype=np.float64)
+    if times_c.shape != times.shape:
+        raise GridError("times_c must match the grid shape")
+    sched.check_domain(times_c)
+    return times, times_c
+
+
+def march(steps, shared, state):
+    """Apply the step closures in order; returns the final state tuple.
+
+    Raises DivergenceError(i) as soon as step i leaves a non-finite sample.
+    """
+    for i, step in enumerate(steps):
+        state = step(state, shared)
+        if not np.all(np.isfinite(en.data_of(state[0]))):
+            raise DivergenceError(i)
+    return state
 
 
 def solve(den, sched, spec, times, times_c=None, x_T=None):
@@ -206,33 +224,6 @@ def solve(den, sched, spec, times, times_c=None, x_T=None):
         GridError on malformed grids, DivergenceError if a step produces a
         non-finite state.
     """
-    times = validate_grid(sched, times, times_c, nfe=spec.nfe)
-    if times_c is None:
-        times_c = times
-    times_c = np.asarray(times_c, dtype=np.float64)
+    shared = validate_grid(sched, times, times_c, nfe=spec.nfe)
     state = initial_state(spec, np.asarray(x_T, dtype=np.float64))
-    steps = make_steps(den, sched, spec, spec.nfe)
-    shared = (times, times_c)
-    for i, step in enumerate(steps):
-        state = step(state, shared)
-        if not np.all(np.isfinite(en.data_of(state[0]))):
-            raise DivergenceError(i)
-    return state[0]
-
-
-def solve_trajectory(den, sched, spec, times, times_c=None, x_T=None):
-    """Like solve() but returns every visited x_i, i = 0 .. N."""
-    times = validate_grid(sched, times, times_c, nfe=spec.nfe)
-    if times_c is None:
-        times_c = times
-    times_c = np.asarray(times_c, dtype=np.float64)
-    state = initial_state(spec, np.asarray(x_T, dtype=np.float64))
-    steps = make_steps(den, sched, spec, spec.nfe)
-    shared = (times, times_c)
-    traj = [en.data_of(state[0])]
-    for i, step in enumerate(steps):
-        state = step(state, shared)
-        if not np.all(np.isfinite(en.data_of(state[0]))):
-            raise DivergenceError(i)
-        traj.append(en.data_of(state[0]))
-    return traj
+    return march(make_steps(den, sched, spec, spec.nfe), shared, state)[0]

@@ -20,15 +20,15 @@ checkpointed whenever the validation loss reaches a new minimum.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import engine as en
 from . import rng as rngmod
 from .discretize import (Discretization, HEURISTICS, heuristic_times,
-                         init_from_times, tau, query_times)
-from .solvers import SolverSpec, make_steps, solve
+                         init_from_times, tau)
+from .solvers import SolverSpec, initial_state, make_steps, solve
 
 
 class TrainingError(RuntimeError):
@@ -85,11 +85,9 @@ class Teacher:
         times = heuristic_times(grid, sched, nfe)
         return cls(den=den, sched=sched, spec=spec, times=times)
 
-    def solve_one(self, x_T):
-        return solve(self.den, self.sched, self.spec, self.times, None, x_T)
-
     def solve_many(self, xs):
-        return np.stack([self.solve_one(x) for x in xs])
+        return np.stack([solve(self.den, self.sched, self.spec, self.times,
+                               None, x) for x in xs])
 
 
 @dataclass
@@ -110,6 +108,11 @@ class Dataset:
     def d(self):
         return self.x_T.shape[1]
 
+    def fresh(self):
+        """A deep copy whose perturbed starts are reset to x_T."""
+        return replace(self, x_T=self.x_T.copy(), x_prime=self.x_T.copy(),
+                       y=self.y.copy())
+
 
 def generate_dataset(den, sched, teacher, count, seed):
     if count < 2:
@@ -129,7 +132,7 @@ def split_indices(count, seed):
 # ------------------------------------------------------------------- losses
 
 
-def _chain_parts(den, sched, spec, y, d, fixed_xi=None, fixed_xi_c=None):
+def _chain_parts(den, sched, spec, y, fixed_xi=None, fixed_xi_c=None):
     """Prelude/steps/finale closures for one training pair.
 
     When fixed_xi/fixed_xi_c are given, the grid is treated as a constant and
@@ -137,15 +140,13 @@ def _chain_parts(den, sched, spec, y, d, fixed_xi=None, fixed_xi_c=None):
     """
     T, t_min = sched.T, sched.t_min
     steps = make_steps(den, sched, spec, spec.nfe)
-    pads = tuple(np.zeros(d, dtype=np.float64)
-                 for _ in range(spec.history_width))
 
     def prelude(env):
         xi = env["xi"] if fixed_xi is None else fixed_xi
         xi_c = env["xi_c"] if fixed_xi_c is None else fixed_xi_c
         times = tau(xi, T, t_min)
         times_c = en.clamp(en.add(times, xi_c), t_min, T)
-        return (times, times_c), (env["x_prime"],) + pads
+        return (times, times_c), initial_state(spec, env["x_prime"])
 
     def finale(state, shared):
         return distance(state[0], y)
@@ -160,13 +161,12 @@ def pair_grads(disc, den, sched, spec, x_prime, y, checkpointed=True,
     Returns a ChainGradResult with grads for xi, xi_c, x_prime (the grid
     entries are omitted when grid_only_constant is set).
     """
-    d = x_prime.shape[0]
     if grid_only_constant:
-        parts = _chain_parts(den, sched, spec, y, d, fixed_xi=disc.xi,
+        parts = _chain_parts(den, sched, spec, y, fixed_xi=disc.xi,
                              fixed_xi_c=disc.xi_c)
         leaves = {"x_prime": x_prime}
     else:
-        parts = _chain_parts(den, sched, spec, y, d)
+        parts = _chain_parts(den, sched, spec, y)
         leaves = {"xi": disc.xi, "xi_c": disc.xi_c, "x_prime": x_prime}
     fn = en.checkpointed_chain_grad if checkpointed else en.whole_chain_grad
     return fn(leaves, *parts)
@@ -178,18 +178,10 @@ def soft_loss(disc, den, sched, spec, x_prime, y):
     return float(distance(out, y))
 
 
-def hard_loss(disc, den, sched, spec, x_T, y):
-    return soft_loss(disc, den, sched, spec, x_T, y)
-
-
-def mean_soft_loss(disc, den, sched, spec, ds, idx):
-    return float(np.mean([soft_loss(disc, den, sched, spec, ds.x_prime[j],
-                                    ds.y[j]) for j in idx]))
-
-
-def mean_hard_loss(disc, den, sched, spec, ds, idx):
-    return float(np.mean([hard_loss(disc, den, sched, spec, ds.x_T[j],
-                                    ds.y[j]) for j in idx]))
+def mean_loss(disc, den, sched, spec, xs, ys):
+    """Mean soft loss over paired rows of starts xs and targets ys."""
+    return float(np.mean([soft_loss(disc, den, sched, spec, x, y)
+                          for x, y in zip(xs, ys)]))
 
 
 def select_init(den, sched, spec, ds, val_idx):
@@ -198,7 +190,8 @@ def select_init(den, sched, spec, ds, val_idx):
     for kind in HEURISTICS:
         times = heuristic_times(kind, sched, spec.nfe)
         disc = Discretization.from_times(sched, times)
-        val = mean_hard_loss(disc, den, sched, spec, ds, val_idx)
+        val = mean_loss(disc, den, sched, spec, ds.x_T[val_idx],
+                        ds.y[val_idx])
         if val < best_val:
             best_kind, best_val = kind, val
     xi = init_from_times(heuristic_times(best_kind, sched, spec.nfe),
@@ -321,8 +314,8 @@ def train(ds, den, sched, spec, cfg):
         xi = init_from_times(heuristic_times(cfg.init, sched, nfe),
                              sched.T, sched.t_min)
         init_kind = cfg.init
-        init_val = mean_hard_loss(Discretization.create(sched, nfe, xi=xi),
-                                  den, sched, spec, ds, val_idx)
+        init_val = mean_loss(Discretization.create(sched, nfe, xi=xi),
+                             den, sched, spec, ds.x_T[val_idx], ds.y[val_idx])
     else:
         raise TrainingError(f"unknown init {cfg.init!r}")
     xi = np.asarray(xi, dtype=np.float64).copy()

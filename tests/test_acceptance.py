@@ -77,7 +77,7 @@ def test_criterion_2_gradient_suite():
     t0 = time.perf_counter()
     teacher = Teacher.create(GM, VE, nfe=40)
     x_T = sample_prior(VE, 2, 1, 11)[0]
-    y = teacher.solve_one(x_T)
+    y = teacher.solve_many([x_T])[0]
     xp = x_T + 0.05 * VE.sigma_T
     worst = 0.0
     for fam, order in (("euler", 1), ("dpmpp", 2), ("ipndm", 4)):

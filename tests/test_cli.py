@@ -230,3 +230,29 @@ def test_missing_config_file_is_reported(ws, tmp_path, capsys):
     assert main(["gen-data", "--config", str(tmp_path / "absent.cfg"),
                  "--out", str(tmp_path / "d.bin")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,extra,key", [
+    ("gen-data", "schedule.t_min = 100.0\n", "schedule.t_min"),
+    ("train", "train.batch = 0\n", "train.batch"),
+    ("bound", "data.kind = point\ndata.d = 5\n", "data.d"),
+], ids=["schedule.t_min", "train.batch", "data.d"])
+def test_bad_config_values_exit_2_naming_the_key(ws, tmp_path, capsys,
+                                                 command, extra, key):
+    cfg2 = tmp_path / "bad.cfg"
+    cfg2.write_text(SMALL_CFG + extra)
+    assert main([command, "--config", str(cfg2), "--data", data_of(ws),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+
+
+def test_train_aborted_before_first_checkpoint_exits_1(ws, tmp_path, capsys):
+    cfg2 = tmp_path / "blowup.cfg"
+    cfg2.write_text(SMALL_CFG + "train.lr_xi = 1e4\n")
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg2), "--data", data_of(ws),
+                 "--out", str(run)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (run / "checkpoint.json").exists()
+    assert (run / "metrics.csv").exists() and (run / "config.txt").exists()

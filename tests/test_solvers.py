@@ -7,9 +7,10 @@ import pytest
 import steplab.engine as en
 from steplab.denoisers import GMDenoiser, PointDenoiser
 from steplab.discretize import heuristic_times
+from steplab.evaluate import solver_map
 from steplab.schedule import ve_edm, vp_linear
 from steplab.solvers import (DivergenceError, GridError, SolverSpec,
-                             initial_state, solve, solve_trajectory)
+                             initial_state, solve)
 
 VE = ve_edm()
 VP = vp_linear()
@@ -68,13 +69,13 @@ def test_ddim_point_mass_exact_on_any_grid(grid):
 def test_ddim_point_mass_trajectory_is_the_line():
     den = PointDenoiser.create(VE, np.array([1.0, -1.0]))
     grid = np.array([80.0, 20.0, 5.0, 0.002])
-    spec = SolverSpec(family="dpmpp", order=1, nfe=3)
     x_T = np.array([8.0, -8.0])
-    traj = solve_trajectory(den, VE, spec, grid, x_T=x_T)
-    assert len(traj) == 4
-    np.testing.assert_array_equal(traj[0], x_T)
-    for t, x in zip(grid, traj):
-        np.testing.assert_allclose(x, point_exact(x_T, t), atol=1e-12)
+    for k in range(1, len(grid)):
+        # x_k is the output of the same solver run on the grid prefix
+        spec = SolverSpec(family="dpmpp", order=1, nfe=k)
+        x_k = solve(den, VE, spec, grid[:k + 1], x_T=x_T)
+        np.testing.assert_allclose(x_k, point_exact(x_T, grid[k]),
+                                   atol=1e-12)
 
 
 # ----------------------------------------------------- calls and equivalences
@@ -199,6 +200,9 @@ def test_grid_validation_errors():
     with pytest.raises(GridError, match="times_c"):
         solve(GM, VE, spec, np.array([80.0, 1.0, 0.002]),
               np.array([80.0, 1.0]), x)
+    # transport maps check their grid the same way, when they are built
+    with pytest.raises(GridError, match="expected 2"):
+        solver_map(GM, VE, spec, np.array([80.0, 0.002]))
 
 
 def test_out_of_domain_grid_rejected():
@@ -215,9 +219,13 @@ class ExplodingDen:
         return np.array([np.inf, np.inf])
 
 
-def test_divergence_error_names_step():
+@pytest.mark.parametrize("run", [
+    lambda den, spec, times, x: solve(den, VE, spec, times, x_T=x),
+    lambda den, spec, times, x: solver_map(den, VE, spec, times)(x),
+], ids=["solve", "solver_map"])
+def test_divergence_error_names_step(run):
     spec = SolverSpec(family="euler", order=1, nfe=3)
     times = heuristic_times("uniform", VE, 3)
     with pytest.raises(DivergenceError) as ei:
-        solve(ExplodingDen(), VE, spec, times, x_T=np.zeros(2))
+        run(ExplodingDen(), spec, times, np.zeros(2))
     assert ei.value.step == 0

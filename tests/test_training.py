@@ -9,12 +9,12 @@ import steplab.engine as en
 from steplab.denoisers import GMDenoiser
 from steplab.discretize import Discretization, heuristic_times
 from steplab.schedule import ve_edm
-from steplab.solvers import SolverSpec
+from steplab.solvers import SolverSpec, solve
 from steplab.training import (Dataset, RmsPropMomentum, Teacher, TrainConfig,
                               TrainingError, ball_radius, clip_to_norm,
-                              distance, generate_dataset, hard_loss,
-                              mean_hard_loss, pair_grads, project, radius,
-                              select_init, soft_loss, split_indices, train)
+                              distance, generate_dataset, mean_loss,
+                              pair_grads, project, radius, select_init,
+                              soft_loss, split_indices, train)
 
 VE = ve_edm()
 GM = GMDenoiser.create(VE, np.array([0.5, 0.3, 0.2]),
@@ -84,7 +84,9 @@ def test_generate_dataset_shapes_and_copy():
 def test_teacher_targets_are_solver_outputs():
     ds = small_dataset(count=3, teacher_nfe=30)
     teacher = Teacher.create(GM, VE, nfe=30)
-    np.testing.assert_array_equal(ds.y[1], teacher.solve_one(ds.x_T[1]))
+    np.testing.assert_array_equal(ds.y, teacher.solve_many(ds.x_T))
+    np.testing.assert_array_equal(
+        ds.y[1], solve(GM, VE, teacher.spec, teacher.times, x_T=ds.x_T[1]))
 
 
 def test_split_indices_partition():
@@ -166,12 +168,15 @@ def test_grid_constant_mode_freezes_grid():
     assert set(res.grads) == {"x_prime"}
 
 
-def test_hard_loss_is_soft_loss_at_x_T():
+def test_mean_loss_is_mean_of_pair_soft_losses():
     ds = small_dataset(count=4)
     spec = SolverSpec(family="dpmpp", order=2, nfe=4)
     disc = Discretization.from_times(VE, heuristic_times("logsnr", VE, 4))
-    assert hard_loss(disc, GM, VE, spec, ds.x_T[2], ds.y[2]) == \
-        soft_loss(disc, GM, VE, spec, ds.x_T[2], ds.y[2])
+    idx = np.array([0, 2, 3])
+    per_pair = [soft_loss(disc, GM, VE, spec, ds.x_T[j], ds.y[j])
+                for j in idx]
+    assert mean_loss(disc, GM, VE, spec, ds.x_T[idx], ds.y[idx]) == \
+        float(np.mean(per_pair))
 
 
 def test_select_init_picks_the_argmin():
@@ -182,7 +187,8 @@ def test_select_init_picks_the_argmin():
     per_kind = {}
     for k in ("uniform", "quadratic", "edm", "logsnr"):
         disc = Discretization.from_times(VE, heuristic_times(k, VE, 4))
-        per_kind[k] = mean_hard_loss(disc, GM, VE, spec, ds, val_idx)
+        per_kind[k] = mean_loss(disc, GM, VE, spec, ds.x_T[val_idx],
+                                ds.y[val_idx])
     assert kind == min(per_kind, key=per_kind.get)
     assert val == per_kind[kind]
 
