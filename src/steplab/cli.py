@@ -39,6 +39,12 @@ def _ensure_dir(path):
     return path
 
 
+def _positive(cfg, key):
+    if cfg[key] < 1:
+        raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
+    return int(cfg[key])
+
+
 def _load_ds(args, sched):
     if args.data is None:
         raise ConfigError("this command requires --data")
@@ -96,12 +102,12 @@ def _spec_from_checkpoint(cfg, solver_info):
 
 
 def _cmd_sample(args, cfg, sched, den):
+    count = _positive(cfg, "sample.count")
     ckpt = cfg["sample.checkpoint"]
     if not ckpt:
         raise ConfigError("sample needs sample.checkpoint in the config")
     disc, solver_info = load_checkpoint(ckpt, sched)
     spec = _spec_from_checkpoint(cfg, solver_info)
-    count = int(cfg["sample.count"])
     x = rngmod.sample_prior(sched, den.d, count,
                             rngmod.derive_seed(cfg["seed"], "sample"))
     out = _ensure_dir(args.out or "samples")
@@ -172,6 +178,7 @@ def _cmd_sweep_r(args, cfg, sched, den):
 
 
 def _cmd_bound(args, cfg, sched, den):
+    n_samples = _positive(cfg, "bound.samples")
     teacher = build_teacher(cfg, den, sched)
     spec = build_solver_spec(cfg)
     grid = cfg["bound.grid"]
@@ -189,8 +196,8 @@ def _cmd_bound(args, cfg, sched, den):
     t_map = solver_map(den, sched, teacher.spec, teacher.times)
     s_map = solver_map(den, sched, spec, times, times_c)
     r = float(cfg["bound.r"])
-    report = estimate_bound(t_map, s_map, sched, r, den.d,
-                            int(cfg["bound.samples"]), cfg["seed"])
+    report = estimate_bound(t_map, s_map, sched, r, den.d, n_samples,
+                            cfg["seed"])
     out = _ensure_dir(args.out or "bound")
     write_bound_json(os.path.join(out, "bound.json"), report, cfg["seed"])
     write_snapshot(cfg, os.path.join(out, "config.txt"))

@@ -191,6 +191,11 @@ def build_teacher(cfg, den, sched):
 def build_train_config(cfg):
     if cfg["train.batch"] < 1:
         raise ConfigError(f"train.batch must be >= 1, got {cfg['train.batch']}")
+    p1, p2 = cfg["train.epochs_phase1"], cfg["train.epochs_phase2"]
+    if p1 < 0 or p2 < 0 or p1 + p2 < 1:
+        raise ConfigError(f"train.epochs_phase1 = {p1} and "
+                          f"train.epochs_phase2 = {p2} must be >= 0 and "
+                          f"give at least one epoch")
     return TrainConfig(
         gamma=cfg["train.gamma"],
         r_override=cfg["train.r"],

@@ -13,7 +13,9 @@ it reduces to (x - alpha_t x0) / sigma_t.
 
 Everything is written with engine ops, so epsilon can be evaluated inside a
 differentiated solver graph (gradients flow to x and t), and the MLP can be
-trained by denoising score matching with the same machinery.
+trained by denoising score matching with the same machinery.  x is one row
+of shape (d,) or a batch of rows (B, d) sharing the time t; each batched row
+of the analytic predictors equals its single-row result bit for bit.
 """
 
 from __future__ import annotations
@@ -29,8 +31,14 @@ from . import rng as rngmod
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
+def _column(w):
+    """Per-row weights (B,) as a (B, 1) column; a single row's scalar as is."""
+    return en.index(w, (Ellipsis, None)) if np.ndim(en.data_of(w)) else w
+
+
 def _mixture_log_terms(x, t, sched, weights, means, variances):
-    """Per-component log w_k + log N(x; alpha mu_k, (alpha^2 s_k^2 + sigma^2) I)."""
+    """Per-component log w_k + log N(x; alpha mu_k, (alpha^2 s_k^2 + sigma^2) I),
+    one value per row of x."""
     sched.check_domain(t)
     a, s = sched.alpha_sigma(t)
     d = means.shape[1]
@@ -58,7 +66,7 @@ def gm_epsilon(x, t, sched, weights, means, variances):
     acc = None
     for term, diff, v in zip(terms, diffs, varis):
         gamma = en.exp(en.sub(term, lse))
-        piece = en.mul(en.div(gamma, v), diff)
+        piece = en.mul(_column(en.div(gamma, v)), diff)
         acc = piece if acc is None else en.add(acc, piece)
     return en.mul(s, acc)
 
@@ -187,16 +195,13 @@ class MlpDenoiser:
         return en.div(1.0, en.sqrt(en.add(en.mul(a, a), en.mul(s, s))))
 
     def epsilon(self, x, t):
-        """Single-vector evaluation; differentiable in x and t."""
+        """Row or batch evaluation at one time t; differentiable in x and t."""
         self.sched.check_domain(t)
         lam = self.sched.lam(t)
-        feats = _time_features(lam, self.freqs)
-        h = en.concat(en.mul(self._c_in(t), x), en.stack(feats))
-        for i, (w, b) in enumerate(self.layers):
-            h = en.add(en.matvec(w, h), b)
-            if i + 1 < len(self.layers):
-                h = en.silu(h)
-        return h
+        xs = en.mul(self._c_in(t), x)
+        cols = [en.index(xs, (Ellipsis, j)) for j in range(self.d)]
+        return self.forward_batch(
+            en.stack(cols + _time_features(lam, self.freqs)), self.layers)
 
     def features_batch(self, x_t, t):
         """Constant feature matrix for a raw batch (used for DSM training)."""
@@ -209,7 +214,7 @@ class MlpDenoiser:
         return np.concatenate(cols, axis=1)
 
     def forward_batch(self, feats, params):
-        """Dense chain on a constant feature matrix with (possibly taped) params."""
+        """Dense chain on feature rows with (possibly taped) params."""
         h = feats
         last = len(params) - 1
         for i, (w, b) in enumerate(params):

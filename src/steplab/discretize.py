@@ -168,7 +168,12 @@ def save_checkpoint(path, disc, solver_spec):
 
 
 def load_checkpoint(path, sched):
-    """Read a grid checkpoint; returns (Discretization, solver dict)."""
+    """Read a grid checkpoint; returns (Discretization, solver dict).
+
+    The stored times and times_c must be exactly tau(xi) and the query
+    times of (xi, xi_c), and solver.nfe must equal N, so an edited or stale
+    checkpoint is refused rather than sampled.
+    """
     with open(path) as fh:
         blob = json.load(fh)
     n = int(blob["N"])
@@ -180,4 +185,10 @@ def load_checkpoint(path, sched):
         raise GridError("checkpoint times must be strictly decreasing")
     disc = Discretization.create(sched, n, xi=np.asarray(blob["xi"]),
                                  xi_c=np.asarray(blob["xi_c"]))
+    for key, want in (("times", disc.times()), ("times_c", disc.times_c())):
+        if not np.array_equal(np.asarray(blob[key], dtype=np.float64), want):
+            raise GridError(f"checkpoint {key} do not match xi and xi_c")
+    if int(blob["solver"]["nfe"]) != n:
+        raise GridError(f"checkpoint solver.nfe = {blob['solver']['nfe']} "
+                        f"does not match N = {n}")
     return disc, blob["solver"]

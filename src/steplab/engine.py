@@ -2,10 +2,12 @@
 
 A :class:`Value` wraps a scalar or a small numpy array and remembers the tape
 position that produced it.  Operations are provided both as module functions
-(`exp`, `dot`, `stack`, ...) and as operators on :class:`Value`.  Every
-function also accepts plain floats/arrays and then simply computes with numpy
-without recording anything, so the same code path can run "hot" (taped) or
-"cold" (plain numpy) with bit-identical results.
+(`exp`, `dot`, `stack`, ...) and as operators on :class:`Value`.  Operands
+broadcast as in numpy, so one code path runs a single row of shape (d,) or a
+batch of shape (B, d); the row-wise ops (`dot`, `stack`, `logsumexp`) act on
+the last axis.  Every function also accepts plain floats/arrays and then
+simply computes with numpy without recording anything, so the same code path
+can run "hot" (taped) or "cold" (plain numpy) with bit-identical results.
 
 Gradients are pulled with :meth:`Tape.backward`, which allocates its own
 adjoint buffer per call; a tape can therefore be differentiated several times
@@ -83,10 +85,17 @@ def _idx(x):
 
 
 def _reduce(g, ref):
-    # collapse an array adjoint onto a scalar operand (the only broadcast allowed)
-    if np.ndim(ref) == 0 and np.ndim(g) > 0:
+    """Sum an adjoint back onto the shape of the operand it broadcast from
+    (both are numpy values: a Value's data is never a Python float)."""
+    shape = ref.shape
+    if g.shape == shape:
+        return g
+    if not shape:
         return np.sum(g)
-    return g
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(lead + k for k, n in enumerate(shape)
+                                      if n == 1)
+    return np.sum(g, axis=axes).reshape(shape)
 
 
 class Tape:
@@ -182,9 +191,11 @@ def _unary(x, fwd, dfn, name):
 
 def _binary(a, b, fwd, da, db, name):
     ad, bd = data_of(a), data_of(b)
-    if np.ndim(ad) > 0 and np.ndim(bd) > 0 and np.shape(ad) != np.shape(bd):
-        raise EngineError(f"{name}: shape mismatch {np.shape(ad)} vs {np.shape(bd)}")
-    out = fwd(ad, bd)
+    try:
+        out = fwd(ad, bd)
+    except ValueError:
+        raise EngineError(f"{name}: shape mismatch {np.shape(ad)} vs "
+                          f"{np.shape(bd)}") from None
     tape = _tape_of(a, b)
     if tape is None:
         return out
@@ -298,18 +309,22 @@ def vsum(x):
 
 
 def dot(a, b):
+    """Row-wise inner product over the last axis: (..., d) x (..., d) -> (...)."""
     ad, bd = data_of(a), data_of(b)
-    if np.shape(ad) != np.shape(bd):
-        raise EngineError("dot: shape mismatch")
-    out = np.dot(ad, bd)
+    try:
+        # np.vecdot rounds each row exactly as a 1-D np.dot does
+        out = np.vecdot(ad, bd)
+    except ValueError:
+        raise EngineError("dot: shape mismatch") from None
     tape = _tape_of(a, b)
     if tape is None:
         return out
     pa, pb = _idx(a), _idx(b)
 
     def vjp(adj):
-        return (adj * bd if pa is not None else None,
-                adj * ad if pb is not None else None)
+        col = np.asarray(adj)[..., None]
+        return (_reduce(col * bd, ad) if pa is not None else None,
+                _reduce(col * ad, bd) if pb is not None else None)
 
     return tape._record(out, (pa, pb), vjp, "dot")
 
@@ -329,16 +344,18 @@ def norm(x):
 
 
 def logsumexp(x):
+    """log sum exp over the last axis."""
     # the max shift is held constant; the derivative is exact regardless
     xd = data_of(x)
-    m = np.max(xd)
-    out = m + np.log(np.sum(np.exp(xd - m)))
+    m = xd.max(axis=-1, keepdims=True)
+    out = m[..., 0] + np.log(np.exp(xd - m).sum(axis=-1))
     tape = _tape_of(x)
     if tape is None:
         return out
 
     def vjp(adj):
-        return (adj * np.exp(xd - out),)
+        return (np.asarray(adj)[..., None]
+                * np.exp(xd - np.asarray(out)[..., None]),)
 
     return tape._record(out, (x.idx,), vjp, "logsumexp")
 
@@ -350,35 +367,23 @@ def softmax(x):
 
 
 def stack(xs):
-    """Pack scalars into a 1-D vector (parents may mix Values and constants)."""
-    datas = [data_of(x) for x in xs]
-    out = np.array(datas, dtype=np.float64)
+    """Pack parts along a new last axis (parents may mix Values and
+    constants); K scalars give a (K,) vector, K (B,) rows (B, K).  Each part
+    is a scalar or has the shape of the largest part."""
+    parts = [data_of(x) for x in xs]
+    out = np.empty(max((np.shape(p) for p in parts), key=len) + (len(parts),))
+    for k, p in enumerate(parts):
+        out[..., k] = p
     tape = _tape_of(*xs)
     if tape is None:
         return out
     parents = tuple(_idx(x) for x in xs)
 
     def vjp(adj):
-        return tuple(adj[k] if parents[k] is not None else None
-                     for k in range(len(parents)))
+        return tuple(_reduce(adj[..., k], parts[k]) if parents[k] is not None
+                     else None for k in range(len(parents)))
 
     return tape._record(out, parents, vjp, "stack")
-
-
-def concat(a, b):
-    ad, bd = np.atleast_1d(data_of(a)), np.atleast_1d(data_of(b))
-    out = np.concatenate([ad, bd])
-    tape = _tape_of(a, b)
-    if tape is None:
-        return out
-    pa, pb = _idx(a), _idx(b)
-    na = ad.shape[0]
-
-    def vjp(adj):
-        return (adj[:na] if pa is not None else None,
-                adj[na:] if pb is not None else None)
-
-    return tape._record(out, (pa, pb), vjp, "concat")
 
 
 def index(x, i):
@@ -410,23 +415,8 @@ def rcumsum(x):
     return tape._record(out, (x.idx,), vjp, "rcumsum")
 
 
-def matvec(w, v):
-    wd, vd = data_of(w), data_of(v)
-    out = wd @ vd
-    tape = _tape_of(w, v)
-    if tape is None:
-        return out
-    pw, pv = _idx(w), _idx(v)
-
-    def vjp(adj):
-        return (np.outer(adj, vd) if pw is not None else None,
-                wd.T @ adj if pv is not None else None)
-
-    return tape._record(out, (pw, pv), vjp, "matvec")
-
-
 def affine(x, w, b):
-    """Batched dense layer: x @ w.T + b for x of shape (batch, n_in)."""
+    """Dense layer x @ w.T + b for x of shape (n_in,) or (batch, n_in)."""
     xd, wd, bd = data_of(x), data_of(w), data_of(b)
     out = xd @ wd.T + bd
     tape = _tape_of(x, w, b)
@@ -435,9 +425,11 @@ def affine(x, w, b):
     px, pw, pb = _idx(x), _idx(w), _idx(b)
 
     def vjp(adj):
+        rows = np.reshape(adj, (-1, wd.shape[0]))
+        rows_in = np.reshape(xd, (-1, wd.shape[1]))
         return (adj @ wd if px is not None else None,
-                adj.T @ xd if pw is not None else None,
-                adj.sum(axis=0) if pb is not None else None)
+                rows.T @ rows_in if pw is not None else None,
+                _reduce(adj, bd) if pb is not None else None)
 
     return tape._record(out, (px, pw, pb), vjp, "affine")
 
@@ -446,7 +438,10 @@ def affine(x, w, b):
 
 
 class ChainGradResult:
-    """Loss, per-leaf gradients, and the activation-retention accounting."""
+    """Loss, per-leaf gradients, and the activation-retention accounting.
+
+    `loss` is a float for a scalar finale and an array for a per-row one.
+    """
 
     __slots__ = ("loss", "grads", "retained_arrays", "retained_per_step", "n_steps")
 
@@ -458,6 +453,15 @@ class ChainGradResult:
         self.retained_per_step = retained_arrays / n_steps if n_steps else 0.0
 
 
+def _ones_like(loss):
+    return np.ones(np.shape(data_of(loss)))
+
+
+def _loss_value(loss):
+    loss = data_of(loss)
+    return float(loss) if np.ndim(loss) == 0 else np.asarray(loss)
+
+
 def whole_chain_grad(leaves, prelude, steps, finale):
     """Differentiate prelude -> steps -> finale on a single tape.
 
@@ -465,7 +469,9 @@ def whole_chain_grad(leaves, prelude, steps, finale):
         leaves: dict name -> numpy array/scalar, the differentiation targets.
         prelude: fn(env dict of Values) -> (shared tuple, initial state tuple).
         steps: sequence of pure fns (state, shared) -> state.
-        finale: fn(state, shared) -> scalar.
+        finale: fn(state, shared) -> scalar, or a per-row loss vector whose
+            entries are all seeded with 1 (each row's gradient is then the
+            gradient of its own loss when rows do not interact).
 
     Returns:
         ChainGradResult with grads keyed like `leaves`.
@@ -477,8 +483,8 @@ def whole_chain_grad(leaves, prelude, steps, finale):
         state = step(state, shared)
     loss = finale(state, shared)
     names = list(leaves)
-    grads = tape.gradient(loss, [env[k] for k in names])
-    return ChainGradResult(float(data_of(loss)), dict(zip(names, grads)),
+    grads = tape.backward([(loss, _ones_like(loss))], [env[k] for k in names])
+    return ChainGradResult(_loss_value(loss), dict(zip(names, grads)),
                            retained_arrays=len(tape), n_steps=len(steps))
 
 
@@ -500,7 +506,7 @@ def checkpointed_chain_grad(leaves, prelude, steps, finale, check_replay=False):
     for step in steps:
         state = step(state, shared_raw)
         states.append(state)
-    loss_raw = float(finale(state, shared_raw))
+    loss_raw = _loss_value(finale(state, shared_raw))
     retained = sum(len(s) for s in states[1:])
 
     # prelude tape: classifies which shared/state0 entries are differentiable
@@ -521,7 +527,7 @@ def checkpointed_chain_grad(leaves, prelude, steps, finale, check_replay=False):
     tape_f, st_f, sh_f = replay_tape(states[-1])
     loss_v = finale(st_f, sh_f)
     live = [j for j in shared_acc]
-    grads = tape_f.backward([(loss_v, np.float64(1.0))],
+    grads = tape_f.backward([(loss_v, _ones_like(loss_v))],
                             list(st_f) + [sh_f[j] for j in live])
     adj_state = grads[:len(st_f)]
     for j, g in zip(live, grads[len(st_f):]):

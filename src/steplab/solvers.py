@@ -27,6 +27,10 @@ step constant regardless of grid length.
 `march` is the one loop that applies the steps outside the engine's chain
 gradients: `solve`, the transport maps of `evaluate.solver_map` and, through
 `solve`, teacher targets and student losses all run it.
+
+A state is one sample of shape (d,) or a batch of shape (B, d) marched on
+one shared grid; every batched row equals its single-row solve bit for bit.
+A batch raises DivergenceError at the first step where any row diverges.
 """
 
 from __future__ import annotations
@@ -200,7 +204,8 @@ def validate_grid(sched, times, times_c=None, nfe=None):
 def march(steps, shared, state):
     """Apply the step closures in order; returns the final state tuple.
 
-    Raises DivergenceError(i) as soon as step i leaves a non-finite sample.
+    Raises DivergenceError(i) as soon as step i leaves a non-finite sample
+    (in any row of a batch).
     """
     for i, step in enumerate(steps):
         state = step(state, shared)
@@ -210,7 +215,7 @@ def march(steps, shared, state):
 
 
 def solve(den, sched, spec, times, times_c=None, x_T=None):
-    """March x_T down the grid; returns the final state x_N.
+    """March x_T down the grid; returns the final state x_N, shaped as x_T.
 
     Args:
         den: object with epsilon(x, t).
@@ -218,7 +223,7 @@ def solve(den, sched, spec, times, times_c=None, x_T=None):
         spec: SolverSpec (family/order/nfe).
         times: decreasing grid, length nfe + 1.
         times_c: denoiser query times (defaults to `times`).
-        x_T: initial sample, shape (d,).
+        x_T: initial sample, shape (d,), or a batch of them, shape (B, d).
 
     Raises:
         GridError on malformed grids, DivergenceError if a step produces a

@@ -51,18 +51,20 @@ def ball_radius(gamma, d, nfe, sched):
 
 
 def project(x_prime, x_T, rho_ball):
-    """Project onto the closed ball B(x_T, rho_ball); inside points pass."""
+    """Project each row onto the closed ball B(x_T, rho_ball); inside rows pass."""
+    x_prime = np.asarray(x_prime, dtype=np.float64)
     diff = x_prime - x_T
-    dist = float(np.sqrt(np.dot(diff, diff)))
-    if dist <= rho_ball:
-        return np.asarray(x_prime, dtype=np.float64)
-    return x_T + (rho_ball / dist) * diff
+    dist = np.sqrt(np.vecdot(diff, diff))[..., None]
+    outside = dist > rho_ball
+    scale = rho_ball / np.where(outside, dist, 1.0)
+    return np.where(outside, x_T + scale * diff, x_prime)
 
 
 def distance(a, b):
-    """Dimension-normalized squared error (1/d) ||a - b||^2; engine-generic."""
+    """Dimension-normalized squared error (1/d) ||a - b||^2 per row;
+    engine-generic."""
     diff = en.sub(a, b)
-    d = np.shape(en.data_of(diff))[0]
+    d = np.shape(en.data_of(diff))[-1]
     return en.mul(en.dot(diff, diff), 1.0 / d)
 
 
@@ -86,8 +88,8 @@ class Teacher:
         return cls(den=den, sched=sched, spec=spec, times=times)
 
     def solve_many(self, xs):
-        return np.stack([solve(self.den, self.sched, self.spec, self.times,
-                               None, x) for x in xs])
+        """Targets for the rows of xs, solved as one batch."""
+        return solve(self.den, self.sched, self.spec, self.times, None, xs)
 
 
 @dataclass
@@ -156,10 +158,13 @@ def _chain_parts(den, sched, spec, y, fixed_xi=None, fixed_xi_c=None):
 
 def pair_grads(disc, den, sched, spec, x_prime, y, checkpointed=True,
                grid_only_constant=False):
-    """Soft-loss value and gradients for one pair.
+    """Soft-loss value and gradients for one pair, or for a batch of pairs.
 
     Returns a ChainGradResult with grads for xi, xi_c, x_prime (the grid
-    entries are omitted when grid_only_constant is set).
+    entries are omitted when grid_only_constant is set).  For (B, d) rows
+    the loss is the vector of per-pair losses and each row of the x_prime
+    gradient is that pair's own gradient; grid gradients are summed over
+    the pairs.
     """
     if grid_only_constant:
         parts = _chain_parts(den, sched, spec, y, fixed_xi=disc.xi,
@@ -173,15 +178,15 @@ def pair_grads(disc, den, sched, spec, x_prime, y, checkpointed=True,
 
 
 def soft_loss(disc, den, sched, spec, x_prime, y):
-    """d(Psi_xi(x'_T), y) for one pair, plain forward."""
+    """d(Psi_xi(x'_T), y), plain forward: a float for one pair, a vector of
+    per-pair losses for (B, d) rows."""
     out = solve(den, sched, spec, disc.times(), disc.times_c(), x_prime)
-    return float(distance(out, y))
+    return distance(out, y)
 
 
 def mean_loss(disc, den, sched, spec, xs, ys):
     """Mean soft loss over paired rows of starts xs and targets ys."""
-    return float(np.mean([soft_loss(disc, den, sched, spec, x, y)
-                          for x, y in zip(xs, ys)]))
+    return float(np.mean(soft_loss(disc, den, sched, spec, xs, ys)))
 
 
 def select_init(den, sched, spec, ds, val_idx):
@@ -276,19 +281,22 @@ class TrainReport:
                                      xi_c=self.best_xi_c)
 
 
-def _refresh_pair(disc, den, sched, spec, x_T, x_prime, y, rho, lr, k_steps):
-    """K projected-SGD steps on x' with the grid frozen; keep the best iterate."""
+def _refresh(disc, den, sched, spec, x_T, x_prime, y, rho, lr, k_steps):
+    """K projected-SGD steps on the rows of x' with the grid frozen; keeps
+    each row's best iterate.  Returns (best rows, their losses)."""
     best_x = x_prime.copy()
-    best_loss = np.inf
+    best_loss = np.full(x_prime.shape[0], np.inf)
     x = x_prime.copy()
     for _ in range(k_steps):
-        res = pair_grads(disc, den, sched, spec, x, y, grid_only_constant=True)
-        if res.loss < best_loss:
-            best_loss, best_x = res.loss, x.copy()
+        res = pair_grads(disc, den, sched, spec, x, y, True, True)
+        better = res.loss < best_loss
+        best_loss[better] = res.loss[better]
+        best_x[better] = x[better]
         x = project(x - lr * res.grads["x_prime"], x_T, rho)
     final = soft_loss(disc, den, sched, spec, x, y)
-    if final < best_loss:
-        best_loss, best_x = final, x
+    better = final < best_loss
+    best_loss[better] = final[better]
+    best_x[better] = x[better]
     return best_x, best_loss
 
 
@@ -374,16 +382,14 @@ def train(ds, den, sched, spec, cfg):
             break
 
         # end of epoch: refresh validation x', record loss, decay, checkpoint
-        val_losses = []
-        for j in val_idx:
-            best_x, best_loss = _refresh_pair(disc, den, sched, spec,
-                                              ds.x_T[j], ds.x_prime[j],
-                                              ds.y[j], rho, lr_xp,
-                                              cfg.val_refresh_steps)
-            ds.x_prime[j] = best_x
-            over = float(np.linalg.norm(best_x - ds.x_T[j])) - rho
-            report.max_ball_violation = max(report.max_ball_violation, over)
-            val_losses.append(best_loss)
+        best_x, val_losses = _refresh(disc, den, sched, spec,
+                                      ds.x_T[val_idx], ds.x_prime[val_idx],
+                                      ds.y[val_idx], rho, lr_xp,
+                                      cfg.val_refresh_steps)
+        ds.x_prime[val_idx] = best_x
+        diff = best_x - ds.x_T[val_idx]
+        over = float(np.max(np.sqrt(np.vecdot(diff, diff)))) - rho
+        report.max_ball_violation = max(report.max_ball_violation, over)
         val = float(np.mean(val_losses))
         if not np.isfinite(val):
             report.aborted = True

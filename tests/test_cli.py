@@ -218,6 +218,25 @@ def test_sample_rejects_family_mismatch(ws, tmp_path, capsys):
     assert "family" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["times", "times_c", "solver.nfe"])
+def test_sample_rejects_self_contradicting_checkpoint(ws, tmp_path, capsys,
+                                                     field):
+    blob = json.loads((ws / "run" / "checkpoint.json").read_text())
+    if field == "solver.nfe":
+        blob["solver"]["nfe"] += 1
+    else:
+        blob[field][1] *= 1.0 + 1e-9
+    ckpt = tmp_path / "edited.json"
+    ckpt.write_text(json.dumps(blob))
+    cfg = tmp_path / "edited.cfg"
+    cfg.write_text(SMALL_CFG + f"sample.checkpoint = {ckpt}\n")
+    out = tmp_path / "s"
+    assert main(["sample", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"checkpoint {field} " in err
+    assert not (out / "samples.npy").exists()
+
+
 def test_bound_checkpoint_grid_needs_checkpoint(ws, tmp_path, capsys):
     cfg2 = tmp_path / "nockpt.cfg"
     cfg2.write_text(SMALL_CFG + "bound.grid = checkpoint\n")
@@ -232,15 +251,28 @@ def test_missing_config_file_is_reported(ws, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def overridden(text, extra):
+    """Config text with the lines of extra replacing those of the same key."""
+    keys = {line.split("=")[0].strip() for line in extra.splitlines()}
+    kept = [line for line in text.splitlines(keepends=True)
+            if line.split("=")[0].strip() not in keys]
+    return "".join(kept) + extra
+
+
 @pytest.mark.parametrize("command,extra,key", [
     ("gen-data", "schedule.t_min = 100.0\n", "schedule.t_min"),
     ("train", "train.batch = 0\n", "train.batch"),
     ("bound", "data.kind = point\ndata.d = 5\n", "data.d"),
-], ids=["schedule.t_min", "train.batch", "data.d"])
+    ("sample", "sample.count = 0\n", "sample.count"),
+    ("bound", "bound.samples = 0\n", "bound.samples"),
+    ("train", "train.epochs_phase1 = 0\ntrain.epochs_phase2 = 0\n",
+     "train.epochs_phase1"),
+], ids=["schedule.t_min", "train.batch", "data.d", "sample.count",
+        "bound.samples", "train.epochs"])
 def test_bad_config_values_exit_2_naming_the_key(ws, tmp_path, capsys,
                                                  command, extra, key):
     cfg2 = tmp_path / "bad.cfg"
-    cfg2.write_text(SMALL_CFG + extra)
+    cfg2.write_text(overridden(SMALL_CFG, extra))
     assert main([command, "--config", str(cfg2), "--data", data_of(ws),
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err

@@ -97,6 +97,25 @@ def test_scalar_array_broadcast_reduces_adjoint():
     check_op(lambda s: en.dot(W, en.add(a, s)), -0.3)
 
 
+def test_row_broadcast_reduces_adjoint():
+    rows = np.array([[0.4, -1.2, 2.5], [1.3, 0.7, -0.6]])
+    vec = np.array([0.9, -0.3, 1.1])
+    weights = np.array([[0.7, -1.3, 0.4], [0.2, 0.5, -0.8]])
+    for op in (en.add, en.sub, en.mul, en.div):
+        check_op(lambda m: en.vsum(en.mul(weights, op(m, vec))), rows)
+        check_op(lambda v: en.vsum(en.mul(weights, op(rows, v))), vec)
+    check_op(lambda s: en.vsum(en.mul(weights, en.mul(s, rows))), 0.7)
+    check_op(lambda m: en.vsum(en.mul(weights, en.mul(0.7, m))), rows)
+
+
+def test_unbroadcastable_shapes_rejected():
+    tape = en.Tape()
+    with pytest.raises(en.EngineError, match="shape mismatch"):
+        en.add(tape.leaf(np.ones(2)), np.ones(3))
+    with pytest.raises(en.EngineError, match="shape mismatch"):
+        en.add(np.ones(2), np.ones(3))
+
+
 def test_operator_overloads_and_reflected_forms():
     tape = en.Tape()
     x = tape.leaf(2.0)
@@ -118,23 +137,28 @@ def test_vsum_and_index():
     check_op(lambda v: en.index(v, 1), X)
 
 
-def test_stack_concat_mixed_parents():
+def test_stack_mixed_parents():
     def f(v):
         s = en.stack([en.index(v, 0), 2.5, en.index(v, 2)])  # constant slot
         return en.dot(W, s)
     check_op(f, X)
 
-    def g(v):
-        joined = en.concat(v, np.array([1.0, 2.0]))
-        return en.dot(np.array([1.0, -1.0, 0.5, 0.25, 2.0]), joined)
-    check_op(g, X)
+    # rows (B,) and a broadcast scalar slot pack into (B, K)
+    rows = np.array([[0.3, -0.8], [1.7, 0.2]])
+
+    def g(m):
+        s = en.stack([en.index(m, (Ellipsis, 0)), en.index(m, (1, 1)),
+                      en.index(m, (Ellipsis, 1))])
+        return en.vsum(en.mul(np.array([0.7, -1.3, 0.4]), s))
+    check_op(g, rows)
 
 
-def test_matvec_and_affine_match_fd():
+def test_affine_matches_fd():
     w = np.array([[0.3, -0.7], [1.1, 0.2], [0.5, 0.9]])
     v = np.array([0.4, -1.0])
-    check_op(lambda m: en.dot(W, en.matvec(m, v)), w)
-    check_op(lambda u: en.dot(W, en.matvec(w, u)), v)
+    # a single row: affine(v, w, 0) is the matrix-vector product w @ v
+    check_op(lambda m: en.dot(W, en.affine(v, m, 0.0)), w)
+    check_op(lambda u: en.dot(W, en.affine(u, w, 0.0)), v)
 
     xb = np.array([[0.1, -0.5], [0.8, 0.3]])
     bias = np.array([0.2, -0.1, 0.6])
