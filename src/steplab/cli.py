@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import rng as rngmod
-from .config import (ConfigError, build_denoiser, build_schedule,
+from .config import (ConfigError, at_least, build_denoiser, build_schedule,
                      build_solver_spec, build_teacher, build_train_config,
                      load_config, write_snapshot)
 from .dataio import (FormatError, load_dataset, save_dataset,
@@ -37,12 +37,6 @@ _CROSS_DEFAULT_ORDER = {"euler": 1, "dpmpp": 2, "ipndm": 4}
 def _ensure_dir(path):
     os.makedirs(path, exist_ok=True)
     return path
-
-
-def _positive(cfg, key):
-    if cfg[key] < 1:
-        raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
-    return int(cfg[key])
 
 
 def _load_ds(args, sched):
@@ -102,7 +96,7 @@ def _spec_from_checkpoint(cfg, solver_info):
 
 
 def _cmd_sample(args, cfg, sched, den):
-    count = _positive(cfg, "sample.count")
+    count = at_least(cfg, "sample.count", 1)
     ckpt = cfg["sample.checkpoint"]
     if not ckpt:
         raise ConfigError("sample needs sample.checkpoint in the config")
@@ -141,10 +135,10 @@ def _bench_worker(cfg, ds_fields, method, nfe, assets):
 
 
 def _cmd_bench(args, cfg, sched, den):
+    eval_count = at_least(cfg, "bench.eval_count", 1)
     ds = _load_ds(args, sched)
     teacher = build_teacher(cfg, den, sched)
-    assets = bench_eval_assets(den, sched, teacher,
-                               int(cfg["bench.eval_count"]),
+    assets = bench_eval_assets(den, sched, teacher, eval_count,
                                int(cfg["bench.rmsd_ref_nfe"]), cfg["seed"])
     cells = [(method, int(nfe)) for nfe in cfg["bench.nfes"]
              for method in cfg["bench.methods"]]
@@ -165,11 +159,14 @@ def _cmd_bench(args, cfg, sched, den):
 
 
 def _cmd_sweep_r(args, cfg, sched, den):
+    r_values = [float(r) for r in cfg["sweep.r_values"]]
+    if any(r < 0.0 for r in r_values):
+        raise ConfigError(f"sweep.r_values must all be >= 0, got "
+                          f"{cfg['sweep.r_values']}")
     ds = _load_ds(args, sched)
     spec = build_solver_spec(cfg)
     tc = build_train_config(cfg)
-    rows = sweep_r(ds, den, sched, spec, tc,
-                   [float(r) for r in cfg["sweep.r_values"]])
+    rows = sweep_r(ds, den, sched, spec, tc, r_values)
     out = _ensure_dir(args.out or "sweep")
     write_sweep_csv(os.path.join(out, "sweep.csv"), rows)
     write_snapshot(cfg, os.path.join(out, "config.txt"))
@@ -178,7 +175,8 @@ def _cmd_sweep_r(args, cfg, sched, den):
 
 
 def _cmd_bound(args, cfg, sched, den):
-    n_samples = _positive(cfg, "bound.samples")
+    n_samples = at_least(cfg, "bound.samples", 1)
+    r = float(at_least(cfg, "bound.r", 0.0))
     teacher = build_teacher(cfg, den, sched)
     spec = build_solver_spec(cfg)
     grid = cfg["bound.grid"]
@@ -195,7 +193,6 @@ def _cmd_bound(args, cfg, sched, den):
         times_c = None
     t_map = solver_map(den, sched, teacher.spec, teacher.times)
     s_map = solver_map(den, sched, spec, times, times_c)
-    r = float(cfg["bound.r"])
     report = estimate_bound(t_map, s_map, sched, r, den.d, n_samples,
                             cfg["seed"])
     out = _ensure_dir(args.out or "bound")
@@ -207,6 +204,8 @@ def _cmd_bound(args, cfg, sched, den):
 
 
 def _cmd_cross_eval(args, cfg, sched, den):
+    if not cfg["cross.families"]:
+        raise ConfigError("cross.families must name at least one family")
     ds = _load_ds(args, sched)
     tc = build_train_config(cfg)
     nfe = int(cfg["solver.nfe"])

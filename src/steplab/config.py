@@ -188,29 +188,22 @@ def build_teacher(cfg, den, sched):
                           grid=cfg["teacher.grid"])
 
 
+def at_least(cfg, key, lo):
+    """cfg[key], or a ConfigError naming the key when it is below lo."""
+    if cfg[key] < lo:
+        raise ConfigError(f"{key} must be >= {lo}, got {cfg[key]}")
+    return cfg[key]
+
+
 def build_train_config(cfg):
-    if cfg["train.batch"] < 1:
-        raise ConfigError(f"train.batch must be >= 1, got {cfg['train.batch']}")
+    at_least(cfg, "train.batch", 1)
+    at_least(cfg, "train.val_refresh_steps", 0)
     p1, p2 = cfg["train.epochs_phase1"], cfg["train.epochs_phase2"]
     if p1 < 0 or p2 < 0 or p1 + p2 < 1:
         raise ConfigError(f"train.epochs_phase1 = {p1} and "
                           f"train.epochs_phase2 = {p2} must be >= 0 and "
                           f"give at least one epoch")
-    return TrainConfig(
-        gamma=cfg["train.gamma"],
-        r_override=cfg["train.r"],
-        epochs_phase1=cfg["train.epochs_phase1"],
-        epochs_phase2=cfg["train.epochs_phase2"],
-        batch=cfg["train.batch"],
-        lr_xi=cfg["train.lr_xi"],
-        lr_xic=cfg["train.lr_xic"],
-        lr_xprime=cfg["train.lr_xprime"],
-        clip_norm=cfg["train.clip_norm"],
-        plateau_factor=cfg["train.plateau_factor"],
-        plateau_patience=cfg["train.plateau_patience"],
-        lr_floor_xi=cfg["train.lr_floor_xi"],
-        lr_floor_xic=cfg["train.lr_floor_xic"],
-        val_refresh_steps=cfg["train.val_refresh_steps"],
-        init=cfg["train.init"],
-        seed=cfg["seed"],
-    )
+    fields = {k[len("train."):]: v for k, v in cfg.items()
+              if k.startswith("train.")}
+    fields["r_override"] = fields.pop("r")
+    return TrainConfig(seed=cfg["seed"], **fields)

@@ -21,7 +21,7 @@ of the analytic predictors equals its single-row result bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,10 +115,6 @@ class GMDenoiser:
         return gm_epsilon(x, t, self.sched, self.weights, self.means,
                           self.variances)
 
-    def log_density(self, x, t):
-        return gm_log_density(x, t, self.sched, self.weights, self.means,
-                              self.variances)
-
     def sample_data(self, count, seed):
         """Exact samples from the mixture, one substream per index."""
         cum = np.cumsum(self.weights)
@@ -156,14 +152,6 @@ class PointDenoiser:
 # ----------------------------------------------------------------- MLP
 
 
-def _time_features(lam, freqs):
-    feats = []
-    for f in freqs:
-        feats.append(en.sin(f * lam))
-        feats.append(en.cos(f * lam))
-    return feats
-
-
 @dataclass
 class MlpDenoiser:
     """Small dense epsilon predictor on features (x, sin/cos of log-SNR)."""
@@ -194,24 +182,21 @@ class MlpDenoiser:
         a, s = self.sched.alpha_sigma(t)
         return en.div(1.0, en.sqrt(en.add(en.mul(a, a), en.mul(s, s))))
 
-    def epsilon(self, x, t):
-        """Row or batch evaluation at one time t; differentiable in x and t."""
+    def features(self, x, t):
+        """Feature rows (c_in x, sin/cos of f * log-SNR) for a row or batch x
+        at one shared time t or, for a batch, one time per row (t of shape
+        (B,)); differentiable in x and t."""
         self.sched.check_domain(t)
         lam = self.sched.lam(t)
-        xs = en.mul(self._c_in(t), x)
+        xs = en.mul(_column(self._c_in(t)), x)
         cols = [en.index(xs, (Ellipsis, j)) for j in range(self.d)]
-        return self.forward_batch(
-            en.stack(cols + _time_features(lam, self.freqs)), self.layers)
-
-    def features_batch(self, x_t, t):
-        """Constant feature matrix for a raw batch (used for DSM training)."""
-        lam = np.array([float(en.data_of(self.sched.lam(float(tv)))) for tv in t])
-        c_in = np.array([float(en.data_of(self._c_in(float(tv)))) for tv in t])
-        cols = [c_in[:, None] * x_t]
         for f in self.freqs:
-            cols.append(np.sin(f * lam)[:, None])
-            cols.append(np.cos(f * lam)[:, None])
-        return np.concatenate(cols, axis=1)
+            cols += [en.sin(f * lam), en.cos(f * lam)]
+        return en.stack(cols)
+
+    def epsilon(self, x, t):
+        """Row or batch evaluation; differentiable in x and t."""
+        return self.forward_batch(self.features(x, t), self.layers)
 
     def forward_batch(self, feats, params):
         """Dense chain on feature rows with (possibly taped) params."""
@@ -258,7 +243,6 @@ class DsmConfig:
     lr: float = 0.02
     momentum: float = 0.9
     seed: int = 0
-    omega: str = "one"  # per-sample weight: "one" or "snr"
 
 
 class DsmDivergedError(RuntimeError):
@@ -273,7 +257,7 @@ def train_mlp_dsm(dist, sched, config=DsmConfig(), hidden=(64, 64),
         dist: data distribution with sample_data(count, seed); x0 batches
             are drawn fresh from it each step.
         sched: NoiseSchedule providing the forward marginals.
-        config: DsmConfig; omega weights the per-sample squared error.
+        config: DsmConfig.
 
     Returns:
         (MlpDenoiser, list of recorded losses)
@@ -289,23 +273,14 @@ def train_mlp_dsm(dist, sched, config=DsmConfig(), hidden=(64, 64),
                               rngmod.derive_seed(config.seed, "dsm_x0", step))
         t = sched.t_min + (sched.T - sched.t_min) * g.random(config.batch)
         noise = g.standard_normal((config.batch, d))
-        a = np.array([float(en.data_of(sched.alpha(float(tv)))) for tv in t])
-        s = np.array([float(en.data_of(sched.sigma(float(tv)))) for tv in t])
-        x_t = a[:, None] * x0 + s[:, None] * noise
-        feats = den.features_batch(x_t, t)
+        a, s = sched.alpha_sigma(t)
+        feats = den.features(_column(a) * x0 + _column(s) * noise, t)
 
         tape = en.Tape()
         params = [(tape.leaf(w), tape.leaf(b)) for w, b in den.layers]
         pred = den.forward_batch(feats, params)
         resid = en.sub(pred, noise)
-        sq = en.mul(resid, resid)
-        if config.omega == "snr":
-            lam = np.array([float(en.data_of(sched.lam(float(tv)))) for tv in t])
-            wts = np.exp(lam)
-            sq = en.mul(sq, np.broadcast_to(wts[:, None], (config.batch, d)).copy())
-        elif config.omega != "one":
-            raise ValueError(f"unknown omega weighting {config.omega!r}")
-        loss = en.mul(en.vsum(sq), 1.0 / (config.batch * d))
+        loss = en.mul(en.vsum(en.mul(resid, resid)), 1.0 / (config.batch * d))
         if not np.isfinite(en.data_of(loss)):
             raise DsmDivergedError(f"non-finite DSM loss at step {step}")
         flat = [p for pair in params for p in pair]

@@ -150,6 +150,10 @@ def heuristic_times(kind, sched, nfe, rho_edm=7.0):
 # -------------------------------------------------------------- checkpoints
 
 
+_CHECKPOINT_FIELDS = ("N", "T", "t_min", "xi", "xi_c", "times", "times_c",
+                      "solver.family", "solver.order", "solver.nfe")
+
+
 def save_checkpoint(path, disc, solver_spec):
     blob = {
         "N": disc.nfe,
@@ -170,12 +174,19 @@ def save_checkpoint(path, disc, solver_spec):
 def load_checkpoint(path, sched):
     """Read a grid checkpoint; returns (Discretization, solver dict).
 
-    The stored times and times_c must be exactly tau(xi) and the query
-    times of (xi, xi_c), and solver.nfe must equal N, so an edited or stale
-    checkpoint is refused rather than sampled.
+    Every field save_checkpoint writes must be present, the stored times
+    and times_c must be exactly tau(xi) and the query times of (xi, xi_c),
+    and solver.nfe must equal N, so an edited or stale checkpoint is refused
+    rather than sampled.
     """
     with open(path) as fh:
         blob = json.load(fh)
+    for name in _CHECKPOINT_FIELDS:
+        node = blob
+        for part in name.split("."):
+            if not isinstance(node, dict) or part not in node:
+                raise GridError(f"checkpoint field {name} is missing")
+            node = node[part]
     n = int(blob["N"])
     if abs(blob["T"] - sched.T) > 1e-12 * max(1.0, sched.T) or \
             abs(blob["t_min"] - sched.t_min) > 1e-12:

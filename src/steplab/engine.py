@@ -58,9 +58,6 @@ class Value:
     def __neg__(self):
         return neg(self)
 
-    def __pow__(self, p):
-        return powc(self, p)
-
     def __getitem__(self, i):
         return index(self, i)
 
@@ -230,13 +227,6 @@ def neg(x):
     return _unary(x, np.negative, lambda xd, out: -1.0, "neg")
 
 
-def powc(x, p):
-    if isinstance(p, Value):
-        raise EngineError("pow: exponent must be a constant")
-    return _unary(x, lambda v: np.power(v, p),
-                  lambda xd, out: p * np.power(xd, p - 1), "pow")
-
-
 def exp(x):
     return _unary(x, np.exp, lambda xd, out: out, "exp")
 
@@ -261,17 +251,9 @@ def cos(x):
     return _unary(x, np.cos, lambda xd, out: -np.sin(xd), "cos")
 
 
-def tanh(x):
-    return _unary(x, np.tanh, lambda xd, out: 1.0 - out * out, "tanh")
-
-
 def _sigmoid_raw(x):
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-x))
-
-
-def sigmoid(x):
-    return _unary(x, _sigmoid_raw, lambda xd, out: out * (1.0 - out), "sigmoid")
 
 
 def silu(x):
@@ -327,20 +309,6 @@ def dot(a, b):
                 _reduce(col * ad, bd) if pb is not None else None)
 
     return tape._record(out, (pa, pb), vjp, "dot")
-
-
-def norm(x):
-    """Euclidean norm; the gradient regularizes only the exact-zero case."""
-    xd = data_of(x)
-    out = np.sqrt(np.dot(xd, xd))
-    tape = _tape_of(x)
-    if tape is None:
-        return out
-
-    def vjp(adj):
-        return (adj * xd / (out if out > 0.0 else 1e-30),)
-
-    return tape._record(out, (x.idx,), vjp, "norm")
 
 
 def logsumexp(x):

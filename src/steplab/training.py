@@ -26,8 +26,7 @@ import numpy as np
 
 from . import engine as en
 from . import rng as rngmod
-from .discretize import (Discretization, HEURISTICS, heuristic_times,
-                         init_from_times, tau)
+from .discretize import Discretization, HEURISTICS, heuristic_times, tau
 from .solvers import SolverSpec, initial_state, make_steps, solve
 
 
@@ -134,18 +133,18 @@ def split_indices(count, seed):
 # ------------------------------------------------------------------- losses
 
 
-def _chain_parts(den, sched, spec, y, fixed_xi=None, fixed_xi_c=None):
+def _chain_parts(den, sched, spec, disc, y):
     """Prelude/steps/finale closures for one training pair.
 
-    When fixed_xi/fixed_xi_c are given, the grid is treated as a constant and
-    only x_prime is differentiated (used by the validation refresh).
+    xi and xi_c come from the leaves when they are differentiated and are
+    disc's constants otherwise (the frozen grid of the validation refresh).
     """
     T, t_min = sched.T, sched.t_min
     steps = make_steps(den, sched, spec, spec.nfe)
 
     def prelude(env):
-        xi = env["xi"] if fixed_xi is None else fixed_xi
-        xi_c = env["xi_c"] if fixed_xi_c is None else fixed_xi_c
+        xi = env.get("xi", disc.xi)
+        xi_c = env.get("xi_c", disc.xi_c)
         times = tau(xi, T, t_min)
         times_c = en.clamp(en.add(times, xi_c), t_min, T)
         return (times, times_c), initial_state(spec, env["x_prime"])
@@ -166,15 +165,10 @@ def pair_grads(disc, den, sched, spec, x_prime, y, checkpointed=True,
     gradient is that pair's own gradient; grid gradients are summed over
     the pairs.
     """
-    if grid_only_constant:
-        parts = _chain_parts(den, sched, spec, y, fixed_xi=disc.xi,
-                             fixed_xi_c=disc.xi_c)
-        leaves = {"x_prime": x_prime}
-    else:
-        parts = _chain_parts(den, sched, spec, y)
-        leaves = {"xi": disc.xi, "xi_c": disc.xi_c, "x_prime": x_prime}
+    leaves = {"x_prime": x_prime} if grid_only_constant else \
+        {"xi": disc.xi, "xi_c": disc.xi_c, "x_prime": x_prime}
     fn = en.checkpointed_chain_grad if checkpointed else en.whole_chain_grad
-    return fn(leaves, *parts)
+    return fn(leaves, *_chain_parts(den, sched, spec, disc, y))
 
 
 def soft_loss(disc, den, sched, spec, x_prime, y):
@@ -189,19 +183,18 @@ def mean_loss(disc, den, sched, spec, xs, ys):
     return float(np.mean(soft_loss(disc, den, sched, spec, xs, ys)))
 
 
-def select_init(den, sched, spec, ds, val_idx):
-    """Pick the heuristic grid with the lowest validation teacher-distance."""
-    best_kind, best_val = None, np.inf
-    for kind in HEURISTICS:
-        times = heuristic_times(kind, sched, spec.nfe)
-        disc = Discretization.from_times(sched, times)
+def select_init(den, sched, spec, ds, val_idx, kinds=HEURISTICS):
+    """Pick the heuristic grid of kinds with the lowest validation
+    teacher-distance; returns (its xi, its kind, that distance)."""
+    best = None
+    for kind in kinds:
+        disc = Discretization.from_times(
+            sched, heuristic_times(kind, sched, spec.nfe))
         val = mean_loss(disc, den, sched, spec, ds.x_T[val_idx],
                         ds.y[val_idx])
-        if val < best_val:
-            best_kind, best_val = kind, val
-    xi = init_from_times(heuristic_times(best_kind, sched, spec.nfe),
-                         sched.T, sched.t_min)
-    return xi, best_kind, best_val
+        if best is None or val < best[2]:
+            best = (disc.xi, kind, val)
+    return best
 
 
 # --------------------------------------------------------------- optimizers
@@ -316,17 +309,10 @@ def train(ds, den, sched, spec, cfg):
     rho = r * sched.sigma_T
     train_idx, val_idx = split_indices(ds.count, ds.seed)
 
-    if cfg.init == "auto":
-        xi, init_kind, init_val = select_init(den, sched, spec, ds, val_idx)
-    elif cfg.init in HEURISTICS:
-        xi = init_from_times(heuristic_times(cfg.init, sched, nfe),
-                             sched.T, sched.t_min)
-        init_kind = cfg.init
-        init_val = mean_loss(Discretization.create(sched, nfe, xi=xi),
-                             den, sched, spec, ds.x_T[val_idx], ds.y[val_idx])
-    else:
+    if cfg.init != "auto" and cfg.init not in HEURISTICS:
         raise TrainingError(f"unknown init {cfg.init!r}")
-    xi = np.asarray(xi, dtype=np.float64).copy()
+    kinds = HEURISTICS if cfg.init == "auto" else (cfg.init,)
+    xi, init_kind, init_val = select_init(den, sched, spec, ds, val_idx, kinds)
     xi_c = np.zeros(nfe + 1, dtype=np.float64)
 
     report = TrainReport(init_kind=init_kind, init_val_loss=init_val,

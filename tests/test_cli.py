@@ -218,23 +218,48 @@ def test_sample_rejects_family_mismatch(ws, tmp_path, capsys):
     assert "family" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", ["times", "times_c", "solver.nfe"])
-def test_sample_rejects_self_contradicting_checkpoint(ws, tmp_path, capsys,
-                                                     field):
+def sample_edited_checkpoint(ws, tmp_path, capsys, edit):
+    """Run sample on a copy of the trained checkpoint changed by edit(blob);
+    returns the exit code, stderr and whether samples were written."""
     blob = json.loads((ws / "run" / "checkpoint.json").read_text())
-    if field == "solver.nfe":
-        blob["solver"]["nfe"] += 1
-    else:
-        blob[field][1] *= 1.0 + 1e-9
+    edit(blob)
     ckpt = tmp_path / "edited.json"
     ckpt.write_text(json.dumps(blob))
     cfg = tmp_path / "edited.cfg"
     cfg.write_text(SMALL_CFG + f"sample.checkpoint = {ckpt}\n")
     out = tmp_path / "s"
-    assert main(["sample", "--config", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
+    code = main(["sample", "--config", str(cfg), "--out", str(out)])
+    return code, capsys.readouterr().err, (out / "samples.npy").exists()
+
+
+@pytest.mark.parametrize("field", ["times", "times_c", "solver.nfe"])
+def test_sample_rejects_self_contradicting_checkpoint(ws, tmp_path, capsys,
+                                                     field):
+    def edit(blob):
+        if field == "solver.nfe":
+            blob["solver"]["nfe"] += 1
+        else:
+            blob[field][1] *= 1.0 + 1e-9
+
+    code, err, wrote = sample_edited_checkpoint(ws, tmp_path, capsys, edit)
+    assert code == 2 and not wrote
     assert err.startswith("error:") and f"checkpoint {field} " in err
-    assert not (out / "samples.npy").exists()
+
+
+@pytest.mark.parametrize("field", ["N", "times_c", "solver", "solver.order"])
+def test_sample_rejects_checkpoint_missing_a_field(ws, tmp_path, capsys,
+                                                   field):
+    def edit(blob):
+        *parents, last = field.split(".")
+        node = blob
+        for part in parents:
+            node = node[part]
+        del node[last]
+
+    code, err, wrote = sample_edited_checkpoint(ws, tmp_path, capsys, edit)
+    assert code == 2 and not wrote
+    named = "solver.family" if field == "solver" else field
+    assert err.startswith("error:") and f"field {named} " in err
 
 
 def test_bound_checkpoint_grid_needs_checkpoint(ws, tmp_path, capsys):
@@ -267,8 +292,14 @@ def overridden(text, extra):
     ("bound", "bound.samples = 0\n", "bound.samples"),
     ("train", "train.epochs_phase1 = 0\ntrain.epochs_phase2 = 0\n",
      "train.epochs_phase1"),
+    ("train", "train.val_refresh_steps = -1\n", "train.val_refresh_steps"),
+    ("cross-eval", "cross.families =\n", "cross.families"),
+    ("sweep-r", "sweep.r_values = 0.0,-0.5\n", "sweep.r_values"),
+    ("bound", "bound.r = -0.1\n", "bound.r"),
+    ("bench", "bench.eval_count = 0\n", "bench.eval_count"),
 ], ids=["schedule.t_min", "train.batch", "data.d", "sample.count",
-        "bound.samples", "train.epochs"])
+        "bound.samples", "train.epochs", "train.val_refresh_steps",
+        "cross.families", "sweep.r_values", "bound.r", "bench.eval_count"])
 def test_bad_config_values_exit_2_naming_the_key(ws, tmp_path, capsys,
                                                  command, extra, key):
     cfg2 = tmp_path / "bad.cfg"

@@ -152,14 +152,21 @@ def test_gm_sample_data_statistics():
 # ----------------------------------------------------------------------- MLP
 
 
-def test_mlp_epsilon_matches_batch_forward():
-    den = MlpDenoiser.create(VE, d=2, seed=3)
-    x = np.array([0.7, -1.1])
-    t = 1.9
-    single = den.epsilon(x, t)
-    feats = den.features_batch(x[None, :], np.array([t]))
-    batch = den.forward_batch(feats, den.layers)
-    np.testing.assert_allclose(single, batch[0], rtol=1e-12, atol=1e-12)
+@pytest.mark.parametrize("sched", [VE, vp_linear()], ids=["ve", "vp"])
+def test_mlp_per_row_times_match_shared_time_rows(sched):
+    """Features on one time per row (as DSM training builds them) equal,
+    bit for bit, each row's features and epsilon at its time shared by the
+    whole batch, and a single row's features at that time."""
+    den = MlpDenoiser.create(sched, d=2, seed=3)
+    g = np.random.default_rng(4)
+    x = g.standard_normal((6, 2))
+    t = sched.t_min + (sched.T - sched.t_min) * g.random(6)
+    feats = den.features(x, t)
+    eps = den.forward_batch(feats, den.layers)
+    for i in range(6):
+        np.testing.assert_array_equal(feats[i], den.features(x, t[i])[i])
+        np.testing.assert_array_equal(feats[i], den.features(x[i], t[i]))
+        np.testing.assert_array_equal(eps[i], den.epsilon(x, t[i])[i])
 
 
 def test_mlp_save_load_roundtrip(tmp_path):

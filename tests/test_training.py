@@ -294,5 +294,9 @@ def test_explicit_init_respected_and_bad_init_rejected():
     spec = SolverSpec(family="dpmpp", order=2, nfe=4)
     report = train(fresh(ds), GM, VE, spec, replace(CFG, init="quadratic"))
     assert report.init_kind == "quadratic"
+    _, val_idx = split_indices(ds.count, ds.seed)
+    disc = Discretization.from_times(VE, heuristic_times("quadratic", VE, 4))
+    assert report.init_val_loss == mean_loss(disc, GM, VE, spec,
+                                             ds.x_T[val_idx], ds.y[val_idx])
     with pytest.raises(TrainingError):
         train(fresh(ds), GM, VE, spec, replace(CFG, init="karras"))
