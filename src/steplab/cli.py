@@ -143,8 +143,9 @@ def _cmd_bench(args, cfg, sched, den):
     cells = [(method, int(nfe)) for nfe in cfg["bench.nfes"]
              for method in cfg["bench.methods"]]
     ds_fields = (ds.x_T, ds.x_prime, ds.y, ds.seed, ds.schedule_hash)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futs = [pool.submit(_bench_worker, cfg, ds_fields, m, n, assets)
                     for m, n in cells]
             rows = [f.result() for f in futs]  # submission order, not finish
@@ -262,6 +263,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     handler = _COMMANDS[args.command][0]
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = int(args.seed)

@@ -10,9 +10,9 @@ Dataset layout (little-endian):
     bytes 24-31  u64 generation seed
     then count records of 3*d float64: x_T, x_prime, y
 
-so a file holds exactly 32 + count * 3 * d * 8 bytes.  Floats in the CSVs
-are rendered with Python's shortest round-trip repr, keeping reruns
-byte-comparable.
+so a file holds exactly 32 + count * 3 * d * 8 bytes, and every record is
+finite.  Floats in the CSVs are rendered with Python's shortest round-trip
+repr, keeping reruns byte-comparable.
 """
 
 from __future__ import annotations
@@ -60,6 +60,9 @@ def load_dataset(path):
     if len(payload) != expected:
         raise FormatError(f"payload is {len(payload)} bytes, expected {expected}")
     recs = np.frombuffer(payload, dtype="<f8").reshape(count, 3 * d)
+    bad = ~np.all(np.isfinite(recs), axis=1)
+    if np.any(bad):
+        raise FormatError(f"record {np.argmax(bad)} holds a non-finite value")
     return Dataset(x_T=recs[:, :d].copy(), x_prime=recs[:, d:2 * d].copy(),
                    y=recs[:, 2 * d:].copy(), seed=seed,
                    schedule_hash=sched_hash)

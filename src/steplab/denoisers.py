@@ -32,49 +32,36 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 def _column(w):
-    """Per-row weights (B,) as a (B, 1) column; a single row's scalar as is."""
+    """Weights (..., n) as a (..., n, 1) column; a lone scalar as is."""
     return en.index(w, (Ellipsis, None)) if np.ndim(en.data_of(w)) else w
 
 
 def _mixture_log_terms(x, t, sched, weights, means, variances):
-    """Per-component log w_k + log N(x; alpha mu_k, (alpha^2 s_k^2 + sigma^2) I),
-    one value per row of x."""
+    """The (..., K) terms log w_k + log N(x; alpha mu_k, v_k I) of each row
+    of x, with v_k = alpha^2 s_k^2 + sigma^2; also returns the (..., K, d)
+    offsets x - alpha mu_k, the (K,) variances v and sigma."""
     sched.check_domain(t)
     a, s = sched.alpha_sigma(t)
     d = means.shape[1]
-    s2 = en.mul(s, s)
-    a2 = a * a
-    terms = []
-    diffs = []
-    varis = []
-    for k in range(means.shape[0]):
-        v = a2 * float(variances[k]) + s2
-        diff = en.sub(x, a * means[k])
-        q = en.dot(diff, diff)
-        logn = -0.5 * d * (en.log(v) + _LOG_2PI) - q / (2.0 * v)
-        terms.append(float(np.log(weights[k])) + logn)
-        diffs.append(diff)
-        varis.append(v)
-    return terms, diffs, varis, s
+    v = a * a * variances + en.mul(s, s)
+    diff = en.sub(en.index(x, (Ellipsis, None, slice(None))), a * means)
+    q = en.dot(diff, diff)
+    logn = -0.5 * d * (en.log(v) + _LOG_2PI) - q / (2.0 * v)
+    return np.log(weights) + logn, diff, v, s
 
 
 def gm_epsilon(x, t, sched, weights, means, variances):
     """Exact epsilon for Gaussian-mixture data; works on taped Values too."""
-    terms, diffs, varis, s = _mixture_log_terms(x, t, sched, weights, means,
-                                                variances)
-    lse = en.logsumexp(en.stack(terms))
-    acc = None
-    for term, diff, v in zip(terms, diffs, varis):
-        gamma = en.exp(en.sub(term, lse))
-        piece = en.mul(_column(en.div(gamma, v)), diff)
-        acc = piece if acc is None else en.add(acc, piece)
-    return en.mul(s, acc)
+    terms, diff, v, s = _mixture_log_terms(x, t, sched, weights, means,
+                                           variances)
+    gamma = en.exp(en.sub(terms, _column(en.logsumexp(terms))))
+    return en.mul(s, en.vsum(en.mul(_column(en.div(gamma, v)), diff), -2))
 
 
 def gm_log_density(x, t, sched, weights, means, variances):
     """log q_t(x) of the mixture marginal at time t."""
-    terms, _, _, _ = _mixture_log_terms(x, t, sched, weights, means, variances)
-    return en.logsumexp(en.stack(terms))
+    return en.logsumexp(_mixture_log_terms(x, t, sched, weights, means,
+                                           variances)[0])
 
 
 def point_epsilon(x, t, sched, x0):

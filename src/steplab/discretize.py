@@ -150,8 +150,19 @@ def heuristic_times(kind, sched, nfe, rho_edm=7.0):
 # -------------------------------------------------------------- checkpoints
 
 
-_CHECKPOINT_FIELDS = ("N", "T", "t_min", "xi", "xi_c", "times", "times_c",
-                      "solver.family", "solver.order", "solver.nfe")
+_NUMBER = (int, float)
+_CHECKPOINT_FIELDS = {"N": int, "T": _NUMBER, "t_min": _NUMBER, "xi": list,
+                      "xi_c": list, "times": list, "times_c": list,
+                      "solver.family": str, "solver.order": int,
+                      "solver.nfe": int}
+
+
+def _has_type(value, kind):
+    """JSON type check: bools are not numbers, lists hold numbers only."""
+    if kind is list:
+        return isinstance(value, list) and \
+            all(_has_type(v, _NUMBER) for v in value)
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def save_checkpoint(path, disc, solver_spec):
@@ -174,22 +185,30 @@ def save_checkpoint(path, disc, solver_spec):
 def load_checkpoint(path, sched):
     """Read a grid checkpoint; returns (Discretization, solver dict).
 
-    Every field save_checkpoint writes must be present, the stored times
-    and times_c must be exactly tau(xi) and the query times of (xi, xi_c),
-    and solver.nfe must equal N, so an edited or stale checkpoint is refused
-    rather than sampled.
+    The file must be JSON, every field save_checkpoint writes must be
+    present with its type, the stored times and times_c must be exactly
+    tau(xi) and the query times of (xi, xi_c), and solver.nfe must equal
+    N, so a malformed, edited or stale checkpoint is refused rather than
+    sampled.
     """
-    with open(path) as fh:
-        blob = json.load(fh)
-    for name in _CHECKPOINT_FIELDS:
+    try:
+        with open(path) as fh:
+            blob = json.load(fh)
+    except ValueError as exc:
+        raise GridError(f"checkpoint {path} is not valid JSON: {exc}") \
+            from None
+    for name, kind in _CHECKPOINT_FIELDS.items():
         node = blob
         for part in name.split("."):
             if not isinstance(node, dict) or part not in node:
                 raise GridError(f"checkpoint field {name} is missing")
             node = node[part]
-    n = int(blob["N"])
-    if abs(blob["T"] - sched.T) > 1e-12 * max(1.0, sched.T) or \
-            abs(blob["t_min"] - sched.t_min) > 1e-12:
+        if not _has_type(node, kind):
+            raise GridError(f"checkpoint field {name} has the wrong type "
+                            f"({type(node).__name__})")
+    n = blob["N"]
+    if not (abs(blob["T"] - sched.T) <= 1e-12 * max(1.0, sched.T)
+            and abs(blob["t_min"] - sched.t_min) <= 1e-12):
         raise GridError("checkpoint schedule window does not match config")
     times = np.asarray(blob["times"], dtype=np.float64)
     if times.shape != (n + 1,) or not np.all(np.diff(times) < 0.0):
@@ -199,7 +218,7 @@ def load_checkpoint(path, sched):
     for key, want in (("times", disc.times()), ("times_c", disc.times_c())):
         if not np.array_equal(np.asarray(blob[key], dtype=np.float64), want):
             raise GridError(f"checkpoint {key} do not match xi and xi_c")
-    if int(blob["solver"]["nfe"]) != n:
+    if blob["solver"]["nfe"] != n:
         raise GridError(f"checkpoint solver.nfe = {blob['solver']['nfe']} "
                         f"does not match N = {n}")
     return disc, blob["solver"]

@@ -29,6 +29,10 @@ class EngineError(ValueError):
 class Value:
     __slots__ = ("data", "tape", "idx")
 
+    # numpy operands defer to the reflected operators below instead of
+    # wrapping the Value in an object array, which would drop the tape
+    __array_ufunc__ = None
+
     def __repr__(self):
         return f"Value({self.data!r}, op={self.idx})"
 
@@ -277,15 +281,17 @@ def clamp(x, lo, hi):
     return _unary(x, lambda v: np.clip(v, lo, hi), dfn, "clamp")
 
 
-def vsum(x):
+def vsum(x, axis=None):
+    """Sum of all entries, or over one axis."""
     xd = data_of(x)
-    out = np.sum(xd)
+    out = np.sum(xd, axis=axis)
     tape = _tape_of(x)
     if tape is None:
         return out
 
     def vjp(adj):
-        return (np.full_like(xd, adj),)
+        return (np.full_like(xd, adj if axis is None
+                             else np.expand_dims(adj, axis)),)
 
     return tape._record(out, (x.idx,), vjp, "sum")
 

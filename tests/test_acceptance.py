@@ -289,8 +289,9 @@ def test_criterion_9_invariants(tmp_path):
             assert np.all(np.diff(times) < 0.0)
             assert times[0] == sched.T and times[-1] == sched.t_min
 
-    # ball constraint after every training iteration (tracked inside the
-    # loop post-projection) plus an independent check of the final iterates
+    # ball constraint after every training iteration (tracked once per
+    # epoch over every row, which sees each post-projection state) plus an
+    # independent check of the final iterates
     teacher = Teacher.create(GM, VE, nfe=60)
     ds = generate_dataset(GM, VE, teacher, 16, 0)
     spec = SolverSpec(family="dpmpp", order=2, nfe=4)

@@ -1,16 +1,22 @@
-"""The batched fast path: a (B, d) batch run through solve, frozen-grid
-pair_grads, project and the MLP equals the same rows run one at a time."""
+"""The batched fast path: a (B, d) batch run through solve, pair_grads,
+project, the log-det Jacobian, the bound and the MLP equals the same rows run
+one at a time, and the GM's epsilon over all K components at once equals its
+sum over the components one by one."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steplab import config, rng
-from steplab.denoisers import MlpDenoiser
+from steplab import config, evaluate, rng, training
+from steplab import engine as en
+from steplab.denoisers import MlpDenoiser, gm_epsilon
 from steplab.discretize import Discretization, heuristic_times
+from steplab.evaluate import (JacobianError, estimate_bound,
+                              log_abs_det_jacobian, solver_map)
 from steplab.solvers import SolverSpec, solve
-from steplab.training import pair_grads, project
+from steplab.training import (Teacher, TrainConfig, generate_dataset,
+                              pair_grads, project, train)
 
 SPECS = [("euler", 1), ("dpmpp", 1), ("dpmpp", 2), ("ipndm", 1),
          ("ipndm", 2), ("ipndm", 3), ("ipndm", 4)]
@@ -106,3 +112,167 @@ def test_mlp_batch_rows_match_single_rows():
         batch = den.epsilon(xs, t)
         rows = np.stack([den.epsilon(x, t) for x in xs])
         np.testing.assert_allclose(batch, rows, rtol=1e-12, atol=1e-12)
+
+
+def rel_err(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("checkpointed", [True, False],
+                         ids=["checkpointed", "whole"])
+@pytest.mark.parametrize("family", list(SCHEDULES))
+@pytest.mark.parametrize("solver,order", [("dpmpp", 2), ("ipndm", 4),
+                                          ("euler", 1)])
+def test_train_batch_grads_match_per_pair_sum(solver, order, family,
+                                              checkpointed):
+    sched, den = build(family, "gm")
+    spec = SolverSpec(family=solver, order=order, nfe=4)
+    disc = learned_looking_grid(sched, 4)
+    xs = rng.sample_prior(sched, den.d, 5, 9)
+    ys = 0.02 * xs[::-1]
+    res = pair_grads(disc, den, sched, spec, xs, ys, checkpointed)
+    ones = [pair_grads(disc, den, sched, spec, x, y, checkpointed)
+            for x, y in zip(xs, ys)]
+    for key in ("xi", "xi_c"):
+        assert rel_err(res.grads[key], sum(o.grads[key] for o in ones)) \
+            <= 1e-12
+    for j, one in enumerate(ones):
+        assert one.loss == res.loss[j]
+        assert np.array_equal(one.grads["x_prime"], res.grads["x_prime"][j])
+
+
+MAPS = [("dpmpp", 2, 30), ("ipndm", 4, 8), ("euler", 1, 6)]
+
+
+@pytest.mark.parametrize("family", list(SCHEDULES))
+@pytest.mark.parametrize("solver,order,nfe", MAPS,
+                         ids=[f"{f}{o}-nfe{n}" for f, o, n in MAPS])
+def test_batched_logdets_equal_rows(solver, order, nfe, family):
+    sched, den = build(family, "gm")
+    spec = SolverSpec(family=solver, order=order, nfe=nfe)
+    fn = solver_map(den, sched, spec, heuristic_times("logsnr", sched, nfe))
+    xs = rng.sample_prior(sched, den.d, 6, 5)
+    batch = log_abs_det_jacobian(fn, xs)
+    assert batch.shape == (6,)
+    rows = np.array([log_abs_det_jacobian(fn, x) for x in xs])
+    assert np.array_equal(batch, rows)
+
+
+def per_sample_bound_term3(teacher_map, student_map, sched, r, d, n, seed):
+    """term3 as one point at a time: the same substreams, one log-det
+    tape per point."""
+    sig = sched.sigma_T
+    gaps = []
+    for i in range(n):
+        g = rng.substream(seed, "bound", i)
+        b = sig * g.standard_normal(d)
+        direction = g.standard_normal(d)
+        direction /= np.linalg.norm(direction)
+        a = b + r * sig * g.random() ** (1.0 / d) * direction
+        gaps.append(abs(log_abs_det_jacobian(teacher_map, b)
+                        - log_abs_det_jacobian(student_map, a)))
+    return float(np.mean(gaps))
+
+
+def test_train_makes_one_pair_grads_call_per_minibatch(monkeypatch):
+    sched, den = build("ve_edm", "gm")
+    teacher = Teacher.create(den, sched, nfe=20)
+    ds = generate_dataset(den, sched, teacher, 14, 0)  # 7 training pairs
+    shapes = []
+    real = training.pair_grads
+
+    def counting(*args):
+        if len(args) < 8:  # the validation refresh freezes the grid
+            shapes.append(args[4].shape)
+        return real(*args)
+
+    monkeypatch.setattr(training, "pair_grads", counting)
+    spec = SolverSpec(family="dpmpp", order=2, nfe=4)
+    report = train(ds, den, sched, spec,
+                   TrainConfig(epochs_phase1=1, epochs_phase2=1, batch=3))
+    assert len(shapes) == len(report.iter_rows) == 6
+    assert shapes[:3] == [(3, den.d), (3, den.d), (1, den.d)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 10])
+def test_chunked_bound_equals_per_sample_loop(n, monkeypatch):
+    monkeypatch.setattr(evaluate, "LOGDET_CHUNK", 4)  # n = 10 spans 3 chunks
+    sched, den = build("ve_edm", "gm")
+    maps = [solver_map(den, sched, SolverSpec(family="dpmpp", order=2,
+                                              nfe=nfe),
+                       heuristic_times("logsnr", sched, nfe))
+            for nfe in (12, 4)]
+    calls = []
+    real = evaluate.log_abs_det_jacobian
+
+    def counting(map_fn, x):
+        calls.append(len(x))
+        return real(map_fn, x)
+
+    monkeypatch.setattr(evaluate, "log_abs_det_jacobian", counting)
+    rep = estimate_bound(*maps, sched, 0.19, den.d, n, 3)
+    chunks = [min(4, n - lo) for lo in range(0, n, 4)]
+    assert calls == [size for size in chunks for _ in maps]
+    assert rep.term3 == per_sample_bound_term3(*maps, sched, 0.19, den.d, n,
+                                               3)
+
+
+def test_singular_row_is_named():
+    mask = np.ones((5, 2))
+    mask[3, 1] = 0.0
+    with pytest.raises(JacobianError, match="row 3"):
+        log_abs_det_jacobian(lambda x: en.mul(x, mask), np.ones((5, 2)))
+
+
+def gm_epsilon_k_loop(x, t, sched, weights, means, variances):
+    """Reference: the mixture's epsilon summed one component at a time."""
+    sched.check_domain(t)
+    a, s = sched.alpha_sigma(t)
+    d = means.shape[1]
+    s2 = en.mul(s, s)
+    terms, diffs, varis = [], [], []
+    for k in range(means.shape[0]):
+        v = (a * a) * float(variances[k]) + s2
+        diff = en.sub(x, a * means[k])
+        q = en.dot(diff, diff)
+        logn = -0.5 * d * (en.log(v) + np.log(2.0 * np.pi)) - q / (2.0 * v)
+        terms.append(float(np.log(weights[k])) + logn)
+        diffs.append(diff)
+        varis.append(v)
+    lse = en.logsumexp(en.stack(terms))
+    acc = None
+    for term, diff, v in zip(terms, diffs, varis):
+        w = en.div(en.exp(en.sub(term, lse)), v)
+        if np.ndim(en.data_of(w)):
+            w = en.index(w, (Ellipsis, None))
+        acc = en.mul(w, diff) if acc is None else en.add(acc, en.mul(w, diff))
+    return en.mul(s, acc)
+
+
+def random_mixture(k, d, seed):
+    g = np.random.default_rng(seed)
+    weights = g.uniform(0.2, 1.0, k)
+    return (weights / weights.sum(), 2.0 * g.standard_normal((k, d)),
+            g.uniform(0.1, 0.5, k))
+
+
+@pytest.mark.parametrize("k", [1, 3, 4])
+@pytest.mark.parametrize("family", list(SCHEDULES))
+def test_gm_epsilon_over_components_matches_k_loop(family, k):
+    sched, _ = build(family, "gm")
+    mix = random_mixture(k, 3, 10 + k)
+    xs = rng.sample_prior(sched, 3, 6, k)
+    cotangent = np.cos(np.arange(xs.size)).reshape(xs.shape)
+    for t in (1.5 * sched.t_min, 0.3 * sched.T, sched.T):
+        for x in (xs, xs[0]):
+            assert np.array_equal(gm_epsilon(x, t, sched, *mix),
+                                  gm_epsilon_k_loop(x, t, sched, *mix))
+        grads = []
+        for fn in (gm_epsilon, gm_epsilon_k_loop):
+            tape = en.Tape()
+            xv, tv = tape.leaf(xs), tape.leaf(t)
+            out = fn(xv, tv, sched, *mix)
+            grads.append([out.data] + tape.backward([(out, cotangent)],
+                                                    [xv, tv]))
+        for got, want in zip(*grads):
+            assert rel_err(got, want) <= 1e-13

@@ -4,10 +4,12 @@ seed overrides, and the error paths that must exit with status 2."""
 import json
 import os
 import struct
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from steplab import cli
 from steplab.cli import main
 
 SMALL_CFG = """\
@@ -219,12 +221,13 @@ def test_sample_rejects_family_mismatch(ws, tmp_path, capsys):
 
 
 def sample_edited_checkpoint(ws, tmp_path, capsys, edit):
-    """Run sample on a copy of the trained checkpoint changed by edit(blob);
-    returns the exit code, stderr and whether samples were written."""
+    """Run sample on a copy of the trained checkpoint changed by edit(blob),
+    which may instead return the file's whole text; returns the exit code,
+    stderr and whether samples were written."""
     blob = json.loads((ws / "run" / "checkpoint.json").read_text())
-    edit(blob)
+    text = edit(blob)
     ckpt = tmp_path / "edited.json"
-    ckpt.write_text(json.dumps(blob))
+    ckpt.write_text(json.dumps(blob) if text is None else text)
     cfg = tmp_path / "edited.cfg"
     cfg.write_text(SMALL_CFG + f"sample.checkpoint = {ckpt}\n")
     out = tmp_path / "s"
@@ -260,6 +263,72 @@ def test_sample_rejects_checkpoint_missing_a_field(ws, tmp_path, capsys,
     assert code == 2 and not wrote
     named = "solver.family" if field == "solver" else field
     assert err.startswith("error:") and f"field {named} " in err
+
+
+@pytest.mark.parametrize("field,value,named", [
+    ("truncated", None, "edited.json is not valid JSON"),
+    ("N", "five", "field N has the wrong type"),
+    ("T", "80", "field T has the wrong type"),
+    ("T", float("nan"), "schedule window does not match"),
+], ids=["truncated", "N", "T", "T-nan"])
+def test_sample_rejects_malformed_checkpoint(ws, tmp_path, capsys, field,
+                                             value, named):
+    def edit(blob):
+        if field == "truncated":
+            return json.dumps(blob)[:40]
+        blob[field] = value
+
+    code, err, wrote = sample_edited_checkpoint(ws, tmp_path, capsys, edit)
+    assert code == 2 and not wrote
+    assert err.startswith("error:") and named in err
+
+
+def test_train_rejects_non_finite_dataset_record(ws, tmp_path, capsys):
+    blob = bytearray((ws / "dataset.bin").read_bytes())
+    # record 2, coordinate 1 of x_T: 32-byte header, 3 * d floats per record
+    struct.pack_into("<d", blob, 32 + 8 * (2 * 3 * 2 + 1), float("nan"))
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(bytes(blob))
+    assert main(["train", "--config", cfg_of(ws), "--data", str(bad),
+                 "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "record 2 " in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_rejected(ws, tmp_path, capsys, jobs):
+    out = tmp_path / "b"
+    assert main(["bench", "--config", cfg_of(ws), "--data", data_of(ws),
+                 "--out", str(out), "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--jobs" in err
+    assert not out.exists()
+
+
+def test_bench_pool_no_larger_than_its_cells(ws, tmp_path, monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        """Records its size and runs each cell in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    assert main(["bench", "--config", cfg_of(ws), "--data", data_of(ws),
+                 "--out", str(tmp_path / "b"), "--jobs", "64"]) == 0
+    assert sizes == [2]  # SMALL_CFG has one NFE and two methods
 
 
 def test_bound_checkpoint_grid_needs_checkpoint(ws, tmp_path, capsys):

@@ -94,6 +94,18 @@ def test_dataset_rejects_truncation(tmp_path):
         load_dataset(p)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_dataset_rejects_non_finite_records(tmp_path, bad):
+    ds = toy_dataset(count=5, d=3)
+    ds.y[3, 1] = bad
+    ds.x_prime[4, 0] = bad  # only the first bad record is named
+    p = tmp_path / "d.bin"
+    save_dataset(p, ds)
+    with pytest.raises(FormatError, match="record 3 "):
+        load_dataset(p)
+
+
 # ----------------------------------------------------------------- CSV / JSON
 
 

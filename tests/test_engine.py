@@ -2,6 +2,8 @@
 checkpointed chain-gradient contract (equality with the whole tape, bitwise
 replay, constant retention per step)."""
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,19 @@ def test_dot_norm_logsumexp_match_fd():
 def test_vsum_and_index():
     check_op(en.vsum, X)
     check_op(lambda v: en.index(v, 1), X)
+    rows = np.array([[0.4, -1.2, 2.5], [1.3, 0.7, -0.6]])
+    check_op(lambda m: en.dot(W, en.vsum(m, -2)), rows)
+    check_op(lambda m: en.dot(np.array([0.3, -0.9]), en.vsum(m, 1)), rows)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                operator.truediv],
+                         ids=["add", "sub", "mul", "div"])
+def test_ndarray_left_operand_keeps_the_tape(op):
+    arr = np.array([1.5, -0.5, 2.0])
+    tape = en.Tape()
+    assert isinstance(op(arr, tape.leaf(X)), en.Value)
+    check_op(lambda v: en.dot(W, op(arr, v)), X)
 
 
 def test_stack_mixed_parents():
