@@ -11,11 +11,13 @@ N(mu_k, s_k^2 I) the marginal is the mixture of N(alpha_t mu_k,
 combination, so epsilon is available in closed form.  For a point mass x0
 it reduces to (x - alpha_t x0) / sigma_t.
 
-Everything is written with engine ops, so epsilon can be evaluated inside a
-differentiated solver graph (gradients flow to x and t), and the MLP can be
-trained by denoising score matching with the same machinery.  x is one row
-of shape (d,) or a batch of rows (B, d) sharing the time t; each batched row
-of the analytic predictors equals its single-row result bit for bit.
+Every epsilon can be evaluated inside a differentiated solver graph
+(gradients flow to x and t).  The point mass and the MLP are written with
+engine ops, and the MLP is trained by denoising score matching with the same
+machinery; the mixture's epsilon is computed in plain numpy and taped as one
+op with a closed-form VJP.  x is one row of shape (d,) or a batch of rows
+(B, d) sharing the time t; each batched row of the analytic predictors
+equals its single-row result bit for bit.
 """
 
 from __future__ import annotations
@@ -36,32 +38,62 @@ def _column(w):
     return en.index(w, (Ellipsis, None)) if np.ndim(en.data_of(w)) else w
 
 
-def _mixture_log_terms(x, t, sched, weights, means, variances):
-    """The (..., K) terms log w_k + log N(x; alpha mu_k, v_k I) of each row
-    of x, with v_k = alpha^2 s_k^2 + sigma^2; also returns the (..., K, d)
-    offsets x - alpha mu_k, the (K,) variances v and sigma."""
-    sched.check_domain(t)
-    a, s = sched.alpha_sigma(t)
+def _mixture_terms(x, a, s, weights, means, variances):
+    """Plain numpy: the (..., K) terms log w_k + log N(x; a mu_k, v_k I) of
+    each row of x, with v_k = a^2 s_k^2 + s^2; also returns the (..., K, d)
+    offsets x - a mu_k, their (..., K) squared norms q and the (K,) v."""
     d = means.shape[1]
-    v = a * a * variances + en.mul(s, s)
-    diff = en.sub(en.index(x, (Ellipsis, None, slice(None))), a * means)
-    q = en.dot(diff, diff)
-    logn = -0.5 * d * (en.log(v) + _LOG_2PI) - q / (2.0 * v)
-    return np.log(weights) + logn, diff, v, s
+    v = a * a * variances + s * s
+    diff = x[..., None, :] - a * means
+    q = np.vecdot(diff, diff)
+    logn = -0.5 * d * (np.log(v) + _LOG_2PI) - q / (2.0 * v)
+    return np.log(weights) + logn, diff, q, v
 
 
 def gm_epsilon(x, t, sched, weights, means, variances):
-    """Exact epsilon for Gaussian-mixture data; works on taped Values too."""
-    terms, diff, v, s = _mixture_log_terms(x, t, sched, weights, means,
-                                           variances)
-    gamma = en.exp(en.sub(terms, _column(en.logsumexp(terms))))
-    return en.mul(s, en.vsum(en.mul(_column(en.div(gamma, v)), diff), -2))
+    """Exact epsilon for Gaussian-mixture data.
+
+    The value is computed in plain numpy.  When x or t is taped, it is
+    recorded as one op over (x, alpha_t, sigma_t) whose VJP is the closed
+    form of eps = sigma sum_k (gamma_k / v_k) (x - alpha mu_k), gamma the
+    softmax of the mixture's log terms.
+    """
+    sched.check_domain(t)
+    a, s = sched.alpha_sigma(t)
+    xd, ad, sd = en.data_of(x), en.data_of(a), en.data_of(s)
+    terms, diff, q, v = _mixture_terms(xd, ad, sd, weights, means, variances)
+    gamma = np.exp(terms - en.logsumexp(terms)[..., None])
+    r = gamma / v
+    acc = np.sum(r[..., None] * diff, axis=-2)
+    live_a, live_s = type(a) is en.Value, type(s) is en.Value
+
+    def vjp(adj):
+        g = sd * adj
+        g_r = np.vecdot(g[..., None, :], diff)
+        g_gamma = g_r / v
+        # softmax, then the log terms' -q/(2v) through q = |diff|^2
+        c = gamma * (g_gamma - np.vecdot(gamma, g_gamma)[..., None]) / v
+        g_diff = r[..., None] * g[..., None, :] - c[..., None] * diff
+        g_x = np.sum(g_diff, axis=-2)
+        if not (live_a or live_s):
+            return g_x, None, None
+        lead = tuple(range(g_r.ndim - 1))
+        # v_k = a^2 s_k^2 + s^2 through r_k = gamma_k / v_k and the log terms
+        g_v = np.sum(c * (0.5 * q / v - 0.5 * means.shape[1]) - g_r * r / v,
+                     axis=lead)
+        g_a = 2.0 * ad * np.dot(g_v, variances) \
+            - np.sum(np.sum(g_diff, axis=lead) * means) if live_a else None
+        g_s = np.sum(adj * acc) + 2.0 * sd * np.sum(g_v) if live_s else None
+        return g_x, g_a, g_s
+
+    return en.record(sd * acc, (x, a, s), vjp, "gm_epsilon")
 
 
 def gm_log_density(x, t, sched, weights, means, variances):
-    """log q_t(x) of the mixture marginal at time t."""
-    return en.logsumexp(_mixture_log_terms(x, t, sched, weights, means,
-                                           variances)[0])
+    """log q_t(x) of the mixture marginal at time t (plain numpy)."""
+    sched.check_domain(t)
+    a, s = sched.alpha_sigma(t)
+    return en.logsumexp(_mixture_terms(x, a, s, weights, means, variances)[0])
 
 
 def point_epsilon(x, t, sched, x0):

@@ -207,6 +207,8 @@ def load_checkpoint(path, sched):
             raise GridError(f"checkpoint field {name} has the wrong type "
                             f"({type(node).__name__})")
     n = blob["N"]
+    if n < 1:
+        raise GridError(f"checkpoint field N = {n} must be >= 1")
     if not (abs(blob["T"] - sched.T) <= 1e-12 * max(1.0, sched.T)
             and abs(blob["t_min"] - sched.t_min) <= 1e-12):
         raise GridError("checkpoint schedule window does not match config")

@@ -67,13 +67,13 @@ class Value:
 
 
 def data_of(x):
-    return x.data if isinstance(x, Value) else x
+    return x.data if type(x) is Value else x
 
 
 def _tape_of(*args):
     tape = None
     for a in args:
-        if isinstance(a, Value):
+        if type(a) is Value:
             if tape is None:
                 tape = a.tape
             elif tape is not a.tape:
@@ -82,7 +82,7 @@ def _tape_of(*args):
 
 
 def _idx(x):
-    return x.idx if isinstance(x, Value) else None
+    return x.idx if type(x) is Value else None
 
 
 def _reduce(g, ref):
@@ -151,7 +151,7 @@ class Tape:
             a = adj[i]
             if a is None:
                 continue
-            if not np.all(np.isfinite(a)):
+            if not np.isfinite(a).all():
                 raise EngineError(f"non-finite adjoint at op {i} ({self._names[i]})")
             vjp = self._vjps[i]
             if vjp is None:
@@ -191,16 +191,19 @@ def _unary(x, fwd, dfn, name):
 
 
 def _binary(a, b, fwd, da, db, name):
-    ad, bd = data_of(a), data_of(b)
+    live_a, live_b = type(a) is Value, type(b) is Value
+    ad = a.data if live_a else a
+    bd = b.data if live_b else b
     try:
         out = fwd(ad, bd)
     except ValueError:
         raise EngineError(f"{name}: shape mismatch {np.shape(ad)} vs "
                           f"{np.shape(bd)}") from None
-    tape = _tape_of(a, b)
-    if tape is None:
+    if not (live_a or live_b):
         return out
-    pa, pb = _idx(a), _idx(b)
+    tape = _tape_of(a, b)
+    pa = a.idx if live_a else None
+    pb = b.idx if live_b else None
 
     def vjp(adj):
         ga = _reduce(da(adj, ad, bd), ad) if pa is not None else None
@@ -281,17 +284,16 @@ def clamp(x, lo, hi):
     return _unary(x, lambda v: np.clip(v, lo, hi), dfn, "clamp")
 
 
-def vsum(x, axis=None):
-    """Sum of all entries, or over one axis."""
+def vsum(x):
+    """Sum of all entries."""
     xd = data_of(x)
-    out = np.sum(xd, axis=axis)
+    out = np.sum(xd)
     tape = _tape_of(x)
     if tape is None:
         return out
 
     def vjp(adj):
-        return (np.full_like(xd, adj if axis is None
-                             else np.expand_dims(adj, axis)),)
+        return (np.full_like(xd, adj),)
 
     return tape._record(out, (x.idx,), vjp, "sum")
 
@@ -406,6 +408,19 @@ def affine(x, w, b):
                 _reduce(adj, bd) if pb is not None else None)
 
     return tape._record(out, (px, pw, pb), vjp, "affine")
+
+
+def record(out, parents, vjp, name):
+    """Tape a precomputed output as one op over `parents`.
+
+    `vjp(adj)` returns one gradient per parent, shaped like it (None where
+    the parent is a constant).  When no parent is a Value nothing is taped
+    and `out` comes back untouched.
+    """
+    tape = _tape_of(*parents)
+    if tape is None:
+        return out
+    return tape._record(out, tuple(_idx(p) for p in parents), vjp, name)
 
 
 # ---------------------------------------------------- chain differentiation

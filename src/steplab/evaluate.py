@@ -24,7 +24,11 @@ from .training import distance, mean_loss, split_indices, train
 
 
 class JacobianError(RuntimeError):
-    pass
+    """A log-det the bound cannot use; `row` is the singular row, if any."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 LOGDET_CHUNK = 25  # rows per log-det tape: memory stays flat in n_samples
@@ -94,7 +98,8 @@ def log_abs_det_jacobian(map_fn, x):
     sign, logdet = np.linalg.slogdet(jac)
     bad = (sign == 0.0) | ~np.isfinite(logdet)
     if np.any(bad):
-        raise JacobianError(f"singular Jacobian at row {np.argmax(bad)}")
+        row = int(np.argmax(bad))
+        raise JacobianError(f"singular Jacobian at row {row}", row)
     return float(logdet) if x.ndim == 1 else logdet
 
 
@@ -137,8 +142,15 @@ def estimate_bound(teacher_map, student_map, sched, r, d, n_samples, seed):
     gaps = np.empty(n_samples, dtype=np.float64)
     for lo in range(0, n_samples, LOGDET_CHUNK):
         rows = slice(lo, lo + LOGDET_CHUNK)
-        gaps[rows] = np.abs(log_abs_det_jacobian(teacher_map, centres[rows])
-                            - log_abs_det_jacobian(student_map, points[rows]))
+        try:
+            gaps[rows] = np.abs(
+                log_abs_det_jacobian(teacher_map, centres[rows])
+                - log_abs_det_jacobian(student_map, points[rows]))
+        except JacobianError as exc:
+            if exc.row is None:
+                raise
+            raise JacobianError(f"singular Jacobian at sample {lo + exc.row}",
+                                lo + exc.row) from None
     return BoundReport(r=float(r), d=int(d), term1=float(term1),
                        term2=float(term2), term3=float(np.mean(gaps)),
                        n_samples=int(n_samples))

@@ -209,7 +209,7 @@ def march(steps, shared, state):
     """
     for i, step in enumerate(steps):
         state = step(state, shared)
-        if not np.all(np.isfinite(en.data_of(state[0]))):
+        if not np.isfinite(en.data_of(state[0])).all():
             raise DivergenceError(i)
     return state
 

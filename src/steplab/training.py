@@ -9,11 +9,14 @@ constraint ||x'_T - x_T|| <= rho_ball, with
     rho_ball = r * sigma_T,      r = gamma * d / NFE^2.
 
 Each iteration takes one projected-SGD step on x'_T and simultaneous steps on
-xi (RMSprop with momentum) and xi_c (plain SGD, phase 2 only); gradients come
-from the checkpointed chain so memory per denoiser call stays flat in NFE.
-End of epoch, validation x'_T are refreshed with K frozen-grid projected-SGD
-steps (keeping each pair's best iterate), the validation soft loss is
-recorded, plateau decay is applied to both learning rates, and (xi, xi_c) is
+xi (RMSprop with momentum) and xi_c (plain SGD, phase 2 only); its gradients
+come from the checkpointed chain so memory per denoiser call stays flat in
+NFE.  End of epoch, validation x'_T are refreshed with K frozen-grid
+projected-SGD steps (keeping each pair's best iterate).  A refresh step takes
+its gradients on one whole tape: with the grid frozen only the x'_T chain is
+taped (B_val x NFE small arrays), and the forward runs once instead of once
+cold and again in the replay.  Then the validation soft loss is recorded,
+plateau decay is applied to both learning rates, and (xi, xi_c) is
 checkpointed whenever the validation loss reaches a new minimum.
 """
 
@@ -281,7 +284,8 @@ def _refresh(disc, den, sched, spec, x_T, x_prime, y, rho, lr, k_steps):
     best_loss = np.full(x_prime.shape[0], np.inf)
     x = x_prime.copy()
     for _ in range(k_steps):
-        res = pair_grads(disc, den, sched, spec, x, y, True, True)
+        # whole tape (checkpointed=False), grid frozen
+        res = pair_grads(disc, den, sched, spec, x, y, False, True)
         better = res.loss < best_loss
         best_loss[better] = res.loss[better]
         best_x[better] = x[better]

@@ -1,7 +1,8 @@
 """The batched fast path: a (B, d) batch run through solve, pair_grads,
 project, the log-det Jacobian, the bound and the MLP equals the same rows run
-one at a time, and the GM's epsilon over all K components at once equals its
-sum over the components one by one."""
+one at a time, the GM's epsilon over all K components at once equals its
+sum over the components one by one, and the whole-tape validation refresh
+equals one taken on the checkpointed chain."""
 
 import numpy as np
 import pytest
@@ -224,6 +225,63 @@ def test_singular_row_is_named():
         log_abs_det_jacobian(lambda x: en.mul(x, mask), np.ones((5, 2)))
 
 
+def test_singular_bound_sample_is_named_across_chunks(monkeypatch):
+    monkeypatch.setattr(evaluate, "LOGDET_CHUNK", 10)  # sample 27: chunk 3
+    sched, den = build("ve_edm", "gm")
+    seen = [0]
+
+    def student(x):
+        mask = np.ones(x.data.shape)
+        if 0 <= 27 - seen[0] < len(mask):
+            mask[27 - seen[0], 1] = 0.0
+        seen[0] += len(mask)
+        return en.mul(x, mask)
+
+    with pytest.raises(JacobianError, match="at sample 27$"):
+        estimate_bound(lambda x: x, student, sched, 0.19, den.d, 30, 3)
+
+
+def refresh_checkpointed(disc, den, sched, spec, x_T, x_prime, y, rho, lr,
+                         k_steps):
+    """Reference: the validation refresh with each step's x' gradients
+    taken on the checkpointed chain."""
+    best_x = x_prime.copy()
+    best_loss = np.full(x_prime.shape[0], np.inf)
+    x = x_prime.copy()
+    for _ in range(k_steps):
+        res = pair_grads(disc, den, sched, spec, x, y, True, True)
+        better = res.loss < best_loss
+        best_loss[better] = res.loss[better]
+        best_x[better] = x[better]
+        x = project(x - lr * res.grads["x_prime"], x_T, rho)
+    final = training.soft_loss(disc, den, sched, spec, x, y)
+    better = final < best_loss
+    best_loss[better] = final[better]
+    best_x[better] = x[better]
+    return best_x, best_loss
+
+
+@pytest.mark.parametrize("nfe", [3, 4, 6])
+@pytest.mark.parametrize("family", list(SCHEDULES))
+@pytest.mark.parametrize("solver,order", [("dpmpp", 2), ("ipndm", 4),
+                                          ("euler", 1)])
+def test_whole_tape_refresh_equals_checkpointed_loop(solver, order, family,
+                                                     nfe):
+    sched, den = build(family, "gm")
+    spec = SolverSpec(family=solver, order=order, nfe=nfe)
+    disc = learned_looking_grid(sched, nfe)
+    x_T = rng.sample_prior(sched, den.d, 6, 5)
+    y = Teacher.create(den, sched, nfe=20).solve_many(x_T)
+    x_prime = x_T + 0.05 * sched.sigma_T * np.sin(np.arange(x_T.size)
+                                                   ).reshape(x_T.shape)
+    args = (disc, den, sched, spec, x_T, x_prime, y,
+            0.1 * sched.sigma_T, 12.0 / nfe, 4)
+    got = training._refresh(*args)
+    want = refresh_checkpointed(*args)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
 def gm_epsilon_k_loop(x, t, sched, weights, means, variances):
     """Reference: the mixture's epsilon summed one component at a time."""
     sched.check_domain(t)
@@ -267,12 +325,19 @@ def test_gm_epsilon_over_components_matches_k_loop(family, k):
         for x in (xs, xs[0]):
             assert np.array_equal(gm_epsilon(x, t, sched, *mix),
                                   gm_epsilon_k_loop(x, t, sched, *mix))
-        grads = []
-        for fn in (gm_epsilon, gm_epsilon_k_loop):
-            tape = en.Tape()
-            xv, tv = tape.leaf(xs), tape.leaf(t)
-            out = fn(xv, tv, sched, *mix)
-            grads.append([out.data] + tape.backward([(out, cotangent)],
-                                                    [xv, tv]))
-        for got, want in zip(*grads):
-            assert rel_err(got, want) <= 1e-13
+        # x and t taped, x alone, t alone; a taped t keeps alpha_t live
+        # under VP (VE's alpha is the constant 1)
+        for live in ("xt", "x", "t"):
+            grads = []
+            for fn in (gm_epsilon, gm_epsilon_k_loop):
+                tape = en.Tape()
+                xv = tape.leaf(xs) if "x" in live else xs
+                tv = tape.leaf(t) if "t" in live else t
+                assert isinstance(sched.alpha(tv), en.Value) == \
+                    ("t" in live and family == "vp_linear")
+                out = fn(xv, tv, sched, *mix)
+                leaves = [v for v in (xv, tv) if isinstance(v, en.Value)]
+                grads.append([out.data] + tape.backward([(out, cotangent)],
+                                                        leaves))
+            for got, want in zip(*grads):
+                assert rel_err(got, want) <= 1e-13

@@ -283,6 +283,17 @@ def test_sample_rejects_malformed_checkpoint(ws, tmp_path, capsys, field,
     assert err.startswith("error:") and named in err
 
 
+def test_sample_rejects_checkpoint_without_a_step(ws, tmp_path, capsys):
+    def edit(blob):
+        blob.update(N=0, xi=blob["xi"][:1], xi_c=blob["xi_c"][:1],
+                    times=blob["times"][:1], times_c=blob["times_c"][:1])
+        blob["solver"]["nfe"] = 0
+
+    code, err, wrote = sample_edited_checkpoint(ws, tmp_path, capsys, edit)
+    assert code == 2 and not wrote
+    assert err.startswith("error:") and "field N = 0 must be >= 1" in err
+
+
 def test_train_rejects_non_finite_dataset_record(ws, tmp_path, capsys):
     blob = bytearray((ws / "dataset.bin").read_bytes())
     # record 2, coordinate 1 of x_T: 32-byte header, 3 * d floats per record

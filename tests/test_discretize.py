@@ -1,6 +1,8 @@
 """Time grids: frozen anchors for the cumulative-softmax map and the
 heuristics, inversion round-trips, and the monotonicity property."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,3 +177,16 @@ def test_checkpoint_rejects_other_schedule(tmp_path):
     save_checkpoint(p, disc, SolverSpec(family="euler", order=1, nfe=3))
     with pytest.raises(GridError):
         load_checkpoint(p, ve_edm(T=40.0))
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_checkpoint_rejects_fewer_than_one_step(tmp_path, n):
+    disc = Discretization.create(VE, 3)
+    p = tmp_path / "ck.json"
+    save_checkpoint(p, disc, SolverSpec(family="euler", order=1, nfe=3))
+    blob = json.loads(p.read_text())
+    blob.update(N=n, xi=[0.0], xi_c=[0.0], times=[VE.T], times_c=[VE.T])
+    blob["solver"]["nfe"] = n
+    p.write_text(json.dumps(blob))
+    with pytest.raises(GridError, match=f"field N = {n} must be >= 1"):
+        load_checkpoint(p, VE)
