@@ -9,6 +9,8 @@ what the commands snapshot next to their outputs.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from . import denoisers, schedule as schedmod
@@ -40,21 +42,9 @@ DEFAULTS = {
     "teacher.order": 2,
     "teacher.nfe": 100,
     "teacher.grid": "logsnr",
-    "train.gamma": 0.001,
-    "train.r": -1.0,  # >= 0 overrides gamma * d / nfe^2
-    "train.epochs_phase1": 2,
-    "train.epochs_phase2": 5,
-    "train.batch": 2,
-    "train.lr_xi": 0.005,
-    "train.lr_xic": -1.0,  # < 0 derives 0.1 / nfe
-    "train.lr_xprime": -1.0,  # < 0 derives 12.0 / nfe
-    "train.clip_norm": 1.0,
-    "train.plateau_factor": 0.8,
-    "train.plateau_patience": 5,
-    "train.lr_floor_xi": 5e-5,
-    "train.lr_floor_xic": 1e-6,
-    "train.val_refresh_steps": 10,
-    "train.init": "auto",
+    # every train.* default lives on TrainConfig; r_override reads train.r
+    **{"train." + ("r" if f.name == "r_override" else f.name): f.default
+       for f in fields(TrainConfig) if f.name != "seed"},
     "sample.count": 64,
     "sample.checkpoint": "",
     "bench.nfes": (4, 6, 8),
@@ -159,15 +149,24 @@ def build_schedule(cfg):
 
 
 def build_denoiser(cfg, sched):
-    d = cfg["data.d"]
+    d = at_least(cfg, "data.d", 1)
     means = np.asarray(cfg["data.means"], dtype=np.float64)
+    if not np.isfinite(means).all():
+        raise ConfigError(f"data.means = {cfg['data.means']} must be finite")
     if cfg["data.kind"] == "point":
+        if means.shape[0] < d:
+            raise ConfigError(f"data.means holds {means.shape[0]} values, "
+                              f"fewer than data.d = {d}")
         return denoisers.PointDenoiser.create(sched, means[:d])
     if cfg["data.kind"] != "gm":
         raise ConfigError(f"unknown data.kind {cfg['data.kind']!r}")
     k = len(cfg["data.weights"])
     if means.shape[0] != k * d:
         raise ConfigError("data.means must hold K*d values")
+    for key in ("data.weights", "data.vars"):
+        if k < 1 or len(cfg[key]) != k or not all(v > 0 for v in cfg[key]):
+            raise ConfigError(f"{key} = {cfg[key]} must hold one positive "
+                              f"value per component ({k} in data.weights)")
     return denoisers.GMDenoiser.create(sched, cfg["data.weights"],
                                        means.reshape(k, d),
                                        cfg["data.vars"])
@@ -203,7 +202,6 @@ def build_train_config(cfg):
         raise ConfigError(f"train.epochs_phase1 = {p1} and "
                           f"train.epochs_phase2 = {p2} must be >= 0 and "
                           f"give at least one epoch")
-    fields = {k[len("train."):]: v for k, v in cfg.items()
-              if k.startswith("train.")}
-    fields["r_override"] = fields.pop("r")
-    return TrainConfig(seed=cfg["seed"], **fields)
+    kw = {k[len("train."):]: v for k, v in cfg.items() if k.startswith("train.")}
+    kw["r_override"] = kw.pop("r")
+    return TrainConfig(seed=cfg["seed"], **kw)

@@ -121,7 +121,7 @@ class GMDenoiser:
             raise ValueError("means must be (K, d)")
         if weights.shape != (means.shape[0],) or variances.shape != weights.shape:
             raise ValueError("weights/variances must be (K,)")
-        if np.any(weights <= 0) or np.any(variances <= 0):
+        if not (np.all(weights > 0) and np.all(variances > 0)):  # NaN fails
             raise ValueError("weights and variances must be positive")
         weights = weights / weights.sum()
         return cls(sched=sched, weights=weights, means=means, variances=variances)

@@ -8,6 +8,8 @@ batch of shape (B, d); the row-wise ops (`dot`, `stack`, `logsumexp`) act on
 the last axis.  Every function also accepts plain floats/arrays and then
 simply computes with numpy without recording anything, so the same code path
 can run "hot" (taped) or "cold" (plain numpy) with bit-identical results.
+Every op computes its output and VJP and tapes them through :func:`record`,
+the one recording path, which leaves a cold call's output untouched.
 
 Gradients are pulled with :meth:`Tape.backward`, which allocates its own
 adjoint buffer per call; a tape can therefore be differentiated several times
@@ -68,21 +70,6 @@ class Value:
 
 def data_of(x):
     return x.data if type(x) is Value else x
-
-
-def _tape_of(*args):
-    tape = None
-    for a in args:
-        if type(a) is Value:
-            if tape is None:
-                tape = a.tape
-            elif tape is not a.tape:
-                raise EngineError("operands recorded on different tapes")
-    return tape
-
-
-def _idx(x):
-    return x.idx if type(x) is Value else None
 
 
 def _reduce(g, ref):
@@ -178,16 +165,12 @@ class Tape:
 
 
 def _unary(x, fwd, dfn, name):
-    xd = data_of(x)
+    # the most frequent ops return before building a closure when cold
+    if type(x) is not Value:
+        return fwd(x)
+    xd = x.data
     out = fwd(xd)
-    tape = _tape_of(x)
-    if tape is None:
-        return out
-
-    def vjp(adj):
-        return (adj * dfn(xd, out),)
-
-    return tape._record(out, (x.idx,), vjp, name)
+    return record(out, (x,), lambda adj: (adj * dfn(xd, out),), name)
 
 
 def _binary(a, b, fwd, da, db, name):
@@ -201,16 +184,12 @@ def _binary(a, b, fwd, da, db, name):
                           f"{np.shape(bd)}") from None
     if not (live_a or live_b):
         return out
-    tape = _tape_of(a, b)
-    pa = a.idx if live_a else None
-    pb = b.idx if live_b else None
 
     def vjp(adj):
-        ga = _reduce(da(adj, ad, bd), ad) if pa is not None else None
-        gb = _reduce(db(adj, ad, bd), bd) if pb is not None else None
-        return (ga, gb)
+        return (_reduce(da(adj, ad, bd), ad) if live_a else None,
+                _reduce(db(adj, ad, bd), bd) if live_b else None)
 
-    return tape._record(out, (pa, pb), vjp, name)
+    return record(out, (a, b), vjp, name)
 
 
 def add(a, b):
@@ -287,15 +266,7 @@ def clamp(x, lo, hi):
 def vsum(x):
     """Sum of all entries."""
     xd = data_of(x)
-    out = np.sum(xd)
-    tape = _tape_of(x)
-    if tape is None:
-        return out
-
-    def vjp(adj):
-        return (np.full_like(xd, adj),)
-
-    return tape._record(out, (x.idx,), vjp, "sum")
+    return record(np.sum(xd), (x,), lambda adj: (np.full_like(xd, adj),), "sum")
 
 
 def dot(a, b):
@@ -306,17 +277,14 @@ def dot(a, b):
         out = np.vecdot(ad, bd)
     except ValueError:
         raise EngineError("dot: shape mismatch") from None
-    tape = _tape_of(a, b)
-    if tape is None:
-        return out
-    pa, pb = _idx(a), _idx(b)
+    live_a, live_b = type(a) is Value, type(b) is Value
 
     def vjp(adj):
         col = np.asarray(adj)[..., None]
-        return (_reduce(col * bd, ad) if pa is not None else None,
-                _reduce(col * ad, bd) if pb is not None else None)
+        return (_reduce(col * bd, ad) if live_a else None,
+                _reduce(col * ad, bd) if live_b else None)
 
-    return tape._record(out, (pa, pb), vjp, "dot")
+    return record(out, (a, b), vjp, "dot")
 
 
 def logsumexp(x):
@@ -325,15 +293,12 @@ def logsumexp(x):
     xd = data_of(x)
     m = xd.max(axis=-1, keepdims=True)
     out = m[..., 0] + np.log(np.exp(xd - m).sum(axis=-1))
-    tape = _tape_of(x)
-    if tape is None:
-        return out
 
     def vjp(adj):
         return (np.asarray(adj)[..., None]
                 * np.exp(xd - np.asarray(out)[..., None]),)
 
-    return tape._record(out, (x.idx,), vjp, "logsumexp")
+    return record(out, (x,), vjp, "logsumexp")
 
 
 def softmax(x):
@@ -350,77 +315,71 @@ def stack(xs):
     out = np.empty(max((np.shape(p) for p in parts), key=len) + (len(parts),))
     for k, p in enumerate(parts):
         out[..., k] = p
-    tape = _tape_of(*xs)
-    if tape is None:
-        return out
-    parents = tuple(_idx(x) for x in xs)
+    live = [type(x) is Value for x in xs]
 
     def vjp(adj):
-        return tuple(_reduce(adj[..., k], parts[k]) if parents[k] is not None
-                     else None for k in range(len(parents)))
+        return tuple(_reduce(adj[..., k], p) if lv else None
+                     for k, (lv, p) in enumerate(zip(live, parts)))
 
-    return tape._record(out, parents, vjp, "stack")
+    return record(out, xs, vjp, "stack")
 
 
 def index(x, i):
     xd = data_of(x)
-    out = xd[i]
-    tape = _tape_of(x)
-    if tape is None:
-        return out
 
     def vjp(adj):
         g = np.zeros_like(xd)
         g[i] = adj
         return (g,)
 
-    return tape._record(out, (x.idx,), vjp, "index")
+    return record(xd[i], (x,), vjp, "index")
 
 
 def rcumsum(x):
     """Suffix sums: out[i] = sum_{j >= i} x[j]."""
     xd = data_of(x)
     out = np.cumsum(xd[::-1])[::-1]
-    tape = _tape_of(x)
-    if tape is None:
-        return out
-
-    def vjp(adj):
-        return (np.cumsum(adj),)
-
-    return tape._record(out, (x.idx,), vjp, "rcumsum")
+    return record(out, (x,), lambda adj: (np.cumsum(adj),), "rcumsum")
 
 
 def affine(x, w, b):
     """Dense layer x @ w.T + b for x of shape (n_in,) or (batch, n_in)."""
     xd, wd, bd = data_of(x), data_of(w), data_of(b)
-    out = xd @ wd.T + bd
-    tape = _tape_of(x, w, b)
-    if tape is None:
-        return out
-    px, pw, pb = _idx(x), _idx(w), _idx(b)
+    live_x, live_w, live_b = (type(v) is Value for v in (x, w, b))
 
     def vjp(adj):
         rows = np.reshape(adj, (-1, wd.shape[0]))
         rows_in = np.reshape(xd, (-1, wd.shape[1]))
-        return (adj @ wd if px is not None else None,
-                rows.T @ rows_in if pw is not None else None,
-                _reduce(adj, bd) if pb is not None else None)
+        return (adj @ wd if live_x else None,
+                rows.T @ rows_in if live_w else None,
+                _reduce(adj, bd) if live_b else None)
 
-    return tape._record(out, (px, pw, pb), vjp, "affine")
+    return record(xd @ wd.T + bd, (x, w, b), vjp, "affine")
 
 
 def record(out, parents, vjp, name):
-    """Tape a precomputed output as one op over `parents`.
+    """Tape a precomputed output as one op over `parents`: the one recording
+    path of every op (only it and :meth:`Tape.leaf` touch a tape).
 
     `vjp(adj)` returns one gradient per parent, shaped like it (None where
-    the parent is a constant).  When no parent is a Value nothing is taped
-    and `out` comes back untouched.
+    the parent is a constant).  It holds the parents' data and which were
+    Values, never a Value: that would tie the Value's tape into a reference
+    cycle.  With no Value among `parents`, `out` comes back untouched;
+    parents on two tapes raise :class:`EngineError`.
     """
-    tape = _tape_of(*parents)
+    tape, idx = None, []
+    for p in parents:
+        if type(p) is Value:
+            if tape is None:
+                tape = p.tape
+            elif p.tape is not tape:
+                raise EngineError("operands recorded on different tapes")
+            idx.append(p.idx)
+        else:
+            idx.append(None)
     if tape is None:
         return out
-    return tape._record(out, tuple(_idx(p) for p in parents), vjp, name)
+    return tape._record(out, tuple(idx), vjp, name)
 
 
 # ---------------------------------------------------- chain differentiation

@@ -56,10 +56,11 @@ class NoiseSchedule:
     # -------------------------------------------------------------- domain
 
     def check_domain(self, t):
-        td = en.data_of(t)
+        td = np.asarray(en.data_of(t))
         lo = self.t_min - _DOMAIN_SLACK * self.T
         hi = self.T * (1.0 + _DOMAIN_SLACK)
-        if np.any(np.asarray(td) < lo) or np.any(np.asarray(td) > hi):
+        # one comparison that NaN fails, where `nan < lo` would let it pass
+        if not ((td >= lo) & (td <= hi)).all():
             raise ScheduleDomainError(
                 f"t={td} outside [{self.t_min}, {self.T}] for {self.family}")
         return t

@@ -377,9 +377,17 @@ def overridden(text, extra):
     ("sweep-r", "sweep.r_values = 0.0,-0.5\n", "sweep.r_values"),
     ("bound", "bound.r = -0.1\n", "bound.r"),
     ("bench", "bench.eval_count = 0\n", "bench.eval_count"),
+    ("gen-data", "data.vars = -0.25,0.16,0.36\n", "data.vars"),
+    ("gen-data", "data.vars = 0.25,0.16\n", "data.vars"),
+    ("gen-data", "data.weights = 0.5,nan,0.2\n", "data.weights"),
+    ("gen-data", "data.kind = point\ndata.d = 9\n", "data.d"),
+    ("gen-data", "data.d = 0\n", "data.d"),
+    ("gen-data", "data.kind = point\ndata.means = nan,1.0\n", "data.means"),
 ], ids=["schedule.t_min", "train.batch", "data.d", "sample.count",
         "bound.samples", "train.epochs", "train.val_refresh_steps",
-        "cross.families", "sweep.r_values", "bound.r", "bench.eval_count"])
+        "cross.families", "sweep.r_values", "bound.r", "bench.eval_count",
+        "data.vars-negative", "data.vars-count", "data.weights-nan",
+        "data.d-point-past-means", "data.d-zero", "data.means-nan"])
 def test_bad_config_values_exit_2_naming_the_key(ws, tmp_path, capsys,
                                                  command, extra, key):
     cfg2 = tmp_path / "bad.cfg"

@@ -3,9 +3,14 @@ config dialect with its builders."""
 
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from steplab.config import (DEFAULTS, ConfigError, build_denoiser,
                             build_schedule, build_solver_spec, build_teacher,
@@ -18,7 +23,7 @@ from steplab.dataio import (BENCH_HEADER, METRICS_HEADER, SWEEP_HEADER,
                             write_sweep_csv)
 from steplab.denoisers import GMDenoiser, PointDenoiser
 from steplab.evaluate import BoundReport
-from steplab.training import Dataset, TrainReport
+from steplab.training import Dataset, TrainConfig, TrainReport
 
 
 def toy_dataset(count=5, d=3, seed=7):
@@ -42,6 +47,29 @@ def test_dataset_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.y, ds.y)
     assert back.seed == 7
     assert back.schedule_hash == ds.schedule_hash
+
+
+@st.composite
+def datasets(draw):
+    count = draw(st.integers(min_value=1, max_value=12))
+    d = draw(st.integers(min_value=1, max_value=4))
+    rows = hnp.arrays(np.float64, (count, d),
+                      elements=st.floats(allow_nan=False, allow_infinity=False))
+    return Dataset(x_T=draw(rows), x_prime=draw(rows), y=draw(rows),
+                   seed=draw(st.integers(0, 2**64 - 1)),
+                   schedule_hash=draw(st.integers(0, 2**64 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(datasets())
+def test_dataset_save_load_roundtrip(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "d.bin"
+        save_dataset(p, ds)
+        back = load_dataset(p)
+    for name in ("x_T", "x_prime", "y"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(ds, name))
+    assert (back.seed, back.schedule_hash) == (ds.seed, ds.schedule_hash)
 
 
 def test_dataset_file_size_is_header_plus_records(tmp_path):
@@ -218,6 +246,35 @@ def test_format_config_roundtrips(tmp_path):
     assert load_config(p) == cfg
 
 
+_WORD = "abcdefghijklmnopqrstuvwxyz0123456789_.-/"
+_SCALARS = {int: st.integers(-10**9, 10**9), float: st.floats(allow_nan=False),
+            str: st.text(_WORD, max_size=10)}
+
+
+def values_like(default):
+    """Values of the type of a DEFAULTS entry; tuple parts are non-empty."""
+    if not isinstance(default, tuple):
+        return _SCALARS[type(default)]
+    elem = type(default[0])
+    part = st.text(_WORD, min_size=1, max_size=10) if elem is str \
+        else _SCALARS[elem]
+    return st.lists(part, max_size=5).map(tuple)
+
+
+@st.composite
+def overrides(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(DEFAULTS)), unique=True,
+                         max_size=12))
+    return {k: draw(values_like(DEFAULTS[k])) for k in keys}
+
+
+@settings(max_examples=100, deadline=None)
+@given(overrides())
+def test_format_parse_roundtrips_random_overrides(extra):
+    cfg = {**DEFAULTS, **extra}
+    assert parse_config(format_config(cfg)) == cfg
+
+
 # ------------------------------------------------------------------- builders
 
 
@@ -269,6 +326,8 @@ def test_build_teacher_and_train_config():
     teacher = build_teacher(cfg, den, sched)
     assert teacher.spec.nfe == cfg["teacher.nfe"]
     assert teacher.times.shape == (cfg["teacher.nfe"] + 1,)
+    assert build_train_config(dict(DEFAULTS)) == \
+        TrainConfig(seed=DEFAULTS["seed"])
     tc = build_train_config(cfg)
     assert tc.seed == cfg["seed"]
     assert tc.r_override == cfg["train.r"]

@@ -173,6 +173,8 @@ def test_gm_create_validation():
         GMDenoiser.create(VE, np.array([0.5, -0.5]), MEANS[:2], VARS[:2])
     with pytest.raises(ValueError):
         GMDenoiser.create(VE, WEIGHTS, MEANS.ravel(), VARS)
+    with pytest.raises(ValueError):
+        GMDenoiser.create(VE, WEIGHTS[:2], MEANS[:2], np.array([np.nan, 0.2]))
     den = GMDenoiser.create(VE, np.array([2.0, 2.0]), MEANS[:2], VARS[:2])
     assert abs(den.weights.sum() - 1.0) < 1e-12  # unnormalized input accepted
 

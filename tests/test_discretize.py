@@ -2,6 +2,8 @@
 heuristics, inversion round-trips, and the monotonicity property."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from steplab.schedule import ve_edm, vp_linear
 from steplab.solvers import GridError, SolverSpec
 
 VE = ve_edm()
+VP = vp_linear()
 
 
 def test_tau_uniform_anchor():
@@ -76,7 +79,7 @@ def test_logsnr_anchor_geometric_mean():
 
 
 @pytest.mark.parametrize("kind", HEURISTICS)
-@pytest.mark.parametrize("sched", [VE, vp_linear()])
+@pytest.mark.parametrize("sched", [VE, VP])
 def test_heuristics_decreasing_with_exact_endpoints(kind, sched):
     for nfe in (1, 2, 5, 12):
         g = heuristic_times(kind, sched, nfe)
@@ -160,6 +163,40 @@ def test_checkpoint_roundtrip(tmp_path):
     np.testing.assert_allclose(back.times(), disc.times(), atol=1e-15)
     assert solver["family"] == "dpmpp" and solver["order"] == 2
     assert solver["nfe"] == 4
+
+
+SPECS = [("euler", 1), ("dpmpp", 1), ("dpmpp", 2), ("ipndm", 1),
+         ("ipndm", 2), ("ipndm", 3), ("ipndm", 4)]
+
+
+@st.composite
+def checkpoint_grids(draw):
+    nfe = draw(st.integers(min_value=1, max_value=12))
+    # a spread of at most 24 keeps tau strictly decreasing, as checked above
+    xi = draw(st.lists(st.floats(min_value=-12.0, max_value=12.0),
+                       min_size=nfe + 1, max_size=nfe + 1))
+    xi_c = draw(st.lists(st.floats(min_value=-2.0, max_value=2.0),
+                         min_size=nfe + 1, max_size=nfe + 1))
+    return nfe, xi, xi_c, draw(st.sampled_from(SPECS)), \
+        draw(st.sampled_from([VE, VP]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(checkpoint_grids())
+def test_checkpoint_save_load_roundtrip(grid):
+    nfe, xi, xi_c, (family, order), sched = grid
+    disc = Discretization.create(sched, nfe, xi=xi, xi_c=xi_c)
+    spec = SolverSpec(family=family, order=order, nfe=nfe)
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "ck.json"
+        save_checkpoint(p, disc, spec)
+        back, solver = load_checkpoint(p, sched)
+    assert back.nfe == nfe
+    np.testing.assert_array_equal(back.xi, disc.xi)
+    np.testing.assert_array_equal(back.xi_c, disc.xi_c)
+    np.testing.assert_array_equal(back.times(), disc.times())
+    np.testing.assert_array_equal(back.times_c(), disc.times_c())
+    assert solver == {"family": family, "order": order, "nfe": nfe}
 
 
 def test_checkpoint_bytes_deterministic(tmp_path):

@@ -2,6 +2,8 @@
 checkpointed chain-gradient contract (equality with the whole tape, bitwise
 replay, constant retention per step)."""
 
+import gc
+import itertools
 import operator
 
 import numpy as np
@@ -202,12 +204,32 @@ def test_unused_leaf_gets_zeros():
     np.testing.assert_array_equal(g[1], np.zeros(2))
 
 
+M = np.array([[0.3, -0.7, 0.2], [1.1, 0.2, -0.4]])
+PRIMITIVES = [
+    ("neg", en.neg, (X,)), ("exp", en.exp, (X,)), ("expm1", en.expm1, (X,)),
+    ("log", en.log, (np.abs(X),)), ("sqrt", en.sqrt, (np.abs(X),)),
+    ("sin", en.sin, (X,)), ("cos", en.cos, (X,)), ("silu", en.silu, (X,)),
+    ("clamp", lambda x: en.clamp(x, 0.0, 1.0), (X,)),
+    ("add", en.add, (X, W)), ("sub", en.sub, (X, W)),
+    ("mul", en.mul, (X, W)), ("div", en.div, (X, W)),
+    ("vsum", en.vsum, (X,)), ("dot", en.dot, (X, W)),
+    ("logsumexp", en.logsumexp, (X,)), ("softmax", en.softmax, (X,)),
+    ("stack", lambda *xs: en.stack(xs), (0.5, X, W)),
+    ("index", lambda x: en.index(x, 1), (X,)),
+    ("rcumsum", en.rcumsum, (X,)),
+    ("affine", en.affine, (X, M, np.array([0.1, -0.2]))),
+    ("record", lambda *xs: en.record(1.0, xs, None, "op"), (X, W)),
+]
+
+
 def test_cold_path_returns_plain_numpy():
-    out = en.exp(np.array([0.0, 1.0]))
-    assert not isinstance(out, en.Value)
-    tape = en.Tape()
-    hot = en.exp(tape.leaf(np.array([0.0, 1.0])))
-    assert np.array_equal(out, hot.data)  # bitwise: same numpy call
+    for name, op, args in PRIMITIVES:
+        out = op(*args)
+        assert not isinstance(out, en.Value), name
+        tape = en.Tape()
+        hot = op(*(tape.leaf(a) for a in args))
+        assert isinstance(hot, en.Value), name
+        assert np.array_equal(out, hot.data), name  # bitwise: same numpy calls
 
 
 def test_repeated_backward_same_tape():
@@ -219,12 +241,31 @@ def test_repeated_backward_same_tape():
     np.testing.assert_array_equal(g1, g2)
 
 
+def test_taped_ops_leave_no_reference_cycles():
+    # a VJP that held its operand Values would close the cycle
+    # Value -> tape -> VJP -> Value, and every tape would then wait for the
+    # cycle collector instead of being freed when its last Value goes
+    gc.collect()
+    gc.disable()
+    try:
+        for name, op, args in PRIMITIVES:
+            tape = en.Tape()
+            op(*(tape.leaf(a) for a in args))
+        del tape
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_mixed_tapes_rejected():
+    # every op with more than one operand, each pair of operands split
     t1, t2 = en.Tape(), en.Tape()
-    a = t1.leaf(1.0)
-    b = t2.leaf(2.0)
-    with pytest.raises(en.EngineError, match="different tapes"):
-        en.add(a, b)
+    for name, op, args in PRIMITIVES:
+        for i, k in itertools.combinations(range(len(args)), 2):
+            mixed = list(args)
+            mixed[i], mixed[k] = t1.leaf(args[i]), t2.leaf(args[k])
+            with pytest.raises(en.EngineError, match="different tapes"):
+                op(*mixed)
 
 
 def test_seed_shape_mismatch_rejected():

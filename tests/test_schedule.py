@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steplab.denoisers import PointDenoiser
 from steplab.schedule import (NoiseSchedule, ScheduleDomainError, ve_edm,
                               vp_linear)
+from steplab.solvers import SolverSpec, solve
 
 VE = ve_edm()
 VP = vp_linear()
@@ -135,6 +137,19 @@ def test_domain_check_rejects_outside():
     with pytest.raises(ScheduleDomainError):
         VE.check_domain(0.0019)
     assert VE.check_domain(80.0) == 80.0  # boundary with slack is fine
+
+
+def test_domain_check_rejects_nan():
+    with pytest.raises(ScheduleDomainError):
+        VE.check_domain(float("nan"))
+    with pytest.raises(ScheduleDomainError):
+        VP.check_domain(np.array([0.5, np.nan]))
+    # a NaN query time is named by validation, not by a diverged step
+    spec = SolverSpec("dpmpp", 2, 2)
+    den = PointDenoiser.create(VE, np.zeros(2))
+    with pytest.raises(ScheduleDomainError):
+        solve(den, VE, spec, [80.0, 1.0, 0.002], [80.0, np.nan, 0.002],
+              np.ones(2))
 
 
 def test_inverse_targets_outside_range_rejected():
