@@ -29,7 +29,7 @@ from .evaluate import (JacobianError, bench_cell, bench_eval_assets,
                        cross_eval, estimate_bound, solve_batch, solver_map,
                        sweep_r)
 from .solvers import DivergenceError, GridError, SolverSpec
-from .training import Dataset, TrainingError, generate_dataset, train
+from .training import TrainingError, generate_dataset, train
 
 _CROSS_DEFAULT_ORDER = {"euler": 1, "dpmpp": 2, "ipndm": 4}
 
@@ -84,31 +84,31 @@ def _cmd_train(args, cfg, sched, den):
     return 0
 
 
-def _spec_from_checkpoint(cfg, solver_info):
+def _load_checkpoint_grid(cfg, sched, needed_by):
+    """The sample.checkpoint grid and the solver spec it was trained for."""
+    if not cfg["sample.checkpoint"]:
+        raise ConfigError(f"{needed_by} needs sample.checkpoint in the config")
+    disc, solver_info = load_checkpoint(cfg["sample.checkpoint"], sched)
     if solver_info["family"] != cfg["solver.family"]:
         raise ConfigError(
             f"checkpoint was trained for solver family "
             f"'{solver_info['family']}' but config requests "
             f"'{cfg['solver.family']}'")
-    return SolverSpec(family=solver_info["family"],
-                      order=int(solver_info["order"]),
-                      nfe=int(solver_info["nfe"]))
+    return disc, SolverSpec(family=solver_info["family"],
+                            order=int(solver_info["order"]),
+                            nfe=int(solver_info["nfe"]))
 
 
 def _cmd_sample(args, cfg, sched, den):
     count = at_least(cfg, "sample.count", 1)
-    ckpt = cfg["sample.checkpoint"]
-    if not ckpt:
-        raise ConfigError("sample needs sample.checkpoint in the config")
-    disc, solver_info = load_checkpoint(ckpt, sched)
-    spec = _spec_from_checkpoint(cfg, solver_info)
+    disc, spec = _load_checkpoint_grid(cfg, sched, "sample")
     x = rngmod.sample_prior(sched, den.d, count,
                             rngmod.derive_seed(cfg["seed"], "sample"))
     out = _ensure_dir(args.out or "samples")
     samples = solve_batch(den, sched, spec, disc.times(), disc.times_c(), x)
     np.save(os.path.join(out, "samples.npy"), samples)
     manifest = {
-        "checkpoint": ckpt,
+        "checkpoint": cfg["sample.checkpoint"],
         "count": count,
         "d": den.d,
         "seed": int(cfg["seed"]),
@@ -123,35 +123,22 @@ def _cmd_sample(args, cfg, sched, den):
     return 0
 
 
-def _bench_worker(cfg, ds_fields, method, nfe, assets):
-    """One benchmark cell, rebuilt from plain picklable pieces."""
-    sched = build_schedule(cfg)
-    den = build_denoiser(cfg, sched)
-    spec = build_solver_spec(cfg)
-    tc = build_train_config(cfg)
-    ds = Dataset(*ds_fields)
-    return bench_cell(ds, den, sched, spec, tc, method, nfe, assets,
-                      cfg["seed"])
-
-
 def _cmd_bench(args, cfg, sched, den):
     eval_count = at_least(cfg, "bench.eval_count", 1)
     ds = _load_ds(args, sched)
     teacher = build_teacher(cfg, den, sched)
     assets = bench_eval_assets(den, sched, teacher, eval_count,
                                int(cfg["bench.rmsd_ref_nfe"]), cfg["seed"])
-    cells = [(method, int(nfe)) for nfe in cfg["bench.nfes"]
-             for method in cfg["bench.methods"]]
-    ds_fields = (ds.x_T, ds.x_prime, ds.y, ds.seed, ds.schedule_hash)
+    spec, tc = build_solver_spec(cfg), build_train_config(cfg)
+    cells = [(ds, den, sched, spec, tc, method, int(nfe), assets, cfg["seed"])
+             for nfe in cfg["bench.nfes"] for method in cfg["bench.methods"]]
     workers = min(args.jobs, len(cells))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_bench_worker, cfg, ds_fields, m, n, assets)
-                    for m, n in cells]
+            futs = [pool.submit(bench_cell, *cell) for cell in cells]
             rows = [f.result() for f in futs]  # submission order, not finish
     else:
-        rows = [_bench_worker(cfg, ds_fields, m, n, assets)
-                for m, n in cells]
+        rows = [bench_cell(*cell) for cell in cells]
     out = _ensure_dir(args.out or "bench")
     write_bench_csv(os.path.join(out, "bench.csv"), rows)
     write_snapshot(cfg, os.path.join(out, "config.txt"))
@@ -182,12 +169,8 @@ def _cmd_bound(args, cfg, sched, den):
     spec = build_solver_spec(cfg)
     grid = cfg["bound.grid"]
     if grid == "checkpoint":
-        ckpt = cfg["sample.checkpoint"]
-        if not ckpt:
-            raise ConfigError(
-                "bound.grid = checkpoint needs sample.checkpoint")
-        disc, solver_info = load_checkpoint(ckpt, sched)
-        spec = _spec_from_checkpoint(cfg, solver_info)
+        disc, spec = _load_checkpoint_grid(cfg, sched,
+                                           "bound.grid = checkpoint")
         times, times_c = disc.times(), disc.times_c()
     else:
         times = heuristic_times(grid, sched, spec.nfe)
@@ -268,6 +251,8 @@ def main(argv=None):
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = int(args.seed)
+        if not 0 <= cfg["seed"] < 2 ** 64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {cfg['seed']}")
         sched = build_schedule(cfg)
         return handler(args, cfg, sched, build_denoiser(cfg, sched))
     except (ConfigError, FormatError, GridError, DivergenceError,

@@ -14,6 +14,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import denoisers, schedule as schedmod
+from .evaluate import BENCH_METHODS
 from .solvers import SolverSpec
 from .training import Teacher, TrainConfig
 
@@ -48,7 +49,7 @@ DEFAULTS = {
     "sample.count": 64,
     "sample.checkpoint": "",
     "bench.nfes": (4, 6, 8),
-    "bench.methods": ("uniform", "quadratic", "edm", "logsnr", "learned"),
+    "bench.methods": BENCH_METHODS,
     "bench.eval_count": 64,
     "bench.rmsd_ref_nfe": 100,
     "sweep.r_values": (0.0, 0.01, 0.1, 1.0, 5.0),
@@ -57,6 +58,13 @@ DEFAULTS = {
     "bound.samples": 100,
     "bound.grid": "logsnr",  # heuristic name or "checkpoint"
 }
+
+
+def _float(text):
+    """float(text), refusing NaN: it compares False, so slips past checks."""
+    if (value := float(text)) != value:
+        raise ValueError(text)
+    return value
 
 
 def _coerce(key, raw, default):
@@ -72,12 +80,12 @@ def _coerce(key, raw, default):
             if isinstance(elem, str):
                 return tuple(parts)
             if isinstance(elem, float):
-                return tuple(float(p) for p in parts)
+                return tuple(_float(p) for p in parts)
             return tuple(int(p) for p in parts)
         if isinstance(default, int):
             return int(raw)
         if isinstance(default, float):
-            return float(raw)
+            return _float(raw)
         return raw
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc

@@ -16,7 +16,8 @@ adjoint buffer per call; a tape can therefore be differentiated several times
 (e.g. once per Jacobian row).  For long solver chains,
 :func:`checkpointed_chain_grad` stores only the per-step states and replays
 each step on a throwaway tape during the backward sweep, keeping retained
-activations per step constant in chain length.
+activations per step constant in chain length.  The finale is the last
+replayed segment, and every replay is checked bitwise against the forward.
 """
 
 from __future__ import annotations
@@ -436,69 +437,56 @@ def whole_chain_grad(leaves, prelude, steps, finale):
                            retained_arrays=len(tape), n_steps=len(steps))
 
 
-def checkpointed_chain_grad(leaves, prelude, steps, finale, check_replay=False):
+def checkpointed_chain_grad(leaves, prelude, steps, finale):
     """Like :func:`whole_chain_grad` but retaining only per-step states.
 
-    The forward pass runs untaped and caches each step's output state.  The
-    backward sweep replays one step at a time on a fresh tape (identical
-    numpy call sequence, so replayed values match the forward pass bitwise)
-    and accumulates adjoints for the shared prelude outputs; the prelude is
-    backpropagated last.  Retained activations across step boundaries are
-    exactly the cached state tuples, independent of chain length.
+    The finale is the last segment.  The forward pass runs untaped and
+    caches each segment's output.  The backward sweep replays the segments
+    last to first, each on a fresh tape and checked bitwise against the
+    forward (EngineError if it diverged), and accumulates adjoints for the
+    shared prelude outputs; the prelude is backpropagated last.  Retained
+    activations across step boundaries are exactly the cached step states,
+    independent of chain length.
     """
+    segments = list(steps) + [lambda state, shared: (finale(state, shared),)]
     # cold forward
     raw_env = {k: np.asarray(v, dtype=np.float64) if np.ndim(v) else np.float64(v)
                for k, v in leaves.items()}
     shared_raw, state = prelude(raw_env)
     states = [state]
-    for step in steps:
-        state = step(state, shared_raw)
-        states.append(state)
-    loss_raw = _loss_value(finale(state, shared_raw))
-    retained = sum(len(s) for s in states[1:])
+    for seg in segments:
+        states.append(seg(states[-1], shared_raw))
+    retained = sum(len(s) for s in states[1:-1])
 
     # prelude tape: classifies which shared/state0 entries are differentiable
     tape_p = Tape()
     env_p = {k: tape_p.leaf(v) for k, v in raw_env.items()}
     shared_p, state0_p = prelude(env_p)
-    shared_live = [j for j, s in enumerate(shared_p) if isinstance(s, Value)]
-    shared_acc = {j: np.zeros_like(np.asarray(shared_raw[j])) for j in shared_live}
+    shared_acc = {j: np.zeros_like(np.asarray(shared_raw[j]))
+                  for j, s in enumerate(shared_p) if isinstance(s, Value)}
 
-    def replay_tape(raw_state):
+    # segments, last to first; ones seed the loss
+    adj_state = (_ones_like(states[-1][0]),)
+    for i in range(len(segments) - 1, -1, -1):
         tape = Tape()
-        st = tuple(tape.leaf(x) for x in raw_state)
-        sh = tuple(tape.leaf(shared_raw[j]) if j in shared_acc else shared_raw[j]
-                   for j in range(len(shared_raw)))
-        return tape, st, sh
-
-    # finale segment
-    tape_f, st_f, sh_f = replay_tape(states[-1])
-    loss_v = finale(st_f, sh_f)
-    live = [j for j in shared_acc]
-    grads = tape_f.backward([(loss_v, _ones_like(loss_v))],
-                            list(st_f) + [sh_f[j] for j in live])
-    adj_state = grads[:len(st_f)]
-    for j, g in zip(live, grads[len(st_f):]):
-        shared_acc[j] += g
-
-    # step segments, last to first
-    for i in range(len(steps) - 1, -1, -1):
-        tape_i, st_i, sh_i = replay_tape(states[i])
-        out = steps[i](st_i, sh_i)
-        if check_replay:
-            for o, ref in zip(out, states[i + 1]):
-                if not np.array_equal(data_of(o), ref):
-                    raise EngineError(f"step {i} replay diverged from forward pass")
+        st = tuple(tape.leaf(x) for x in states[i])
+        sh = tuple(tape.leaf(x) if j in shared_acc else x
+                   for j, x in enumerate(shared_raw))
+        out = segments[i](st, sh)
+        for o, ref in zip(out, states[i + 1]):
+            # bytes, so a NaN the forward made must replay as the same NaN
+            if np.asarray(data_of(o)).tobytes() != np.asarray(ref).tobytes():
+                raise EngineError(f"segment {i} replay diverged from forward pass")
         seeds = [(o, a) for o, a in zip(out, adj_state) if isinstance(o, Value)]
-        grads = tape_i.backward(seeds, list(st_i) + [sh_i[j] for j in live])
-        adj_state = grads[:len(st_i)]
-        for j, g in zip(live, grads[len(st_i):]):
+        grads = tape.backward(seeds, list(st) + [sh[j] for j in shared_acc])
+        adj_state = grads[:len(st)]
+        for j, g in zip(shared_acc, grads[len(st):]):
             shared_acc[j] += g
 
     # prelude segment
-    seeds = [(shared_p[j], shared_acc[j]) for j in live]
+    seeds = [(shared_p[j], g) for j, g in shared_acc.items()]
     seeds += [(s0, a) for s0, a in zip(state0_p, adj_state) if isinstance(s0, Value)]
     names = list(leaves)
     grads = tape_p.backward(seeds, [env_p[k] for k in names])
-    return ChainGradResult(loss_raw, dict(zip(names, grads)),
+    return ChainGradResult(_loss_value(states[-1][0]), dict(zip(names, grads)),
                            retained_arrays=retained, n_steps=len(steps))

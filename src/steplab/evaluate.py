@@ -17,10 +17,9 @@ import numpy as np
 
 from . import engine as en
 from . import rng as rngmod
-from .discretize import Discretization, heuristic_times
-from .solvers import (SolverSpec, initial_state, make_steps, march, solve,
-                      validate_grid)
-from .training import distance, mean_loss, split_indices, train
+from .discretize import HEURISTICS, Discretization, heuristic_times
+from .solvers import SolverSpec, solve, solver_map  # solver_map: also evaluate API
+from .training import Teacher, distance, mean_loss, split_indices, train
 
 
 class JacobianError(RuntimeError):
@@ -62,13 +61,6 @@ def w1(a, b):
 
 
 # ----------------------------------------------------------- transport maps
-
-
-def solver_map(den, sched, spec, times, times_c=None):
-    """Closure x_T -> x_0 suitable for Jacobian extraction (taped or raw)."""
-    shared = validate_grid(sched, times, times_c, nfe=spec.nfe)
-    steps = make_steps(den, sched, spec, spec.nfe)
-    return lambda x: march(steps, shared, initial_state(spec, x))[0]
 
 
 def solve_batch(den, sched, spec, times, times_c, xs):
@@ -194,7 +186,7 @@ def cross_eval(ds, den, sched, specs, cfg):
     return matrix
 
 
-BENCH_METHODS = ("uniform", "quadratic", "edm", "logsnr", "learned")
+BENCH_METHODS = HEURISTICS + ("learned",)
 
 
 def bench_eval_assets(den, sched, teacher, eval_count, rmsd_ref_nfe, seed):
@@ -203,9 +195,8 @@ def bench_eval_assets(den, sched, teacher, eval_count, rmsd_ref_nfe, seed):
     x_eval = rngmod.sample_prior(sched, den.d, eval_count,
                                  rngmod.derive_seed(seed, "bench_eval"))
     y_eval = teacher.solve_many(x_eval)
-    ref_spec = SolverSpec(family="dpmpp", order=1, nfe=rmsd_ref_nfe)
-    ref_times = heuristic_times("logsnr", sched, rmsd_ref_nfe)
-    ref_out = solve_batch(den, sched, ref_spec, ref_times, None, x_eval)
+    ref_out = Teacher.create(den, sched, order=1,
+                             nfe=rmsd_ref_nfe).solve_many(x_eval)
     gt = den.sample_data(eval_count, rngmod.derive_seed(seed, "bench_gt")) \
         if hasattr(den, "sample_data") else None
     return x_eval, y_eval, ref_out, gt

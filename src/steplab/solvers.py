@@ -25,8 +25,8 @@ zero-padded before they fill), which keeps the number of arrays cached per
 step constant regardless of grid length.
 
 `march` is the one loop that applies the steps outside the engine's chain
-gradients: `solve`, the transport maps of `evaluate.solver_map` and, through
-`solve`, teacher targets and student losses all run it.
+gradients, set up by `solver_map` alone: `solve`, the bound's transport maps
+and, through `solve`, teacher targets and student losses all run it.
 
 A state is one sample of shape (d,) or a batch of shape (B, d) marched on
 one shared grid; every batched row equals its single-row solve bit for bit.
@@ -214,6 +214,13 @@ def march(steps, shared, state):
     return state
 
 
+def solver_map(den, sched, spec, times, times_c=None):
+    """Closure x_T -> x_N on the checked grid, taped or raw, (d,) or (B, d)."""
+    shared = validate_grid(sched, times, times_c, nfe=spec.nfe)
+    steps = make_steps(den, sched, spec, spec.nfe)
+    return lambda x: march(steps, shared, initial_state(spec, x))[0]
+
+
 def solve(den, sched, spec, times, times_c=None, x_T=None):
     """March x_T down the grid; returns the final state x_N, shaped as x_T.
 
@@ -229,6 +236,5 @@ def solve(den, sched, spec, times, times_c=None, x_T=None):
         GridError on malformed grids, DivergenceError if a step produces a
         non-finite state.
     """
-    shared = validate_grid(sched, times, times_c, nfe=spec.nfe)
-    state = initial_state(spec, np.asarray(x_T, dtype=np.float64))
-    return march(make_steps(den, sched, spec, spec.nfe), shared, state)[0]
+    return solver_map(den, sched, spec, times, times_c)(
+        np.asarray(x_T, dtype=np.float64))

@@ -383,11 +383,17 @@ def overridden(text, extra):
     ("gen-data", "data.kind = point\ndata.d = 9\n", "data.d"),
     ("gen-data", "data.d = 0\n", "data.d"),
     ("gen-data", "data.kind = point\ndata.means = nan,1.0\n", "data.means"),
+    ("train", "train.gamma = nan\n", "train.gamma"),
+    ("train", "train.lr_xi = nan\n", "train.lr_xi"),
+    ("sweep-r", "sweep.r_values = 0.1,nan\n", "sweep.r_values"),
+    ("bound", "bound.r = nan\n", "bound.r"),
 ], ids=["schedule.t_min", "train.batch", "data.d", "sample.count",
         "bound.samples", "train.epochs", "train.val_refresh_steps",
         "cross.families", "sweep.r_values", "bound.r", "bench.eval_count",
         "data.vars-negative", "data.vars-count", "data.weights-nan",
-        "data.d-point-past-means", "data.d-zero", "data.means-nan"])
+        "data.d-point-past-means", "data.d-zero", "data.means-nan",
+        "train.gamma-nan", "train.lr_xi-nan", "sweep.r_values-nan",
+        "bound.r-nan"])
 def test_bad_config_values_exit_2_naming_the_key(ws, tmp_path, capsys,
                                                  command, extra, key):
     cfg2 = tmp_path / "bad.cfg"
@@ -396,6 +402,23 @@ def test_bad_config_values_exit_2_naming_the_key(ws, tmp_path, capsys,
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
+
+
+@pytest.mark.parametrize("argv,extra", [
+    (["--seed", "-1"], ""),
+    (["--seed", str(2 ** 64)], ""),
+    ([], "seed = -5\n"),
+], ids=["flag-negative", "flag-past-u64", "config-negative"])
+def test_seed_outside_u64_exits_2_writing_nothing(tmp_path, capsys, argv,
+                                                  extra):
+    cfg2 = tmp_path / "seed.cfg"
+    cfg2.write_text(overridden(SMALL_CFG, extra))
+    out = tmp_path / "d.bin"
+    assert main(["gen-data", "--config", str(cfg2), "--out", str(out)]
+                + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err
+    assert not out.exists()
 
 
 def test_train_aborted_before_first_checkpoint_exits_1(ws, tmp_path, capsys):

@@ -358,8 +358,23 @@ def test_checkpointed_matches_fd():
 def test_replay_is_bitwise():
     prelude, steps, finale = chain_parts(6)
     leaves = {"xi": np.linspace(-1, 1, 6), "x": np.array([0.3, 0.1])}
-    en.checkpointed_chain_grad(leaves, prelude, steps, finale,
-                               check_replay=True)  # raises on any divergence
+    # every call checks each replayed segment against the forward bitwise
+    en.checkpointed_chain_grad(leaves, prelude, steps, finale)
+
+
+def test_replay_divergence_is_caught():
+    prelude, steps, finale = chain_parts(3)
+    calls = []
+
+    def drifting(state, shared):
+        # adds a different constant on each call, so the replay cannot match
+        calls.append(None)
+        x, h = steps[1](state, shared)
+        return (en.add(x, 1e-3 * len(calls)), h)
+
+    with pytest.raises(en.EngineError, match="replay diverged"):
+        en.checkpointed_chain_grad(LEAVES4 | {"xi": np.zeros(3)}, prelude,
+                                   [steps[0], drifting, steps[2]], finale)
 
 
 def test_retained_arrays_constant_per_step():
