@@ -20,7 +20,7 @@ import numpy as np
 from . import rng as rngmod
 from .config import (ConfigError, at_least, build_denoiser, build_schedule,
                      build_solver_spec, build_teacher, build_train_config,
-                     load_config, write_snapshot)
+                     load_config, nonempty, write_snapshot)
 from .dataio import (FormatError, load_dataset, save_dataset,
                      write_bench_csv, write_bound_json, write_cross_csv,
                      write_metrics_csv, write_sweep_csv)
@@ -125,13 +125,16 @@ def _cmd_sample(args, cfg, sched, den):
 
 def _cmd_bench(args, cfg, sched, den):
     eval_count = at_least(cfg, "bench.eval_count", 1)
+    ref_nfe = at_least(cfg, "bench.rmsd_ref_nfe", 1)
+    nfes = at_least(cfg, "bench.nfes", 1)
+    methods = nonempty(cfg, "bench.methods")
+    spec, tc = build_solver_spec(cfg), build_train_config(cfg)
     ds = _load_ds(args, sched)
     teacher = build_teacher(cfg, den, sched)
-    assets = bench_eval_assets(den, sched, teacher, eval_count,
-                               int(cfg["bench.rmsd_ref_nfe"]), cfg["seed"])
-    spec, tc = build_solver_spec(cfg), build_train_config(cfg)
+    assets = bench_eval_assets(den, sched, teacher, eval_count, ref_nfe,
+                               cfg["seed"])
     cells = [(ds, den, sched, spec, tc, method, int(nfe), assets, cfg["seed"])
-             for nfe in cfg["bench.nfes"] for method in cfg["bench.methods"]]
+             for nfe in nfes for method in methods]
     workers = min(args.jobs, len(cells))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -147,10 +150,7 @@ def _cmd_bench(args, cfg, sched, den):
 
 
 def _cmd_sweep_r(args, cfg, sched, den):
-    r_values = [float(r) for r in cfg["sweep.r_values"]]
-    if any(r < 0.0 for r in r_values):
-        raise ConfigError(f"sweep.r_values must all be >= 0, got "
-                          f"{cfg['sweep.r_values']}")
+    r_values = [float(r) for r in at_least(cfg, "sweep.r_values", 0.0)]
     ds = _load_ds(args, sched)
     spec = build_solver_spec(cfg)
     tc = build_train_config(cfg)
@@ -188,13 +188,12 @@ def _cmd_bound(args, cfg, sched, den):
 
 
 def _cmd_cross_eval(args, cfg, sched, den):
-    if not cfg["cross.families"]:
-        raise ConfigError("cross.families must name at least one family")
+    families = nonempty(cfg, "cross.families")
     ds = _load_ds(args, sched)
     tc = build_train_config(cfg)
     nfe = int(cfg["solver.nfe"])
     specs = []
-    for family in cfg["cross.families"]:
+    for family in families:
         if family == cfg["solver.family"]:
             order = int(cfg["solver.order"])
         else:

@@ -181,24 +181,34 @@ def build_denoiser(cfg, sched):
 
 
 def build_solver_spec(cfg, nfe=None):
+    nfe = at_least(cfg, "solver.nfe", 1) if nfe is None else nfe
     try:
         return SolverSpec(family=cfg["solver.family"],
-                          order=cfg["solver.order"],
-                          nfe=int(nfe if nfe is not None else cfg["solver.nfe"]))
+                          order=cfg["solver.order"], nfe=int(nfe))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def build_teacher(cfg, den, sched):
     return Teacher.create(den, sched, family=cfg["teacher.family"],
-                          order=cfg["teacher.order"], nfe=cfg["teacher.nfe"],
+                          order=cfg["teacher.order"],
+                          nfe=at_least(cfg, "teacher.nfe", 1),
                           grid=cfg["teacher.grid"])
 
 
 def at_least(cfg, key, lo):
-    """cfg[key], or a ConfigError naming the key when it is below lo."""
-    if cfg[key] < lo:
-        raise ConfigError(f"{key} must be >= {lo}, got {cfg[key]}")
+    """cfg[key], or a ConfigError naming the key when it is below lo; a
+    list must be non-empty and hold no entry below lo."""
+    value = cfg[key]
+    if min(nonempty(cfg, key) if isinstance(value, tuple) else (value,)) < lo:
+        raise ConfigError(f"{key} must be >= {lo}, got {value}")
+    return value
+
+
+def nonempty(cfg, key):
+    """The list cfg[key], or a ConfigError naming the key when it is empty."""
+    if not cfg[key]:
+        raise ConfigError(f"{key} must not be empty")
     return cfg[key]
 
 

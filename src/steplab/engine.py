@@ -330,10 +330,35 @@ def index(x, i):
 
     def vjp(adj):
         g = np.zeros_like(xd)
-        g[i] = adj
+        parts = i if type(i) is tuple else (i,)
+        if any(isinstance(k, (np.ndarray, list)) for k in parts):
+            np.add.at(g, i, adj)  # an array index may repeat: adjoints add
+        else:
+            g[i] = adj
         return (g,)
 
     return record(xd[i], (x,), vjp, "index")
+
+
+def lincomb(row, arrays):
+    """sum_j row[j] * arrays[j] for a (k,) row and k arrays of one shape,
+    accumulated left to right."""
+    rd = data_of(row)
+    parts = [data_of(a) for a in arrays]
+    if np.shape(rd) != (len(parts),):
+        raise EngineError(f"lincomb: row shape {np.shape(rd)} for "
+                          f"{len(parts)} arrays")
+    out = rd[0] * parts[0]
+    for c, p in zip(rd[1:], parts[1:]):
+        out = out + c * p
+    live_row = type(row) is Value
+    live = [type(a) is Value for a in arrays]
+
+    def vjp(adj):
+        g_row = np.array([np.vdot(adj, p) for p in parts]) if live_row else None
+        return [g_row] + [c * adj if lv else None for c, lv in zip(rd, live)]
+
+    return record(out, (row, *arrays), vjp, "lincomb")
 
 
 def rcumsum(x):

@@ -2,30 +2,34 @@
 
 All solvers march a decreasing time grid t_0 > t_1 > ... > t_N and call the
 denoiser exactly once per step, at the (possibly separately learned) query
-times t^c_i.  With lambda_i = lambda(t_i) and h_i = lambda_{i+1} - lambda_i
-(> 0 along sampling), x_hat_i = (x_i - sigma_i eps_i) / alpha_i:
+times t^c_i.  Given the grid, every update is linear in the state and the
+denoiser output, so `coeffs` builds the grid's (N, k) coefficient table with
+vector ops once, and step i combines its arrays with row i in one
+`lincomb`.  With a, s = alpha, sigma, lambda_i = lambda(t_i) and
+h_i = lambda_{i+1} - lambda_i (> 0 along sampling), the rows are
 
-    EULER   x_{i+1} = x_i + (t_{i+1} - t_i) [ f(t_i) x_i
-                          + g^2(t_i) / (2 sigma_i) eps_i ]
-    DPMPP   order 1:  x_{i+1} = (sigma_{i+1}/sigma_i) x_i
-                          - alpha_{i+1} (e^{-h_i} - 1) x_hat_i
-            order 2:  same update with D_i = (1 + 1/(2 rho_i)) x_hat_i
-                          - 1/(2 rho_i) x_hat_{i-1},  rho_i = h_{i-1}/h_i
-                      (first step falls back to order 1)
-    IPNDM   x_{i+1} = (alpha_{i+1}/alpha_i) x_i
-                          - sigma_{i+1} (e^{h_i} - 1) eps_bar_i
-            with eps_bar_i an Adams-Bashforth combination of the last
-            epsilons; warm-up uses the lower-order coefficient rows.
+    EULER   x_{i+1} = [1 + dt_i f(t_i), dt_i g^2(t_i) / (2 s_i)]
+                          . (x_i, eps_i),          dt_i = t_{i+1} - t_i
+    DPMPP   x_hat_i = [1 / a_i, -s_i / a_i] . (x_i, eps_i), then
+            x_{i+1} = [s_{i+1} / s_i, -E_i (1 + c_i), E_i c_i]
+                          . (x_i, x_hat_i, x_hat_{i-1})
+            with E_i = a_{i+1} (e^{-h_i} - 1); order 2 has
+            c_i = 1 / (2 rho_i), rho_i = h_{i-1} / h_i, and c_0 = 0 (the
+            first step is order 1); order 1 drops the last entry
+    IPNDM   x_{i+1} = [a_{i+1} / a_i, -s_{i+1} (e^{h_i} - 1) b_i]
+                          . (x_i, eps_i, eps_{i-1}, ...)
+            with b_i the Adams-Bashforth row of order min(i + 1, order),
+            zero-padded during warm-up
 
-Steps are pure functions of (state, shared) where shared = (times, times_c),
+Steps are pure functions of (state, shared) where shared = (times_c, table),
 so they run identically on plain numpy arrays and on taped engine Values;
 the training loop exploits this for checkpointed backpropagation.  The
 inter-step state has a fixed width per solver spec (history slots are
 zero-padded before they fill), which keeps the number of arrays cached per
 step constant regardless of grid length.
 
-`march` is the one loop that applies the steps outside the engine's chain
-gradients, set up by `solver_map` alone: `solve`, the bound's transport maps
+The closure `solver_map` returns is the one loop that applies the steps
+outside the engine's chain gradients: `solve`, the bound's transport maps
 and, through `solve`, teacher targets and student losses all run it.
 
 A state is one sample of shape (d,) or a batch of shape (B, d) marched on
@@ -45,13 +49,12 @@ EULER = "euler"
 DPMPP = "dpmpp"
 IPNDM = "ipndm"
 
-# Adams-Bashforth rows, newest epsilon first
-_AB = {
-    1: (1.0,),
-    2: (3.0 / 2.0, -1.0 / 2.0),
-    3: (23.0 / 12.0, -16.0 / 12.0, 5.0 / 12.0),
-    4: (55.0 / 24.0, -59.0 / 24.0, 37.0 / 24.0, -9.0 / 24.0),
-}
+# Adams-Bashforth rows, newest epsilon first: row k - 1 is order k, padded
+_AB = np.array([[1.0, 0.0, 0.0, 0.0],
+                [3.0 / 2.0, -1.0 / 2.0, 0.0, 0.0],
+                [23.0 / 12.0, -16.0 / 12.0, 5.0 / 12.0, 0.0],
+                [55.0 / 24.0, -59.0 / 24.0, 37.0 / 24.0, -9.0 / 24.0]])
+_ORDERS = {EULER: (1,), DPMPP: (1, 2), IPNDM: (1, 2, 3, 4)}
 
 
 class GridError(ValueError):
@@ -73,26 +76,17 @@ class SolverSpec:
     nfe: int
 
     def __post_init__(self):
-        if self.family == EULER:
-            ok = self.order == 1
-        elif self.family == DPMPP:
-            ok = self.order in (1, 2)
-        elif self.family == IPNDM:
-            ok = 1 <= self.order <= 4
-        else:
+        if self.family not in _ORDERS:
             raise GridError(f"unknown solver family {self.family!r}")
-        if not ok:
+        if self.order not in _ORDERS[self.family]:
             raise GridError(f"order {self.order} invalid for {self.family}")
         if self.nfe < 1:
             raise GridError("nfe must be >= 1")
 
     @property
     def history_width(self):
-        if self.family == DPMPP and self.order == 2:
-            return 1
-        if self.family == IPNDM:
-            return self.order - 1
-        return 0
+        """x_hat_{i-1} for DPMPP order 2; the order - 1 last IPNDM eps."""
+        return 0 if self.family == EULER else self.order - 1
 
 
 def initial_state(spec, x_T):
@@ -102,123 +96,87 @@ def initial_state(spec, x_T):
     return (x_T,) + pads
 
 
-def make_steps(den, sched, spec, n_steps):
-    """Pure step closures for i = 0 .. n_steps-1."""
+def coeffs(sched, spec, times):
+    """The (N, k) coefficient table of the grid `times`, one row per step
+    as in the module docstring; engine-generic, so a learned grid tapes it
+    once per chain prelude."""
+    steps = np.arange(spec.nfe)
+    t0 = en.index(times, slice(None, -1))
+    t1 = en.index(times, slice(1, None))
     if spec.family == EULER:
-        return [_euler_step(den, sched, i) for i in range(n_steps)]
-    if spec.family == DPMPP:
-        return [_dpmpp_step(den, sched, i, spec.order) for i in range(n_steps)]
-    return [_ipndm_step(den, sched, i, spec.order) for i in range(n_steps)]
+        dt = en.sub(t1, t0)
+        return en.stack([en.add(1.0, en.mul(dt, sched.drift(t0))),
+                         en.div(en.mul(dt, sched.diffusion_sq(t0)),
+                                en.mul(2.0, sched.sigma(t0)))])
+    a0, s0 = sched.alpha_sigma(t0)
+    a1, s1 = sched.alpha_sigma(t1)
+    lam = sched.lam(times)
+    h = en.sub(en.index(lam, slice(1, None)), en.index(lam, slice(None, -1)))
+    if spec.family == IPNDM:
+        base = en.neg(en.mul(s1, en.expm1(h)))
+        ab = _AB[np.minimum(steps, spec.order - 1)]
+        return en.stack([en.div(a1, a0)]
+                        + [en.mul(base, ab[:, j]) for j in range(spec.order)])
+    em = en.mul(a1, en.expm1(en.neg(h)))  # negative along sampling
+    cols = [en.div(1.0, a0), en.neg(en.div(s0, a0)), en.div(s1, s0)]
+    if spec.order == 1:
+        return en.stack(cols + [en.neg(em)])
+    # c_i = h_i / (2 h_{i-1}); c_0 = 0 divides by a repeated h_0
+    c = en.div(en.mul(h, 0.5 * (steps > 0)),
+               en.index(h, np.maximum(steps - 1, 0)))
+    return en.stack(cols + [en.neg(en.mul(em, en.add(1.0, c))),
+                            en.mul(em, c)])
 
 
-def _euler_step(den, sched, i):
+def make_steps(den, spec):
+    """Pure step closures for i = 0 .. nfe-1, all of the one generic step."""
+    return [_step(den, spec, i) for i in range(spec.nfe)]
+
+
+def _step(den, spec, i):
+    width = 1 + spec.history_width
+    pre = 2 if spec.family == DPMPP else 0
+    head, tail = (i, slice(0, pre)), (i, slice(pre, None))
+
     def step(state, shared):
-        times, times_c = shared
-        (x,) = state
-        t0 = en.index(times, i)
-        t1 = en.index(times, i + 1)
-        tc = en.index(times_c, i)
-        eps = den.epsilon(x, tc)
-        s0 = sched.sigma(t0)
-        coef = en.div(sched.diffusion_sq(t0), en.mul(2.0, s0))
-        rhs = en.add(en.mul(sched.drift(t0), x), en.mul(coef, eps))
-        xn = en.add(x, en.mul(en.sub(t1, t0), rhs))
-        return (xn,)
-
-    return step
-
-
-def _dpmpp_step(den, sched, i, order):
-    def step(state, shared):
-        times, times_c = shared
+        times_c, table = shared
         x = state[0]
-        t0 = en.index(times, i)
-        t1 = en.index(times, i + 1)
-        tc = en.index(times_c, i)
-        a0, s0 = sched.alpha_sigma(t0)
-        a1, s1 = sched.alpha_sigma(t1)
-        eps = den.epsilon(x, tc)
-        xhat = en.div(en.sub(x, en.mul(s0, eps)), a0)
-        h = en.sub(sched.lam(t1), sched.lam(t0))
-        em1 = en.expm1(en.neg(h))  # e^{-h} - 1, negative along sampling
-        if order == 2 and i > 0:
-            xhat_prev = state[1]
-            h_prev = en.sub(sched.lam(t0), sched.lam(en.index(times, i - 1)))
-            # 1 / (2 rho_i) with rho_i = h_{i-1} / h_i
-            c = en.div(h, en.mul(2.0, h_prev))
-            d_i = en.sub(en.mul(en.add(1.0, c), xhat), en.mul(c, xhat_prev))
-        else:
-            d_i = xhat
-        xn = en.sub(en.mul(en.div(s1, s0), x), en.mul(en.mul(a1, em1), d_i))
-        if order == 2:
-            return (xn, xhat)
-        return (xn,)
+        out = den.epsilon(x, en.index(times_c, i))
+        if pre:  # DPM-Solver++ combines data predictions
+            out = en.lincomb(en.index(table, head), (x, out))
+        xn = en.lincomb(en.index(table, tail), (x, out) + state[1:])
+        return ((xn, out) + state[1:])[:width]
 
     return step
-
-
-def _ipndm_step(den, sched, i, order):
-    def step(state, shared):
-        times, times_c = shared
-        x = state[0]
-        hist = state[1:]
-        t0 = en.index(times, i)
-        t1 = en.index(times, i + 1)
-        tc = en.index(times_c, i)
-        a0, s0 = sched.alpha_sigma(t0)
-        a1, s1 = sched.alpha_sigma(t1)
-        eps = den.epsilon(x, tc)
-        k = min(i + 1, order)
-        coeffs = _AB[k]
-        acc = en.mul(coeffs[0], eps)
-        for j in range(1, k):
-            acc = en.add(acc, en.mul(coeffs[j], hist[j - 1]))
-        h = en.sub(sched.lam(t1), sched.lam(t0))
-        xn = en.sub(en.mul(en.div(a1, a0), x),
-                    en.mul(en.mul(s1, en.expm1(h)), acc))
-        new_hist = (eps,) + hist[:-1] if hist else ()
-        return (xn,) + new_hist
-
-    return step
-
-
-def validate_grid(sched, times, times_c=None, nfe=None):
-    """Checked float64 (times, times_c); times_c defaults to times."""
-    times = np.asarray(times, dtype=np.float64)
-    if times.ndim != 1 or times.shape[0] < 2:
-        raise GridError("time grid needs at least two points")
-    if nfe is not None and times.shape[0] != nfe + 1:
-        raise GridError(f"grid has {times.shape[0] - 1} steps, expected {nfe}")
-    if not np.all(np.diff(times) < 0.0):
-        raise GridError("time grid must be strictly decreasing")
-    sched.check_domain(times)
-    if times_c is None:
-        return times, times
-    times_c = np.asarray(times_c, dtype=np.float64)
-    if times_c.shape != times.shape:
-        raise GridError("times_c must match the grid shape")
-    sched.check_domain(times_c)
-    return times, times_c
-
-
-def march(steps, shared, state):
-    """Apply the step closures in order; returns the final state tuple.
-
-    Raises DivergenceError(i) as soon as step i leaves a non-finite sample
-    (in any row of a batch).
-    """
-    for i, step in enumerate(steps):
-        state = step(state, shared)
-        if not np.isfinite(en.data_of(state[0])).all():
-            raise DivergenceError(i)
-    return state
 
 
 def solver_map(den, sched, spec, times, times_c=None):
-    """Closure x_T -> x_N on the checked grid, taped or raw, (d,) or (B, d)."""
-    shared = validate_grid(sched, times, times_c, nfe=spec.nfe)
-    steps = make_steps(den, sched, spec, spec.nfe)
-    return lambda x: march(steps, shared, initial_state(spec, x))[0]
+    """Closure x_T -> x_N on the checked grid, taped or raw, (d,) or (B, d);
+    times_c defaults to times."""
+    times = np.asarray(times, dtype=np.float64)
+    if times.ndim != 1 or times.shape[0] < 2:
+        raise GridError("time grid needs at least two points")
+    if times.size != spec.nfe + 1:
+        raise GridError(f"grid has {times.size - 1} steps, expected {spec.nfe}")
+    if not np.all(np.diff(times) < 0.0):
+        raise GridError("time grid must be strictly decreasing")
+    sched.check_domain(times)
+    times_c = times if times_c is None else np.asarray(times_c, np.float64)
+    if times_c.shape != times.shape:
+        raise GridError("times_c must match the grid shape")
+    sched.check_domain(times_c)
+    shared = (times_c, coeffs(sched, spec, times))
+    steps = make_steps(den, spec)
+
+    def march(x):
+        state = initial_state(spec, x)
+        for i, step in enumerate(steps):
+            state = step(state, shared)
+            if not np.isfinite(en.data_of(state[0])).all():
+                raise DivergenceError(i)
+        return state[0]
+
+    return march
 
 
 def solve(den, sched, spec, times, times_c=None, x_T=None):

@@ -30,7 +30,7 @@ import numpy as np
 from . import engine as en
 from . import rng as rngmod
 from .discretize import Discretization, HEURISTICS, heuristic_times, tau
-from .solvers import SolverSpec, initial_state, make_steps, solve
+from .solvers import SolverSpec, coeffs, initial_state, make_steps, solve
 
 
 class TrainingError(RuntimeError):
@@ -143,14 +143,15 @@ def _chain_parts(den, sched, spec, disc, y):
     disc's constants otherwise (the frozen grid of the validation refresh).
     """
     T, t_min = sched.T, sched.t_min
-    steps = make_steps(den, sched, spec, spec.nfe)
+    steps = make_steps(den, spec)
 
     def prelude(env):
         xi = env.get("xi", disc.xi)
         xi_c = env.get("xi_c", disc.xi_c)
         times = tau(xi, T, t_min)
         times_c = en.clamp(en.add(times, xi_c), t_min, T)
-        return (times, times_c), initial_state(spec, env["x_prime"])
+        return ((times_c, coeffs(sched, spec, times)),
+                initial_state(spec, env["x_prime"]))
 
     def finale(state, shared):
         return distance(state[0], y)

@@ -387,13 +387,18 @@ def overridden(text, extra):
     ("train", "train.lr_xi = nan\n", "train.lr_xi"),
     ("sweep-r", "sweep.r_values = 0.1,nan\n", "sweep.r_values"),
     ("bound", "bound.r = nan\n", "bound.r"),
+    ("train", "solver.nfe = 0\n", "solver.nfe"),
+    ("gen-data", "teacher.nfe = 0\n", "teacher.nfe"),
+    ("bench", "bench.nfes = 3,0\n", "bench.nfes"),
+    ("bench", "bench.rmsd_ref_nfe = 0\n", "bench.rmsd_ref_nfe"),
 ], ids=["schedule.t_min", "train.batch", "data.d", "sample.count",
         "bound.samples", "train.epochs", "train.val_refresh_steps",
         "cross.families", "sweep.r_values", "bound.r", "bench.eval_count",
         "data.vars-negative", "data.vars-count", "data.weights-nan",
         "data.d-point-past-means", "data.d-zero", "data.means-nan",
         "train.gamma-nan", "train.lr_xi-nan", "sweep.r_values-nan",
-        "bound.r-nan"])
+        "bound.r-nan", "solver.nfe", "teacher.nfe", "bench.nfes",
+        "bench.rmsd_ref_nfe"])
 def test_bad_config_values_exit_2_naming_the_key(ws, tmp_path, capsys,
                                                  command, extra, key):
     cfg2 = tmp_path / "bad.cfg"
@@ -402,6 +407,28 @@ def test_bad_config_values_exit_2_naming_the_key(ws, tmp_path, capsys,
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
+
+
+@pytest.mark.parametrize("command,key,csv", [
+    ("bench", "bench.methods", "bench.csv"),
+    ("bench", "bench.nfes", "bench.csv"),
+    ("sweep-r", "sweep.r_values", "sweep.csv"),
+], ids=["bench.methods", "bench.nfes", "sweep.r_values"])
+def test_empty_list_exits_2_writing_no_csv(ws, tmp_path, capsys, monkeypatch,
+                                           command, key, csv):
+    def unpaid(*args):
+        raise AssertionError("bench assets computed for an empty list")
+
+    monkeypatch.setattr(cli, "build_teacher", unpaid)
+    monkeypatch.setattr(cli, "bench_eval_assets", unpaid)
+    cfg2 = tmp_path / "empty.cfg"
+    cfg2.write_text(overridden(SMALL_CFG, f"{key} =\n"))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg2), "--data", data_of(ws),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not (out / csv).exists()
 
 
 @pytest.mark.parametrize("argv,extra", [

@@ -163,6 +163,45 @@ def test_stack_mixed_parents():
     check_op(g, rows)
 
 
+def test_index_repeated_array_index_adds_adjoints():
+    # entry 0 is read three times, so its gradient sums three weights
+    w = np.array([0.5, -1.0, 2.0, 0.3])
+    check_op(lambda v: en.dot(w, en.index(v, np.array([0, 0, 2, 0]))), X)
+    np.testing.assert_array_equal(
+        taped_grad(lambda v: en.vsum(en.index(v, [1, 1])), X), [0.0, 2.0, 0.0])
+    rows = np.array([[0.3, -0.8], [1.7, 0.2]])
+    check_op(lambda m: en.vsum(en.mul(
+        np.array([[0.7, -1.3], [0.4, 0.9], [-0.2, 0.6]]),
+        en.index(m, (np.array([1, 1, 0]), slice(None))))), rows)
+
+
+LC_ROW = np.array([0.7, -1.2, 0.4])
+LC_ARRAYS = (np.array([[0.4, -1.2], [2.5, 0.3]]),
+             np.array([[1.3, 0.7], [-0.6, 0.2]]),
+             np.array([[-0.9, 0.1], [0.8, -1.5]]))
+LC_W = np.array([[0.7, -1.3], [0.2, 0.5]])
+
+
+@pytest.mark.parametrize("slot", range(4), ids=["row", "a0", "a1", "a2"])
+def test_lincomb_matches_fd_in_every_slot(slot):
+    args = [LC_ROW, *LC_ARRAYS]
+
+    def f(v):
+        live = args[:slot] + [v] + args[slot + 1:]
+        return en.vsum(en.mul(LC_W, en.lincomb(live[0], tuple(live[1:]))))
+
+    check_op(f, args[slot])
+
+
+def test_lincomb_sums_left_to_right_and_checks_its_row():
+    a, b, c = LC_ARRAYS
+    r = LC_ROW
+    np.testing.assert_array_equal(en.lincomb(r, LC_ARRAYS),
+                                  r[0] * a + r[1] * b + r[2] * c)
+    with pytest.raises(en.EngineError, match="lincomb"):
+        en.lincomb(r, LC_ARRAYS[:2])
+
+
 def test_affine_matches_fd():
     w = np.array([[0.3, -0.7], [1.1, 0.2], [0.5, 0.9]])
     v = np.array([0.4, -1.0])
@@ -216,6 +255,8 @@ PRIMITIVES = [
     ("logsumexp", en.logsumexp, (X,)), ("softmax", en.softmax, (X,)),
     ("stack", lambda *xs: en.stack(xs), (0.5, X, W)),
     ("index", lambda x: en.index(x, 1), (X,)),
+    ("lincomb", lambda r, a, b: en.lincomb(r, (a, b)),
+     (np.array([0.5, -2.0]), X, W)),
     ("rcumsum", en.rcumsum, (X,)),
     ("affine", en.affine, (X, M, np.array([0.1, -0.2]))),
     ("record", lambda *xs: en.record(1.0, xs, None, "op"), (X, W)),

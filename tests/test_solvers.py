@@ -1,5 +1,6 @@
 """Solvers: point-mass closed forms, denoiser call accounting, the VE
-first-order equivalences, warm-up behavior, and error paths."""
+first-order equivalences, warm-up behavior, the coefficient-table solver
+against the per-step formulas, and error paths."""
 
 import numpy as np
 import pytest
@@ -160,6 +161,70 @@ def test_ipndm_warmup_uses_lower_orders():
     o2 = solve(GM, VE, SolverSpec(family="ipndm", order=2, nfe=2), times,
                x_T=x_T)
     np.testing.assert_array_equal(o4, o2)
+
+
+# ----------------------------------------------- coefficient-table solver
+
+# Adams-Bashforth rows, newest epsilon first
+AB_ROWS = {1: (1.0,), 2: (1.5, -0.5), 3: (23 / 12, -16 / 12, 5 / 12),
+           4: (55 / 24, -59 / 24, 37 / 24, -9 / 24)}
+
+
+def reference_march(den, sched, spec, times, times_c, x):
+    """Plain-numpy marcher re-deriving each step's coefficients from the
+    scalar times, one formula per family as in the module docstring."""
+    x = np.asarray(x, dtype=np.float64)
+    xhat_prev, h_prev, eps_hist = None, None, []
+    for i in range(spec.nfe):
+        t0, t1 = times[i], times[i + 1]
+        eps = den.epsilon(x, times_c[i])
+        if spec.family == "euler":
+            coef = sched.diffusion_sq(t0) / (2.0 * sched.sigma(t0))
+            x = x + (t1 - t0) * (sched.drift(t0) * x + coef * eps)
+            continue
+        a0, s0 = sched.alpha_sigma(t0)
+        a1, s1 = sched.alpha_sigma(t1)
+        h = sched.lam(t1) - sched.lam(t0)
+        if spec.family == "dpmpp":
+            xhat = (x - s0 * eps) / a0
+            d_i = xhat
+            if spec.order == 2 and i > 0:
+                c = h / (2.0 * h_prev)
+                d_i = (1.0 + c) * xhat - c * xhat_prev
+            x = (s1 / s0) * x - a1 * np.expm1(-h) * d_i
+            xhat_prev, h_prev = xhat, h
+        else:
+            eps_hist = [eps] + eps_hist[:spec.order - 1]
+            row = AB_ROWS[len(eps_hist)]
+            acc = sum(c * e for c, e in zip(row, eps_hist))
+            x = (a1 / a0) * x - s1 * np.expm1(h) * acc
+    return x
+
+
+VP_GM = GMDenoiser.create(VP, np.array([0.5, 0.3, 0.2]),
+                          np.array([[1.0, 0.5], [-0.7, 0.9], [0.2, -1.1]]),
+                          np.array([0.25, 0.16, 0.36]))
+TABLE_SPECS = [("euler", 1), ("dpmpp", 1), ("dpmpp", 2), ("ipndm", 1),
+               ("ipndm", 2), ("ipndm", 3), ("ipndm", 4)]
+
+
+@pytest.mark.parametrize("sched,den", [(VE, GM), (VP, VP_GM)],
+                         ids=["ve", "vp"])
+@pytest.mark.parametrize("family,order", TABLE_SPECS,
+                         ids=[f"{f}{o}" for f, o in TABLE_SPECS])
+@pytest.mark.parametrize("nfe", [1, 2, 5, 16])
+def test_table_solver_matches_per_step_formulas(sched, den, family, order,
+                                                nfe):
+    spec = SolverSpec(family=family, order=order, nfe=nfe)
+    times = heuristic_times("logsnr", sched, nfe)
+    times_c = np.clip(times * 0.97, sched.t_min, sched.T)
+    xs = np.array([[1.3, -0.4], [-0.8, 2.1], [0.05, 0.6]]) * sched.sigma_T
+    batch = solve(den, sched, spec, times, times_c, xs)
+    for j, x in enumerate(xs):
+        want = reference_march(den, sched, spec, times, times_c, x)
+        one = solve(den, sched, spec, times, times_c, x)
+        np.testing.assert_allclose(one, want, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(batch[j], one)
 
 
 # ------------------------------------------------------------------- errors

@@ -8,7 +8,8 @@ from dataclasses import replace
 import steplab.engine as en
 from steplab.denoisers import GMDenoiser
 from steplab.discretize import Discretization, heuristic_times
-from steplab.schedule import ve_edm
+from steplab import config
+from steplab.schedule import ve_edm, vp_linear
 from steplab.solvers import SolverSpec, solve
 from steplab.training import (Dataset, RmsPropMomentum, Teacher, TrainConfig,
                               TrainingError, ball_radius, clip_to_norm,
@@ -157,6 +158,56 @@ def test_checkpointed_equals_whole_tape_on_real_chain():
     for k in ("xi", "xi_c", "x_prime"):
         np.testing.assert_allclose(ck.grads[k], whole.grads[k],
                                    rtol=1e-12, atol=1e-12)
+
+
+VP = vp_linear()
+VP_GM = GMDenoiser.create(VP, np.array([0.6, 0.4]),
+                          np.array([[1.0, -0.5], [-1.0, 0.5]]),
+                          np.array([0.2, 0.3]))
+
+
+@pytest.mark.parametrize("family,order", [("euler", 1), ("dpmpp", 1),
+                                          ("dpmpp", 2), ("ipndm", 3)])
+def test_pair_grads_match_finite_differences_under_vp(family, order):
+    # under VP every column of the coefficient table depends on the grid
+    nfe = 4
+    spec = SolverSpec(family=family, order=order, nfe=nfe)
+    base = Discretization.from_times(VP, heuristic_times("logsnr", VP, nfe))
+    disc = Discretization.create(
+        VP, nfe, xi=base.xi + np.array([0.1, -0.2, 0.0, 0.3, 0.1]),
+        xi_c=np.array([-0.02, 0.01, -0.01, 0.0, 0.0]))
+    xp, y = np.array([0.9, -0.3]), np.array([0.8, -0.6])
+    res = pair_grads(disc, VP_GM, VP, spec, xp, y)
+
+    def loss_of_xi(xi):
+        d2 = Discretization.create(VP, nfe, xi=xi, xi_c=disc.xi_c)
+        return soft_loss(d2, VP_GM, VP, spec, xp, y)
+
+    def loss_of_xic(xic):
+        d2 = Discretization.create(VP, nfe, xi=disc.xi, xi_c=xic)
+        return soft_loss(d2, VP_GM, VP, spec, xp, y)
+
+    assert rel_err(res.grads["xi"], fd_grad(loss_of_xi, disc.xi)) <= 1e-4
+    assert rel_err(res.grads["xi_c"], fd_grad(loss_of_xic, disc.xi_c)) <= 1e-4
+
+
+# taped ops of a whole-tape dpmpp2 pair_grads on the default config, as of
+# the coefficient-table solver; a step that re-derives its coefficients from
+# scalar times again shows up here
+WHOLE_TAPE_OPS = {4: 65, 8: 89, 16: 137}
+
+
+@pytest.mark.parametrize("nfe", sorted(WHOLE_TAPE_OPS))
+def test_whole_tape_size_is_pinned(nfe):
+    cfg = dict(config.DEFAULTS)
+    sched = config.build_schedule(cfg)
+    den = config.build_denoiser(cfg, sched)
+    spec = SolverSpec(family="dpmpp", order=2, nfe=nfe)
+    disc = Discretization.from_times(sched,
+                                     heuristic_times("logsnr", sched, nfe))
+    x = np.array([30.0, -45.0])
+    res = pair_grads(disc, den, sched, spec, x, 0.01 * x, checkpointed=False)
+    assert res.retained_arrays <= WHOLE_TAPE_OPS[nfe]
 
 
 def test_grid_constant_mode_freezes_grid():
