@@ -191,7 +191,7 @@ def _cmd_cross_eval(args, cfg, sched, den):
     families = nonempty(cfg, "cross.families")
     ds = _load_ds(args, sched)
     tc = build_train_config(cfg)
-    nfe = int(cfg["solver.nfe"])
+    nfe = at_least(cfg, "solver.nfe", 1)
     specs = []
     for family in families:
         if family == cfg["solver.family"]:

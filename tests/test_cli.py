@@ -388,6 +388,7 @@ def overridden(text, extra):
     ("sweep-r", "sweep.r_values = 0.1,nan\n", "sweep.r_values"),
     ("bound", "bound.r = nan\n", "bound.r"),
     ("train", "solver.nfe = 0\n", "solver.nfe"),
+    ("cross-eval", "solver.nfe = 0\n", "solver.nfe"),
     ("gen-data", "teacher.nfe = 0\n", "teacher.nfe"),
     ("bench", "bench.nfes = 3,0\n", "bench.nfes"),
     ("bench", "bench.rmsd_ref_nfe = 0\n", "bench.rmsd_ref_nfe"),
@@ -397,8 +398,8 @@ def overridden(text, extra):
         "data.vars-negative", "data.vars-count", "data.weights-nan",
         "data.d-point-past-means", "data.d-zero", "data.means-nan",
         "train.gamma-nan", "train.lr_xi-nan", "sweep.r_values-nan",
-        "bound.r-nan", "solver.nfe", "teacher.nfe", "bench.nfes",
-        "bench.rmsd_ref_nfe"])
+        "bound.r-nan", "solver.nfe", "cross-eval-solver.nfe", "teacher.nfe",
+        "bench.nfes", "bench.rmsd_ref_nfe"])
 def test_bad_config_values_exit_2_naming_the_key(ws, tmp_path, capsys,
                                                  command, extra, key):
     cfg2 = tmp_path / "bad.cfg"
