@@ -20,14 +20,15 @@ import numpy as np
 from . import rng as rngmod
 from .config import (ConfigError, at_least, build_denoiser, build_schedule,
                      build_solver_spec, build_teacher, build_train_config,
-                     load_config, nonempty, write_snapshot)
+                     load_config, one_of, write_snapshot)
 from .dataio import (FormatError, load_dataset, save_dataset,
                      write_bench_csv, write_bound_json, write_cross_csv,
                      write_metrics_csv, write_sweep_csv)
-from .discretize import heuristic_times, load_checkpoint, save_checkpoint
-from .evaluate import (JacobianError, bench_cell, bench_eval_assets,
-                       cross_eval, estimate_bound, solve_batch, solver_map,
-                       sweep_r)
+from .discretize import (HEURISTICS, heuristic_times, load_checkpoint,
+                         save_checkpoint)
+from .evaluate import (BENCH_METHODS, JacobianError, bench_cell,
+                       bench_eval_assets, cross_eval, estimate_bound,
+                       solve_batch, solver_map, sweep_r)
 from .solvers import DivergenceError, GridError, SolverSpec
 from .training import TrainingError, generate_dataset, train
 
@@ -127,7 +128,7 @@ def _cmd_bench(args, cfg, sched, den):
     eval_count = at_least(cfg, "bench.eval_count", 1)
     ref_nfe = at_least(cfg, "bench.rmsd_ref_nfe", 1)
     nfes = at_least(cfg, "bench.nfes", 1)
-    methods = nonempty(cfg, "bench.methods")
+    methods = one_of(cfg, "bench.methods", BENCH_METHODS)
     spec, tc = build_solver_spec(cfg), build_train_config(cfg)
     ds = _load_ds(args, sched)
     teacher = build_teacher(cfg, den, sched)
@@ -165,9 +166,9 @@ def _cmd_sweep_r(args, cfg, sched, den):
 def _cmd_bound(args, cfg, sched, den):
     n_samples = at_least(cfg, "bound.samples", 1)
     r = float(at_least(cfg, "bound.r", 0.0))
+    grid = one_of(cfg, "bound.grid", HEURISTICS + ("checkpoint",))
     teacher = build_teacher(cfg, den, sched)
     spec = build_solver_spec(cfg)
-    grid = cfg["bound.grid"]
     if grid == "checkpoint":
         disc, spec = _load_checkpoint_grid(cfg, sched,
                                            "bound.grid = checkpoint")
@@ -188,20 +189,13 @@ def _cmd_bound(args, cfg, sched, den):
 
 
 def _cmd_cross_eval(args, cfg, sched, den):
-    families = nonempty(cfg, "cross.families")
+    families = one_of(cfg, "cross.families", _CROSS_DEFAULT_ORDER)
     ds = _load_ds(args, sched)
     tc = build_train_config(cfg)
     nfe = at_least(cfg, "solver.nfe", 1)
-    specs = []
-    for family in families:
-        if family == cfg["solver.family"]:
-            order = int(cfg["solver.order"])
-        else:
-            order = _CROSS_DEFAULT_ORDER.get(family)
-            if order is None:
-                raise ConfigError(f"unknown solver family '{family}' in "
-                                  f"cross.families")
-        specs.append(SolverSpec(family=family, order=order, nfe=nfe))
+    specs = [build_solver_spec(cfg) if family == cfg["solver.family"]
+             else SolverSpec(family, _CROSS_DEFAULT_ORDER[family], nfe)
+             for family in families]
     matrix = cross_eval(ds, den, sched, specs, tc)
     labels = [f"{s.family}{s.order}" for s in specs]
     out = _ensure_dir(args.out or "cross")

@@ -14,8 +14,9 @@ from dataclasses import fields
 import numpy as np
 
 from . import denoisers, schedule as schedmod
+from .discretize import HEURISTICS
 from .evaluate import BENCH_METHODS
-from .solvers import SolverSpec
+from .solvers import ORDERS, SolverSpec
 from .training import Teacher, TrainConfig
 
 
@@ -180,20 +181,23 @@ def build_denoiser(cfg, sched):
                                        cfg["data.vars"])
 
 
+def _spec(cfg, part, nfe):
+    """The SolverSpec of the `part.family` and `part.order` keys."""
+    family = one_of(cfg, f"{part}.family", ORDERS)
+    return SolverSpec(family=family,
+                      order=one_of(cfg, f"{part}.order", ORDERS[family]),
+                      nfe=int(nfe))
+
+
 def build_solver_spec(cfg, nfe=None):
-    nfe = at_least(cfg, "solver.nfe", 1) if nfe is None else nfe
-    try:
-        return SolverSpec(family=cfg["solver.family"],
-                          order=cfg["solver.order"], nfe=int(nfe))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _spec(cfg, "solver",
+                 at_least(cfg, "solver.nfe", 1) if nfe is None else nfe)
 
 
 def build_teacher(cfg, den, sched):
-    return Teacher.create(den, sched, family=cfg["teacher.family"],
-                          order=cfg["teacher.order"],
-                          nfe=at_least(cfg, "teacher.nfe", 1),
-                          grid=cfg["teacher.grid"])
+    spec = _spec(cfg, "teacher", at_least(cfg, "teacher.nfe", 1))
+    return Teacher.create(den, sched, spec.family, spec.order, spec.nfe,
+                          one_of(cfg, "teacher.grid", HEURISTICS))
 
 
 def at_least(cfg, key, lo):
@@ -202,6 +206,18 @@ def at_least(cfg, key, lo):
     value = cfg[key]
     if min(nonempty(cfg, key) if isinstance(value, tuple) else (value,)) < lo:
         raise ConfigError(f"{key} must be >= {lo}, got {value}")
+    return value
+
+
+def one_of(cfg, key, allowed):
+    """cfg[key], or a ConfigError naming the key when it is not in allowed;
+    a list must be non-empty and hold only allowed entries."""
+    value = cfg[key]
+    if any(v not in allowed for v in (nonempty(cfg, key)
+                                      if isinstance(value, tuple)
+                                      else (value,))):
+        raise ConfigError(f"{key} = {_fmt_value(value)} must be one of "
+                          f"{', '.join(map(str, allowed))}")
     return value
 
 

@@ -15,9 +15,11 @@ Every epsilon can be evaluated inside a differentiated solver graph
 (gradients flow to x and t).  The point mass and the MLP are written with
 engine ops, and the MLP is trained by denoising score matching with the same
 machinery; the mixture's epsilon is computed in plain numpy and taped as one
-op with a closed-form VJP.  x is one row of shape (d,) or a batch of rows
-(B, d) sharing the time t; each batched row of the analytic predictors
-equals its single-row result bit for bit.
+op with a closed-form VJP.  The two analytic predictors also push tangents
+forward: epsilon(x, t, tangents=V) returns (eps, J V) with J = d eps / dx,
+which the bound's log-det Jacobians march beside the state.  x is one row
+of shape (d,) or a batch of rows (B, d) sharing the time t; each batched
+row of the analytic predictors equals its single-row result bit for bit.
 """
 
 from __future__ import annotations
@@ -50,13 +52,18 @@ def _mixture_terms(x, a, s, weights, means, variances):
     return np.log(weights) + logn, diff, q, v
 
 
-def gm_epsilon(x, t, sched, weights, means, variances):
+def gm_epsilon(x, t, sched, weights, means, variances, tangents=None):
     """Exact epsilon for Gaussian-mixture data.
 
     The value is computed in plain numpy.  When x or t is taped, it is
     recorded as one op over (x, alpha_t, sigma_t) whose VJP is the closed
     form of eps = sigma sum_k (gamma_k / v_k) (x - alpha mu_k), gamma the
     softmax of the mixture's log terms.
+
+    Given tangents V, rows (..., n, d) at a cold x, it returns (eps, J V)
+    with J v = sigma [(sum_k gamma_k / v_k) v - sum_k gamma_k (w_k . v) w_k]
+    for each row v: u_k = (x - alpha mu_k) / v_k, m = sum_k gamma_k u_k and
+    w_k = u_k - m, so the sum is the covariance of u under gamma.
     """
     sched.check_domain(t)
     a, s = sched.alpha_sigma(t)
@@ -65,6 +72,14 @@ def gm_epsilon(x, t, sched, weights, means, variances):
     gamma = np.exp(terms - en.logsumexp(terms)[..., None])
     r = gamma / v
     acc = np.sum(r[..., None] * diff, axis=-2)
+    if tangents is not None:
+        w = diff / v[:, None] - acc[..., None, :]
+        g = gamma[..., None, :] * np.vecdot(tangents[..., None, :],
+                                            w[..., None, :, :])
+        wt = np.swapaxes(w, -1, -2)[..., None, :, :]
+        jv = (r.sum(axis=-1)[..., None, None] * tangents
+              - np.vecdot(g[..., None, :], wt))
+        return sd * acc, sd * jv
     live_a, live_s = type(a) is en.Value, type(s) is en.Value
 
     def vjp(adj):
@@ -96,11 +111,13 @@ def gm_log_density(x, t, sched, weights, means, variances):
     return en.logsumexp(_mixture_terms(x, a, s, weights, means, variances)[0])
 
 
-def point_epsilon(x, t, sched, x0):
-    """Exact epsilon when the data distribution is a point mass at x0."""
+def point_epsilon(x, t, sched, x0, tangents=None):
+    """Exact epsilon when the data distribution is a point mass at x0; with
+    tangents V also J V = V / sigma."""
     sched.check_domain(t)
     a, s = sched.alpha_sigma(t)
-    return en.div(en.sub(x, a * x0), s)
+    eps = en.div(en.sub(x, a * x0), s)
+    return eps if tangents is None else (eps, tangents / s)
 
 
 @dataclass(frozen=True)
@@ -130,9 +147,9 @@ class GMDenoiser:
     def d(self):
         return self.means.shape[1]
 
-    def epsilon(self, x, t):
+    def epsilon(self, x, t, tangents=None):
         return gm_epsilon(x, t, self.sched, self.weights, self.means,
-                          self.variances)
+                          self.variances, tangents)
 
     def sample_data(self, count, seed):
         """Exact samples from the mixture, one substream per index."""
@@ -161,8 +178,8 @@ class PointDenoiser:
     def d(self):
         return self.x0.shape[0]
 
-    def epsilon(self, x, t):
-        return point_epsilon(x, t, self.sched, self.x0)
+    def epsilon(self, x, t, tangents=None):
+        return point_epsilon(x, t, self.sched, self.x0, tangents)
 
     def sample_data(self, count, seed):
         return np.tile(self.x0, (count, 1))

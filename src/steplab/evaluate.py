@@ -6,7 +6,8 @@ for x'_T in a ball of radius r sigma_T around x_T ~ N(0, sigma_T^2 I), the
 KL gap decomposes into r^2/2 + r sqrt(d+1) plus the expected absolute gap
 between log |det J| of the two maps, estimated by Monte Carlo with the
 teacher Jacobian at ball centers and the student Jacobian at uniformly
-drawn ball points.
+drawn ball points.  Each Jacobian comes from one cold march of the map
+that carries the d tangents beside the state (no tape, no reverse sweeps).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import engine as en
 from . import rng as rngmod
 from .discretize import HEURISTICS, Discretization, heuristic_times
 from .solvers import SolverSpec, solve, solver_map  # solver_map: also evaluate API
@@ -30,7 +30,7 @@ class JacobianError(RuntimeError):
         self.row = row
 
 
-LOGDET_CHUNK = 25  # rows per log-det tape: memory stays flat in n_samples
+LOGDET_CHUNK = 25  # rows per tangent march: memory stays flat in n_samples
 
 
 def rmsd(a, b):
@@ -72,22 +72,16 @@ def log_abs_det_jacobian(map_fn, x):
     """log |det dmap/dx| of one row x (d,), a float, or of each row of a
     batch (B, d), a (B,) array.
 
-    One taped march, then one reverse pass per output coordinate j, seeded
-    with ones in column j of every row; rows do not interact, so it gives
-    row j of each Jacobian.  Small-dimension tool (d <= 4): the Jacobians
-    are factored by LU with partial pivoting.
+    map_fn is a `solver_map` closure: its Jacobian mode marches the d
+    tangents e_1 .. e_d beside the state through the same steps, so the
+    final slot's rows 1 .. d hold the transposed Jacobian.  Small-dimension
+    tool (d <= 4): it is factored by LU with partial pivoting.
     """
     x = np.asarray(x, dtype=np.float64)
     d = x.shape[-1]
     if d > 4:
         raise JacobianError(f"log-det Jacobian needs data.d <= 4, got {d}")
-    tape = en.Tape()
-    xv = tape.leaf(x)
-    y = map_fn(xv)
-    eye = np.eye(d)
-    jac = np.stack([tape.backward([(y, np.broadcast_to(eye[j], x.shape))],
-                                  [xv])[0] for j in range(d)], axis=-2)
-    sign, logdet = np.linalg.slogdet(jac)
+    sign, logdet = np.linalg.slogdet(map_fn(x, jacobian=True)[..., 1:, :])
     bad = (sign == 0.0) | ~np.isfinite(logdet)
     if np.any(bad):
         row = int(np.argmax(bad))

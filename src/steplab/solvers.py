@@ -30,7 +30,13 @@ step constant regardless of grid length.
 
 The closure `solver_map` returns is the one loop that applies the steps
 outside the engine's chain gradients: `solve`, the bound's transport maps
-and, through `solve`, teacher targets and student losses all run it.
+and, through `solve`, teacher targets and student losses all run it.  Its
+Jacobian mode carries the d tangents of x_T beside the state: every slot
+is stacked as (..., 1 + d, d), row 0 the state and row j the pushforward
+of e_j.  An update linear in its arrays moves the tangents by the same
+table row, so the mode runs the same steps; only the denoiser call also
+returns J_eps V (forward-mode propagation of the ODE's variational
+equation, with no tape).
 
 A state is one sample of shape (d,) or a batch of shape (B, d) marched on
 one shared grid; every batched row equals its single-row solve bit for bit.
@@ -54,7 +60,7 @@ _AB = np.array([[1.0, 0.0, 0.0, 0.0],
                 [3.0 / 2.0, -1.0 / 2.0, 0.0, 0.0],
                 [23.0 / 12.0, -16.0 / 12.0, 5.0 / 12.0, 0.0],
                 [55.0 / 24.0, -59.0 / 24.0, 37.0 / 24.0, -9.0 / 24.0]])
-_ORDERS = {EULER: (1,), DPMPP: (1, 2), IPNDM: (1, 2, 3, 4)}
+ORDERS = {EULER: (1,), DPMPP: (1, 2), IPNDM: (1, 2, 3, 4)}
 
 
 class GridError(ValueError):
@@ -76,9 +82,9 @@ class SolverSpec:
     nfe: int
 
     def __post_init__(self):
-        if self.family not in _ORDERS:
+        if self.family not in ORDERS:
             raise GridError(f"unknown solver family {self.family!r}")
-        if self.order not in _ORDERS[self.family]:
+        if self.order not in ORDERS[self.family]:
             raise GridError(f"order {self.order} invalid for {self.family}")
         if self.nfe < 1:
             raise GridError("nfe must be >= 1")
@@ -150,9 +156,23 @@ def _step(den, spec, i):
     return step
 
 
+class _Tangents:
+    """The denoiser on stacked slots (..., 1 + d, d): row 0 the state, rows
+    1 .. d its tangents, which come back as J_eps V."""
+
+    def __init__(self, den):
+        self.den = den
+
+    def epsilon(self, xs, t):
+        eps, jv = self.den.epsilon(xs[..., 0, :], t, tangents=xs[..., 1:, :])
+        return np.concatenate([eps[..., None, :], jv], axis=-2)
+
+
 def solver_map(den, sched, spec, times, times_c=None):
     """Closure x_T -> x_N on the checked grid, taped or raw, (d,) or (B, d);
-    times_c defaults to times."""
+    times_c defaults to times.  With jacobian=True (cold x_T, a denoiser
+    taking tangents) it returns the stacked final slot (..., 1 + d, d):
+    x_N, then the rows of (dx_N / dx_T)^T."""
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.shape[0] < 2:
         raise GridError("time grid needs at least two points")
@@ -168,9 +188,13 @@ def solver_map(den, sched, spec, times, times_c=None):
     shared = (times_c, coeffs(sched, spec, times))
     steps = make_steps(den, spec)
 
-    def march(x):
+    def march(x, jacobian=False):
+        if jacobian:  # x_T stacked over the identity: (..., 1 + d, d)
+            eye = np.broadcast_to(np.eye(x.shape[-1]), x.shape + x.shape[-1:])
+            x = np.concatenate([x[..., None, :], eye], axis=-2)
         state = initial_state(spec, x)
-        for i, step in enumerate(steps):
+        for i, step in enumerate(make_steps(_Tangents(den), spec)
+                                 if jacobian else steps):
             state = step(state, shared)
             if not np.isfinite(en.data_of(state[0])).all():
                 raise DivergenceError(i)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logdets import collapse_map
 from steplab import config, evaluate, rng, training
 from steplab import engine as en
 from steplab.denoisers import MlpDenoiser, gm_epsilon
@@ -219,26 +220,29 @@ def test_chunked_bound_equals_per_sample_loop(n, monkeypatch):
 
 
 def test_singular_row_is_named():
-    mask = np.ones((5, 2))
-    mask[3, 1] = 0.0
+    mask = np.zeros((5, 2))
+    mask[3, 1] = 1.0
     with pytest.raises(JacobianError, match="row 3"):
-        log_abs_det_jacobian(lambda x: en.mul(x, mask), np.ones((5, 2)))
+        log_abs_det_jacobian(collapse_map(lambda x: mask), np.ones((5, 2)))
 
 
 def test_singular_bound_sample_is_named_across_chunks(monkeypatch):
     monkeypatch.setattr(evaluate, "LOGDET_CHUNK", 10)  # sample 27: chunk 3
     sched, den = build("ve_edm", "gm")
+    teacher = solver_map(den, sched, SolverSpec(family="euler", order=1,
+                                                nfe=1),
+                         heuristic_times("logsnr", sched, 1))
     seen = [0]
 
-    def student(x):
-        mask = np.ones(x.data.shape)
-        if 0 <= 27 - seen[0] < len(mask):
-            mask[27 - seen[0], 1] = 0.0
-        seen[0] += len(mask)
-        return en.mul(x, mask)
+    def mask(x):  # one denoiser call per chunk: the map has one step
+        m = np.zeros(x.shape)
+        if 0 <= 27 - seen[0] < len(m):
+            m[27 - seen[0], 1] = 1.0
+        seen[0] += len(m)
+        return m
 
     with pytest.raises(JacobianError, match="at sample 27$"):
-        estimate_bound(lambda x: x, student, sched, 0.19, den.d, 30, 3)
+        estimate_bound(teacher, collapse_map(mask), sched, 0.19, den.d, 30, 3)
 
 
 def refresh_checkpointed(disc, den, sched, spec, x_T, x_prime, y, rho, lr,

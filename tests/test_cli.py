@@ -392,6 +392,14 @@ def overridden(text, extra):
     ("gen-data", "teacher.nfe = 0\n", "teacher.nfe"),
     ("bench", "bench.nfes = 3,0\n", "bench.nfes"),
     ("bench", "bench.rmsd_ref_nfe = 0\n", "bench.rmsd_ref_nfe"),
+    ("bound", "solver.order = 3\n", "solver.order"),
+    ("bound", "teacher.order = 3\n", "teacher.order"),
+    ("bound", "teacher.grid = foo\n", "teacher.grid"),
+    ("bound", "bound.grid = foo\n", "bound.grid"),
+    ("bound", "solver.family = foo\n", "solver.family"),
+    ("bound", "teacher.family = foo\n", "teacher.family"),
+    ("cross-eval", "cross.families = dpmpp,foo\n", "cross.families"),
+    ("cross-eval", "solver.order = 3\n", "solver.order"),
 ], ids=["schedule.t_min", "train.batch", "data.d", "sample.count",
         "bound.samples", "train.epochs", "train.val_refresh_steps",
         "cross.families", "sweep.r_values", "bound.r", "bench.eval_count",
@@ -399,7 +407,9 @@ def overridden(text, extra):
         "data.d-point-past-means", "data.d-zero", "data.means-nan",
         "train.gamma-nan", "train.lr_xi-nan", "sweep.r_values-nan",
         "bound.r-nan", "solver.nfe", "cross-eval-solver.nfe", "teacher.nfe",
-        "bench.nfes", "bench.rmsd_ref_nfe"])
+        "bench.nfes", "bench.rmsd_ref_nfe", "solver.order", "teacher.order",
+        "teacher.grid", "bound.grid", "solver.family", "teacher.family",
+        "cross.families-unknown", "cross-eval-solver.order"])
 def test_bad_config_values_exit_2_naming_the_key(ws, tmp_path, capsys,
                                                  command, extra, key):
     cfg2 = tmp_path / "bad.cfg"
@@ -430,6 +440,23 @@ def test_empty_list_exits_2_writing_no_csv(ws, tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
     assert not (out / csv).exists()
+
+
+def test_unknown_bench_method_exits_2_before_any_work(ws, tmp_path, capsys,
+                                                      monkeypatch):
+    def unpaid(*args):
+        raise AssertionError("bench work started for an unknown method")
+
+    for name in ("load_dataset", "build_teacher", "bench_eval_assets"):
+        monkeypatch.setattr(cli, name, unpaid)
+    cfg2 = tmp_path / "unknown.cfg"
+    cfg2.write_text(overridden(SMALL_CFG, "bench.methods = logsnr,foo\n"))
+    out = tmp_path / "o"
+    assert main(["bench", "--config", str(cfg2), "--data", data_of(ws),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bench.methods" in err
+    assert not (out / "bench.csv").exists()
 
 
 @pytest.mark.parametrize("argv,extra", [

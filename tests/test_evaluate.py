@@ -1,25 +1,30 @@
 """Metrics against closed forms and scipy, Jacobian log-determinants against
-finite differences, and the shapes of the experiment drivers."""
+finite differences, closed forms and the taped oracle, and the shapes of
+the experiment drivers."""
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import steplab.engine as en
-from steplab.denoisers import GMDenoiser
+from logdets import collapse_map, taped_log_abs_det_jacobian
+from steplab import rng
+from steplab.denoisers import GMDenoiser, PointDenoiser
 from steplab.discretize import heuristic_times
 from steplab.evaluate import (BoundReport, JacobianError, bench_rows,
                               bound_closed_terms, cross_eval, estimate_bound,
                               log_abs_det_jacobian, rmsd, solve_batch,
                               solver_map, sweep_r, w1, w1_1d)
-from steplab.schedule import ve_edm
+from steplab.schedule import ve_edm, vp_linear
 from steplab.solvers import SolverSpec, solve
 from steplab.training import Dataset, Teacher, TrainConfig, generate_dataset
 
 VE = ve_edm()
-GM = GMDenoiser.create(VE, np.array([0.5, 0.3, 0.2]),
-                       np.array([[2.0, 1.0], [-1.4, 1.8], [0.3, -2.2]]),
-                       np.array([0.25, 0.16, 0.36]))
+VP = vp_linear()
+GM_PARAMS = (np.array([0.5, 0.3, 0.2]),
+             np.array([[2.0, 1.0], [-1.4, 1.8], [0.3, -2.2]]),
+             np.array([0.25, 0.16, 0.36]))
+GM = GMDenoiser.create(VE, *GM_PARAMS)
 CFG = TrainConfig(epochs_phase1=1, epochs_phase2=1, seed=0)
 
 
@@ -88,12 +93,16 @@ def test_w1_averages_columns():
 # ------------------------------------------------------------ log-det Jacobian
 
 
+# The taped oracle on maps with known Jacobians.
+
+
 def test_logdet_identity_map_is_zero():
-    assert log_abs_det_jacobian(lambda x: x, np.array([0.3, -0.8])) == 0.0
+    assert taped_log_abs_det_jacobian(lambda x: x,
+                                      np.array([0.3, -0.8])) == 0.0
 
 
 def test_logdet_scaling_map():
-    got = log_abs_det_jacobian(lambda x: en.mul(x, -2.5), np.zeros(2))
+    got = taped_log_abs_det_jacobian(lambda x: en.mul(x, -2.5), np.zeros(2))
     assert got == pytest.approx(2 * np.log(2.5), abs=1e-12)
 
 
@@ -104,8 +113,11 @@ def test_logdet_linear_map_matches_slogdet():
         return en.affine(x, A, 0.0)
 
     want = np.linalg.slogdet(A)[1]
-    got = log_abs_det_jacobian(lin, np.array([0.1, 0.2, 0.3]))
+    got = taped_log_abs_det_jacobian(lin, np.array([0.1, 0.2, 0.3]))
     assert got == pytest.approx(want, rel=1e-12)
+
+
+# The tangent march in log_abs_det_jacobian.
 
 
 def test_logdet_solver_map_matches_finite_differences():
@@ -128,12 +140,81 @@ def test_logdet_rejects_large_d_and_singular_maps():
     with pytest.raises(JacobianError):
         log_abs_det_jacobian(lambda x: x, np.zeros(5))
 
-    def collapse(x):
-        x0 = en.index(x, 0)
-        return en.stack([x0, x0])
-
+    collapse = collapse_map(lambda x: np.array([0.0, 1.0]))
     with pytest.raises(JacobianError):
         log_abs_det_jacobian(collapse, np.array([1.0, 2.0]))
+
+
+SPECS = [("euler", 1), ("dpmpp", 1), ("dpmpp", 2), ("ipndm", 1),
+         ("ipndm", 2), ("ipndm", 3), ("ipndm", 4)]
+SCHEDS = {"ve": VE, "vp": VP}
+
+
+def denoiser(kind, sched):
+    if kind == "point":
+        return PointDenoiser.create(sched, [0.7, -1.2])
+    return GMDenoiser.create(sched, *GM_PARAMS)
+
+
+def logsnr_map(den, sched, family, order, nfe):
+    return solver_map(den, sched, SolverSpec(family=family, order=order,
+                                             nfe=nfe),
+                      heuristic_times("logsnr", sched, nfe))
+
+
+@pytest.mark.parametrize("kind", ["gm", "point"])
+@pytest.mark.parametrize("nfe", [1, 4, 30])
+@pytest.mark.parametrize("family,order", SPECS,
+                         ids=[f"{f}{o}" for f, o in SPECS])
+@pytest.mark.parametrize("sched", list(SCHEDS))
+def test_tangent_logdets_match_taped_oracle(sched, family, order, nfe, kind):
+    sched = SCHEDS[sched]
+    fn = logsnr_map(denoiser(kind, sched), sched, family, order, nfe)
+    xs = rng.sample_prior(sched, 2, 3, 11)
+    got = log_abs_det_jacobian(fn, xs)
+    want = taped_log_abs_det_jacobian(fn, xs)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+POINT_EXACT = ([("ve", f, o) for f, o in SPECS]
+               + [("vp", f, o) for f, o in SPECS if f != "euler"])
+
+
+@pytest.mark.parametrize("nfe", [1, 4, 30])
+@pytest.mark.parametrize("sched,family,order", POINT_EXACT,
+                         ids=[f"{s}-{f}{o}" for s, f, o in POINT_EXACT])
+def test_point_mass_logdet_is_exact(sched, family, order, nfe):
+    """A point mass has eps constant along each trajectory, so these
+    solvers are exact: x_T maps to a_min x_0 + (s_min / s_T)(x_T - a_T x_0),
+    i.e. log |det J| = d log(s_min / s_T) (Euler in t is exact only under
+    VE)."""
+    sched = SCHEDS[sched]
+    fn = logsnr_map(denoiser("point", sched), sched, family, order, nfe)
+    s_min = float(en.data_of(sched.sigma(sched.t_min)))
+    want = 2 * np.log(s_min / sched.sigma_T)
+    got = log_abs_det_jacobian(fn, rng.sample_prior(sched, 2, 3, 12))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("sched", list(SCHEDS))
+def test_one_gaussian_teacher_logdet_converges(sched):
+    """For N(mu, v I) the flow map is affine with Jacobian (s_min / s_T) I,
+    s_t = sqrt(alpha_t^2 v + sigma_t^2); dpmpp2 converges to it at second
+    order (NFE 30 -> 100 cuts the error about (100 / 30)^2 = 11 times)."""
+    sched, var = SCHEDS[sched], 0.25
+    den = GMDenoiser.create(sched, [1.0], [[2.0, 1.0]], [var])
+
+    def s_t(t):
+        a, s = sched.alpha_sigma(t)
+        return float(np.sqrt(a * a * var + s * s))
+
+    want = 2 * np.log(s_t(sched.t_min) / s_t(sched.T))
+    x = np.array([0.3, -0.7]) * sched.sigma_T
+    err = {nfe: abs(log_abs_det_jacobian(
+        logsnr_map(den, sched, "dpmpp", 2, nfe), x) - want)
+        for nfe in (30, 100)}
+    assert err[100] <= 3e-3
+    assert err[30] / err[100] >= 8.0
 
 
 def test_solver_map_agrees_with_solve():
