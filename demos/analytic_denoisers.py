@@ -1,16 +1,14 @@
-"""Exact noise predictors for tractable data, and a small trained one.
+"""Exact noise predictors for tractable data.
 
 A Gaussian-mixture data distribution admits a closed-form posterior noise
 prediction at every noise level, which makes it the ground truth everything
 else in this package is judged against. A point mass is the even simpler
-edge case. The last section fits a tiny MLP by denoising score matching and
-checks it against the exact answer.
+edge case.
 """
 
 import numpy as np
 
-from steplab.denoisers import (DsmConfig, GMDenoiser, PointDenoiser,
-                               train_mlp_dsm)
+from steplab.denoisers import GMDenoiser, PointDenoiser
 from steplab.schedule import ve_edm
 
 sched = ve_edm()
@@ -33,17 +31,3 @@ pt = PointDenoiser.create(sched, np.array([2.0, 1.0]))
 x = np.array([3.0, -1.0])
 print(f"point mass: eps = {pt.epsilon(x, 1.0)}  "
       f"(exactly (x - alpha x0)/sigma)")
-
-print()
-print("training a 2-layer MLP by denoising score matching on the point mass")
-mlp, losses = train_mlp_dsm(pt, sched, DsmConfig(steps=500, seed=0))
-print(f"dsm loss: start {losses[0]:.4f} -> end {losses[-1]:.4f}")
-g = np.random.default_rng(1)
-errs = []
-for _ in range(200):
-    t = g.uniform(sched.t_min, sched.T)
-    x = sched.alpha(t) * pt.x0 + sched.sigma(t) * g.standard_normal(2)
-    e_true = pt.epsilon(x, t)
-    errs.append(np.linalg.norm(mlp.epsilon(x, t) - e_true)
-                / max(np.linalg.norm(e_true), 1e-9))
-print(f"median rel err vs the exact predictor: {np.median(errs):.3f}")

@@ -1,13 +1,12 @@
 """Learning time discretizations for diffusion ODE samplers.
 
-Small numpy laboratory: noise schedules, analytic and trained denoisers,
+Small numpy laboratory: noise schedules, analytic denoisers,
 differentiable multistep solvers, heuristic and learned step grids, and the
 evaluation tools to compare them.
 """
 
 from .schedule import NoiseSchedule, ScheduleDomainError, ve_edm, vp_linear
-from .denoisers import (DsmConfig, DsmDivergedError, GMDenoiser, MlpDenoiser,
-                        PointDenoiser, train_mlp_dsm)
+from .denoisers import GMDenoiser, PointDenoiser
 from .engine import (EngineError, Tape, Value, checkpointed_chain_grad,
                      whole_chain_grad)
 from .solvers import DivergenceError, GridError, SolverSpec, solve
@@ -26,8 +25,7 @@ from .rng import derive_seed, sample_prior, substream
 
 __all__ = [
     "NoiseSchedule", "ScheduleDomainError", "ve_edm", "vp_linear",
-    "DsmConfig", "DsmDivergedError", "GMDenoiser", "MlpDenoiser",
-    "PointDenoiser", "train_mlp_dsm",
+    "GMDenoiser", "PointDenoiser",
     "EngineError", "Tape", "Value", "checkpointed_chain_grad",
     "whole_chain_grad",
     "DivergenceError", "GridError", "SolverSpec", "solve",

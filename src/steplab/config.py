@@ -141,34 +141,31 @@ def write_snapshot(cfg, path):
 
 
 def build_schedule(cfg):
-    fam = cfg["schedule.family"]
+    fam = one_of(cfg, "schedule.family", schedmod.FAMILIES)
     try:
-        if fam == "ve_edm":
+        if fam == schedmod.VE_EDM:
             return schedmod.ve_edm(T=cfg["schedule.T"],
                                    t_min=cfg["schedule.t_min"])
-        if fam == "vp_linear":
-            return schedmod.vp_linear(beta0=cfg["schedule.beta0"],
-                                      beta1=cfg["schedule.beta1"],
-                                      T=cfg["schedule.T"],
-                                      t_min=cfg["schedule.t_min"])
+        return schedmod.vp_linear(beta0=cfg["schedule.beta0"],
+                                  beta1=cfg["schedule.beta1"],
+                                  T=cfg["schedule.T"],
+                                  t_min=cfg["schedule.t_min"])
     except schedmod.ScheduleDomainError as exc:
         raise ConfigError(f"schedule.t_min = {cfg['schedule.t_min']!r} with "
                           f"schedule.T = {cfg['schedule.T']!r}: {exc}") from exc
-    raise ConfigError(f"unknown schedule.family {fam!r}")
 
 
 def build_denoiser(cfg, sched):
+    kind = one_of(cfg, "data.kind", ("gm", "point"))
     d = at_least(cfg, "data.d", 1)
     means = np.asarray(cfg["data.means"], dtype=np.float64)
     if not np.isfinite(means).all():
         raise ConfigError(f"data.means = {cfg['data.means']} must be finite")
-    if cfg["data.kind"] == "point":
+    if kind == "point":
         if means.shape[0] < d:
             raise ConfigError(f"data.means holds {means.shape[0]} values, "
                               f"fewer than data.d = {d}")
         return denoisers.PointDenoiser.create(sched, means[:d])
-    if cfg["data.kind"] != "gm":
-        raise ConfigError(f"unknown data.kind {cfg['data.kind']!r}")
     k = len(cfg["data.weights"])
     if means.shape[0] != k * d:
         raise ConfigError("data.means must hold K*d values")

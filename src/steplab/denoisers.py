@@ -1,6 +1,6 @@
-"""Epsilon predictors: analytic (Gaussian mixture, point mass) and a small MLP.
+"""Exact epsilon predictors for Gaussian-mixture and point-mass data.
 
-All predictors implement epsilon(x, t) -> noise estimate in the convention
+Both predictors implement epsilon(x, t) -> noise estimate in the convention
 
     eps(x, t) = -sigma_t * grad_x log q_t(x),
 
@@ -12,19 +12,17 @@ combination, so epsilon is available in closed form.  For a point mass x0
 it reduces to (x - alpha_t x0) / sigma_t.
 
 Every epsilon can be evaluated inside a differentiated solver graph
-(gradients flow to x and t).  The point mass and the MLP are written with
-engine ops, and the MLP is trained by denoising score matching with the same
-machinery; the mixture's epsilon is computed in plain numpy and taped as one
-op with a closed-form VJP.  The two analytic predictors also push tangents
-forward: epsilon(x, t, tangents=V) returns (eps, J V) with J = d eps / dx,
-which the bound's log-det Jacobians march beside the state.  x is one row
-of shape (d,) or a batch of rows (B, d) sharing the time t; each batched
-row of the analytic predictors equals its single-row result bit for bit.
+(gradients flow to x and t).  The point mass is written with engine ops; the
+mixture's epsilon is computed in plain numpy and taped as one op with a
+closed-form VJP.  Both also push tangents forward: epsilon(x, t,
+tangents=V) returns (eps, J V) with J = d eps / dx, which the bound's
+log-det Jacobians march beside the state.  x is one row of shape (d,) or a
+batch of rows (B, d) sharing the time t; each batched row equals its
+single-row result bit for bit.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +31,6 @@ from . import engine as en
 from . import rng as rngmod
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-
-
-def _column(w):
-    """Weights (..., n) as a (..., n, 1) column; a lone scalar as is."""
-    return en.index(w, (Ellipsis, None)) if np.ndim(en.data_of(w)) else w
 
 
 def _mixture_terms(x, a, s, weights, means, variances):
@@ -102,13 +95,6 @@ def gm_epsilon(x, t, sched, weights, means, variances, tangents=None):
         return g_x, g_a, g_s
 
     return en.record(sd * acc, (x, a, s), vjp, "gm_epsilon")
-
-
-def gm_log_density(x, t, sched, weights, means, variances):
-    """log q_t(x) of the mixture marginal at time t (plain numpy)."""
-    sched.check_domain(t)
-    a, s = sched.alpha_sigma(t)
-    return en.logsumexp(_mixture_terms(x, a, s, weights, means, variances)[0])
 
 
 def point_epsilon(x, t, sched, x0, tangents=None):
@@ -183,152 +169,3 @@ class PointDenoiser:
 
     def sample_data(self, count, seed):
         return np.tile(self.x0, (count, 1))
-
-
-# ----------------------------------------------------------------- MLP
-
-
-@dataclass
-class MlpDenoiser:
-    """Small dense epsilon predictor on features (x, sin/cos of log-SNR)."""
-
-    sched: object
-    d: int
-    hidden: tuple
-    freqs: tuple
-    layers: list  # [(W, b), ...] numpy float64
-
-    @classmethod
-    def create(cls, sched, d, hidden=(64, 64), freqs=(0.25, 0.5, 1.0, 2.0),
-               seed=0):
-        widths = [d + 2 * len(freqs)] + list(hidden) + [d]
-        g = rngmod.substream(seed, "mlp_init")
-        layers = []
-        for n_in, n_out in zip(widths[:-1], widths[1:]):
-            w = g.standard_normal((n_out, n_in)) * np.sqrt(2.0 / n_in)
-            b = np.zeros(n_out, dtype=np.float64)
-            layers.append((w, b))
-        return cls(sched=sched, d=d, hidden=tuple(hidden), freqs=tuple(freqs),
-                   layers=layers)
-
-    def _c_in(self, t):
-        # 1/sqrt(alpha^2 + sigma^2) keeps the x feature near unit scale for
-        # any schedule (identically 1 under VP); without it the VE input
-        # range [t_min, 80] blows up training
-        a, s = self.sched.alpha_sigma(t)
-        return en.div(1.0, en.sqrt(en.add(en.mul(a, a), en.mul(s, s))))
-
-    def features(self, x, t):
-        """Feature rows (c_in x, sin/cos of f * log-SNR) for a row or batch x
-        at one shared time t or, for a batch, one time per row (t of shape
-        (B,)); differentiable in x and t."""
-        self.sched.check_domain(t)
-        lam = self.sched.lam(t)
-        xs = en.mul(_column(self._c_in(t)), x)
-        cols = [en.index(xs, (Ellipsis, j)) for j in range(self.d)]
-        for f in self.freqs:
-            cols += [en.sin(f * lam), en.cos(f * lam)]
-        return en.stack(cols)
-
-    def epsilon(self, x, t):
-        """Row or batch evaluation; differentiable in x and t."""
-        return self.forward_batch(self.features(x, t), self.layers)
-
-    def forward_batch(self, feats, params):
-        """Dense chain on feature rows with (possibly taped) params."""
-        h = feats
-        last = len(params) - 1
-        for i, (w, b) in enumerate(params):
-            h = en.affine(h, w, b)
-            if i < last:
-                h = en.silu(h)
-        return h
-
-    # ------------------------------------------------------------- storage
-
-    def save(self, path):
-        blob = {
-            "d": self.d,
-            "hidden": list(self.hidden),
-            "freqs": list(self.freqs),
-            "layers": [{"shape": list(w.shape),
-                        "w": [float(v) for v in w.reshape(-1)],
-                        "b": [float(v) for v in b]} for w, b in self.layers],
-        }
-        with open(path, "w") as fh:
-            json.dump(blob, fh)
-
-    @classmethod
-    def load(cls, path, sched):
-        with open(path) as fh:
-            blob = json.load(fh)
-        layers = []
-        for rec in blob["layers"]:
-            m, n = rec["shape"]
-            w = np.asarray(rec["w"], dtype=np.float64).reshape(m, n)
-            b = np.asarray(rec["b"], dtype=np.float64)
-            layers.append((w, b))
-        return cls(sched=sched, d=int(blob["d"]), hidden=tuple(blob["hidden"]),
-                   freqs=tuple(blob["freqs"]), layers=layers)
-
-
-@dataclass(frozen=True)
-class DsmConfig:
-    steps: int = 3000
-    batch: int = 64
-    lr: float = 0.02
-    momentum: float = 0.9
-    seed: int = 0
-
-
-class DsmDivergedError(RuntimeError):
-    """Non-finite DSM loss; message carries the offending step index."""
-
-
-def train_mlp_dsm(dist, sched, config=DsmConfig(), hidden=(64, 64),
-                  freqs=(0.25, 0.5, 1.0, 2.0)):
-    """Fit an MlpDenoiser by denoising score matching.
-
-    Args:
-        dist: data distribution with sample_data(count, seed); x0 batches
-            are drawn fresh from it each step.
-        sched: NoiseSchedule providing the forward marginals.
-        config: DsmConfig.
-
-    Returns:
-        (MlpDenoiser, list of recorded losses)
-    """
-    d = dist.d
-    den = MlpDenoiser.create(sched, d, hidden=hidden, freqs=freqs,
-                             seed=config.seed)
-    g = rngmod.substream(config.seed, "dsm")
-    bufs = [(np.zeros_like(w), np.zeros_like(b)) for w, b in den.layers]
-    losses = []
-    for step in range(config.steps):
-        x0 = dist.sample_data(config.batch,
-                              rngmod.derive_seed(config.seed, "dsm_x0", step))
-        t = sched.t_min + (sched.T - sched.t_min) * g.random(config.batch)
-        noise = g.standard_normal((config.batch, d))
-        a, s = sched.alpha_sigma(t)
-        feats = den.features(_column(a) * x0 + _column(s) * noise, t)
-
-        tape = en.Tape()
-        params = [(tape.leaf(w), tape.leaf(b)) for w, b in den.layers]
-        pred = den.forward_batch(feats, params)
-        resid = en.sub(pred, noise)
-        loss = en.mul(en.vsum(en.mul(resid, resid)), 1.0 / (config.batch * d))
-        if not np.isfinite(en.data_of(loss)):
-            raise DsmDivergedError(f"non-finite DSM loss at step {step}")
-        flat = [p for pair in params for p in pair]
-        grads = tape.gradient(loss, flat)
-        for li, (w, b) in enumerate(den.layers):
-            gw, gb = grads[2 * li], grads[2 * li + 1]
-            bw, bb = bufs[li]
-            bw *= config.momentum
-            bw += gw
-            bb *= config.momentum
-            bb += gb
-            w -= config.lr * bw
-            b -= config.lr * bb
-        losses.append(float(en.data_of(loss)))
-    return den, losses

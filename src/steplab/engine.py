@@ -230,31 +230,6 @@ def sqrt(x):
     return _unary(x, np.sqrt, lambda xd, out: 0.5 / out, "sqrt")
 
 
-def sin(x):
-    return _unary(x, np.sin, lambda xd, out: np.cos(xd), "sin")
-
-
-def cos(x):
-    return _unary(x, np.cos, lambda xd, out: -np.sin(xd), "cos")
-
-
-def _sigmoid_raw(x):
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
-
-
-def silu(x):
-    # x * sigmoid(x); derivative s * (1 + x * (1 - s))
-    def fwd(v):
-        return v * _sigmoid_raw(v)
-
-    def dfn(xd, out):
-        s = _sigmoid_raw(xd)
-        return s * (1.0 + xd * (1.0 - s))
-
-    return _unary(x, fwd, dfn, "silu")
-
-
 def clamp(x, lo, hi):
     """Clip to [lo, hi]; gradient passes through wherever lo <= x <= hi."""
 
@@ -366,21 +341,6 @@ def rcumsum(x):
     xd = data_of(x)
     out = np.cumsum(xd[::-1])[::-1]
     return record(out, (x,), lambda adj: (np.cumsum(adj),), "rcumsum")
-
-
-def affine(x, w, b):
-    """Dense layer x @ w.T + b for x of shape (n_in,) or (batch, n_in)."""
-    xd, wd, bd = data_of(x), data_of(w), data_of(b)
-    live_x, live_w, live_b = (type(v) is Value for v in (x, w, b))
-
-    def vjp(adj):
-        rows = np.reshape(adj, (-1, wd.shape[0]))
-        rows_in = np.reshape(xd, (-1, wd.shape[1]))
-        return (adj @ wd if live_x else None,
-                rows.T @ rows_in if live_w else None,
-                _reduce(adj, bd) if live_b else None)
-
-    return record(xd @ wd.T + bd, (x, w, b), vjp, "affine")
 
 
 def record(out, parents, vjp, name):

@@ -31,6 +31,7 @@ from . import engine as en
 
 VP_LINEAR = "vp_linear"
 VE_EDM = "ve_edm"
+FAMILIES = (VE_EDM, VP_LINEAR)
 
 _DOMAIN_SLACK = 1e-9
 
@@ -48,7 +49,7 @@ class NoiseSchedule:
     beta1: float = 20.0
 
     def __post_init__(self):
-        if self.family not in (VP_LINEAR, VE_EDM):
+        if self.family not in FAMILIES:
             raise ScheduleDomainError(f"unknown schedule family {self.family!r}")
         if not (0.0 < self.t_min < self.T):
             raise ScheduleDomainError("need 0 < t_min < T")

@@ -1,6 +1,6 @@
 """The batched fast path: a (B, d) batch run through solve, pair_grads,
-project, the log-det Jacobian, the bound and the MLP equals the same rows run
-one at a time, the GM's epsilon over all K components at once equals its
+project, the log-det Jacobian and the bound equals the same rows run one
+at a time, the GM's epsilon over all K components at once equals its
 sum over the components one by one, and the whole-tape validation refresh
 equals one taken on the checkpointed chain."""
 
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from logdets import collapse_map
 from steplab import config, evaluate, rng, training
 from steplab import engine as en
-from steplab.denoisers import MlpDenoiser, gm_epsilon
+from steplab.denoisers import gm_epsilon
 from steplab.discretize import Discretization, heuristic_times
 from steplab.evaluate import (JacobianError, estimate_bound,
                               log_abs_det_jacobian, solver_map)
@@ -102,18 +102,6 @@ def test_batched_project_equals_rows():
     inside = np.linalg.norm(points - centers, axis=1) <= 0.5
     assert 0 < inside.sum() < 40
     assert np.array_equal(batch[inside], points[inside])
-
-
-def test_mlp_batch_rows_match_single_rows():
-    # a batch runs as one matrix product and a single row as a vector one,
-    # which may round the last bits differently
-    sched = config.build_schedule(config.DEFAULTS)
-    den = MlpDenoiser.create(sched, d=2, seed=3)
-    xs = rng.sample_prior(sched, 2, 200, 4)
-    for t in (0.01, 1.9, 60.0):
-        batch = den.epsilon(xs, t)
-        rows = np.stack([den.epsilon(x, t) for x in xs])
-        np.testing.assert_allclose(batch, rows, rtol=1e-12, atol=1e-12)
 
 
 def rel_err(got, want):

@@ -400,6 +400,8 @@ def overridden(text, extra):
     ("bound", "teacher.family = foo\n", "teacher.family"),
     ("cross-eval", "cross.families = dpmpp,foo\n", "cross.families"),
     ("cross-eval", "solver.order = 3\n", "solver.order"),
+    ("gen-data", "data.kind = swirl\n", "data.kind"),
+    ("gen-data", "schedule.family = cosine\n", "schedule.family"),
 ], ids=["schedule.t_min", "train.batch", "data.d", "sample.count",
         "bound.samples", "train.epochs", "train.val_refresh_steps",
         "cross.families", "sweep.r_values", "bound.r", "bench.eval_count",
@@ -409,7 +411,8 @@ def overridden(text, extra):
         "bound.r-nan", "solver.nfe", "cross-eval-solver.nfe", "teacher.nfe",
         "bench.nfes", "bench.rmsd_ref_nfe", "solver.order", "teacher.order",
         "teacher.grid", "bound.grid", "solver.family", "teacher.family",
-        "cross.families-unknown", "cross-eval-solver.order"])
+        "cross.families-unknown", "cross-eval-solver.order", "data.kind",
+        "schedule.family"])
 def test_bad_config_values_exit_2_naming_the_key(ws, tmp_path, capsys,
                                                  command, extra, key):
     cfg2 = tmp_path / "bad.cfg"

@@ -1,14 +1,14 @@
 """Denoisers: the mixture epsilon against an independent scipy density
-oracle, closed-form anchors, quadrature normalization, and DSM training."""
+oracle, closed-form anchors, its taped VJP against finite differences,
+input validation and exact sampling."""
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import steplab.engine as en
-from steplab.denoisers import (DsmConfig, GMDenoiser, MlpDenoiser,
-                               PointDenoiser, gm_epsilon, gm_log_density,
-                               point_epsilon, train_mlp_dsm)
+from steplab.denoisers import (GMDenoiser, PointDenoiser, gm_epsilon,
+                               point_epsilon)
 from steplab.schedule import ve_edm, vp_linear
 
 VE = ve_edm()
@@ -84,25 +84,6 @@ def test_translation_equivariance():
     base = gm_epsilon(x, 1.3, VE, WEIGHTS, MEANS, VARS)
     shifted = gm_epsilon(x + c, 1.3, VE, WEIGHTS, MEANS + c, VARS)
     np.testing.assert_allclose(shifted, base, rtol=1e-12, atol=1e-12)
-
-
-def test_log_density_normalizer_anchor():
-    # d=1 standard Gaussian at t_min: log N(0; 0, v) with v = alpha^2 + sigma^2
-    t = VE.t_min
-    v = 1.0 + t * t
-    got = gm_log_density(np.array([0.0]), t, VE, np.array([1.0]),
-                         np.array([[0.0]]), np.array([1.0]))
-    assert abs(got - (-0.5 * np.log(2 * np.pi * v))) < 1e-12
-
-
-def test_log_density_integrates_to_one():
-    xs = np.linspace(-20.0, 20.0, 4001)
-    vals = np.array([np.exp(gm_log_density(np.array([x]), 0.5, VE,
-                                           np.array([0.6, 0.4]),
-                                           np.array([[1.0], [-2.0]]),
-                                           np.array([0.5, 0.25])))
-                     for x in xs])
-    assert abs(np.trapezoid(vals, xs) - 1.0) < 1e-6
 
 
 def test_point_epsilon_examples():
@@ -186,65 +167,3 @@ def test_gm_sample_data_statistics():
     np.testing.assert_allclose(xs.mean(axis=0), want_mean, atol=0.1)
     again = den.sample_data(4000, seed=7)
     np.testing.assert_array_equal(xs, again)
-
-
-# ----------------------------------------------------------------------- MLP
-
-
-@pytest.mark.parametrize("sched", [VE, vp_linear()], ids=["ve", "vp"])
-def test_mlp_per_row_times_match_shared_time_rows(sched):
-    """Features on one time per row (as DSM training builds them) equal,
-    bit for bit, each row's features and epsilon at its time shared by the
-    whole batch, and a single row's features at that time."""
-    den = MlpDenoiser.create(sched, d=2, seed=3)
-    g = np.random.default_rng(4)
-    x = g.standard_normal((6, 2))
-    t = sched.t_min + (sched.T - sched.t_min) * g.random(6)
-    feats = den.features(x, t)
-    eps = den.forward_batch(feats, den.layers)
-    for i in range(6):
-        np.testing.assert_array_equal(feats[i], den.features(x, t[i])[i])
-        np.testing.assert_array_equal(feats[i], den.features(x[i], t[i]))
-        np.testing.assert_array_equal(eps[i], den.epsilon(x, t[i])[i])
-
-
-def test_mlp_save_load_roundtrip(tmp_path):
-    den = MlpDenoiser.create(VE, d=2, seed=5)
-    p = tmp_path / "mlp.json"
-    den.save(p)
-    back = MlpDenoiser.load(p, VE)
-    assert back.d == den.d and back.hidden == den.hidden
-    x, t = np.array([0.2, 0.4]), 3.0
-    np.testing.assert_array_equal(back.epsilon(x, t), den.epsilon(x, t))
-
-
-DSM_CFG = DsmConfig(steps=400, batch=32, lr=0.02, momentum=0.9, seed=1)
-
-
-def test_dsm_loss_decreases_and_is_deterministic():
-    dist = PointDenoiser.create(VE, np.array([1.0, -1.0]))
-    den1, losses1 = train_mlp_dsm(dist, VE, DSM_CFG, hidden=(32,))
-    den2, losses2 = train_mlp_dsm(dist, VE, DSM_CFG, hidden=(32,))
-    assert np.mean(losses1[-50:]) < np.mean(losses1[:50])
-    assert losses1 == losses2
-    for (w1, b1), (w2, b2) in zip(den1.layers, den2.layers):
-        np.testing.assert_array_equal(w1, w2)
-        np.testing.assert_array_equal(b1, b2)
-
-
-def test_dsm_approximates_point_epsilon():
-    """Median relative error vs the analytic predictor stays under 10%."""
-    x0 = np.array([1.0, -1.0])
-    dist = PointDenoiser.create(VE, x0)
-    cfg = DsmConfig(steps=1500, batch=64, lr=0.02, momentum=0.9, seed=0)
-    den, _ = train_mlp_dsm(dist, VE, cfg)
-    g = np.random.default_rng(11)
-    rels = []
-    for _ in range(200):
-        # same (x, t) law the trainer uses: t uniform, x a forward marginal
-        t = float(g.uniform(VE.t_min, VE.T))
-        x = x0 + VE.sigma(t) * g.standard_normal(2)
-        want = point_epsilon(x, t, VE, x0)
-        got = den.epsilon(x, t)
-        rels.append(np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-9))
-    assert np.median(rels) <= 0.10

@@ -110,7 +110,7 @@ def test_logdet_linear_map_matches_slogdet():
     A = np.array([[1.2, -0.4, 0.1], [0.3, 0.9, -0.2], [-0.5, 0.2, 1.1]])
 
     def lin(x):
-        return en.affine(x, A, 0.0)
+        return en.lincomb(x, (A[:, 0], A[:, 1], A[:, 2]))
 
     want = np.linalg.slogdet(A)[1]
     got = taped_log_abs_det_jacobian(lin, np.array([0.1, 0.2, 0.3]))
