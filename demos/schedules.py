@@ -14,11 +14,13 @@ for sched in (ve_edm(), vp_linear()):
         print(f"{t:10.4f} {sched.alpha(t):10.6f} {sched.sigma(t):10.6f} "
               f"{sched.lam(t):10.4f}")
 
-    # lambda is strictly decreasing, so it inverts; roundtrip a few points
-    lams = sched.lam(ts)
-    back = np.array([sched.t_of_lambda(l) for l in lams])
-    print(f"t_of_lambda roundtrip max rel err: "
-          f"{np.max(np.abs(back - ts) / ts):.2e}")
+    # lambda and sigma are monotone, so both invert in closed form; each
+    # inverse takes the whole array in one call
+    for name, fwd, inverse in (("lambda", sched.lam, sched.t_of_lambda),
+                               ("sigma", sched.sigma, sched.t_of_sigma)):
+        back = inverse(fwd(ts))
+        print(f"t_of_{name} roundtrip max rel err: "
+              f"{np.max(np.abs(back - ts) / ts):.2e}")
 
     # drift f(t) and squared diffusion g^2(t) drive the probability-flow ODE
     t_mid = float(np.sqrt(sched.t_min * sched.T))

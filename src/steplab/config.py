@@ -151,8 +151,8 @@ def build_schedule(cfg):
                                   T=cfg["schedule.T"],
                                   t_min=cfg["schedule.t_min"])
     except schedmod.ScheduleDomainError as exc:
-        raise ConfigError(f"schedule.t_min = {cfg['schedule.t_min']!r} with "
-                          f"schedule.T = {cfg['schedule.T']!r}: {exc}") from exc
+        # the message starts with the schedule field at fault
+        raise ConfigError(f"schedule.{exc}") from exc
 
 
 def build_denoiser(cfg, sched):

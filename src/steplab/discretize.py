@@ -128,16 +128,16 @@ def heuristic_times(kind, sched, nfe, rho_edm=7.0):
         frac = (np.arange(n + 1) / n) ** rho
         grid = (frac * (T - t_min) + t_min)[::-1].copy()
     elif kind == "edm":
-        s_max = float(en.data_of(sched.sigma(T)))
+        s_max = sched.sigma_T
         s_min = float(en.data_of(sched.sigma(t_min)))
         inv = 1.0 / rho_edm
         frac = np.arange(n + 1) / n
         sig = (s_max ** inv + frac * (s_min ** inv - s_max ** inv)) ** rho_edm
-        grid = np.array([sched.t_of_sigma(sv) for sv in sig])
+        grid = sched.t_of_sigma(sig)
     elif kind == "logsnr":
         lam_T, lam_min = sched.lambda_range()
         lams = lam_T + (np.arange(n + 1) / n) * (lam_min - lam_T)
-        grid = np.array([sched.t_of_lambda(lv) for lv in lams])
+        grid = sched.t_of_lambda(lams)
     else:
         raise GridError(f"unknown heuristic {kind!r}")
     grid[0] = T

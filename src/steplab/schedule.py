@@ -14,7 +14,9 @@ Two families are provided:
     VE_EDM:     alpha_t = 1, sigma_t = t,       so f = 0, g^2 = 2 t.
 
 The log-SNR lambda(t) = log(alpha_t / sigma_t) is strictly decreasing on the
-domain and invertible; VP inversion is done by bisection.
+domain.  Both families invert in closed form: VE by t = exp(-lambda) and
+t = sigma, VP by the positive root of c2 t^2 + (beta0/2) t + log alpha_t = 0
+with c2 = (beta1 - beta0)/4 (DPM-Solver, Lu et al. 2022, arXiv 2206.00927).
 
 All value-returning methods accept plain floats/arrays or engine Values, so
 schedule quantities can sit inside differentiated solver graphs.
@@ -49,10 +51,23 @@ class NoiseSchedule:
     beta1: float = 20.0
 
     def __post_init__(self):
+        # each message starts with the field at fault
         if self.family not in FAMILIES:
-            raise ScheduleDomainError(f"unknown schedule family {self.family!r}")
+            raise ScheduleDomainError(f"family = {self.family!r} is not in {FAMILIES}")
         if not (0.0 < self.t_min < self.T):
-            raise ScheduleDomainError("need 0 < t_min < T")
+            raise ScheduleDomainError(f"t_min = {self.t_min!r} is not in (0, T)")
+        if not np.isfinite(self.T):
+            raise ScheduleDomainError(f"T = {self.T!r} is not finite")
+        if self.family == VE_EDM:
+            return
+        # beta is linear in t, so its endpoints bound it on [t_min, T]
+        if not (self.beta(self.t_min) > 0.0 and self._vp_log_alpha(self.t_min) < 0.0):
+            raise ScheduleDomainError(f"beta0 = {self.beta0!r} makes beta or sigma "
+                                      f"<= 0 at t_min")
+        if not self.beta(self.T) > 0.0:
+            raise ScheduleDomainError(f"beta1 = {self.beta1!r} makes beta(T) <= 0")
+        if not self._vp_log_alpha(self.T) >= np.log(np.finfo(float).tiny):
+            raise ScheduleDomainError(f"T = {self.T!r} makes alpha_T underflow")
 
     # -------------------------------------------------------------- domain
 
@@ -121,56 +136,38 @@ class NoiseSchedule:
         return (float(en.data_of(self.lam(self.T))),
                 float(en.data_of(self.lam(self.t_min))))
 
-    def t_of_lambda(self, lam_target):
-        """Invert lambda(t); plain floats only (used for grid construction)."""
-        lam_target = float(lam_target)
-        lo, hi = self.lambda_range()
+    def _in_range(self, name, x, lo, hi):
+        """x as a float array; refused if any entry lies outside [lo, hi]."""
+        x = np.asarray(x, dtype=np.float64)
         slack = _DOMAIN_SLACK * max(1.0, abs(lo), abs(hi))
-        if lam_target < lo - slack or lam_target > hi + slack:
-            raise ScheduleDomainError(f"lambda={lam_target} outside [{lo}, {hi}]")
-        if self.family == VE_EDM:
-            t = float(np.exp(-lam_target))
-            return min(max(t, self.t_min), self.T)
-        return self._bisect(lambda t: float(self.lam(t)), lam_target, decreasing=True)
+        # one comparison that NaN fails
+        bad = ~((x >= lo - slack) & (x <= hi + slack))
+        if bad.any():
+            raise ScheduleDomainError(f"{name}={x[bad][0]} outside [{lo}, {hi}]")
+        return x
+
+    def _t_of_log_alpha(self, la):
+        """VP: the positive root t of c2 t^2 + (beta0/2) t + la = 0, written
+        without cancellation so it also holds at c2 = 0."""
+        c2 = 0.25 * (self.beta1 - self.beta0)
+        b = 0.5 * self.beta0
+        return -2.0 * la / (b + np.sqrt(b * b - 4.0 * c2 * la))
+
+    def t_of_lambda(self, lam_target):
+        """Invert lambda(t), elementwise on floats and arrays; under VP
+        through alpha^2 = sigmoid(2 lambda)."""
+        lam = self._in_range("lambda", lam_target, *self.lambda_range())
+        t = np.exp(-lam) if self.family == VE_EDM else \
+            self._t_of_log_alpha(-0.5 * np.logaddexp(0.0, -2.0 * lam))
+        return np.clip(t, self.t_min, self.T)
 
     def t_of_sigma(self, sigma_target):
-        """Invert sigma(t); plain floats only."""
-        sigma_target = float(sigma_target)
+        """Invert sigma(t), elementwise on floats and arrays."""
         s_lo = float(en.data_of(self.sigma(self.t_min)))
-        s_hi = float(en.data_of(self.sigma(self.T)))
-        slack = _DOMAIN_SLACK * max(1.0, s_hi)
-        if sigma_target < s_lo - slack or sigma_target > s_hi + slack:
-            raise ScheduleDomainError(f"sigma={sigma_target} outside [{s_lo}, {s_hi}]")
-        if self.family == VE_EDM:
-            return min(max(sigma_target, self.t_min), self.T)
-        return self._bisect(lambda t: float(en.data_of(self.sigma(t))), sigma_target,
-                            decreasing=False)
-
-    def _bisect(self, fn, target, decreasing):
-        # bisection to ulp convergence; monotone fn on [t_min, T]
-        lo, hi = self.t_min, self.T
-        f_lo = fn(lo)
-        if decreasing:
-            if target >= f_lo:
-                return lo
-            if target <= fn(hi):
-                return hi
-        else:
-            if target <= f_lo:
-                return lo
-            if target >= fn(hi):
-                return hi
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            val = fn(mid)
-            above = val > target
-            if above == decreasing:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        sig = self._in_range("sigma", sigma_target, s_lo, self.sigma_T)
+        t = sig if self.family == VE_EDM else \
+            self._t_of_log_alpha(0.5 * np.log1p(-sig * sig))
+        return np.clip(t, self.t_min, self.T)
 
     # ------------------------------------------------------------- identity
 

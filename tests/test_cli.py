@@ -364,6 +364,10 @@ def overridden(text, extra):
     return "".join(kept) + extra
 
 
+VP_WINDOW = ("schedule.family = vp_linear\nschedule.T = 1.0\n"
+             "schedule.t_min = 0.001\n")
+
+
 @pytest.mark.parametrize("command,extra,key", [
     ("gen-data", "schedule.t_min = 100.0\n", "schedule.t_min"),
     ("train", "train.batch = 0\n", "train.batch"),
@@ -402,6 +406,13 @@ def overridden(text, extra):
     ("cross-eval", "solver.order = 3\n", "solver.order"),
     ("gen-data", "data.kind = swirl\n", "data.kind"),
     ("gen-data", "schedule.family = cosine\n", "schedule.family"),
+    ("gen-data", "schedule.T = inf\n", "schedule.T"),
+    ("gen-data", "schedule.family = vp_linear\n", "schedule.T"),
+    ("gen-data", "schedule.family = vp_linear\nschedule.T = 12.0\n",
+     "schedule.T"),
+    ("gen-data", VP_WINDOW + "schedule.beta0 = -1.0\n", "schedule.beta0"),
+    ("gen-data", VP_WINDOW + "schedule.beta0 = 5.0\nschedule.beta1 = -5.0\n",
+     "schedule.beta1"),
 ], ids=["schedule.t_min", "train.batch", "data.d", "sample.count",
         "bound.samples", "train.epochs", "train.val_refresh_steps",
         "cross.families", "sweep.r_values", "bound.r", "bench.eval_count",
@@ -412,15 +423,19 @@ def overridden(text, extra):
         "bench.nfes", "bench.rmsd_ref_nfe", "solver.order", "teacher.order",
         "teacher.grid", "bound.grid", "solver.family", "teacher.family",
         "cross.families-unknown", "cross-eval-solver.order", "data.kind",
-        "schedule.family"])
+        "schedule.family", "schedule.T-inf", "vp-alpha_T-zero",
+        "vp-alpha_T-subnormal", "vp-beta0-negative", "vp-beta1-negative"])
+@pytest.mark.filterwarnings("error")
 def test_bad_config_values_exit_2_naming_the_key(ws, tmp_path, capsys,
                                                  command, extra, key):
     cfg2 = tmp_path / "bad.cfg"
     cfg2.write_text(overridden(SMALL_CFG, extra))
+    out = tmp_path / "o"
     assert main([command, "--config", str(cfg2), "--data", data_of(ws),
-                 "--out", str(tmp_path / "o")]) == 2
+                 "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,key,csv", [
