@@ -21,7 +21,7 @@ from .evaluate import (BoundReport, bench_rows, bound_closed_terms,
                        rmsd, solve_batch, sweep_r, w1, w1_1d)
 from .config import ConfigError, DEFAULTS, load_config, parse_config
 from .dataio import FormatError, load_dataset, save_dataset
-from .rng import derive_seed, sample_prior, substream
+from .rng import derive_seed, sample_prior, substream, substreams
 
 __all__ = [
     "NoiseSchedule", "ScheduleDomainError", "ve_edm", "vp_linear",
@@ -38,7 +38,7 @@ __all__ = [
     "sweep_r", "w1", "w1_1d",
     "ConfigError", "DEFAULTS", "load_config", "parse_config",
     "FormatError", "load_dataset", "save_dataset",
-    "derive_seed", "sample_prior", "substream",
+    "derive_seed", "sample_prior", "substream", "substreams",
 ]
 
 __version__ = "0.1.0"

@@ -74,6 +74,8 @@ def gm_epsilon(x, t, sched, weights, means, variances, tangents=None):
               - np.vecdot(g[..., None, :], wt))
         return sd * acc, sd * jv
     live_a, live_s = type(a) is en.Value, type(s) is en.Value
+    if not (live_a or live_s or type(x) is en.Value):
+        return sd * acc
 
     def vjp(adj):
         g = sd * adj
@@ -141,8 +143,7 @@ class GMDenoiser:
         """Exact samples from the mixture, one substream per index."""
         cum = np.cumsum(self.weights)
         out = np.empty((count, self.d), dtype=np.float64)
-        for i in range(count):
-            g = rngmod.substream(seed, "gm_data", i)
+        for i, g in enumerate(rngmod.substreams(seed, "gm_data", count)):
             k = int(np.searchsorted(cum, g.random()))
             k = min(k, len(cum) - 1)
             out[i] = self.means[k] + np.sqrt(self.variances[k]) * g.standard_normal(self.d)

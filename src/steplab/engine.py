@@ -5,11 +5,12 @@ position that produced it.  Operations are provided both as module functions
 (`exp`, `dot`, `stack`, ...) and as operators on :class:`Value`.  Operands
 broadcast as in numpy, so one code path runs a single row of shape (d,) or a
 batch of shape (B, d); the row-wise ops (`dot`, `stack`, `logsumexp`) act on
-the last axis.  Every function also accepts plain floats/arrays and then
-simply computes with numpy without recording anything, so the same code path
-can run "hot" (taped) or "cold" (plain numpy) with bit-identical results.
-Every op computes its output and VJP and tapes them through :func:`record`,
-the one recording path, which leaves a cold call's output untouched.
+the last axis.  Every function also accepts plain floats/arrays, so the
+same code path can run "hot" (taped) or "cold" (plain numpy) with
+bit-identical results: an op makes the same numpy calls either way, and with
+no taped operand it returns the plain numpy value before it builds a VJP.
+Otherwise it tapes its output and VJP through :func:`record`, the one
+recording path.
 
 Gradients are pulled with :meth:`Tape.backward`, which allocates its own
 adjoint buffer per call; a tape can therefore be differentiated several times
@@ -241,7 +242,9 @@ def clamp(x, lo, hi):
 
 def vsum(x):
     """Sum of all entries."""
-    xd = data_of(x)
+    if type(x) is not Value:
+        return np.sum(x)
+    xd = x.data
     return record(np.sum(xd), (x,), lambda adj: (np.full_like(xd, adj),), "sum")
 
 
@@ -254,6 +257,8 @@ def dot(a, b):
     except ValueError:
         raise EngineError("dot: shape mismatch") from None
     live_a, live_b = type(a) is Value, type(b) is Value
+    if not (live_a or live_b):
+        return out
 
     def vjp(adj):
         col = np.asarray(adj)[..., None]
@@ -269,6 +274,8 @@ def logsumexp(x):
     xd = data_of(x)
     m = xd.max(axis=-1, keepdims=True)
     out = m[..., 0] + np.log(np.exp(xd - m).sum(axis=-1))
+    if type(x) is not Value:
+        return out
 
     def vjp(adj):
         return (np.asarray(adj)[..., None]
@@ -292,6 +299,8 @@ def stack(xs):
     for k, p in enumerate(parts):
         out[..., k] = p
     live = [type(x) is Value for x in xs]
+    if not any(live):
+        return out
 
     def vjp(adj):
         return tuple(_reduce(adj[..., k], p) if lv else None
@@ -301,7 +310,9 @@ def stack(xs):
 
 
 def index(x, i):
-    xd = data_of(x)
+    if type(x) is not Value:
+        return x[i]
+    xd = x.data
 
     def vjp(adj):
         g = np.zeros_like(xd)
@@ -318,16 +329,19 @@ def index(x, i):
 def lincomb(row, arrays):
     """sum_j row[j] * arrays[j] for a (k,) row and k arrays of one shape,
     accumulated left to right."""
+    live_row = type(row) is Value
+    live = [type(a) is Value for a in arrays]
+    cold = not (live_row or any(live))
     rd = data_of(row)
-    parts = [data_of(a) for a in arrays]
+    parts = arrays if cold else [data_of(a) for a in arrays]
     if np.shape(rd) != (len(parts),):
         raise EngineError(f"lincomb: row shape {np.shape(rd)} for "
                           f"{len(parts)} arrays")
     out = rd[0] * parts[0]
     for c, p in zip(rd[1:], parts[1:]):
         out = out + c * p
-    live_row = type(row) is Value
-    live = [type(a) is Value for a in arrays]
+    if cold:
+        return out
 
     def vjp(adj):
         g_row = np.array([np.vdot(adj, p) for p in parts]) if live_row else None
@@ -340,6 +354,8 @@ def rcumsum(x):
     """Suffix sums: out[i] = sum_{j >= i} x[j]."""
     xd = data_of(x)
     out = np.cumsum(xd[::-1])[::-1]
+    if type(x) is not Value:
+        return out
     return record(out, (x,), lambda adj: (np.cumsum(adj),), "rcumsum")
 
 

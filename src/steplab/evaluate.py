@@ -118,8 +118,7 @@ def estimate_bound(teacher_map, student_map, sched, r, d, n_samples, seed):
     sig = sched.sigma_T
     term1, term2 = bound_closed_terms(r, d)
     centres, points = np.empty((2, n_samples, d), dtype=np.float64)
-    for i in range(n_samples):
-        g = rngmod.substream(seed, "bound", i)
+    for i, g in enumerate(rngmod.substreams(seed, "bound", n_samples)):
         centres[i] = sig * g.standard_normal(d)
         direction = g.standard_normal(d)
         direction /= np.linalg.norm(direction)

@@ -4,6 +4,10 @@ Every random draw in the package derives from a single run seed.  Purpose
 tags and sample indices are folded into the seed with splitmix64, and the
 result keys numpy's counter-based Philox generator, so any sample can be
 regenerated in isolation and results never depend on execution order.
+
+A loop that takes one stream per index uses :func:`substreams`: it re-keys a
+single Philox generator per index instead of building a fresh one, and gives
+the same draws as :func:`substream` for each index.
 """
 
 from __future__ import annotations
@@ -43,10 +47,27 @@ def substream(seed, *tags):
     return np.random.Generator(np.random.Philox(key=derive_seed(seed, *tags)))
 
 
+def substreams(seed, tag, count):
+    """Yield, for i < count, the generator that `substream(seed, tag, i)`
+    gives.
+
+    It is one generator, re-keyed per index (counter 0, empty buffer), so
+    each one must be used before the next one is taken.
+    """
+    base = derive_seed(seed, tag)
+    bits = np.random.Philox(key=base)
+    gen = np.random.Generator(bits)
+    state = bits.state  # counter 0, empty buffer
+    for i in range(count):
+        state["state"]["key"] = np.array([_fold(base, i), 0], dtype=np.uint64)
+        bits.state = state
+        yield gen
+
+
 def sample_prior(sched, d, count, seed):
     """Draw x_T ~ N(0, sigma_T^2 I), one substream per sample index."""
     sig = sched.sigma_T
     out = np.empty((count, d), dtype=np.float64)
-    for i in range(count):
-        out[i] = sig * substream(seed, "prior", i).standard_normal(d)
+    for i, g in enumerate(substreams(seed, "prior", count)):
+        out[i] = sig * g.standard_normal(d)
     return out

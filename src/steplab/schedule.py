@@ -72,11 +72,17 @@ class NoiseSchedule:
     # -------------------------------------------------------------- domain
 
     def check_domain(self, t):
-        td = np.asarray(en.data_of(t))
+        td = en.data_of(t)
         lo = self.t_min - _DOMAIN_SLACK * self.T
         hi = self.T * (1.0 + _DOMAIN_SLACK)
-        # one comparison that NaN fails, where `nan < lo` would let it pass
-        if not ((td >= lo) & (td <= hi)).all():
+        # comparisons that NaN fails, where `nan < lo` would let it pass;
+        # a 0-d time (np.float64 is a float) takes one chained comparison
+        if isinstance(td, float) or np.ndim(td) == 0:
+            ok = lo <= td <= hi
+        else:
+            td = np.asarray(td)
+            ok = ((td >= lo) & (td <= hi)).all()
+        if not ok:
             raise ScheduleDomainError(
                 f"t={td} outside [{self.t_min}, {self.T}] for {self.family}")
         return t

@@ -243,6 +243,26 @@ def test_cold_path_returns_plain_numpy():
         assert np.array_equal(out, hot.data), name  # bitwise: same numpy calls
 
 
+def test_cold_lincomb_checks_its_row():
+    # the plain-numpy early return comes after the row-shape check
+    with pytest.raises(en.EngineError,
+                       match=r"lincomb: row shape \(3,\) for 2 arrays"):
+        en.lincomb(LC_ROW, LC_ARRAYS[:2])
+    with pytest.raises(en.EngineError,
+                       match=r"lincomb: row shape \(1, 3\) for 3 arrays"):
+        en.lincomb(LC_ROW[None], LC_ARRAYS)
+
+
+def test_cold_index_repeated_array_index():
+    i = np.array([0, 0, 2, 0])
+    out = en.index(X, i)
+    assert not isinstance(out, en.Value)
+    np.testing.assert_array_equal(out, X[i])
+    m = np.arange(6.0).reshape(3, 2)
+    rows = (np.array([1, 1, 0]), slice(None))
+    np.testing.assert_array_equal(en.index(m, rows), m[rows])
+
+
 def test_repeated_backward_same_tape():
     tape = en.Tape()
     x = tape.leaf(np.array([1.0, 2.0, 3.0]))

@@ -1,10 +1,16 @@
 """Stream splitting: substreams must be reproducible, order-free, and
-distinct across tags."""
+distinct across tags; the re-keyed loop of `substreams` must give the
+same draws as one fresh `substream` per index."""
+
+import hashlib
 
 import numpy as np
+import pytest
 
-from steplab.rng import derive_seed, sample_prior, splitmix64, substream
-from steplab.schedule import ve_edm
+from steplab import config, evaluate
+from steplab.rng import (derive_seed, sample_prior, splitmix64, substream,
+                         substreams)
+from steplab.schedule import ve_edm, vp_linear
 
 
 def test_splitmix64_is_pure_u64():
@@ -39,3 +45,48 @@ def test_sample_prior_scale_and_determinism():
     # per-index substreams: a longer draw starts with the same rows
     more = sample_prior(sched, 3, 2001, seed=4)
     np.testing.assert_array_equal(more[:2000], xs)
+
+
+def draw_mix(g, d=3):
+    """The draws of one `estimate_bound` sample, a permutation, and an odd
+    count of 32-bit integers, which leaves half a 64-bit word buffered."""
+    return b"".join(np.asarray(x).tobytes() for x in (
+        g.standard_normal(d), g.standard_normal(d), g.random(),
+        g.permutation(5), g.integers(0, 9, size=3, dtype=np.int32)))
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2 ** 63 + 7, 2 ** 64 - 1, -1])
+@pytest.mark.parametrize("count", [0, 1, 33])
+def test_substreams_equal_fresh_substreams(seed, count):
+    got = [draw_mix(g) for g in substreams(seed, "bound", count)]
+    want = [draw_mix(substream(seed, "bound", i)) for i in range(count)]
+    assert got == want
+
+
+def sha(a):
+    return hashlib.sha256(np.ascontiguousarray(a, np.float64).tobytes()).hexdigest()
+
+
+def test_draws_match_recorded_digests(monkeypatch):
+    # digests of the draws as made before `substreams` existed
+    assert sha(sample_prior(ve_edm(), 2, 8, 0)) == (
+        "350b823602294c2e0fef50afb51316909104a159cea67611e747b14f93cbeb6b")
+    assert sha(sample_prior(vp_linear(), 3, 5, 2 ** 63 + 7)) == (
+        "fbc956dad7805ab8ac4aae979236190b13bdd5219773697c0960032e686d4f56")
+    sched = config.build_schedule(config.DEFAULTS)
+    den = config.build_denoiser(config.DEFAULTS, sched)
+    assert sha(den.sample_data(16, 3)) == (
+        "bec36da051d09318ff19e9eff57991ee4d7f2cca5940a21393bc87129bd19401")
+    seen = []
+
+    def record(fn, xs):
+        seen.append(np.array(xs))
+        return np.zeros(len(xs))
+
+    monkeypatch.setattr(evaluate, "log_abs_det_jacobian", record)
+    # 30 samples: two log-det chunks, teacher centres then student points
+    evaluate.estimate_bound(None, None, sched, 0.19, 3, 30, 11)
+    assert sha(np.concatenate(seen[0::2])) == (
+        "03256c399968ba0ca29295740869b4f1948f7949ecf97b5d2f385329004df5de")
+    assert sha(np.concatenate(seen[1::2])) == (
+        "c7d7251fa342e3cb8b9ca5dea408f08fb9962ff1448d9fb76e9025454e66557b")

@@ -1,14 +1,17 @@
 """Noise schedules: closed forms for the VE family, finite-difference oracles
 for the VP drift/diffusion identities, and inverse round-trips."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steplab import engine as en
 from steplab.denoisers import PointDenoiser
-from steplab.schedule import (NoiseSchedule, ScheduleDomainError, ve_edm,
-                              vp_linear)
+from steplab.schedule import (_DOMAIN_SLACK, NoiseSchedule,
+                              ScheduleDomainError, ve_edm, vp_linear)
 from steplab.solvers import SolverSpec, solve
 
 VE = ve_edm()
@@ -210,6 +213,27 @@ def test_domain_check_rejects_nan():
     with pytest.raises(ScheduleDomainError):
         solve(den, VE, spec, [80.0, 1.0, 0.002], [80.0, np.nan, 0.002],
               np.ones(2))
+
+
+SCALAR_FORMS = {"float": float, "np.float64": np.float64,
+                "0-d array": np.asarray,
+                "taped": lambda t: en.Tape().leaf(t)}
+
+
+@pytest.mark.parametrize("form", SCALAR_FORMS)
+@pytest.mark.parametrize("sched", [VE, VP], ids=["ve", "vp"])
+def test_domain_check_scalar_forms(sched, form):
+    wrap = SCALAR_FORMS[form]
+    lo = sched.t_min - _DOMAIN_SLACK * sched.T
+    hi = sched.T * (1.0 + _DOMAIN_SLACK)
+    for t in (lo, hi):  # the slack endpoints pass, as 80.0 does
+        assert sched.check_domain(wrap(t)) is not None
+    for bad in (np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
+                -np.inf, np.inf, 1.01 * sched.T, 0.99 * sched.t_min, np.nan):
+        message = (f"t={bad} outside [{sched.t_min}, {sched.T}] "
+                   f"for {sched.family}")
+        with pytest.raises(ScheduleDomainError, match=re.escape(message)):
+            sched.check_domain(wrap(bad))
 
 
 def test_inverse_targets_outside_range_rejected():
