@@ -10,6 +10,7 @@ reproduced from the artifacts alone.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -26,9 +27,11 @@ from .dataio import (FormatError, load_dataset, save_dataset,
                      write_metrics_csv, write_sweep_csv)
 from .discretize import (HEURISTICS, heuristic_times, load_checkpoint,
                          save_checkpoint)
+from .engine import EngineError
 from .evaluate import (BENCH_METHODS, JacobianError, bench_cell,
                        bench_eval_assets, cross_eval, estimate_bound,
                        solve_batch, solver_map, sweep_r)
+from .schedule import ScheduleDomainError
 from .solvers import DivergenceError, GridError, SolverSpec
 from .training import TrainingError, generate_dataset, train
 
@@ -156,6 +159,11 @@ def _cmd_sweep_r(args, cfg, sched, den):
     spec = build_solver_spec(cfg)
     tc = build_train_config(cfg)
     rows = sweep_r(ds, den, sched, spec, tc, r_values)
+    for r, best in rows:
+        if not np.isfinite(best):
+            print(f"error: training at r = {r!r} aborted before its first "
+                  f"checkpoint; no sweep.csv written", file=sys.stderr)
+            return 1
     out = _ensure_dir(args.out or "sweep")
     write_sweep_csv(os.path.join(out, "sweep.csv"), rows)
     write_snapshot(cfg, os.path.join(out, "config.txt"))
@@ -235,8 +243,12 @@ def build_parser():
     return parser
 
 
+# argparse parsers are not changed by parsing, so one serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handler = _COMMANDS[args.command][0]
     try:
         if args.jobs < 1:
@@ -249,7 +261,8 @@ def main(argv=None):
         sched = build_schedule(cfg)
         return handler(args, cfg, sched, build_denoiser(cfg, sched))
     except (ConfigError, FormatError, GridError, DivergenceError,
-            JacobianError, TrainingError, OSError) as exc:
+            JacobianError, TrainingError, ScheduleDomainError, EngineError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

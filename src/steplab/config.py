@@ -198,11 +198,13 @@ def build_teacher(cfg, den, sched):
 
 
 def at_least(cfg, key, lo):
-    """cfg[key], or a ConfigError naming the key when it is below lo; a
-    list must be non-empty and hold no entry below lo."""
+    """cfg[key], or a ConfigError naming the key when it is below lo or not
+    finite; a list must be non-empty and hold only such entries."""
     value = cfg[key]
-    if min(nonempty(cfg, key) if isinstance(value, tuple) else (value,)) < lo:
-        raise ConfigError(f"{key} must be >= {lo}, got {value}")
+    if not all(lo <= v < np.inf for v in (nonempty(cfg, key)
+                                          if isinstance(value, tuple)
+                                          else (value,))):
+        raise ConfigError(f"{key} must be finite and >= {lo}, got {value}")
     return value
 
 

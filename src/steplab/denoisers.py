@@ -19,11 +19,20 @@ tangents=V) returns (eps, J V) with J = d eps / dx, which the bound's
 log-det Jacobians march beside the state.  x is one row of shape (d,) or a
 batch of rows (B, d) sharing the time t; each batched row equals its
 single-row result bit for bit.
+
+A solver grid fixes its query times, so the terms that depend on t alone
+are built once per grid by `step_constants`, with vector ops over the
+N + 1 times: alpha and sigma, and for the mixture v_k, 2 v_k, the
+log-normaliser -(d/2)(log v_k + log 2 pi) and alpha mu_k.  Step i passes
+their row i to `epsilon` in place of t, and the result equals epsilon at
+t_i bit for bit: each element keeps the expression the per-time path
+computes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,38 +42,54 @@ from . import rng as rngmod
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-def _mixture_terms(x, a, s, weights, means, variances):
-    """Plain numpy: the (..., K) terms log w_k + log N(x; a mu_k, v_k I) of
-    each row of x, with v_k = a^2 s_k^2 + s^2; also returns the (..., K, d)
-    offsets x - a mu_k, their (..., K) squared norms q and the (K,) v."""
-    d = means.shape[1]
+def _gm_table(ad, sd, means, variances):
+    """Plain numpy: the time-only terms of the mixture at alphas ad and
+    sigmas sd, both (n,): the (n, K) arrays v_k = a^2 s_k^2 + s^2, 2 v and
+    c_k = -(d/2)(log v_k + log 2 pi), and the (n, K, d) array a mu_k."""
+    a, s = ad[:, None], sd[:, None]
     v = a * a * variances + s * s
-    diff = x[..., None, :] - a * means
-    q = np.vecdot(diff, diff)
-    logn = -0.5 * d * (np.log(v) + _LOG_2PI) - q / (2.0 * v)
-    return np.log(weights) + logn, diff, q, v
+    c = -0.5 * means.shape[1] * (np.log(v) + _LOG_2PI)
+    return v, 2.0 * v, c, ad[:, None, None] * means
 
 
 def gm_epsilon(x, t, sched, weights, means, variances, tangents=None):
-    """Exact epsilon for Gaussian-mixture data.
+    """Exact epsilon for Gaussian-mixture data at the query time t; the
+    same as the grid path `GMDenoiser.epsilon` takes with row i of
+    `step_constants`."""
+    sched.check_domain(t)
+    a, s = sched.alpha_sigma(t)
+    rows = _gm_table(np.reshape(en.data_of(a), 1),
+                     np.reshape(en.data_of(s), 1), means, variances)
+    return _gm_kernel(x, (a, s) + tuple(c[0] for c in rows), np.log(weights),
+                      means, variances, tangents)
 
-    The value is computed in plain numpy.  When x or t is taped, it is
-    recorded as one op over (x, alpha_t, sigma_t) whose VJP is the closed
+
+def _gm_kernel(x, row, log_w, means, variances, tangents):
+    """The mixture's epsilon from one row (alpha, sigma, v, 2v, c, alpha mu)
+    of time-only terms.
+
+    The value is computed in plain numpy.  When x, alpha or sigma is taped,
+    it is recorded as one op over (x, alpha, sigma) whose VJP is the closed
     form of eps = sigma sum_k (gamma_k / v_k) (x - alpha mu_k), gamma the
-    softmax of the mixture's log terms.
+    softmax of the log terms log w_k + c_k - |x - alpha mu_k|^2 / (2 v_k).
 
     Given tangents V, rows (..., n, d) at a cold x, it returns (eps, J V)
     with J v = sigma [(sum_k gamma_k / v_k) v - sum_k gamma_k (w_k . v) w_k]
     for each row v: u_k = (x - alpha mu_k) / v_k, m = sum_k gamma_k u_k and
     w_k = u_k - m, so the sum is the covariance of u under gamma.
     """
-    sched.check_domain(t)
-    a, s = sched.alpha_sigma(t)
+    a, s, v, v2, c, am = row
     xd, ad, sd = en.data_of(x), en.data_of(a), en.data_of(s)
-    terms, diff, q, v = _mixture_terms(xd, ad, sd, weights, means, variances)
-    gamma = np.exp(terms - en.logsumexp(terms)[..., None])
+    diff = xd[..., None, :] - am
+    q = np.vecdot(diff, diff)
+    terms = log_w + (c - q / v2)
+    # en.logsumexp's max-shift form, inline; the reductions np.sum and
+    # .max call, without their Python wrappers
+    m = np.maximum.reduce(terms, axis=-1, keepdims=True)
+    lse = m + np.log(np.add.reduce(np.exp(terms - m), axis=-1, keepdims=True))
+    gamma = np.exp(terms - lse)
     r = gamma / v
-    acc = np.sum(r[..., None] * diff, axis=-2)
+    acc = np.add.reduce(r[..., None] * diff, axis=-2)
     if tangents is not None:
         w = diff / v[:, None] - acc[..., None, :]
         g = gamma[..., None, :] * np.vecdot(tangents[..., None, :],
@@ -101,9 +126,13 @@ def gm_epsilon(x, t, sched, weights, means, variances, tangents=None):
 
 def point_epsilon(x, t, sched, x0, tangents=None):
     """Exact epsilon when the data distribution is a point mass at x0; with
-    tangents V also J V = V / sigma."""
-    sched.check_domain(t)
-    a, s = sched.alpha_sigma(t)
+    tangents V also J V = V / sigma.  t is a query time or a row
+    (alpha, sigma) of `step_constants`."""
+    if type(t) is tuple:
+        a, s = t
+    else:
+        sched.check_domain(t)
+        a, s = sched.alpha_sigma(t)
     eps = en.div(en.sub(x, a * x0), s)
     return eps if tangents is None else (eps, tangents / s)
 
@@ -135,9 +164,17 @@ class GMDenoiser:
     def d(self):
         return self.means.shape[1]
 
+    @cached_property
+    def log_weights(self):
+        return np.log(self.weights)
+
     def epsilon(self, x, t, tangents=None):
-        return gm_epsilon(x, t, self.sched, self.weights, self.means,
-                          self.variances, tangents)
+        """eps(x, t); t is a query time or row i of `step_constants`."""
+        if type(t) is not tuple:
+            return gm_epsilon(x, t, self.sched, self.weights, self.means,
+                              self.variances, tangents)
+        return _gm_kernel(x, t, self.log_weights, self.means, self.variances,
+                          tangents)
 
     def sample_data(self, count, seed):
         """Exact samples from the mixture, one substream per index."""
@@ -170,3 +207,30 @@ class PointDenoiser:
 
     def sample_data(self, count, seed):
         return np.tile(self.x0, (count, 1))
+
+
+# the denoisers queried by rows of step constants rather than by time
+ROW_QUERIED = (GMDenoiser, PointDenoiser)
+
+
+def step_constants(den, times_c):
+    """The time-only terms of den at the checked query times times_c
+    (N + 1,), one row per step: a tuple of arrays whose leading axis is the
+    step.  Row i, the tuple of their i-th entries, stands in for t_i in
+    `den.epsilon`.  The point mass keeps (alpha, sigma), the mixture also
+    the `_gm_table` terms; for any other denoiser this returns None and it
+    is queried by time.
+
+    Built with vector ops, engine-generic in alpha and sigma: on a taped
+    times_c those two are taped and the rest is plain numpy made from
+    their data, so the GM op keeps (x, alpha_i, sigma_i) as its parents.
+    """
+    if type(den) not in ROW_QUERIED:
+        return None
+    a, s = den.sched.alpha_sigma(times_c)
+    if type(a) is float:  # VE: alpha is the constant 1
+        a = np.ones(np.shape(en.data_of(times_c)))
+    if type(den) is PointDenoiser:
+        return a, s
+    return (a, s) + _gm_table(en.data_of(a), en.data_of(s), den.means,
+                              den.variances)

@@ -146,7 +146,8 @@ def estimate_bound(teacher_map, student_map, sched, r, d, n_samples, seed):
 
 def sweep_r(ds, den, sched, spec, cfg, r_values):
     """Train once per feasibility radius r (shared seed/init); returns
-    [(r, best validation soft loss)]."""
+    [(r, best validation soft loss)], the loss inf where the training
+    aborted before its first checkpoint."""
     rows = []
     for r in r_values:
         report = train(ds.fresh(), den, sched, spec,

@@ -81,7 +81,10 @@ class NoiseSchedule:
             ok = lo <= td <= hi
         else:
             td = np.asarray(td)
-            ok = ((td >= lo) & (td <= hi)).all()
+            inside = (td >= lo) & (td <= hi)
+            ok = inside.all()
+            if not ok:  # name the first time at fault
+                td = td[~inside][0]
         if not ok:
             raise ScheduleDomainError(
                 f"t={td} outside [{self.t_min}, {self.T}] for {self.family}")

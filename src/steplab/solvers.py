@@ -21,8 +21,11 @@ h_i = lambda_{i+1} - lambda_i (> 0 along sampling), the rows are
             with b_i the Adams-Bashforth row of order min(i + 1, order),
             zero-padded during warm-up
 
-Steps are pure functions of (state, shared) where shared = (times_c, table),
-so they run identically on plain numpy arrays and on taped engine Values;
+Steps are pure functions of (state, shared).  `grid_shared` builds shared
+once per grid: the table, then the denoiser's per-step constants on the
+query times (`denoisers.step_constants`; a denoiser without them gets
+times_c), and step i hands their row i to `den.epsilon`.  So steps run
+identically on plain numpy arrays and on taped engine Values;
 the training loop exploits this for checkpointed backpropagation.  The
 inter-step state has a fixed width per solver spec (history slots are
 zero-padded before they fill), which keeps the number of arrays cached per
@@ -50,6 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine as en
+from .denoisers import ROW_QUERIED, step_constants
 
 EULER = "euler"
 DPMPP = "dpmpp"
@@ -134,20 +138,36 @@ def coeffs(sched, spec, times):
                             en.mul(em, c)])
 
 
-def make_steps(den, spec):
-    """Pure step closures for i = 0 .. nfe-1, all of the one generic step."""
-    return [_step(den, spec, i) for i in range(spec.nfe)]
+def grid_shared(den, sched, spec, times, times_c):
+    """What every step reads, engine-generic: the coefficient table of
+    `times`, then den's step constants on the checked query times times_c,
+    or times_c itself for a denoiser without them."""
+    consts = step_constants(den, times_c)
+    return (coeffs(sched, spec, times),) + \
+        ((times_c,) if consts is None else consts)
 
 
-def _step(den, spec, i):
+def make_steps(den, spec, jacobian=False):
+    """Pure step closures for i = 0 .. nfe-1, all of the one generic step;
+    with jacobian=True they march stacked tangent slots."""
+    by_row = type(den) in ROW_QUERIED
+    if jacobian:
+        den = _Tangents(den)
+    return [_step(den, spec, i, by_row) for i in range(spec.nfe)]
+
+
+def _step(den, spec, i, by_row):
     width = 1 + spec.history_width
     pre = 2 if spec.family == DPMPP else 0
     head, tail = (i, slice(0, pre)), (i, slice(pre, None))
 
     def step(state, shared):
-        times_c, table = shared
+        table = shared[0]
         x = state[0]
-        out = den.epsilon(x, en.index(times_c, i))
+        # row i of the step constants, or the query time t^c_i (a Value
+        # indexes through en.index)
+        row = tuple([c[i] for c in shared[1:]])
+        out = den.epsilon(x, row if by_row else row[0])
         if pre:  # DPM-Solver++ combines data predictions
             out = en.lincomb(en.index(table, head), (x, out))
         xn = en.lincomb(en.index(table, tail), (x, out) + state[1:])
@@ -181,11 +201,14 @@ def solver_map(den, sched, spec, times, times_c=None):
     if not np.all(np.diff(times) < 0.0):
         raise GridError("time grid must be strictly decreasing")
     sched.check_domain(times)
-    times_c = times if times_c is None else np.asarray(times_c, np.float64)
-    if times_c.shape != times.shape:
-        raise GridError("times_c must match the grid shape")
-    sched.check_domain(times_c)
-    shared = (times_c, coeffs(sched, spec, times))
+    if times_c is None:
+        times_c = times
+    else:
+        times_c = np.asarray(times_c, np.float64)
+        if times_c.shape != times.shape:
+            raise GridError("times_c must match the grid shape")
+        sched.check_domain(times_c)
+    shared = grid_shared(den, sched, spec, times, times_c)
     steps = make_steps(den, spec)
 
     def march(x, jacobian=False):
@@ -193,7 +216,7 @@ def solver_map(den, sched, spec, times, times_c=None):
             eye = np.broadcast_to(np.eye(x.shape[-1]), x.shape + x.shape[-1:])
             x = np.concatenate([x[..., None, :], eye], axis=-2)
         state = initial_state(spec, x)
-        for i, step in enumerate(make_steps(_Tangents(den), spec)
+        for i, step in enumerate(make_steps(den, spec, True)
                                  if jacobian else steps):
             state = step(state, shared)
             if not np.isfinite(en.data_of(state[0])).all():

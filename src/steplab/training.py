@@ -30,7 +30,8 @@ import numpy as np
 from . import engine as en
 from . import rng as rngmod
 from .discretize import Discretization, HEURISTICS, heuristic_times, tau
-from .solvers import SolverSpec, coeffs, initial_state, make_steps, solve
+from .solvers import (SolverSpec, grid_shared, initial_state, make_steps,
+                      solve)
 
 
 class TrainingError(RuntimeError):
@@ -149,8 +150,8 @@ def _chain_parts(den, sched, spec, disc, y):
         xi = env.get("xi", disc.xi)
         xi_c = env.get("xi_c", disc.xi_c)
         times = tau(xi, T, t_min)
-        times_c = en.clamp(en.add(times, xi_c), t_min, T)
-        return ((times_c, coeffs(sched, spec, times)),
+        times_c = sched.check_domain(en.clamp(en.add(times, xi_c), t_min, T))
+        return (grid_shared(den, sched, spec, times, times_c),
                 initial_state(spec, env["x_prime"]))
 
     def finale(state, shared):

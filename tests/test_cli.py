@@ -413,6 +413,9 @@ VP_WINDOW = ("schedule.family = vp_linear\nschedule.T = 1.0\n"
     ("gen-data", VP_WINDOW + "schedule.beta0 = -1.0\n", "schedule.beta0"),
     ("gen-data", VP_WINDOW + "schedule.beta0 = 5.0\nschedule.beta1 = -5.0\n",
      "schedule.beta1"),
+    ("bound", "bound.r = inf\n", "bound.r"),
+    ("bound", "bound.r = -inf\n", "bound.r"),
+    ("sweep-r", "sweep.r_values = 0.0,inf\n", "sweep.r_values"),
 ], ids=["schedule.t_min", "train.batch", "data.d", "sample.count",
         "bound.samples", "train.epochs", "train.val_refresh_steps",
         "cross.families", "sweep.r_values", "bound.r", "bench.eval_count",
@@ -424,7 +427,8 @@ VP_WINDOW = ("schedule.family = vp_linear\nschedule.T = 1.0\n"
         "teacher.grid", "bound.grid", "solver.family", "teacher.family",
         "cross.families-unknown", "cross-eval-solver.order", "data.kind",
         "schedule.family", "schedule.T-inf", "vp-alpha_T-zero",
-        "vp-alpha_T-subnormal", "vp-beta0-negative", "vp-beta1-negative"])
+        "vp-alpha_T-subnormal", "vp-beta0-negative", "vp-beta1-negative",
+        "bound.r-inf", "bound.r-minus-inf", "sweep.r_values-inf"])
 @pytest.mark.filterwarnings("error")
 def test_bad_config_values_exit_2_naming_the_key(ws, tmp_path, capsys,
                                                  command, extra, key):
@@ -503,3 +507,43 @@ def test_train_aborted_before_first_checkpoint_exits_1(ws, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
     assert not (run / "checkpoint.json").exists()
     assert (run / "metrics.csv").exists() and (run / "config.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep-r"])
+@pytest.mark.parametrize("extra,says", [
+    ("train.lr_xic = inf\n", "t=nan"),
+    ("train.lr_xprime = inf\n", "non-finite adjoint"),
+], ids=["lr_xic-inf", "lr_xprime-inf"])
+def test_errors_raised_inside_training_exit_2(ws, tmp_path, capsys, command,
+                                              extra, says):
+    """A schedule-domain or engine error from inside the training loop ends
+    in an error line, not a traceback."""
+    cfg2 = tmp_path / "blowup.cfg"
+    cfg2.write_text(SMALL_CFG + extra)
+    with np.errstate(all="ignore"):
+        code = main([command, "--config", str(cfg2), "--data", data_of(ws),
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and says in err
+
+
+def test_sweep_r_refuses_an_aborted_training(ws, tmp_path, capsys):
+    cfg2 = tmp_path / "blowup.cfg"
+    cfg2.write_text(SMALL_CFG + "train.lr_xi = inf\n")
+    out = tmp_path / "o"
+    with np.errstate(all="ignore"):
+        code = main(["sweep-r", "--config", str(cfg2), "--data",
+                     data_of(ws), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "r = 0.0" in err
+    assert not (out / "sweep.csv").exists()
+
+
+def test_one_parser_serves_every_call():
+    assert cli._parser() is cli._parser()
+    first = cli._parser().parse_args(["train", "--seed", "3", "--jobs", "2"])
+    again = cli._parser().parse_args(["sample"])
+    assert (first.seed, first.jobs) == (3, 2)
+    assert (again.command, again.seed, again.jobs) == ("sample", None, 1)

@@ -7,8 +7,9 @@ import pytest
 from scipy import stats
 
 import steplab.engine as en
-from steplab.denoisers import (GMDenoiser, PointDenoiser, gm_epsilon,
-                               point_epsilon)
+from steplab.denoisers import (GMDenoiser, PointDenoiser, _gm_table,
+                               gm_epsilon, point_epsilon, step_constants)
+from steplab.discretize import heuristic_times
 from steplab.schedule import ve_edm, vp_linear
 
 VE = ve_edm()
@@ -167,3 +168,85 @@ def test_gm_sample_data_statistics():
     np.testing.assert_allclose(xs.mean(axis=0), want_mean, atol=0.1)
     again = den.sample_data(4000, seed=7)
     np.testing.assert_array_equal(xs, again)
+
+
+# ------------------------------------------------- per-grid step constants
+
+
+def grid_times(sched, nfe):
+    """A grid's query times, kept off the heuristic nodes."""
+    times = heuristic_times("logsnr", sched, nfe)
+    wiggle = 1.0 + 0.01 * np.sin(np.arange(nfe + 1))
+    return np.clip(times * wiggle, sched.t_min, sched.T)
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["gm", "point"])
+@pytest.mark.parametrize("sched", [VE, vp_linear()], ids=["ve", "vp"])
+def test_row_epsilon_equals_time_epsilon_bit_for_bit(sched, kind):
+    """Row i of the vector-built constants gives epsilon(x, t_i) exactly,
+    with and without tangents, for one row and for batches."""
+    den = make_gm(sched) if kind == "gm" else \
+        PointDenoiser.create(sched, np.array([1.0, -1.0]))
+    g = np.random.default_rng(16)
+    for nfe in (4, 16, 100):
+        times_c = grid_times(sched, nfe)
+        consts = step_constants(den, times_c)
+        assert all(np.shape(c)[0] == nfe + 1 for c in consts)
+        for i in range(nfe + 1):
+            row = tuple(c[i] for c in consts)
+            for shape in ((2,), (1, 2), (8, 2), (64, 2)):
+                x = sched.sigma_T * g.standard_normal(shape)
+                assert same_bits(den.epsilon(x, row),
+                                 den.epsilon(x, times_c[i]))
+            v = g.standard_normal((8, 2, 2))
+            got = den.epsilon(x[:8], row, tangents=v)
+            want = den.epsilon(x[:8], times_c[i], tangents=v)
+            assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("sched", [VE, vp_linear()], ids=["ve", "vp"])
+def test_vector_built_terms_equal_per_time_terms(sched):
+    den = make_gm(sched)
+    for nfe in (4, 16, 100):
+        times_c = grid_times(sched, nfe)
+        consts = step_constants(den, times_c)
+        for i, t in enumerate(times_c):
+            a, s = sched.alpha_sigma(t)
+            one = (np.reshape(a, 1), np.reshape(s, 1))
+            want = one + _gm_table(*one, den.means, den.variances)
+            assert all(same_bits(c[i], w[0]) for c, w in zip(consts, want))
+
+
+def test_taped_row_keeps_alpha_sigma_as_parents():
+    """On a taped grid only alpha and sigma are taped; the row epsilon's
+    gradients equal the time epsilon's."""
+    sched = vp_linear()
+    den = make_gm(sched)
+    times_c = grid_times(sched, 4)
+    x = np.array([0.3, -0.7])
+    w = np.array([1.0, 2.0])
+    tape = en.Tape()
+    tv, xv = tape.leaf(times_c), tape.leaf(x)
+    consts = step_constants(den, tv)
+    assert [type(c) is en.Value for c in consts] == [True, True] + [False] * 4
+    out = den.epsilon(xv, tuple(en.index(c, 2) for c in consts))
+    gx, gt = tape.backward([(out, w)], [xv, tv])
+    tape2 = en.Tape()
+    t2, x2 = tape2.leaf(times_c[2]), tape2.leaf(x)
+    out2 = den.epsilon(x2, t2)
+    gx2, gt2 = tape2.backward([(out2, w)], [x2, t2])
+    assert same_bits(out.data, out2.data) and same_bits(gx, gx2)
+    assert same_bits(gt[2], gt2)
+    assert np.count_nonzero(gt) == 1
+
+
+def test_other_denoisers_have_no_step_constants():
+    class TimeOnly:
+        def epsilon(self, x, t):
+            return x
+
+    assert step_constants(TimeOnly(), np.array([80.0, 1.0])) is None

@@ -115,6 +115,37 @@ def test_times_c_defaults_to_times():
         solve(GM, VE, spec, times, times, x_T))
 
 
+class TimeQueried:
+    """A denoiser with no step constants: only epsilon(x, t), t a time."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def epsilon(self, x, t, tangents=None):
+        assert np.ndim(en.data_of(t)) == 0
+        return self.inner.epsilon(x, t, tangents)
+
+
+@pytest.mark.parametrize("sched", [VE, vp_linear()], ids=["ve", "vp"])
+@pytest.mark.parametrize("family,order", [("euler", 1), ("dpmpp", 2),
+                                          ("ipndm", 4)])
+def test_time_queried_denoiser_matches_step_constants(sched, family, order):
+    """The row path and the time path of one denoiser give the same map,
+    bit for bit, cold and in the Jacobian mode."""
+    nfe = 6
+    times = heuristic_times("logsnr", sched, nfe)
+    times_c = np.clip(times * 1.01, sched.t_min, sched.T)
+    spec = SolverSpec(family=family, order=order, nfe=nfe)
+    x = sched.sigma_T * np.random.default_rng(3).standard_normal((5, 2))
+    for den in (GMDenoiser.create(sched, GM.weights, GM.means, GM.variances),
+                PointDenoiser.create(sched, np.array([1.0, -1.0]))):
+        rows = solver_map(den, sched, spec, times, times_c)
+        by_time = solver_map(TimeQueried(den), sched, spec, times, times_c)
+        for jacobian in (False, True):
+            assert rows(x, jacobian).tobytes() == \
+                by_time(x, jacobian).tobytes()
+
+
 # ------------------------------------------------------------ accuracy order
 
 

@@ -9,7 +9,7 @@ import steplab.engine as en
 from steplab.denoisers import GMDenoiser
 from steplab.discretize import Discretization, heuristic_times
 from steplab import config
-from steplab.schedule import ve_edm, vp_linear
+from steplab.schedule import ScheduleDomainError, ve_edm, vp_linear
 from steplab.solvers import SolverSpec, solve
 from steplab.training import (Dataset, RmsPropMomentum, Teacher, TrainConfig,
                               TrainingError, ball_radius, clip_to_norm,
@@ -208,6 +208,19 @@ def test_whole_tape_size_is_pinned(nfe):
     x = np.array([30.0, -45.0])
     res = pair_grads(disc, den, sched, spec, x, 0.01 * x, checkpointed=False)
     assert res.retained_arrays <= WHOLE_TAPE_OPS[nfe]
+
+
+@pytest.mark.parametrize("checkpointed", [True, False],
+                         ids=["ckpt", "whole"])
+def test_nan_query_offset_raises_schedule_domain_error(checkpointed):
+    """The chain prelude checks the query times once per grid; a NaN in
+    xi_c is named there, not by a diverged step."""
+    spec = SolverSpec(family="dpmpp", order=2, nfe=3)
+    disc = Discretization.from_times(VE, heuristic_times("logsnr", VE, 3))
+    disc.xi_c[1] = np.nan
+    x = np.array([30.0, -45.0])
+    with pytest.raises(ScheduleDomainError, match="t=nan"):
+        pair_grads(disc, GM, VE, spec, x, 0.01 * x, checkpointed)
 
 
 def test_grid_constant_mode_freezes_grid():
