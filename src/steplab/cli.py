@@ -72,8 +72,8 @@ def _cmd_train(args, cfg, sched, den):
     ds = _load_ds(args, sched)
     spec = build_solver_spec(cfg)
     tc = build_train_config(cfg)
-    out = _ensure_dir(args.out or "run")
     report = train(ds, den, sched, spec, tc)
+    out = _ensure_dir(args.out or "run")
     write_metrics_csv(os.path.join(out, "metrics.csv"), report)
     write_snapshot(cfg, os.path.join(out, "config.txt"))
     if report.aborted and report.best_epoch < 0:

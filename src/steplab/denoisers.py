@@ -21,12 +21,12 @@ batch of rows (B, d) sharing the time t; each batched row equals its
 single-row result bit for bit.
 
 A solver grid fixes its query times, so the terms that depend on t alone
-are built once per grid by `step_constants`, with vector ops over the
-N + 1 times: alpha and sigma, and for the mixture v_k, 2 v_k, the
-log-normaliser -(d/2)(log v_k + log 2 pi) and alpha mu_k.  Step i passes
-their row i to `epsilon` in place of t, and the result equals epsilon at
-t_i bit for bit: each element keeps the expression the per-time path
-computes.
+are built once per grid by each denoiser's `step_constants`, with vector
+ops over the N + 1 times: alpha and sigma, and for the mixture v_k, 2 v_k,
+the log-normaliser -(d/2)(log v_k + log 2 pi) and alpha mu_k.  Step i
+passes their row i to `epsilon` in place of t.  A query time is the
+one-row case of the same build, so epsilon at t_i equals epsilon with row
+i bit for bit.
 """
 
 from __future__ import annotations
@@ -42,26 +42,32 @@ from . import rng as rngmod
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
+def _alpha_sigma(sched, times):
+    """alpha and sigma at times, engine-generic; under VE, where the
+    schedule's alpha is the constant 1, alpha is an array of ones shaped
+    like times."""
+    a, s = sched.alpha_sigma(times)
+    if type(a) is float:
+        a = np.ones(np.shape(en.data_of(times)))
+    return a, s
+
+
 def _gm_table(ad, sd, means, variances):
     """Plain numpy: the time-only terms of the mixture at alphas ad and
-    sigmas sd, both (n,): the (n, K) arrays v_k = a^2 s_k^2 + s^2, 2 v and
-    c_k = -(d/2)(log v_k + log 2 pi), and the (n, K, d) array a mu_k."""
-    a, s = ad[:, None], sd[:, None]
+    sigmas sd, both 0-d or (n,): the (..., K) arrays v_k = a^2 s_k^2 + s^2,
+    2 v and c_k = -(d/2)(log v_k + log 2 pi), and the (..., K, d) array
+    a mu_k."""
+    ad, sd = np.asarray(ad), np.asarray(sd)
+    a, s = ad[..., None], sd[..., None]
     v = a * a * variances + s * s
     c = -0.5 * means.shape[1] * (np.log(v) + _LOG_2PI)
-    return v, 2.0 * v, c, ad[:, None, None] * means
+    return v, 2.0 * v, c, ad[..., None, None] * means
 
 
 def gm_epsilon(x, t, sched, weights, means, variances, tangents=None):
-    """Exact epsilon for Gaussian-mixture data at the query time t; the
-    same as the grid path `GMDenoiser.epsilon` takes with row i of
-    `step_constants`."""
-    sched.check_domain(t)
-    a, s = sched.alpha_sigma(t)
-    rows = _gm_table(np.reshape(en.data_of(a), 1),
-                     np.reshape(en.data_of(s), 1), means, variances)
-    return _gm_kernel(x, (a, s) + tuple(c[0] for c in rows), np.log(weights),
-                      means, variances, tangents)
+    """Exact epsilon for Gaussian-mixture data at the query time t."""
+    return GMDenoiser(sched, weights, means, variances).epsilon(x, t,
+                                                                tangents)
 
 
 def _gm_kernel(x, row, log_w, means, variances, tangents):
@@ -126,15 +132,8 @@ def _gm_kernel(x, row, log_w, means, variances, tangents):
 
 def point_epsilon(x, t, sched, x0, tangents=None):
     """Exact epsilon when the data distribution is a point mass at x0; with
-    tangents V also J V = V / sigma.  t is a query time or a row
-    (alpha, sigma) of `step_constants`."""
-    if type(t) is tuple:
-        a, s = t
-    else:
-        sched.check_domain(t)
-        a, s = sched.alpha_sigma(t)
-    eps = en.div(en.sub(x, a * x0), s)
-    return eps if tangents is None else (eps, tangents / s)
+    tangents V also J V = V / sigma."""
+    return PointDenoiser(sched, x0).epsilon(x, t, tangents)
 
 
 @dataclass(frozen=True)
@@ -168,11 +167,24 @@ class GMDenoiser:
     def log_weights(self):
         return np.log(self.weights)
 
+    def step_constants(self, times_c):
+        """The time-only terms at the checked query times times_c, 0-d or
+        (N + 1,): alpha, sigma, then `_gm_table`'s v, 2v, c and alpha mu,
+        each with one row per step.  Row i, the tuple of their i-th
+        entries, stands in for t_i in `epsilon`.
+
+        Engine-generic in alpha and sigma: on a taped times_c those two are
+        taped and the rest is plain numpy made from their data, so the GM
+        op keeps (x, alpha_i, sigma_i) as its parents.
+        """
+        a, s = _alpha_sigma(self.sched, times_c)
+        return (a, s) + _gm_table(en.data_of(a), en.data_of(s), self.means,
+                                  self.variances)
+
     def epsilon(self, x, t, tangents=None):
         """eps(x, t); t is a query time or row i of `step_constants`."""
         if type(t) is not tuple:
-            return gm_epsilon(x, t, self.sched, self.weights, self.means,
-                              self.variances, tangents)
+            t = self.step_constants(self.sched.check_domain(t))
         return _gm_kernel(x, t, self.log_weights, self.means, self.variances,
                           tangents)
 
@@ -202,35 +214,17 @@ class PointDenoiser:
     def d(self):
         return self.x0.shape[0]
 
+    def step_constants(self, times_c):
+        """(alpha, sigma) at the checked query times times_c, one row per
+        step, as for the mixture."""
+        return _alpha_sigma(self.sched, times_c)
+
     def epsilon(self, x, t, tangents=None):
-        return point_epsilon(x, t, self.sched, self.x0, tangents)
+        """eps(x, t); t is a query time or row i of `step_constants`."""
+        a, s = t if type(t) is tuple else \
+            self.step_constants(self.sched.check_domain(t))
+        eps = en.div(en.sub(x, a * self.x0), s)
+        return eps if tangents is None else (eps, tangents / s)
 
     def sample_data(self, count, seed):
         return np.tile(self.x0, (count, 1))
-
-
-# the denoisers queried by rows of step constants rather than by time
-ROW_QUERIED = (GMDenoiser, PointDenoiser)
-
-
-def step_constants(den, times_c):
-    """The time-only terms of den at the checked query times times_c
-    (N + 1,), one row per step: a tuple of arrays whose leading axis is the
-    step.  Row i, the tuple of their i-th entries, stands in for t_i in
-    `den.epsilon`.  The point mass keeps (alpha, sigma), the mixture also
-    the `_gm_table` terms; for any other denoiser this returns None and it
-    is queried by time.
-
-    Built with vector ops, engine-generic in alpha and sigma: on a taped
-    times_c those two are taped and the rest is plain numpy made from
-    their data, so the GM op keeps (x, alpha_i, sigma_i) as its parents.
-    """
-    if type(den) not in ROW_QUERIED:
-        return None
-    a, s = den.sched.alpha_sigma(times_c)
-    if type(a) is float:  # VE: alpha is the constant 1
-        a = np.ones(np.shape(en.data_of(times_c)))
-    if type(den) is PointDenoiser:
-        return a, s
-    return (a, s) + _gm_table(en.data_of(a), en.data_of(s), den.means,
-                              den.variances)

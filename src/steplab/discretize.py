@@ -27,6 +27,7 @@ from . import engine as en
 from .solvers import GridError
 
 HEURISTICS = ("uniform", "quadratic", "edm", "logsnr")
+_RHO_EDM = 7.0  # the EDM grid's sigma^(1/rho) spacing
 
 
 def tau(xi, T, t_min):
@@ -111,7 +112,7 @@ class Discretization:
                                       self.sched.t_min))
 
 
-def heuristic_times(kind, sched, nfe, rho_edm=7.0):
+def heuristic_times(kind, sched, nfe):
     """Canonical decreasing grid for one of the named heuristics.
 
     uniform/quadratic place t(i) = (i/N)^rho (T - t_min) + t_min (rho = 1, 2)
@@ -130,9 +131,9 @@ def heuristic_times(kind, sched, nfe, rho_edm=7.0):
     elif kind == "edm":
         s_max = sched.sigma_T
         s_min = float(en.data_of(sched.sigma(t_min)))
-        inv = 1.0 / rho_edm
+        inv = 1.0 / _RHO_EDM
         frac = np.arange(n + 1) / n
-        sig = (s_max ** inv + frac * (s_min ** inv - s_max ** inv)) ** rho_edm
+        sig = (s_max ** inv + frac * (s_min ** inv - s_max ** inv)) ** _RHO_EDM
         grid = sched.t_of_sigma(sig)
     elif kind == "logsnr":
         lam_T, lam_min = sched.lambda_range()

@@ -441,28 +441,27 @@ def whole_chain_grad(leaves, prelude, steps, finale):
 def checkpointed_chain_grad(leaves, prelude, steps, finale):
     """Like :func:`whole_chain_grad` but retaining only per-step states.
 
-    The finale is the last segment.  The forward pass runs untaped and
-    caches each segment's output.  The backward sweep replays the segments
-    last to first, each on a fresh tape and checked bitwise against the
-    forward (EngineError if it diverged), and accumulates adjoints for the
-    shared prelude outputs; the prelude is backpropagated last.  Retained
+    The prelude runs once, taped; its Values mark which shared and initial
+    state entries are differentiable, and their data feed the forward pass,
+    which runs the segments untaped (the finale is the last) and caches
+    each one's output.  The backward sweep replays the segments last to
+    first, each on a fresh tape and checked bitwise against the forward
+    (EngineError if it diverged), and accumulates adjoints for the shared
+    prelude outputs; the prelude is backpropagated last.  Retained
     activations across step boundaries are exactly the cached step states,
     independent of chain length.
     """
     segments = list(steps) + [lambda state, shared: (finale(state, shared),)]
+    tape_p = Tape()
+    env_p = {k: tape_p.leaf(v) for k, v in leaves.items()}
+    shared_p, state0_p = prelude(env_p)
+    shared_raw = tuple(data_of(s) for s in shared_p)
     # cold forward
-    raw_env = {k: np.asarray(v, dtype=np.float64) if np.ndim(v) else np.float64(v)
-               for k, v in leaves.items()}
-    shared_raw, state = prelude(raw_env)
-    states = [state]
+    states = [tuple(data_of(s) for s in state0_p)]
     for seg in segments:
         states.append(seg(states[-1], shared_raw))
     retained = sum(len(s) for s in states[1:-1])
 
-    # prelude tape: classifies which shared/state0 entries are differentiable
-    tape_p = Tape()
-    env_p = {k: tape_p.leaf(v) for k, v in raw_env.items()}
-    shared_p, state0_p = prelude(env_p)
     shared_acc = {j: np.zeros_like(np.asarray(shared_raw[j]))
                   for j, s in enumerate(shared_p) if isinstance(s, Value)}
 

@@ -185,14 +185,13 @@ BENCH_METHODS = HEURISTICS + ("learned",)
 
 def bench_eval_assets(den, sched, teacher, eval_count, rmsd_ref_nfe, seed):
     """Shared evaluation data for a bench sweep: noise, teacher targets,
-    fine-DDIM reference outputs, and exact data samples (when available)."""
+    fine-DDIM reference outputs, and exact data samples."""
     x_eval = rngmod.sample_prior(sched, den.d, eval_count,
                                  rngmod.derive_seed(seed, "bench_eval"))
     y_eval = teacher.solve_many(x_eval)
     ref_out = Teacher.create(den, sched, order=1,
                              nfe=rmsd_ref_nfe).solve_many(x_eval)
-    gt = den.sample_data(eval_count, rngmod.derive_seed(seed, "bench_gt")) \
-        if hasattr(den, "sample_data") else None
+    gt = den.sample_data(eval_count, rngmod.derive_seed(seed, "bench_gt"))
     return x_eval, y_eval, ref_out, gt
 
 
@@ -209,9 +208,8 @@ def bench_cell(ds, den, sched, spec, cfg, method, nfe, assets, seed):
         times_c = times
     out = solve_batch(den, sched, spec_n, times, times_c, x_eval)
     tdist = float(np.mean(distance(out, y_eval)))
-    row_w1 = w1(out, gt) if gt is not None else float("nan")
     return (method, f"{spec.family}{spec.order}", int(nfe), tdist,
-            rmsd(out, ref_out), row_w1, int(seed))
+            rmsd(out, ref_out), w1(out, gt), int(seed))
 
 
 def bench_rows(ds, den, sched, spec, cfg, teacher, nfes,
@@ -221,7 +219,7 @@ def bench_rows(ds, den, sched, spec, cfg, teacher, nfes,
 
     Returns rows (method, solver, nfe, teacher_dist, rmsd, w1, seed).  The
     RMSD reference is a fine DDIM run (dpmpp order 1) on the same noise; W1
-    compares against exact data samples when the denoiser can provide them.
+    compares against exact data samples.
     """
     assets = bench_eval_assets(den, sched, teacher, eval_count, rmsd_ref_nfe,
                                seed)

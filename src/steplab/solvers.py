@@ -23,8 +23,8 @@ h_i = lambda_{i+1} - lambda_i (> 0 along sampling), the rows are
 
 Steps are pure functions of (state, shared).  `grid_shared` builds shared
 once per grid: the table, then the denoiser's per-step constants on the
-query times (`denoisers.step_constants`; a denoiser without them gets
-times_c), and step i hands their row i to `den.epsilon`.  So steps run
+query times (`den.step_constants(times_c)`, a tuple of arrays with one row
+per step), and step i hands their row i to `den.epsilon`.  So steps run
 identically on plain numpy arrays and on taped engine Values;
 the training loop exploits this for checkpointed backpropagation.  The
 inter-step state has a fixed width per solver spec (history slots are
@@ -53,7 +53,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine as en
-from .denoisers import ROW_QUERIED, step_constants
 
 EULER = "euler"
 DPMPP = "dpmpp"
@@ -140,23 +139,20 @@ def coeffs(sched, spec, times):
 
 def grid_shared(den, sched, spec, times, times_c):
     """What every step reads, engine-generic: the coefficient table of
-    `times`, then den's step constants on the checked query times times_c,
-    or times_c itself for a denoiser without them."""
-    consts = step_constants(den, times_c)
-    return (coeffs(sched, spec, times),) + \
-        ((times_c,) if consts is None else consts)
+    `times`, then den's step constants on the checked query times
+    times_c."""
+    return (coeffs(sched, spec, times),) + den.step_constants(times_c)
 
 
 def make_steps(den, spec, jacobian=False):
     """Pure step closures for i = 0 .. nfe-1, all of the one generic step;
     with jacobian=True they march stacked tangent slots."""
-    by_row = type(den) in ROW_QUERIED
     if jacobian:
         den = _Tangents(den)
-    return [_step(den, spec, i, by_row) for i in range(spec.nfe)]
+    return [_step(den, spec, i) for i in range(spec.nfe)]
 
 
-def _step(den, spec, i, by_row):
+def _step(den, spec, i):
     width = 1 + spec.history_width
     pre = 2 if spec.family == DPMPP else 0
     head, tail = (i, slice(0, pre)), (i, slice(pre, None))
@@ -164,10 +160,8 @@ def _step(den, spec, i, by_row):
     def step(state, shared):
         table = shared[0]
         x = state[0]
-        # row i of the step constants, or the query time t^c_i (a Value
-        # indexes through en.index)
-        row = tuple([c[i] for c in shared[1:]])
-        out = den.epsilon(x, row if by_row else row[0])
+        # row i of the step constants (a Value indexes through en.index)
+        out = den.epsilon(x, tuple([c[i] for c in shared[1:]]))
         if pre:  # DPM-Solver++ combines data predictions
             out = en.lincomb(en.index(table, head), (x, out))
         xn = en.lincomb(en.index(table, tail), (x, out) + state[1:])
@@ -183,8 +177,9 @@ class _Tangents:
     def __init__(self, den):
         self.den = den
 
-    def epsilon(self, xs, t):
-        eps, jv = self.den.epsilon(xs[..., 0, :], t, tangents=xs[..., 1:, :])
+    def epsilon(self, xs, row):
+        eps, jv = self.den.epsilon(xs[..., 0, :], row,
+                                   tangents=xs[..., 1:, :])
         return np.concatenate([eps[..., None, :], jv], axis=-2)
 
 
@@ -230,7 +225,7 @@ def solve(den, sched, spec, times, times_c=None, x_T=None):
     """March x_T down the grid; returns the final state x_N, shaped as x_T.
 
     Args:
-        den: object with epsilon(x, t).
+        den: object with step_constants(times_c) and epsilon(x, row).
         sched: NoiseSchedule.
         spec: SolverSpec (family/order/nfe).
         times: decreasing grid, length nfe + 1.

@@ -206,20 +206,20 @@ def select_init(den, sched, spec, ds, val_idx, kinds=HEURISTICS):
 
 
 class RmsPropMomentum:
-    """RMSprop with momentum: v <- a v + (1-a) g^2; m <- mu m + g/(sqrt v + eps)."""
+    """RMSprop with momentum: v <- a v + (1-a) g^2; m <- mu m + g/(sqrt v + eps),
+    with a = 0.99, mu = 0.9 and eps = 1e-8."""
 
-    def __init__(self, shape, alpha=0.99, momentum=0.9, eps=1e-8):
-        self.alpha = alpha
-        self.momentum = momentum
-        self.eps = eps
+    ALPHA, MOMENTUM, EPS = 0.99, 0.9, 1e-8
+
+    def __init__(self, shape):
         self.sq_avg = np.zeros(shape, dtype=np.float64)
         self.buf = np.zeros(shape, dtype=np.float64)
 
     def step(self, param, grad, lr):
-        self.sq_avg *= self.alpha
-        self.sq_avg += (1.0 - self.alpha) * grad * grad
-        self.buf *= self.momentum
-        self.buf += grad / (np.sqrt(self.sq_avg) + self.eps)
+        self.sq_avg *= self.ALPHA
+        self.sq_avg += (1.0 - self.ALPHA) * grad * grad
+        self.buf *= self.MOMENTUM
+        self.buf += grad / (np.sqrt(self.sq_avg) + self.EPS)
         param -= lr * self.buf
 
 

@@ -39,7 +39,10 @@ class MaskDenoiser:
     def __init__(self, mask):
         self.mask = mask
 
-    def epsilon(self, x, t, tangents=None):
+    def step_constants(self, times_c):
+        return (times_c,)
+
+    def epsilon(self, x, row, tangents=None):
         m = self.mask(x)
         eps = m * x
         return eps if tangents is None else (eps, tangents * m[..., None, :])

@@ -517,7 +517,7 @@ def test_train_aborted_before_first_checkpoint_exits_1(ws, tmp_path, capsys):
 def test_errors_raised_inside_training_exit_2(ws, tmp_path, capsys, command,
                                               extra, says):
     """A schedule-domain or engine error from inside the training loop ends
-    in an error line, not a traceback."""
+    in an error line, not a traceback, and leaves no --out directory."""
     cfg2 = tmp_path / "blowup.cfg"
     cfg2.write_text(SMALL_CFG + extra)
     with np.errstate(all="ignore"):
@@ -526,6 +526,7 @@ def test_errors_raised_inside_training_exit_2(ws, tmp_path, capsys, command,
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and says in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_r_refuses_an_aborted_training(ws, tmp_path, capsys):

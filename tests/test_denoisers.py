@@ -7,8 +7,8 @@ import pytest
 from scipy import stats
 
 import steplab.engine as en
-from steplab.denoisers import (GMDenoiser, PointDenoiser, _gm_table,
-                               gm_epsilon, point_epsilon, step_constants)
+from steplab.denoisers import (GMDenoiser, PointDenoiser, gm_epsilon,
+                               point_epsilon)
 from steplab.discretize import heuristic_times
 from steplab.schedule import ve_edm, vp_linear
 
@@ -194,7 +194,7 @@ def test_row_epsilon_equals_time_epsilon_bit_for_bit(sched, kind):
     g = np.random.default_rng(16)
     for nfe in (4, 16, 100):
         times_c = grid_times(sched, nfe)
-        consts = step_constants(den, times_c)
+        consts = den.step_constants(times_c)
         assert all(np.shape(c)[0] == nfe + 1 for c in consts)
         for i in range(nfe + 1):
             row = tuple(c[i] for c in consts)
@@ -213,12 +213,10 @@ def test_vector_built_terms_equal_per_time_terms(sched):
     den = make_gm(sched)
     for nfe in (4, 16, 100):
         times_c = grid_times(sched, nfe)
-        consts = step_constants(den, times_c)
+        consts = den.step_constants(times_c)
         for i, t in enumerate(times_c):
-            a, s = sched.alpha_sigma(t)
-            one = (np.reshape(a, 1), np.reshape(s, 1))
-            want = one + _gm_table(*one, den.means, den.variances)
-            assert all(same_bits(c[i], w[0]) for c, w in zip(consts, want))
+            one = den.step_constants(t)  # the one-row case of the build
+            assert all(same_bits(c[i], w) for c, w in zip(consts, one))
 
 
 def test_taped_row_keeps_alpha_sigma_as_parents():
@@ -231,7 +229,7 @@ def test_taped_row_keeps_alpha_sigma_as_parents():
     w = np.array([1.0, 2.0])
     tape = en.Tape()
     tv, xv = tape.leaf(times_c), tape.leaf(x)
-    consts = step_constants(den, tv)
+    consts = den.step_constants(tv)
     assert [type(c) is en.Value for c in consts] == [True, True] + [False] * 4
     out = den.epsilon(xv, tuple(en.index(c, 2) for c in consts))
     gx, gt = tape.backward([(out, w)], [xv, tv])
@@ -242,11 +240,3 @@ def test_taped_row_keeps_alpha_sigma_as_parents():
     assert same_bits(out.data, out2.data) and same_bits(gx, gx2)
     assert same_bits(gt[2], gt2)
     assert np.count_nonzero(gt) == 1
-
-
-def test_other_denoisers_have_no_step_constants():
-    class TimeOnly:
-        def epsilon(self, x, t):
-            return x
-
-    assert step_constants(TimeOnly(), np.array([80.0, 1.0])) is None

@@ -394,6 +394,21 @@ def test_replay_is_bitwise():
     en.checkpointed_chain_grad(leaves, prelude, steps, finale)
 
 
+@pytest.mark.parametrize("chain_grad", [en.checkpointed_chain_grad,
+                                        en.whole_chain_grad],
+                         ids=["ckpt", "whole"])
+def test_prelude_runs_once_per_call(chain_grad):
+    prelude, steps, finale = chain_parts(4)
+    calls = []
+
+    def counting(env):
+        calls.append(None)
+        return prelude(env)
+
+    chain_grad(LEAVES4, counting, steps, finale)
+    assert len(calls) == 1
+
+
 def test_replay_divergence_is_caught():
     prelude, steps, finale = chain_parts(3)
     calls = []

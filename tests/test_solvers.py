@@ -22,7 +22,8 @@ GM = GMDenoiser.create(VE, np.array([0.5, 0.3, 0.2]),
 
 
 class CountingDen:
-    """Wraps a denoiser, recording every query time."""
+    """Wraps a denoiser, recording every query time: its step rows carry
+    t^c_i ahead of the inner denoiser's row."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -32,9 +33,12 @@ class CountingDen:
     def d(self):
         return self.inner.d
 
-    def epsilon(self, x, t):
-        self.calls.append(float(en.data_of(t)))
-        return self.inner.epsilon(x, t)
+    def step_constants(self, times_c):
+        return (times_c,) + self.inner.step_constants(times_c)
+
+    def epsilon(self, x, row):
+        self.calls.append(float(en.data_of(row[0])))
+        return self.inner.epsilon(x, row[1:])
 
 
 def point_exact(x_T, t, T=80.0, x0=np.array([1.0, -1.0])):
@@ -113,37 +117,6 @@ def test_times_c_defaults_to_times():
     np.testing.assert_array_equal(
         solve(GM, VE, spec, times, None, x_T),
         solve(GM, VE, spec, times, times, x_T))
-
-
-class TimeQueried:
-    """A denoiser with no step constants: only epsilon(x, t), t a time."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def epsilon(self, x, t, tangents=None):
-        assert np.ndim(en.data_of(t)) == 0
-        return self.inner.epsilon(x, t, tangents)
-
-
-@pytest.mark.parametrize("sched", [VE, vp_linear()], ids=["ve", "vp"])
-@pytest.mark.parametrize("family,order", [("euler", 1), ("dpmpp", 2),
-                                          ("ipndm", 4)])
-def test_time_queried_denoiser_matches_step_constants(sched, family, order):
-    """The row path and the time path of one denoiser give the same map,
-    bit for bit, cold and in the Jacobian mode."""
-    nfe = 6
-    times = heuristic_times("logsnr", sched, nfe)
-    times_c = np.clip(times * 1.01, sched.t_min, sched.T)
-    spec = SolverSpec(family=family, order=order, nfe=nfe)
-    x = sched.sigma_T * np.random.default_rng(3).standard_normal((5, 2))
-    for den in (GMDenoiser.create(sched, GM.weights, GM.means, GM.variances),
-                PointDenoiser.create(sched, np.array([1.0, -1.0]))):
-        rows = solver_map(den, sched, spec, times, times_c)
-        by_time = solver_map(TimeQueried(den), sched, spec, times, times_c)
-        for jacobian in (False, True):
-            assert rows(x, jacobian).tobytes() == \
-                by_time(x, jacobian).tobytes()
 
 
 # ------------------------------------------------------------ accuracy order
@@ -311,7 +284,10 @@ def test_out_of_domain_grid_rejected():
 class ExplodingDen:
     d = 2
 
-    def epsilon(self, x, t):
+    def step_constants(self, times_c):
+        return (times_c,)
+
+    def epsilon(self, x, row):
         return np.array([np.inf, np.inf])
 
 

@@ -262,7 +262,7 @@ def test_select_init_picks_the_argmin():
 
 def test_rmsprop_momentum_against_reference_recurrence():
     g = np.random.default_rng(3)
-    opt = RmsPropMomentum(4, alpha=0.99, momentum=0.9, eps=1e-8)
+    opt = RmsPropMomentum(4)
     p = np.ones(4)
     p_ref = np.ones(4)
     v = np.zeros(4)
