@@ -7,7 +7,7 @@ evaluation tools to compare them.
 
 from .schedule import NoiseSchedule, ScheduleDomainError, ve_edm, vp_linear
 from .denoisers import GMDenoiser, PointDenoiser
-from .engine import (EngineError, Tape, Value, checkpointed_chain_grad,
+from .engine import (EngineError, Tape, Value, adjoint_chain_grad,
                      whole_chain_grad)
 from .solvers import DivergenceError, GridError, SolverSpec, solve
 from .discretize import (HEURISTICS, Discretization, heuristic_times,
@@ -26,7 +26,7 @@ from .rng import derive_seed, sample_prior, substream, substreams
 __all__ = [
     "NoiseSchedule", "ScheduleDomainError", "ve_edm", "vp_linear",
     "GMDenoiser", "PointDenoiser",
-    "EngineError", "Tape", "Value", "checkpointed_chain_grad",
+    "EngineError", "Tape", "Value", "adjoint_chain_grad",
     "whole_chain_grad",
     "DivergenceError", "GridError", "SolverSpec", "solve",
     "HEURISTICS", "Discretization", "heuristic_times", "init_from_times",

@@ -70,7 +70,7 @@ def gm_epsilon(x, t, sched, weights, means, variances, tangents=None):
                                                                 tangents)
 
 
-def _gm_kernel(x, row, log_w, means, variances, tangents):
+def _gm_kernel(x, row, log_w, means, variances, tangents, pullback):
     """The mixture's epsilon from one row (alpha, sigma, v, 2v, c, alpha mu)
     of time-only terms.
 
@@ -78,6 +78,7 @@ def _gm_kernel(x, row, log_w, means, variances, tangents):
     it is recorded as one op over (x, alpha, sigma) whose VJP is the closed
     form of eps = sigma sum_k (gamma_k / v_k) (x - alpha mu_k), gamma the
     softmax of the log terms log w_k + c_k - |x - alpha mu_k|^2 / (2 v_k).
+    In the pullback mode that VJP comes back beside the value instead.
 
     Given tangents V, rows (..., n, d) at a cold x, it returns (eps, J V)
     with J v = sigma [(sum_k gamma_k / v_k) v - sum_k gamma_k (w_k . v) w_k]
@@ -104,9 +105,12 @@ def _gm_kernel(x, row, log_w, means, variances, tangents):
         jv = (r.sum(axis=-1)[..., None, None] * tangents
               - np.vecdot(g[..., None, :], wt))
         return sd * acc, sd * jv
-    live_a, live_s = type(a) is en.Value, type(s) is en.Value
-    if not (live_a or live_s or type(x) is en.Value):
-        return sd * acc
+    if pullback is None:
+        live_a, live_s = type(a) is en.Value, type(s) is en.Value
+        if not (live_a or live_s or type(x) is en.Value):
+            return sd * acc
+    else:
+        live_a, live_s = pullback
 
     def vjp(adj):
         g = sd * adj
@@ -127,6 +131,8 @@ def _gm_kernel(x, row, log_w, means, variances, tangents):
         g_s = np.sum(adj * acc) + 2.0 * sd * np.sum(g_v) if live_s else None
         return g_x, g_a, g_s
 
+    if pullback is not None:
+        return sd * acc, vjp
     return en.record(sd * acc, (x, a, s), vjp, "gm_epsilon")
 
 
@@ -181,12 +187,17 @@ class GMDenoiser:
         return (a, s) + _gm_table(en.data_of(a), en.data_of(s), self.means,
                                   self.variances)
 
-    def epsilon(self, x, t, tangents=None):
-        """eps(x, t); t is a query time or row i of `step_constants`."""
+    def epsilon(self, x, t, tangents=None, pullback=None):
+        """eps(x, t); t is a query time or row i of `step_constants`.
+
+        pullback, a pair of flags (want d alpha_i, want d sigma_i), selects
+        the cold pullback mode: at a plain x and row it returns (eps, vjp),
+        vjp(adj) -> (g_x, g_alpha_i, g_sigma_i) with None where unwanted.
+        """
         if type(t) is not tuple:
             t = self.step_constants(self.sched.check_domain(t))
         return _gm_kernel(x, t, self.log_weights, self.means, self.variances,
-                          tangents)
+                          tangents, pullback)
 
     def sample_data(self, count, seed):
         """Exact samples from the mixture, one substream per index."""
@@ -219,12 +230,29 @@ class PointDenoiser:
         step, as for the mixture."""
         return _alpha_sigma(self.sched, times_c)
 
-    def epsilon(self, x, t, tangents=None):
-        """eps(x, t); t is a query time or row i of `step_constants`."""
+    def epsilon(self, x, t, tangents=None, pullback=None):
+        """eps(x, t); t is a query time or row i of `step_constants`;
+        pullback as for the mixture."""
         a, s = t if type(t) is tuple else \
             self.step_constants(self.sched.check_domain(t))
-        eps = en.div(en.sub(x, a * self.x0), s)
-        return eps if tangents is None else (eps, tangents / s)
+        num = en.sub(x, a * self.x0)
+        eps = en.div(num, s)
+        if pullback is None:
+            return eps if tangents is None else (eps, tangents / s)
+        want_a, want_s = pullback
+
+        def vjp(adj):
+            # the closed form of the taped div(sub(x, a x0), s), rounded
+            # as its VJPs round: sub hands div's g_x to both operands
+            g_x = adj / s
+            g_a = None
+            if want_a:
+                g_ax0 = -g_x if g_x.ndim == 1 else np.sum(-g_x, axis=0)
+                g_a = np.sum(g_ax0 * self.x0)
+            g_s = np.sum(-adj * num / (s * s)) if want_s else None
+            return g_x, g_a, g_s
+
+        return eps, vjp
 
     def sample_data(self, count, seed):
         return np.tile(self.x0, (count, 1))

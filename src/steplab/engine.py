@@ -14,14 +14,16 @@ recording path.
 
 Gradients are pulled with :meth:`Tape.backward`, which allocates its own
 adjoint buffer per call; a tape can therefore be differentiated several times
-(e.g. once per Jacobian row).  For long solver chains,
-:func:`checkpointed_chain_grad` stores only the per-step states and replays
-each step on a throwaway tape during the backward sweep, keeping retained
-activations per step constant in chain length.  The finale is the last
-replayed segment, and every replay is checked bitwise against the forward.
+(e.g. once per Jacobian row).  :func:`whole_chain_grad` differentiates a
+prelude -> steps -> finale chain on one tape.  :func:`adjoint_chain_grad`
+tapes only the prelude: its steps run on plain arrays, each returning its
+own transpose, and one reverse sweep over those cached pullbacks, with no
+tape and no replay, yields the adjoints that seed the prelude's tape.
 """
 
 from __future__ import annotations
+
+from types import FunctionType
 
 import numpy as np
 
@@ -391,16 +393,28 @@ class ChainGradResult:
     """Loss, per-leaf gradients, and the activation-retention accounting.
 
     `loss` is a float for a scalar finale and an array for a per-row one.
+    `retained_arrays` may be given as a function that counts them; it runs
+    when the count is first read, so a caller that never reads it pays
+    nothing for it.
     """
 
-    __slots__ = ("loss", "grads", "retained_arrays", "retained_per_step", "n_steps")
+    __slots__ = ("loss", "grads", "_retained", "n_steps")
 
     def __init__(self, loss, grads, retained_arrays, n_steps):
         self.loss = loss
         self.grads = grads
-        self.retained_arrays = retained_arrays
+        self._retained = retained_arrays
         self.n_steps = n_steps
-        self.retained_per_step = retained_arrays / n_steps if n_steps else 0.0
+
+    @property
+    def retained_arrays(self):
+        if callable(self._retained):
+            self._retained = self._retained()
+        return self._retained
+
+    @property
+    def retained_per_step(self):
+        return self.retained_arrays / self.n_steps if self.n_steps else 0.0
 
 
 def _ones_like(loss):
@@ -438,55 +452,57 @@ def whole_chain_grad(leaves, prelude, steps, finale):
                            retained_arrays=len(tape), n_steps=len(steps))
 
 
-def checkpointed_chain_grad(leaves, prelude, steps, finale):
-    """Like :func:`whole_chain_grad` but retaining only per-step states.
+def adjoint_chain_grad(leaves, prelude, steps, finale):
+    """Like :func:`whole_chain_grad`, with only the prelude on a tape.
 
-    The prelude runs once, taped; its Values mark which shared and initial
-    state entries are differentiable, and their data feed the forward pass,
-    which runs the segments untaped (the finale is the last) and caches
-    each one's output.  The backward sweep replays the segments last to
-    first, each on a fresh tape and checked bitwise against the forward
-    (EngineError if it diverged), and accumulates adjoints for the shared
-    prelude outputs; the prelude is backpropagated last.  Retained
-    activations across step boundaries are exactly the cached step states,
-    independent of chain length.
+    The prelude runs once, taped; its Values mark which shared entries are
+    differentiable, and the data of its outputs feed the forward pass.
+    Each step is a transpose pair on plain arrays,
+    step(state, shared, acc) -> (state', back), and the finale one more,
+    finale(state, shared, acc) -> (loss, back).  back(adj') returns the
+    adjoints of the segment's input and adds its gradient of shared[j]
+    into acc[j], a zero array for each differentiable shared[j].  The
+    forward caches each back; the sweep calls them last to first from a
+    ones seed, and the prelude's tape is then seeded with acc and the
+    adjoint of its initial state.  `retained_arrays` counts the distinct
+    arrays the cached backs hold (counted when first read, which keeps
+    them until then).
     """
-    segments = list(steps) + [lambda state, shared: (finale(state, shared),)]
-    tape_p = Tape()
-    env_p = {k: tape_p.leaf(v) for k, v in leaves.items()}
-    shared_p, state0_p = prelude(env_p)
-    shared_raw = tuple(data_of(s) for s in shared_p)
-    # cold forward
-    states = [tuple(data_of(s) for s in state0_p)]
-    for seg in segments:
-        states.append(seg(states[-1], shared_raw))
-    retained = sum(len(s) for s in states[1:-1])
-
-    shared_acc = {j: np.zeros_like(np.asarray(shared_raw[j]))
-                  for j, s in enumerate(shared_p) if isinstance(s, Value)}
-
-    # segments, last to first; ones seed the loss
-    adj_state = (_ones_like(states[-1][0]),)
-    for i in range(len(segments) - 1, -1, -1):
-        tape = Tape()
-        st = tuple(tape.leaf(x) for x in states[i])
-        sh = tuple(tape.leaf(x) if j in shared_acc else x
-                   for j, x in enumerate(shared_raw))
-        out = segments[i](st, sh)
-        for o, ref in zip(out, states[i + 1]):
-            # bytes, so a NaN the forward made must replay as the same NaN
-            if np.asarray(data_of(o)).tobytes() != np.asarray(ref).tobytes():
-                raise EngineError(f"segment {i} replay diverged from forward pass")
-        seeds = [(o, a) for o, a in zip(out, adj_state) if isinstance(o, Value)]
-        grads = tape.backward(seeds, list(st) + [sh[j] for j in shared_acc])
-        adj_state = grads[:len(st)]
-        for j, g in zip(shared_acc, grads[len(st):]):
-            shared_acc[j] += g
-
-    # prelude segment
-    seeds = [(shared_p[j], g) for j, g in shared_acc.items()]
-    seeds += [(s0, a) for s0, a in zip(state0_p, adj_state) if isinstance(s0, Value)]
+    tape = Tape()
+    env = {k: tape.leaf(v) for k, v in leaves.items()}
+    shared_p, state_p = prelude(env)
+    shared = tuple(data_of(s) for s in shared_p)
+    acc = {j: np.zeros_like(shared[j]) for j, s in enumerate(shared_p)
+           if type(s) is Value}
+    out = tuple(data_of(s) for s in state_p)
+    backs = []
+    for seg in (*steps, finale):
+        out, back = seg(out, shared, acc)
+        backs.append(back)
+    adj = _ones_like(out)
+    for back in reversed(backs):
+        adj = back(adj)
+    seeds = [(shared_p[j], g) for j, g in acc.items()]
+    seeds += [(s, a) for s, a in zip(state_p, adj) if type(s) is Value]
     names = list(leaves)
-    grads = tape_p.backward(seeds, [env_p[k] for k in names])
-    return ChainGradResult(_loss_value(states[-1][0]), dict(zip(names, grads)),
-                           retained_arrays=retained, n_steps=len(steps))
+    grads = tape.backward(seeds, [env[k] for k in names])
+    return ChainGradResult(_loss_value(out), dict(zip(names, grads)),
+                           retained_arrays=lambda: _held_arrays(backs),
+                           n_steps=len(steps))
+
+
+def _held_arrays(fns):
+    """Distinct numpy arrays that the closures fns reach through their
+    cells, the tuples there and the closures those hold."""
+    held, seen = set(), set()
+    todo = list(fns)
+    for obj in todo:  # grows as it goes
+        kind = type(obj)
+        if kind is np.ndarray:
+            held.add(id(obj))
+        elif kind is tuple:
+            todo += obj
+        elif kind is FunctionType and obj.__closure__ and id(obj) not in seen:
+            seen.add(id(obj))
+            todo += [c.cell_contents for c in obj.__closure__]
+    return len(held)

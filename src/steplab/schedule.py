@@ -59,6 +59,10 @@ class NoiseSchedule:
         if not np.isfinite(self.T):
             raise ScheduleDomainError(f"T = {self.T!r} is not finite")
         if self.family == VE_EDM:
+            # sigma_T = T; the GM table holds 2 sigma^2 (VP has sigma <= 1)
+            if not np.isfinite(2.0 * self.T * self.T):
+                raise ScheduleDomainError(
+                    f"T = {self.T!r} makes 2 sigma_T^2 overflow")
             return
         # beta is linear in t, so its endpoints bound it on [t_min, T]
         if not (self.beta(self.t_min) > 0.0 and self._vp_log_alpha(self.t_min) < 0.0):

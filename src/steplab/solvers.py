@@ -25,8 +25,12 @@ Steps are pure functions of (state, shared).  `grid_shared` builds shared
 once per grid: the table, then the denoiser's per-step constants on the
 query times (`den.step_constants(times_c)`, a tuple of arrays with one row
 per step), and step i hands their row i to `den.epsilon`.  So steps run
-identically on plain numpy arrays and on taped engine Values;
-the training loop exploits this for checkpointed backpropagation.  The
+identically on plain numpy arrays and on taped engine Values.  Each step
+also has a transpose on plain arrays (`make_steps(..., pullback=True)`),
+which training's discrete adjoint sweeps: the adjoints of the state are
+row i times the adjoint of the update, the row's gradient is one vdot per
+array, and the denoiser's pullback gives those of x and of alpha_i and
+sigma_i, the only step constants that can carry a gradient.  The
 inter-step state has a fixed width per solver spec (history slots are
 zero-padded before they fill), which keeps the number of arrays cached per
 step constant regardless of grid length.
@@ -144,15 +148,22 @@ def grid_shared(den, sched, spec, times, times_c):
     return (coeffs(sched, spec, times),) + den.step_constants(times_c)
 
 
-def make_steps(den, spec, jacobian=False):
+def make_steps(den, spec, jacobian=False, pullback=False):
     """Pure step closures for i = 0 .. nfe-1, all of the one generic step;
-    with jacobian=True they march stacked tangent slots."""
+    with jacobian=True they march stacked tangent slots, and with
+    pullback=True each is the step's transpose pair (see `_step`)."""
     if jacobian:
         den = _Tangents(den)
-    return [_step(den, spec, i) for i in range(spec.nfe)]
+    return [_step(den, spec, i, pullback) for i in range(spec.nfe)]
 
 
-def _step(den, spec, i):
+def _step(den, spec, i, pullback=False):
+    """Step i: step(state, shared) -> state', engine-generic; or, with
+    pullback=True, its transpose pair on plain arrays,
+    step(state, shared, acc) -> (state', back), where back(adj') -> adj
+    maps the adjoints of state' to those of state and adds the step's
+    gradients of the table row and of alpha_i, sigma_i into acc[0],
+    acc[1] and acc[2] where acc has them."""
     width = 1 + spec.history_width
     pre = 2 if spec.family == DPMPP else 0
     head, tail = (i, slice(0, pre)), (i, slice(pre, None))
@@ -167,7 +178,43 @@ def _step(den, spec, i):
         xn = en.lincomb(en.index(table, tail), (x, out) + state[1:])
         return ((xn, out) + state[1:])[:width]
 
-    return step
+    if not pullback:
+        return step
+
+    def transposed(state, shared, acc):
+        table = shared[0]
+        x = state[0]
+        eps, eps_vjp = den.epsilon(x, tuple([c[i] for c in shared[1:]]),
+                                   pullback=(1 in acc, 2 in acc))
+        out = en.lincomb(table[head], (x, eps)) if pre else eps
+        parts = (x, out) + state[1:]
+        xn = en.lincomb(table[tail], parts)
+
+        def back(adj):
+            # a lincomb's transpose: its row times the adjoint for each
+            # part, one vdot per part for the row; out and the kept history
+            # slots add their own adjoints as outputs of the step
+            g = [c * adj[0] for c in table[tail]]
+            g[1:width] = [a + b for a, b in zip(adj[1:], g[1:width])]
+            if 0 in acc:
+                acc[0][tail] += [np.vdot(adj[0], p) for p in parts]
+            g_x, g_eps = g[0], g[1]
+            if pre:
+                if 0 in acc:
+                    acc[0][head] += [np.vdot(g_eps, x), np.vdot(g_eps, eps)]
+                c_x, c_eps = table[head]
+                g_x = g_x + c_x * g_eps
+                g_eps = c_eps * g_eps
+            g_den, g_a, g_s = eps_vjp(g_eps)
+            if g_a is not None:
+                acc[1][i] += g_a
+            if g_s is not None:
+                acc[2][i] += g_s
+            return (g_x + g_den,) + tuple(g[2:])
+
+        return ((xn, out) + state[1:])[:width], back
+
+    return transposed
 
 
 class _Tangents:
@@ -188,6 +235,14 @@ def solver_map(den, sched, spec, times, times_c=None):
     times_c defaults to times.  With jacobian=True (cold x_T, a denoiser
     taking tangents) it returns the stacked final slot (..., 1 + d, d):
     x_N, then the rows of (dx_N / dx_T)^T."""
+    return shared_map(den, spec,
+                      checked_shared(den, sched, spec, times, times_c))
+
+
+def checked_shared(den, sched, spec, times, times_c=None):
+    """`grid_shared` of a grid that has nfe + 1 strictly decreasing times,
+    it and times_c (default times) inside the schedule's domain; raises
+    GridError or ScheduleDomainError otherwise."""
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.shape[0] < 2:
         raise GridError("time grid needs at least two points")
@@ -203,7 +258,11 @@ def solver_map(den, sched, spec, times, times_c=None):
         if times_c.shape != times.shape:
             raise GridError("times_c must match the grid shape")
         sched.check_domain(times_c)
-    shared = grid_shared(den, sched, spec, times, times_c)
+    return grid_shared(den, sched, spec, times, times_c)
+
+
+def shared_map(den, spec, shared):
+    """The `solver_map` closure on a grid's prebuilt `checked_shared`."""
     steps = make_steps(den, spec)
 
     def march(x, jacobian=False):

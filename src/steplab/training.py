@@ -9,15 +9,17 @@ constraint ||x'_T - x_T|| <= rho_ball, with
     rho_ball = r * sigma_T,      r = gamma * d / NFE^2.
 
 Each iteration takes one projected-SGD step on x'_T and simultaneous steps on
-xi (RMSprop with momentum) and xi_c (plain SGD, phase 2 only); its gradients
-come from the checkpointed chain so memory per denoiser call stays flat in
-NFE.  End of epoch, validation x'_T are refreshed with K frozen-grid
-projected-SGD steps (keeping each pair's best iterate).  A refresh step takes
-its gradients on one whole tape: with the grid frozen only the x'_T chain is
-taped (B_val x NFE small arrays), and the forward runs once instead of once
-cold and again in the replay.  Then the validation soft loss is recorded,
-plateau decay is applied to both learning rates, and (xi, xi_c) is
-checkpointed whenever the validation loss reaches a new minimum.
+xi (RMSprop with momentum) and xi_c (plain SGD, phase 2 only).  Its
+gradients come from the discrete adjoint of the solver map: only the grid
+prelude (tau, the checked query times and the per-grid rows) is taped, the
+steps run once on plain arrays caching their pullbacks, and one reverse
+sweep with no tape yields the adjoints that seed the prelude's tape.  End
+of epoch, validation x'_T are refreshed with K frozen-grid projected-SGD
+steps (keeping each pair's best iterate), whose gradients come from the
+same sweep; the frozen grid is checked and built once per refresh.  Then
+the validation soft loss is recorded, plateau decay is applied to both
+learning rates, and (xi, xi_c) is checkpointed whenever the validation loss
+reaches a new minimum.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ import numpy as np
 from . import engine as en
 from . import rng as rngmod
 from .discretize import Discretization, HEURISTICS, heuristic_times, tau
-from .solvers import (SolverSpec, grid_shared, initial_state, make_steps,
-                      solve)
+from .solvers import (SolverSpec, checked_shared, grid_shared, initial_state,
+                      make_steps, shared_map, solve)
 
 
 class TrainingError(RuntimeError):
@@ -137,31 +139,59 @@ def split_indices(count, seed):
 # ------------------------------------------------------------------- losses
 
 
-def _chain_parts(den, sched, spec, disc, y):
-    """Prelude/steps/finale closures for one training pair.
+def _prelude(den, sched, spec, disc, shared):
+    """The chain prelude for one training pair: the grid's shared rows and
+    the initial state.
 
     xi and xi_c come from the leaves when they are differentiated and are
-    disc's constants otherwise (the frozen grid of the validation refresh).
+    disc's constants otherwise (the frozen grid of the validation refresh),
+    whose prebuilt `shared` the prelude hands on when it is given.
     """
     T, t_min = sched.T, sched.t_min
-    steps = make_steps(den, spec)
 
     def prelude(env):
+        state = initial_state(spec, env["x_prime"])
+        if shared is not None:
+            return shared, state
         xi = env.get("xi", disc.xi)
         xi_c = env.get("xi_c", disc.xi_c)
         times = tau(xi, T, t_min)
         times_c = sched.check_domain(en.clamp(en.add(times, xi_c), t_min, T))
-        return (grid_shared(den, sched, spec, times, times_c),
-                initial_state(spec, env["x_prime"]))
+        return grid_shared(den, sched, spec, times, times_c), state
+
+    return prelude
+
+
+def _chain_parts(den, sched, spec, disc, y, shared=None):
+    """Prelude/steps/finale closures for one training pair, as
+    `en.whole_chain_grad` takes them."""
 
     def finale(state, shared):
         return distance(state[0], y)
 
-    return prelude, steps, finale
+    return _prelude(den, sched, spec, disc, shared), make_steps(den, spec), \
+        finale
+
+
+def _distance_pullback(y):
+    """The finale as a transpose pair, as `en.adjoint_chain_grad` takes
+    it."""
+
+    def finale(state, shared, acc):
+        x = state[0]
+
+        def back(adj):
+            # distance's transpose: diff enters its dot product twice
+            t = (adj * (1.0 / x.shape[-1]))[..., None] * (x - y)
+            return (t + t,) + tuple(np.zeros_like(s) for s in state[1:])
+
+        return distance(x, y), back
+
+    return finale
 
 
 def pair_grads(disc, den, sched, spec, x_prime, y, checkpointed=True,
-               grid_only_constant=False):
+               grid_only_constant=False, shared=None):
     """Soft-loss value and gradients for one pair, or for a batch of pairs.
 
     Returns a ChainGradResult with grads for xi, xi_c, x_prime (the grid
@@ -169,11 +199,24 @@ def pair_grads(disc, den, sched, spec, x_prime, y, checkpointed=True,
     the loss is the vector of per-pair losses and each row of the x_prime
     gradient is that pair's own gradient; grid gradients are summed over
     the pairs.
+
+    checkpointed=True (the default) tapes only the grid prelude and takes
+    the steps' gradients with the discrete adjoint, one reverse sweep over
+    the cached step states; checkpointed=False differentiates the whole
+    chain on one tape, the reference.  With grid_only_constant, `shared`
+    may be the frozen grid's prebuilt `checked_shared`.
     """
+    if shared is not None and not grid_only_constant:
+        raise TrainingError("a prebuilt grid needs grid_only_constant")
     leaves = {"x_prime": x_prime} if grid_only_constant else \
         {"xi": disc.xi, "xi_c": disc.xi_c, "x_prime": x_prime}
-    fn = en.checkpointed_chain_grad if checkpointed else en.whole_chain_grad
-    return fn(leaves, *_chain_parts(den, sched, spec, disc, y))
+    if not checkpointed:
+        return en.whole_chain_grad(
+            leaves, *_chain_parts(den, sched, spec, disc, y, shared))
+    return en.adjoint_chain_grad(leaves,
+                                 _prelude(den, sched, spec, disc, shared),
+                                 make_steps(den, spec, pullback=True),
+                                 _distance_pullback(y))
 
 
 def soft_loss(disc, den, sched, spec, x_prime, y):
@@ -281,18 +324,20 @@ class TrainReport:
 
 def _refresh(disc, den, sched, spec, x_T, x_prime, y, rho, lr, k_steps):
     """K projected-SGD steps on the rows of x' with the grid frozen; keeps
-    each row's best iterate.  Returns (best rows, their losses)."""
+    each row's best iterate.  Returns (best rows, their losses).  The
+    frozen grid is checked and built once, for every step and the final
+    loss."""
+    shared = checked_shared(den, sched, spec, disc.times(), disc.times_c())
     best_x = x_prime.copy()
     best_loss = np.full(x_prime.shape[0], np.inf)
     x = x_prime.copy()
     for _ in range(k_steps):
-        # whole tape (checkpointed=False), grid frozen
-        res = pair_grads(disc, den, sched, spec, x, y, False, True)
+        res = pair_grads(disc, den, sched, spec, x, y, True, True, shared)
         better = res.loss < best_loss
         best_loss[better] = res.loss[better]
         best_x[better] = x[better]
         x = project(x - lr * res.grads["x_prime"], x_T, rho)
-    final = soft_loss(disc, den, sched, spec, x, y)
+    final = distance(shared_map(den, spec, shared)(x), y)
     better = final < best_loss
     best_loss[better] = final[better]
     best_x[better] = x[better]

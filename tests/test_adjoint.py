@@ -1,0 +1,261 @@
+"""The discrete adjoint behind `pair_grads`: bit for bit the step-checkpointed
+replay it replaced, within 1e-12 of the whole tape, and finite differences
+to 1e-4; a tape that holds only the grid prelude; denoisers queried on
+plain arrays only."""
+
+import numpy as np
+import pytest
+
+import steplab.engine as en
+from chaingrads import checkpointed_chain_grad
+from steplab import training
+from steplab.denoisers import GMDenoiser, PointDenoiser
+from steplab.discretize import Discretization, heuristic_times
+from steplab.rng import sample_prior
+from steplab.schedule import ve_edm, vp_linear
+from steplab.solvers import SolverSpec, checked_shared
+from steplab.training import pair_grads, soft_loss
+
+SCHEDS = {"ve": ve_edm(), "vp": vp_linear()}
+SOLVERS = [("euler", 1), ("dpmpp", 1), ("dpmpp", 2), ("ipndm", 1),
+           ("ipndm", 2), ("ipndm", 3), ("ipndm", 4)]
+SOLVER_IDS = [f"{f}{o}" for f, o in SOLVERS]
+KEYS = ("xi", "xi_c", "x_prime")
+
+
+def make_den(kind, sched):
+    if kind == "gm":
+        return GMDenoiser.create(sched, np.array([0.5, 0.3, 0.2]),
+                                 np.array([[2.0, 1.0], [-1.4, 1.8],
+                                           [0.3, -2.2]]),
+                                 np.array([0.25, 0.16, 0.36]))
+    return PointDenoiser.create(sched, np.array([1.0, -1.0]))
+
+
+def grid(sched, nfe):
+    """A logsnr grid with moved steps and query offsets, so every table
+    column and query time has a gradient."""
+    base = Discretization.from_times(sched,
+                                     heuristic_times("logsnr", sched, nfe))
+    g = np.random.default_rng(nfe)
+    return Discretization.create(
+        sched, nfe, xi=base.xi + 0.2 * g.standard_normal(nfe + 1),
+        xi_c=np.concatenate([0.01 * sched.T * g.uniform(-1, 1, nfe), [0.0]]))
+
+
+def pair(sched, rows):
+    """x'_T of shape (2,) when rows is None, else (rows, 2), and targets."""
+    x = sample_prior(sched, 2, 1 if rows is None else rows, 31)
+    x = x[0] if rows is None else x
+    return x, 0.3 * x[..., ::-1]
+
+
+def oracle(disc, den, sched, spec, x, y, frozen):
+    leaves = {"x_prime": x} if frozen else \
+        {"xi": disc.xi, "xi_c": disc.xi_c, "x_prime": x}
+    return checkpointed_chain_grad(
+        leaves, *training._chain_parts(den, sched, spec, disc, y))
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["learned", "frozen"])
+@pytest.mark.parametrize("rows", [None, 1, 3], ids=["row", "B1", "B3"])
+@pytest.mark.parametrize("kind", ["gm", "point"])
+@pytest.mark.parametrize("sched_name", sorted(SCHEDS))
+@pytest.mark.parametrize("family,order", SOLVERS, ids=SOLVER_IDS)
+def test_adjoint_equals_checkpointed_oracle_and_whole_tape(
+        family, order, sched_name, kind, rows, frozen):
+    sched = SCHEDS[sched_name]
+    den = make_den(kind, sched)
+    spec = SolverSpec(family=family, order=order, nfe=5)
+    disc = grid(sched, 5)
+    x, y = pair(sched, rows)
+    got = pair_grads(disc, den, sched, spec, x, y, True, frozen)
+    want = oracle(disc, den, sched, spec, x, y, frozen)
+    whole = pair_grads(disc, den, sched, spec, x, y, False, frozen)
+    assert np.asarray(got.loss).tobytes() == np.asarray(want.loss).tobytes()
+    assert np.array_equal(got.loss, whole.loss)
+    assert sorted(got.grads) == sorted(want.grads)
+    for k in got.grads:
+        assert got.grads[k].tobytes() == want.grads[k].tobytes(), k
+        np.testing.assert_allclose(got.grads[k], whole.grads[k],
+                                   rtol=1e-12, atol=1e-12)
+
+
+def fd_grad(f, x, eps):
+    x = np.asarray(x, dtype=np.float64)
+    g = np.zeros_like(x)
+    for i in np.ndindex(x.shape):
+        hi, lo = x.copy(), x.copy()
+        hi[i] += eps
+        lo[i] -= eps
+        g[i] = (f(hi) - f(lo)) / (2.0 * eps)
+    return g
+
+
+def rel_err(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("kind", ["gm", "point"])
+@pytest.mark.parametrize("sched_name", sorted(SCHEDS))
+@pytest.mark.parametrize("family,order", [("euler", 1), ("dpmpp", 2),
+                                          ("ipndm", 4)],
+                         ids=["euler1", "dpmpp2", "ipndm4"])
+def test_adjoint_matches_finite_differences(family, order, sched_name, kind):
+    sched = SCHEDS[sched_name]
+    den = make_den(kind, sched)
+    spec = SolverSpec(family=family, order=order, nfe=4)
+    disc = grid(sched, 4)
+    x, y = pair(sched, 3)
+    res = pair_grads(disc, den, sched, spec, x, y)
+
+    def loss(xi, xi_c, xp):
+        d2 = Discretization.create(sched, 4, xi=xi, xi_c=xi_c)
+        return float(np.sum(soft_loss(d2, den, sched, spec, xp, y)))
+
+    eps = 1e-6 * sched.T
+    want = {"xi": fd_grad(lambda v: loss(v, disc.xi_c, x), disc.xi, 1e-6),
+            "xi_c": fd_grad(lambda v: loss(disc.xi, v, x), disc.xi_c, eps),
+            "x_prime": fd_grad(lambda v: loss(disc.xi, disc.xi_c, v), x,
+                               eps)}
+    for k in KEYS:
+        # xi_c's last entry never reaches a step: both are exactly zero
+        keep = np.abs(want[k]) > 0.0
+        assert rel_err(res.grads[k][keep], want[k][keep]) <= 1e-4, k
+
+
+def taped_ops(monkeypatch, fn):
+    """Ops on each tape that Tape.backward walks while fn runs."""
+    sizes = []
+    backward = en.Tape.backward
+
+    def counting(self, seeds, leaves):
+        sizes.append(len(self))
+        return backward(self, seeds, leaves)
+
+    monkeypatch.setattr(en.Tape, "backward", counting)
+    fn()
+    monkeypatch.setattr(en.Tape, "backward", backward)
+    return sizes
+
+
+@pytest.mark.parametrize("sched_name", sorted(SCHEDS))
+def test_learned_grid_tapes_the_same_prelude_at_every_nfe(monkeypatch,
+                                                          sched_name):
+    sched = SCHEDS[sched_name]
+    den = make_den("gm", sched)
+    x, y = pair(sched, 2)
+    counts = []
+    for nfe in (4, 8, 16):
+        spec = SolverSpec(family="dpmpp", order=2, nfe=nfe)
+        disc = grid(sched, nfe)
+        sizes = taped_ops(monkeypatch, lambda: pair_grads(
+            disc, den, sched, spec, x, y))
+        assert len(sizes) == 1  # one reverse pass: the prelude's
+        counts.append(sizes[0])
+    assert counts[0] == counts[1] == counts[2]
+    # the whole tape grows with the steps instead
+    whole = taped_ops(monkeypatch, lambda: pair_grads(
+        disc, den, sched, spec, x, y, checkpointed=False))
+    assert whole[0] > counts[0]
+
+
+def test_frozen_grid_tapes_only_x_prime(monkeypatch):
+    sched = SCHEDS["vp"]
+    den = make_den("gm", sched)
+    spec = SolverSpec(family="ipndm", order=3, nfe=6)
+    disc = grid(sched, 6)
+    x, y = pair(sched, 3)
+    sizes = taped_ops(monkeypatch, lambda: pair_grads(
+        disc, den, sched, spec, x, y, True, True))
+    assert sizes == [1]
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["learned", "frozen"])
+@pytest.mark.parametrize("kind", ["gm", "point"])
+@pytest.mark.parametrize("sched_name", sorted(SCHEDS))
+def test_no_epsilon_call_sees_a_taped_x(monkeypatch, sched_name, kind,
+                                        frozen):
+    sched = SCHEDS[sched_name]
+    den = make_den(kind, sched)
+    cls = type(den)
+    epsilon = cls.epsilon
+    seen = []
+
+    def recording(self, x, t, *args, **kwargs):
+        seen.append(type(x) is en.Value or any(
+            type(c) is en.Value for c in (t if type(t) is tuple else (t,))))
+        return epsilon(self, x, t, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "epsilon", recording)
+    spec = SolverSpec(family="dpmpp", order=2, nfe=4)
+    x, y = pair(sched, 2)
+    pair_grads(grid(sched, 4), den, sched, spec, x, y, True, frozen)
+    assert len(seen) == 4 and not any(seen)
+
+
+def test_prebuilt_grid_gives_the_same_gradients():
+    sched = SCHEDS["ve"]
+    den = make_den("gm", sched)
+    spec = SolverSpec(family="dpmpp", order=2, nfe=4)
+    disc = grid(sched, 4)
+    x, y = pair(sched, 3)
+    shared = checked_shared(den, sched, spec, disc.times(), disc.times_c())
+    got = pair_grads(disc, den, sched, spec, x, y, True, True, shared)
+    want = pair_grads(disc, den, sched, spec, x, y, True, True)
+    assert got.loss.tobytes() == want.loss.tobytes()
+    assert got.grads["x_prime"].tobytes() == want.grads["x_prime"].tobytes()
+    with pytest.raises(training.TrainingError, match="grid_only_constant"):
+        pair_grads(disc, den, sched, spec, x, y, True, False, shared)
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["learned", "frozen"])
+def test_non_finite_adjoint_raises_engine_error(frozen):
+    sched = SCHEDS["ve"]
+    den = make_den("gm", sched)
+    spec = SolverSpec(family="dpmpp", order=2, nfe=4)
+    x, y = pair(sched, 2)
+    y = y.copy()
+    y[1, 0] = np.inf
+    with np.errstate(all="ignore"), \
+            pytest.raises(en.EngineError, match="non-finite adjoint"):
+        pair_grads(grid(sched, 4), den, sched, spec, x, y, True, frozen)
+
+
+@pytest.mark.parametrize("family,order", SOLVERS, ids=SOLVER_IDS)
+def test_retained_arrays_grow_by_a_fixed_count_per_step(family, order):
+    """The sweep holds each step's input state, its output and the
+    denoiser's intermediates: the same number of arrays per step, more
+    than the state slots alone."""
+    sched = SCHEDS["vp"]
+    den = make_den("gm", sched)
+    x, y = pair(sched, 2)
+    held = []
+    for nfe in (4, 8, 12):
+        spec = SolverSpec(family=family, order=order, nfe=nfe)
+        held.append(pair_grads(grid(sched, nfe), den, sched, spec, x,
+                               y).retained_arrays)
+    per_step = (held[1] - held[0]) / 4
+    assert held[2] - held[1] == held[1] - held[0]
+    assert per_step > 1 + SolverSpec(family, order, 4).history_width
+
+
+def test_denoiser_pullbacks_share_the_taped_vjp():
+    """The GM pullback's closure is the VJP `en.record` tapes: it gives the
+    same gradients as a tape over (x, alpha_i, sigma_i)."""
+    sched = SCHEDS["vp"]
+    for den in (make_den("gm", sched), make_den("point", sched)):
+        rows = den.step_constants(np.array([0.7, 0.3]))
+        x, _ = pair(sched, 3)
+        adj = np.cos(np.arange(x.size)).reshape(x.shape)
+        row = tuple(c[1] for c in rows)
+        eps, vjp = den.epsilon(x, row, pullback=(True, True))
+        tape = en.Tape()
+        xv, av, sv = tape.leaf(x), tape.leaf(row[0]), tape.leaf(row[1])
+        out = den.epsilon(xv, (av, sv) + row[2:])
+        assert eps.tobytes() == out.data.tobytes()
+        want = tape.backward([(out, adj)], [xv, av, sv])
+        for g, w in zip(vjp(adj), want):
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+        assert den.epsilon(x, row, pullback=(False, False))[1](adj)[1:] == \
+            (None, None)

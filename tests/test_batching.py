@@ -1,22 +1,23 @@
 """The batched fast path: a (B, d) batch run through solve, pair_grads,
 project, the log-det Jacobian and the bound equals the same rows run one
 at a time, the GM's epsilon over all K components at once equals its
-sum over the components one by one, and the whole-tape validation refresh
-equals one taken on the checkpointed chain."""
+sum over the components one by one, and the validation refresh, its grid
+built once, equals one taken on the checkpointed oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaingrads import checkpointed_chain_grad
 from logdets import collapse_map
-from steplab import config, evaluate, rng, training
+from steplab import config, evaluate, rng, solvers, training
 from steplab import engine as en
 from steplab.denoisers import gm_epsilon
 from steplab.discretize import Discretization, heuristic_times
 from steplab.evaluate import (JacobianError, estimate_bound,
                               log_abs_det_jacobian, solver_map)
-from steplab.solvers import SolverSpec, solve
+from steplab.solvers import SolverSpec, grid_shared, solve
 from steplab.training import (Teacher, TrainConfig, generate_dataset,
                               pair_grads, project, train)
 
@@ -236,12 +237,13 @@ def test_singular_bound_sample_is_named_across_chunks(monkeypatch):
 def refresh_checkpointed(disc, den, sched, spec, x_T, x_prime, y, rho, lr,
                          k_steps):
     """Reference: the validation refresh with each step's x' gradients
-    taken on the checkpointed chain."""
+    taken on the checkpointed oracle, which builds the grid every step."""
     best_x = x_prime.copy()
     best_loss = np.full(x_prime.shape[0], np.inf)
     x = x_prime.copy()
     for _ in range(k_steps):
-        res = pair_grads(disc, den, sched, spec, x, y, True, True)
+        res = checkpointed_chain_grad(
+            {"x_prime": x}, *training._chain_parts(den, sched, spec, disc, y))
         better = res.loss < best_loss
         best_loss[better] = res.loss[better]
         best_x[better] = x[better]
@@ -272,6 +274,25 @@ def test_whole_tape_refresh_equals_checkpointed_loop(solver, order, family,
     want = refresh_checkpointed(*args)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+def test_refresh_builds_its_frozen_grid_once(monkeypatch):
+    sched, den = build("ve_edm", "gm")
+    spec = SolverSpec(family="dpmpp", order=2, nfe=4)
+    disc = learned_looking_grid(sched, 4)
+    x_T = rng.sample_prior(sched, den.d, 6, 5)
+    builds = []
+
+    def counting(*args):
+        builds.append(None)
+        return grid_shared(*args)
+
+    # training's own name and the one solver_map looks up
+    monkeypatch.setattr(training, "grid_shared", counting)
+    monkeypatch.setattr(solvers, "grid_shared", counting)
+    training._refresh(disc, den, sched, spec, x_T, x_T.copy(), 0.02 * x_T,
+                      0.1 * sched.sigma_T, 3.0, 5)
+    assert len(builds) == 1
 
 
 def gm_epsilon_k_loop(x, t, sched, weights, means, variances):

@@ -407,6 +407,7 @@ VP_WINDOW = ("schedule.family = vp_linear\nschedule.T = 1.0\n"
     ("gen-data", "data.kind = swirl\n", "data.kind"),
     ("gen-data", "schedule.family = cosine\n", "schedule.family"),
     ("gen-data", "schedule.T = inf\n", "schedule.T"),
+    ("bound", "schedule.T = 1e300\n", "schedule.T"),
     ("gen-data", "schedule.family = vp_linear\n", "schedule.T"),
     ("gen-data", "schedule.family = vp_linear\nschedule.T = 12.0\n",
      "schedule.T"),
@@ -426,7 +427,8 @@ VP_WINDOW = ("schedule.family = vp_linear\nschedule.T = 1.0\n"
         "bench.nfes", "bench.rmsd_ref_nfe", "solver.order", "teacher.order",
         "teacher.grid", "bound.grid", "solver.family", "teacher.family",
         "cross.families-unknown", "cross-eval-solver.order", "data.kind",
-        "schedule.family", "schedule.T-inf", "vp-alpha_T-zero",
+        "schedule.family", "schedule.T-inf", "schedule.T-sigma-overflow",
+        "vp-alpha_T-zero",
         "vp-alpha_T-subnormal", "vp-beta0-negative", "vp-beta1-negative",
         "bound.r-inf", "bound.r-minus-inf", "sweep.r_values-inf"])
 @pytest.mark.filterwarnings("error")

@@ -1,6 +1,7 @@
 """Tape engine: every primitive against central finite differences, plus the
-checkpointed chain-gradient contract (equality with the whole tape, bitwise
-replay, constant retention per step)."""
+contract of the checkpointed chain-gradient oracle in chaingrads.py
+(equality with the whole tape, bitwise replay, constant retention per
+step) that the discrete adjoint is held to."""
 
 import gc
 import itertools
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import steplab.engine as en
+from chaingrads import checkpointed_chain_grad
 
 
 def fd_grad(f, x, eps=1e-6):
@@ -368,7 +370,7 @@ LEAVES4 = {"xi": np.array([0.1, -0.2, 0.4, 0.0]),
 def test_checkpointed_equals_whole_tape():
     prelude, steps, finale = chain_parts(4)
     whole = en.whole_chain_grad(LEAVES4, prelude, steps, finale)
-    ck = en.checkpointed_chain_grad(LEAVES4, prelude, steps, finale)
+    ck = checkpointed_chain_grad(LEAVES4, prelude, steps, finale)
     assert ck.loss == whole.loss
     for k in LEAVES4:
         np.testing.assert_allclose(ck.grads[k], whole.grads[k],
@@ -380,9 +382,9 @@ def test_checkpointed_matches_fd():
 
     def loss_at(xi):
         leaves = {"xi": xi, "x": LEAVES4["x"]}
-        return en.checkpointed_chain_grad(leaves, prelude, steps, finale).loss
+        return checkpointed_chain_grad(leaves, prelude, steps, finale).loss
 
-    got = en.checkpointed_chain_grad(LEAVES4, prelude, steps, finale).grads["xi"]
+    got = checkpointed_chain_grad(LEAVES4, prelude, steps, finale).grads["xi"]
     want = fd_grad(loss_at, LEAVES4["xi"])
     np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-8)
 
@@ -391,10 +393,10 @@ def test_replay_is_bitwise():
     prelude, steps, finale = chain_parts(6)
     leaves = {"xi": np.linspace(-1, 1, 6), "x": np.array([0.3, 0.1])}
     # every call checks each replayed segment against the forward bitwise
-    en.checkpointed_chain_grad(leaves, prelude, steps, finale)
+    checkpointed_chain_grad(leaves, prelude, steps, finale)
 
 
-@pytest.mark.parametrize("chain_grad", [en.checkpointed_chain_grad,
+@pytest.mark.parametrize("chain_grad", [checkpointed_chain_grad,
                                         en.whole_chain_grad],
                          ids=["ckpt", "whole"])
 def test_prelude_runs_once_per_call(chain_grad):
@@ -420,7 +422,7 @@ def test_replay_divergence_is_caught():
         return (en.add(x, 1e-3 * len(calls)), h)
 
     with pytest.raises(en.EngineError, match="replay diverged"):
-        en.checkpointed_chain_grad(LEAVES4 | {"xi": np.zeros(3)}, prelude,
+        checkpointed_chain_grad(LEAVES4 | {"xi": np.zeros(3)}, prelude,
                                    [steps[0], drifting, steps[2]], finale)
 
 
@@ -429,7 +431,7 @@ def test_retained_arrays_constant_per_step():
     for n in (4, 10):
         prelude, steps, finale = chain_parts(n)
         leaves = {"xi": np.zeros(n), "x": np.array([0.8, -0.5])}
-        res = en.checkpointed_chain_grad(leaves, prelude, steps, finale)
+        res = checkpointed_chain_grad(leaves, prelude, steps, finale)
         outs.append(res)
     assert outs[0].retained_per_step == outs[1].retained_per_step
     # whole-tape retention grows with length instead
@@ -453,6 +455,6 @@ def test_constant_state_slots_are_fine():
         return en.dot(state[0], state[0])
 
     leaves = {"x": np.array([1.0, 2.0])}
-    ck = en.checkpointed_chain_grad(leaves, prelude, [step, step], finale)
+    ck = checkpointed_chain_grad(leaves, prelude, [step, step], finale)
     whole = en.whole_chain_grad(leaves, prelude, [step, step], finale)
     np.testing.assert_allclose(ck.grads["x"], whole.grads["x"], atol=1e-15)

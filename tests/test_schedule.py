@@ -252,6 +252,18 @@ def test_bad_construction_rejected():
         ve_edm(T=np.inf)
 
 
+@pytest.mark.parametrize("T", [1e300, 1e155, 9.5e153])
+def test_ve_schedule_whose_sigma_squared_overflows_is_refused(T):
+    message = f"T = {T!r} makes 2 sigma_T^2 overflow"
+    with pytest.raises(ScheduleDomainError, match="^" + re.escape(message)):
+        ve_edm(T=T)
+
+
+def test_ve_schedule_below_the_sigma_squared_edge_is_kept():
+    sched = ve_edm(T=9.4e153)
+    assert np.isfinite(2.0 * sched.sigma_T ** 2)
+
+
 @pytest.mark.parametrize("kwargs,field", [
     ({"T": 80.0}, "T"),                    # alpha_T = 0
     ({"T": 12.0}, "T"),                    # alpha_T subnormal, 1/alpha_T = inf
