@@ -48,9 +48,9 @@ def tau(xi, T, t_min):
     return en.add(en.mul(unit, T - t_min), t_min)
 
 
-def query_times(xi, xi_c, T, t_min):
-    """t^c = clamp(tau(xi) + xi_c, t_min, T); engine-generic."""
-    return en.clamp(en.add(tau(xi, T, t_min), xi_c), t_min, T)
+def query_times(times, xi_c, T, t_min):
+    """t^c = clamp(times + xi_c, t_min, T), times = tau(xi); engine-generic."""
+    return en.clamp(en.add(times, xi_c), t_min, T)
 
 
 def init_from_times(times, T, t_min):
@@ -108,8 +108,8 @@ class Discretization:
         return np.asarray(tau(self.xi, self.sched.T, self.sched.t_min))
 
     def times_c(self):
-        return np.asarray(query_times(self.xi, self.xi_c, self.sched.T,
-                                      self.sched.t_min))
+        return np.asarray(query_times(self.times(), self.xi_c,
+                                      self.sched.T, self.sched.t_min))
 
 
 def heuristic_times(kind, sched, nfe):

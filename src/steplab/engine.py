@@ -16,9 +16,9 @@ Gradients are pulled with :meth:`Tape.backward`, which allocates its own
 adjoint buffer per call; a tape can therefore be differentiated several times
 (e.g. once per Jacobian row).  :func:`whole_chain_grad` differentiates a
 prelude -> steps -> finale chain on one tape.  :func:`adjoint_chain_grad`
-tapes only the prelude: its steps run on plain arrays, each returning its
-own transpose, and one reverse sweep over those cached pullbacks, with no
-tape and no replay, yields the adjoints that seed the prelude's tape.
+tapes only the prelude: the same steps, given an accumulator, run on plain
+arrays returning their own transposes, and one reverse sweep over those
+cached pullbacks, with no tape and no replay, seeds the prelude's tape.
 """
 
 from __future__ import annotations
@@ -457,8 +457,9 @@ def adjoint_chain_grad(leaves, prelude, steps, finale):
 
     The prelude runs once, taped; its Values mark which shared entries are
     differentiable, and the data of its outputs feed the forward pass.
-    Each step is a transpose pair on plain arrays,
-    step(state, shared, acc) -> (state', back), and the finale one more,
+    The steps and finale are those :func:`whole_chain_grad` takes, called
+    with acc: each runs on plain arrays as a transpose pair,
+    step(state, shared, acc) -> (state', back), and
     finale(state, shared, acc) -> (loss, back).  back(adj') returns the
     adjoints of the segment's input and adds its gradient of shared[j]
     into acc[j], a zero array for each differentiable shared[j].  The

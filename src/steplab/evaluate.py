@@ -19,7 +19,8 @@ import numpy as np
 from . import rng as rngmod
 from .discretize import HEURISTICS, Discretization, heuristic_times
 from .solvers import SolverSpec, solve, solver_map  # solver_map: also evaluate API
-from .training import Teacher, distance, mean_loss, split_indices, train
+from .training import (Teacher, TrainingError, distance, mean_loss,
+                       split_indices, train)
 
 
 class JacobianError(RuntimeError):
@@ -161,13 +162,16 @@ def cross_eval(ds, den, sched, specs, cfg):
 
     Entry [i][j] is the mean validation teacher-distance of the grid trained
     with specs[i] when sampled with specs[j]; the learned query offsets xi_c
-    are solver-specific, so they apply only on the diagonal.
+    are solver-specific, so they apply only on the diagonal.  A training
+    that ends before its first checkpoint raises TrainingError naming its
+    solver.
     """
     nfes = {s.nfe for s in specs}
     if len(nfes) != 1:
         raise ValueError("cross_eval requires a shared NFE")
     _, val_idx = split_indices(ds.count, ds.seed)
-    trained = [train(ds.fresh(), den, sched, spec, cfg) for spec in specs]
+    trained = [_checkpointed(train(ds.fresh(), den, sched, spec, cfg),
+                             f"{spec.family}{spec.order}") for spec in specs]
     n = len(specs)
     matrix = np.zeros((n, n), dtype=np.float64)
     for i, rep in enumerate(trained):
@@ -178,6 +182,15 @@ def cross_eval(ds, den, sched, specs, cfg):
             matrix[i, j] = mean_loss(disc, den, sched, spec_j,
                                      ds.x_T[val_idx], ds.y[val_idx])
     return matrix
+
+
+def _checkpointed(report, what):
+    """report, or TrainingError naming `what` when the training ended
+    before its first checkpoint: its best grid is the unvalidated init."""
+    if report.best_epoch < 0:
+        raise TrainingError(f"training for {what} ended before its first "
+                            f"checkpoint")
+    return report
 
 
 BENCH_METHODS = HEURISTICS + ("learned",)
@@ -196,11 +209,15 @@ def bench_eval_assets(den, sched, teacher, eval_count, rmsd_ref_nfe, seed):
 
 
 def bench_cell(ds, den, sched, spec, cfg, method, nfe, assets, seed):
-    """One (method, NFE) benchmark cell on the shared eval assets."""
+    """One (method, NFE) benchmark cell on the shared eval assets; a
+    learned cell whose training ends before its first checkpoint raises
+    TrainingError naming the solver and the NFE."""
     x_eval, y_eval, ref_out, gt = assets
     spec_n = SolverSpec(family=spec.family, order=spec.order, nfe=int(nfe))
     if method == "learned":
-        report = train(ds.fresh(), den, sched, spec_n, replace(cfg, seed=seed))
+        report = _checkpointed(
+            train(ds.fresh(), den, sched, spec_n, replace(cfg, seed=seed)),
+            f"{spec.family}{spec.order} at NFE {nfe}")
         disc = report.best_discretization(sched, spec_n.nfe)
         times, times_c = disc.times(), disc.times_c()
     else:

@@ -21,16 +21,17 @@ h_i = lambda_{i+1} - lambda_i (> 0 along sampling), the rows are
             with b_i the Adams-Bashforth row of order min(i + 1, order),
             zero-padded during warm-up
 
-Steps are pure functions of (state, shared).  `grid_shared` builds shared
-once per grid: the table, then the denoiser's per-step constants on the
-query times (`den.step_constants(times_c)`, a tuple of arrays with one row
-per step), and step i hands their row i to `den.epsilon`.  So steps run
-identically on plain numpy arrays and on taped engine Values.  Each step
-also has a transpose on plain arrays (`make_steps(..., pullback=True)`),
-which training's discrete adjoint sweeps: the adjoints of the state are
-row i times the adjoint of the update, the row's gradient is one vdot per
-array, and the denoiser's pullback gives those of x and of alpha_i and
-sigma_i, the only step constants that can carry a gradient.  The
+Steps are pure functions of (state, shared).  `checked_shared` checks a
+grid and builds shared once for it, taped or cold: the table, then the
+denoiser's per-step constants on the query times (`den.step_constants`,
+a tuple of arrays with one row per step), and step i hands their row i
+to `den.epsilon`.  So steps run identically on plain numpy arrays and on
+taped engine Values.  Given acc, `step(state, shared, acc)` runs on plain
+arrays and also returns its transpose, which training's discrete adjoint
+sweeps: the adjoints of the state are row i times the adjoint of the
+update, the row's gradient is one vdot per array, and the denoiser's
+pullback gives those of x and of alpha_i and sigma_i, the only step
+constants that can carry a gradient.  The
 inter-step state has a fixed width per solver spec (history slots are
 zero-padded before they fill), which keeps the number of arrays cached per
 step constant regardless of grid length.
@@ -141,54 +142,40 @@ def coeffs(sched, spec, times):
                             en.mul(em, c)])
 
 
-def grid_shared(den, sched, spec, times, times_c):
-    """What every step reads, engine-generic: the coefficient table of
-    `times`, then den's step constants on the checked query times
-    times_c."""
-    return (coeffs(sched, spec, times),) + den.step_constants(times_c)
-
-
-def make_steps(den, spec, jacobian=False, pullback=False):
-    """Pure step closures for i = 0 .. nfe-1, all of the one generic step;
-    with jacobian=True they march stacked tangent slots, and with
-    pullback=True each is the step's transpose pair (see `_step`)."""
+def make_steps(den, spec, jacobian=False):
+    """Pure step closures for i = 0 .. nfe-1, all of the one generic step
+    (see `_step`); with jacobian=True they march stacked tangent slots."""
     if jacobian:
         den = _Tangents(den)
-    return [_step(den, spec, i, pullback) for i in range(spec.nfe)]
+    return [_step(den, spec, i) for i in range(spec.nfe)]
 
 
-def _step(den, spec, i, pullback=False):
-    """Step i: step(state, shared) -> state', engine-generic; or, with
-    pullback=True, its transpose pair on plain arrays,
-    step(state, shared, acc) -> (state', back), where back(adj') -> adj
-    maps the adjoints of state' to those of state and adds the step's
-    gradients of the table row and of alpha_i, sigma_i into acc[0],
-    acc[1] and acc[2] where acc has them."""
+def _step(den, spec, i):
+    """Step i: step(state, shared) -> state', engine-generic; or, given
+    acc, its transpose pair on plain arrays, step(state, shared, acc) ->
+    (state', back), where back(adj') -> adj maps the adjoints of state' to
+    those of state and adds the step's gradients of the table row and of
+    alpha_i, sigma_i into acc[0], acc[1] and acc[2] where acc has them."""
     width = 1 + spec.history_width
     pre = 2 if spec.family == DPMPP else 0
     head, tail = (i, slice(0, pre)), (i, slice(pre, None))
 
-    def step(state, shared):
+    def step(state, shared, acc=None):
         table = shared[0]
         x = state[0]
         # row i of the step constants (a Value indexes through en.index)
-        out = den.epsilon(x, tuple([c[i] for c in shared[1:]]))
-        if pre:  # DPM-Solver++ combines data predictions
-            out = en.lincomb(en.index(table, head), (x, out))
-        xn = en.lincomb(en.index(table, tail), (x, out) + state[1:])
-        return ((xn, out) + state[1:])[:width]
-
-    if not pullback:
-        return step
-
-    def transposed(state, shared, acc):
-        table = shared[0]
-        x = state[0]
-        eps, eps_vjp = den.epsilon(x, tuple([c[i] for c in shared[1:]]),
-                                   pullback=(1 in acc, 2 in acc))
-        out = en.lincomb(table[head], (x, eps)) if pre else eps
+        row = tuple([c[i] for c in shared[1:]])
+        if acc is None:
+            eps = den.epsilon(x, row)
+        else:
+            eps, eps_vjp = den.epsilon(x, row, pullback=(1 in acc, 2 in acc))
+        # DPM-Solver++ combines data predictions
+        out = en.lincomb(en.index(table, head), (x, eps)) if pre else eps
         parts = (x, out) + state[1:]
-        xn = en.lincomb(table[tail], parts)
+        new = ((en.lincomb(en.index(table, tail), parts), out)
+               + state[1:])[:width]
+        if acc is None:
+            return new
 
         def back(adj):
             # a lincomb's transpose: its row times the adjoint for each
@@ -212,9 +199,9 @@ def _step(den, spec, i, pullback=False):
                 acc[2][i] += g_s
             return (g_x + g_den,) + tuple(g[2:])
 
-        return ((xn, out) + state[1:])[:width], back
+        return new, back
 
-    return transposed
+    return step
 
 
 class _Tangents:
@@ -240,25 +227,33 @@ def solver_map(den, sched, spec, times, times_c=None):
 
 
 def checked_shared(den, sched, spec, times, times_c=None):
-    """`grid_shared` of a grid that has nfe + 1 strictly decreasing times,
-    it and times_c (default times) inside the schedule's domain; raises
-    GridError or ScheduleDomainError otherwise."""
-    times = np.asarray(times, dtype=np.float64)
-    if times.ndim != 1 or times.shape[0] < 2:
+    """What every step reads, engine-generic: the table of `times`, then
+    den's step constants on times_c (default times).  Raises GridError or
+    ScheduleDomainError unless the grid has nfe + 1 strictly decreasing
+    times, it and times_c in the schedule's domain; a taped grid's checks
+    read its data and tape nothing."""
+    times = _as_grid(times)
+    td = en.data_of(times)
+    if td.ndim != 1 or td.shape[0] < 2:
         raise GridError("time grid needs at least two points")
-    if times.size != spec.nfe + 1:
-        raise GridError(f"grid has {times.size - 1} steps, expected {spec.nfe}")
-    if not np.all(np.diff(times) < 0.0):
+    if td.size != spec.nfe + 1:
+        raise GridError(f"grid has {td.size - 1} steps, expected {spec.nfe}")
+    if not np.all(np.diff(td) < 0.0):
         raise GridError("time grid must be strictly decreasing")
-    sched.check_domain(times)
+    sched.check_domain(td)
     if times_c is None:
         times_c = times
     else:
-        times_c = np.asarray(times_c, np.float64)
-        if times_c.shape != times.shape:
+        times_c = _as_grid(times_c)
+        if np.shape(en.data_of(times_c)) != td.shape:
             raise GridError("times_c must match the grid shape")
         sched.check_domain(times_c)
-    return grid_shared(den, sched, spec, times, times_c)
+    return (coeffs(sched, spec, times),) + den.step_constants(times_c)
+
+
+def _as_grid(t):
+    """A taped grid as it is, anything else as a float64 array."""
+    return t if type(t) is en.Value else np.asarray(t, dtype=np.float64)
 
 
 def shared_map(den, spec, shared):

@@ -11,7 +11,7 @@ constraint ||x'_T - x_T|| <= rho_ball, with
 Each iteration takes one projected-SGD step on x'_T and simultaneous steps on
 xi (RMSprop with momentum) and xi_c (plain SGD, phase 2 only).  Its
 gradients come from the discrete adjoint of the solver map: only the grid
-prelude (tau, the checked query times and the per-grid rows) is taped, the
+prelude (tau, the query times and the checked per-grid rows) is taped, the
 steps run once on plain arrays caching their pullbacks, and one reverse
 sweep with no tape yields the adjoints that seed the prelude's tape.  End
 of epoch, validation x'_T are refreshed with K frozen-grid projected-SGD
@@ -19,7 +19,8 @@ steps (keeping each pair's best iterate), whose gradients come from the
 same sweep; the frozen grid is checked and built once per refresh.  Then
 the validation soft loss is recorded, plateau decay is applied to both
 learning rates, and (xi, xi_c) is checkpointed whenever the validation loss
-reaches a new minimum.
+reaches a new minimum.  A non-finite loss, or a grid the next check
+refuses, aborts training with the best grid so far.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ import numpy as np
 
 from . import engine as en
 from . import rng as rngmod
-from .discretize import Discretization, HEURISTICS, heuristic_times, tau
-from .solvers import (SolverSpec, checked_shared, grid_shared, initial_state,
+from .discretize import (Discretization, HEURISTICS, heuristic_times,
+                         query_times, tau)
+from .solvers import (GridError, SolverSpec, checked_shared, initial_state,
                       make_steps, shared_map, solve)
 
 
@@ -139,84 +141,56 @@ def split_indices(count, seed):
 # ------------------------------------------------------------------- losses
 
 
-def _prelude(den, sched, spec, disc, shared):
-    """The chain prelude for one training pair: the grid's shared rows and
-    the initial state.
-
-    xi and xi_c come from the leaves when they are differentiated and are
-    disc's constants otherwise (the frozen grid of the validation refresh),
-    whose prebuilt `shared` the prelude hands on when it is given.
-    """
+def _chain_parts(den, sched, spec, y, shared=None):
+    """Prelude, steps and finale for one pair or a batch, as both chain
+    gradients take them.  The prelude checks and builds the grid of the
+    leaves xi and xi_c, or hands on a frozen grid's prebuilt `shared`; the
+    finale, like a step, is a transpose pair when also given acc."""
     T, t_min = sched.T, sched.t_min
 
     def prelude(env):
         state = initial_state(spec, env["x_prime"])
         if shared is not None:
             return shared, state
-        xi = env.get("xi", disc.xi)
-        xi_c = env.get("xi_c", disc.xi_c)
-        times = tau(xi, T, t_min)
-        times_c = sched.check_domain(en.clamp(en.add(times, xi_c), t_min, T))
-        return grid_shared(den, sched, spec, times, times_c), state
+        times = tau(env["xi"], T, t_min)
+        times_c = query_times(times, env["xi_c"], T, t_min)
+        return checked_shared(den, sched, spec, times, times_c), state
 
-    return prelude
-
-
-def _chain_parts(den, sched, spec, disc, y, shared=None):
-    """Prelude/steps/finale closures for one training pair, as
-    `en.whole_chain_grad` takes them."""
-
-    def finale(state, shared):
-        return distance(state[0], y)
-
-    return _prelude(den, sched, spec, disc, shared), make_steps(den, spec), \
-        finale
-
-
-def _distance_pullback(y):
-    """The finale as a transpose pair, as `en.adjoint_chain_grad` takes
-    it."""
-
-    def finale(state, shared, acc):
+    def finale(state, shared, acc=None):
         x = state[0]
+        loss = distance(x, y)
+        if acc is None:
+            return loss
 
         def back(adj):
             # distance's transpose: diff enters its dot product twice
             t = (adj * (1.0 / x.shape[-1]))[..., None] * (x - y)
             return (t + t,) + tuple(np.zeros_like(s) for s in state[1:])
 
-        return distance(x, y), back
+        return loss, back
 
-    return finale
+    return prelude, make_steps(den, spec), finale
 
 
 def pair_grads(disc, den, sched, spec, x_prime, y, checkpointed=True,
-               grid_only_constant=False, shared=None):
+               shared=None):
     """Soft-loss value and gradients for one pair, or for a batch of pairs.
 
-    Returns a ChainGradResult with grads for xi, xi_c, x_prime (the grid
-    entries are omitted when grid_only_constant is set).  For (B, d) rows
-    the loss is the vector of per-pair losses and each row of the x_prime
-    gradient is that pair's own gradient; grid gradients are summed over
-    the pairs.
+    Returns a ChainGradResult with grads for xi, xi_c, x_prime, or for
+    x_prime alone when `shared`, the frozen grid's prebuilt
+    `checked_shared`, is given.  For (B, d) rows the loss is the vector of
+    per-pair losses and each row of the x_prime gradient is that pair's own
+    gradient; grid gradients are summed over the pairs.
 
     checkpointed=True (the default) tapes only the grid prelude and takes
     the steps' gradients with the discrete adjoint, one reverse sweep over
     the cached step states; checkpointed=False differentiates the whole
-    chain on one tape, the reference.  With grid_only_constant, `shared`
-    may be the frozen grid's prebuilt `checked_shared`.
+    chain on one tape, the reference.
     """
-    if shared is not None and not grid_only_constant:
-        raise TrainingError("a prebuilt grid needs grid_only_constant")
-    leaves = {"x_prime": x_prime} if grid_only_constant else \
+    leaves = {"x_prime": x_prime} if shared is not None else \
         {"xi": disc.xi, "xi_c": disc.xi_c, "x_prime": x_prime}
-    if not checkpointed:
-        return en.whole_chain_grad(
-            leaves, *_chain_parts(den, sched, spec, disc, y, shared))
-    return en.adjoint_chain_grad(leaves,
-                                 _prelude(den, sched, spec, disc, shared),
-                                 make_steps(den, spec, pullback=True),
-                                 _distance_pullback(y))
+    chain = en.adjoint_chain_grad if checkpointed else en.whole_chain_grad
+    return chain(leaves, *_chain_parts(den, sched, spec, y, shared))
 
 
 def soft_loss(disc, den, sched, spec, x_prime, y):
@@ -332,7 +306,7 @@ def _refresh(disc, den, sched, spec, x_T, x_prime, y, rho, lr, k_steps):
     best_loss = np.full(x_prime.shape[0], np.inf)
     x = x_prime.copy()
     for _ in range(k_steps):
-        res = pair_grads(disc, den, sched, spec, x, y, True, True, shared)
+        res = pair_grads(disc, den, sched, spec, x, y, True, shared)
         better = res.loss < best_loss
         best_loss[better] = res.loss[better]
         best_x[better] = x[better]
@@ -364,7 +338,8 @@ def train(ds, den, sched, spec, cfg):
         raise TrainingError(f"unknown init {cfg.init!r}")
     kinds = HEURISTICS if cfg.init == "auto" else (cfg.init,)
     xi, init_kind, init_val = select_init(den, sched, spec, ds, val_idx, kinds)
-    xi_c = np.zeros(nfe + 1, dtype=np.float64)
+    disc = Discretization.create(sched, nfe, xi=xi)
+    xi, xi_c = disc.xi, disc.xi_c  # the steps below update them in place
 
     report = TrainReport(init_kind=init_kind, init_val_loss=init_val,
                          best_xi=xi.copy(), best_xi_c=xi_c.copy())
@@ -375,14 +350,17 @@ def train(ds, den, sched, spec, cfg):
     for epoch in range(n_epochs):
         t_start = time.perf_counter()
         phase = 1 if epoch < cfg.epochs_phase1 else 2
-        disc = Discretization.create(sched, nfe, xi=xi, xi_c=xi_c)
         order = rngmod.substream(cfg.seed, "batches", epoch).permutation(
             len(train_idx))
         for lo in range(0, len(order), cfg.batch):
             batch = train_idx[order[lo:lo + cfg.batch]]
             b = len(batch)
-            res = pair_grads(disc, den, sched, spec, ds.x_prime[batch],
-                             ds.y[batch])
+            try:
+                res = pair_grads(disc, den, sched, spec, ds.x_prime[batch],
+                                 ds.y[batch])
+            except GridError:  # the grid the last step left is refused
+                report.aborted = True
+                break
             loss = float(np.mean(res.loss))
             if not np.isfinite(loss):
                 report.aborted = True
@@ -397,18 +375,17 @@ def train(ds, den, sched, spec, cfg):
             ds.x_prime[batch] = project(moved, ds.x_T[batch], rho)
             it += 1
             report.iter_rows.append((it, epoch, phase, loss, lr_xi, lr_xic))
-            disc = Discretization.create(sched, nfe, xi=xi, xi_c=xi_c)
-            if not np.all(np.diff(disc.times()) < 0.0):
-                report.aborted = True
-                break
         else:
             # end of epoch: refresh validation x', record loss, decay,
             # checkpoint
-            best_x, val_losses = _refresh(disc, den, sched, spec,
-                                          ds.x_T[val_idx],
-                                          ds.x_prime[val_idx], ds.y[val_idx],
-                                          rho, lr_xp, cfg.val_refresh_steps)
-            ds.x_prime[val_idx] = best_x
+            try:
+                best_x, val_losses = _refresh(
+                    disc, den, sched, spec, ds.x_T[val_idx],
+                    ds.x_prime[val_idx], ds.y[val_idx], rho, lr_xp,
+                    cfg.val_refresh_steps)
+                ds.x_prime[val_idx] = best_x
+            except GridError:  # as above: the epoch's last step left it
+                report.aborted = True
         # every row moves at most once per epoch, so this sees every state
         diff = ds.x_prime - ds.x_T
         report.max_ball_violation = max(

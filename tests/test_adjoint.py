@@ -50,11 +50,17 @@ def pair(sched, rows):
     return x, 0.3 * x[..., ::-1]
 
 
-def oracle(disc, den, sched, spec, x, y, frozen):
-    leaves = {"x_prime": x} if frozen else \
+def frozen_grid(disc, den, sched, spec, frozen):
+    """The prebuilt grid that freezes disc, or None to learn it."""
+    return checked_shared(den, sched, spec, disc.times(),
+                          disc.times_c()) if frozen else None
+
+
+def oracle(disc, den, sched, spec, x, y, shared):
+    leaves = {"x_prime": x} if shared is not None else \
         {"xi": disc.xi, "xi_c": disc.xi_c, "x_prime": x}
     return checkpointed_chain_grad(
-        leaves, *training._chain_parts(den, sched, spec, disc, y))
+        leaves, *training._chain_parts(den, sched, spec, y, shared))
 
 
 @pytest.mark.parametrize("frozen", [False, True], ids=["learned", "frozen"])
@@ -69,9 +75,10 @@ def test_adjoint_equals_checkpointed_oracle_and_whole_tape(
     spec = SolverSpec(family=family, order=order, nfe=5)
     disc = grid(sched, 5)
     x, y = pair(sched, rows)
-    got = pair_grads(disc, den, sched, spec, x, y, True, frozen)
-    want = oracle(disc, den, sched, spec, x, y, frozen)
-    whole = pair_grads(disc, den, sched, spec, x, y, False, frozen)
+    shared = frozen_grid(disc, den, sched, spec, frozen)
+    got = pair_grads(disc, den, sched, spec, x, y, True, shared)
+    want = oracle(disc, den, sched, spec, x, y, shared)
+    whole = pair_grads(disc, den, sched, spec, x, y, False, shared)
     assert np.asarray(got.loss).tobytes() == np.asarray(want.loss).tobytes()
     assert np.array_equal(got.loss, whole.loss)
     assert sorted(got.grads) == sorted(want.grads)
@@ -166,8 +173,9 @@ def test_frozen_grid_tapes_only_x_prime(monkeypatch):
     spec = SolverSpec(family="ipndm", order=3, nfe=6)
     disc = grid(sched, 6)
     x, y = pair(sched, 3)
+    shared = frozen_grid(disc, den, sched, spec, True)
     sizes = taped_ops(monkeypatch, lambda: pair_grads(
-        disc, den, sched, spec, x, y, True, True))
+        disc, den, sched, spec, x, y, True, shared))
     assert sizes == [1]
 
 
@@ -190,23 +198,25 @@ def test_no_epsilon_call_sees_a_taped_x(monkeypatch, sched_name, kind,
     monkeypatch.setattr(cls, "epsilon", recording)
     spec = SolverSpec(family="dpmpp", order=2, nfe=4)
     x, y = pair(sched, 2)
-    pair_grads(grid(sched, 4), den, sched, spec, x, y, True, frozen)
+    disc = grid(sched, 4)
+    pair_grads(disc, den, sched, spec, x, y, True,
+               frozen_grid(disc, den, sched, spec, frozen))
     assert len(seen) == 4 and not any(seen)
 
 
 def test_prebuilt_grid_gives_the_same_gradients():
+    """Freezing a grid by its prebuilt rows gives the loss and x'
+    gradients of the learned grid it freezes, bit for bit."""
     sched = SCHEDS["ve"]
     den = make_den("gm", sched)
     spec = SolverSpec(family="dpmpp", order=2, nfe=4)
     disc = grid(sched, 4)
     x, y = pair(sched, 3)
     shared = checked_shared(den, sched, spec, disc.times(), disc.times_c())
-    got = pair_grads(disc, den, sched, spec, x, y, True, True, shared)
-    want = pair_grads(disc, den, sched, spec, x, y, True, True)
+    got = pair_grads(disc, den, sched, spec, x, y, True, shared)
+    want = pair_grads(disc, den, sched, spec, x, y, True)
     assert got.loss.tobytes() == want.loss.tobytes()
     assert got.grads["x_prime"].tobytes() == want.grads["x_prime"].tobytes()
-    with pytest.raises(training.TrainingError, match="grid_only_constant"):
-        pair_grads(disc, den, sched, spec, x, y, True, False, shared)
 
 
 @pytest.mark.parametrize("frozen", [False, True], ids=["learned", "frozen"])
@@ -217,9 +227,11 @@ def test_non_finite_adjoint_raises_engine_error(frozen):
     x, y = pair(sched, 2)
     y = y.copy()
     y[1, 0] = np.inf
+    disc = grid(sched, 4)
+    shared = frozen_grid(disc, den, sched, spec, frozen)
     with np.errstate(all="ignore"), \
             pytest.raises(en.EngineError, match="non-finite adjoint"):
-        pair_grads(grid(sched, 4), den, sched, spec, x, y, True, frozen)
+        pair_grads(disc, den, sched, spec, x, y, True, shared)
 
 
 @pytest.mark.parametrize("family,order", SOLVERS, ids=SOLVER_IDS)

@@ -17,7 +17,7 @@ from steplab.denoisers import gm_epsilon
 from steplab.discretize import Discretization, heuristic_times
 from steplab.evaluate import (JacobianError, estimate_bound,
                               log_abs_det_jacobian, solver_map)
-from steplab.solvers import SolverSpec, grid_shared, solve
+from steplab.solvers import SolverSpec, checked_shared, solve
 from steplab.training import (Teacher, TrainConfig, generate_dataset,
                               pair_grads, project, train)
 
@@ -83,11 +83,12 @@ def test_frozen_grid_pair_grads_batch_equals_rows(solver, order, family,
     disc = learned_looking_grid(sched, 4)
     xs = rng.sample_prior(sched, den.d, 5, 8)
     ys = 0.02 * xs[::-1]
-    res = pair_grads(disc, den, sched, spec, xs, ys, checkpointed, True)
+    shared = checked_shared(den, sched, spec, disc.times(), disc.times_c())
+    res = pair_grads(disc, den, sched, spec, xs, ys, checkpointed, shared)
     assert res.loss.shape == (5,)
     for j in range(5):
         one = pair_grads(disc, den, sched, spec, xs[j], ys[j], checkpointed,
-                         True)
+                         shared)
         assert one.loss == res.loss[j]
         assert np.array_equal(one.grads["x_prime"], res.grads["x_prime"][j])
 
@@ -242,8 +243,11 @@ def refresh_checkpointed(disc, den, sched, spec, x_T, x_prime, y, rho, lr,
     best_loss = np.full(x_prime.shape[0], np.inf)
     x = x_prime.copy()
     for _ in range(k_steps):
+        shared = checked_shared(den, sched, spec, disc.times(),
+                                disc.times_c())
         res = checkpointed_chain_grad(
-            {"x_prime": x}, *training._chain_parts(den, sched, spec, disc, y))
+            {"x_prime": x}, *training._chain_parts(den, sched, spec, y,
+                                                   shared))
         better = res.loss < best_loss
         best_loss[better] = res.loss[better]
         best_x[better] = x[better]
@@ -285,11 +289,11 @@ def test_refresh_builds_its_frozen_grid_once(monkeypatch):
 
     def counting(*args):
         builds.append(None)
-        return grid_shared(*args)
+        return checked_shared(*args)
 
     # training's own name and the one solver_map looks up
-    monkeypatch.setattr(training, "grid_shared", counting)
-    monkeypatch.setattr(solvers, "grid_shared", counting)
+    monkeypatch.setattr(training, "checked_shared", counting)
+    monkeypatch.setattr(solvers, "checked_shared", counting)
     training._refresh(disc, den, sched, spec, x_T, x_T.copy(), 0.02 * x_T,
                       0.1 * sched.sigma_T, 3.0, 5)
     assert len(builds) == 1

@@ -544,6 +544,28 @@ def test_sweep_r_refuses_an_aborted_training(ws, tmp_path, capsys):
     assert not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("command,jobs,says,csv", [
+    ("cross-eval", 1, "euler1", "cross.csv"),
+    ("bench", 1, "dpmpp2 at NFE 3", "bench.csv"),
+    ("bench", 2, "dpmpp2 at NFE 3", "bench.csv"),
+], ids=["cross-eval", "bench", "bench-jobs2"])
+def test_aborted_training_is_refused(ws, tmp_path, capsys, command, jobs,
+                                     says, csv):
+    """A training that aborts before its first checkpoint leaves only the
+    unvalidated init grid; cross-eval and bench's learned cell refuse it
+    instead of reporting that grid as learned."""
+    cfg2 = tmp_path / "blowup.cfg"
+    cfg2.write_text(SMALL_CFG + "train.lr_xi = inf\n")
+    out = tmp_path / "o"
+    with np.errstate(all="ignore"):
+        code = main([command, "--config", str(cfg2), "--data", data_of(ws),
+                     "--out", str(out), "--jobs", str(jobs)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and says in err
+    assert not (out / csv).exists()
+
+
 def test_one_parser_serves_every_call():
     assert cli._parser() is cli._parser()
     first = cli._parser().parse_args(["train", "--seed", "3", "--jobs", "2"])

@@ -53,7 +53,7 @@ def test_tau_underflow_guard():
 def test_query_times_clamped_to_domain():
     xi = np.zeros(4)
     xi_c = np.array([50.0, 0.0, -100.0, 0.0])
-    tc = query_times(xi, xi_c, 80.0, 0.002)
+    tc = query_times(tau(xi, 80.0, 0.002), xi_c, 80.0, 0.002)
     assert tc[0] == 80.0      # pushed above T, clamped back
     assert tc[2] == 0.002     # pushed below t_min
     assert np.all((tc >= 0.002) & (tc <= 80.0))

@@ -8,9 +8,9 @@ from dataclasses import replace
 import steplab.engine as en
 from steplab.denoisers import GMDenoiser
 from steplab.discretize import Discretization, heuristic_times
-from steplab import config
+from steplab import config, training
 from steplab.schedule import ScheduleDomainError, ve_edm, vp_linear
-from steplab.solvers import SolverSpec, solve
+from steplab.solvers import GridError, SolverSpec, checked_shared, solve
 from steplab.training import (Dataset, RmsPropMomentum, Teacher, TrainConfig,
                               TrainingError, ball_radius, clip_to_norm,
                               distance, generate_dataset, mean_loss,
@@ -223,12 +223,26 @@ def test_nan_query_offset_raises_schedule_domain_error(checkpointed):
         pair_grads(disc, GM, VE, spec, x, 0.01 * x, checkpointed)
 
 
+@pytest.mark.parametrize("checkpointed", [True, False],
+                         ids=["ckpt", "whole"])
+def test_learned_grid_with_tied_times_raises_grid_error(checkpointed):
+    """The chain prelude checks the learned grid as `solve` checks any
+    grid; tied times are refused before any step runs."""
+    spec = SolverSpec(family="dpmpp", order=2, nfe=4)
+    disc = Discretization.create(VE, 4, xi=[-40.0, 0.0, 0.0, 0.0, 0.0])
+    assert disc.times()[0] == disc.times()[1]
+    x = np.array([30.0, -45.0])
+    with pytest.raises(GridError, match="strictly decreasing"):
+        pair_grads(disc, GM, VE, spec, x, 0.01 * x, checkpointed)
+
+
 def test_grid_constant_mode_freezes_grid():
     ds = small_dataset(count=4)
     spec = SolverSpec(family="dpmpp", order=1, nfe=3)
     disc = Discretization.from_times(VE, heuristic_times("logsnr", VE, 3))
+    shared = checked_shared(GM, VE, spec, disc.times(), disc.times_c())
     res = pair_grads(disc, GM, VE, spec, ds.x_prime[0], ds.y[0],
-                     grid_only_constant=True)
+                     shared=shared)
     assert set(res.grads) == {"x_prime"}
 
 
@@ -364,3 +378,77 @@ def test_explicit_init_respected_and_bad_init_rejected():
                                              ds.x_T[val_idx], ds.y[val_idx])
     with pytest.raises(TrainingError):
         train(fresh(ds), GM, VE, spec, replace(CFG, init="karras"))
+
+
+def test_grid_underflow_in_the_loop_aborts_keeping_the_best_grid(
+        monkeypatch):
+    """A GridError from tau inside the loop (softmax masses that underflow)
+    ends training as an abort that keeps the epoch-0 grid."""
+    ds = small_dataset(count=8)
+    spec = SolverSpec(family="dpmpp", order=2, nfe=4)
+    want = train(fresh(ds), GM, VE, spec, replace(CFG, epochs_phase2=0))
+    calls = []
+    real_tau = training.tau
+
+    def underflowing(*args):
+        calls.append(None)
+        if len(calls) > len(want.iter_rows):  # epoch 1's first prelude
+            raise GridError("xi spread too large: softmax masses underflow")
+        return real_tau(*args)
+
+    monkeypatch.setattr(training, "tau", underflowing)
+    report = train(fresh(ds), GM, VE, spec, CFG)
+    assert report.aborted and report.best_epoch == 0
+    np.testing.assert_array_equal(report.best_xi, want.best_xi)
+    np.testing.assert_array_equal(report.best_xi_c, want.best_xi_c)
+    assert report.iter_rows == want.iter_rows
+    assert [row[:5] for row in report.epoch_rows] == \
+        [row[:5] for row in want.epoch_rows]  # wall_s aside
+
+
+@pytest.mark.parametrize("broken_at,epochs_done", [(1, 0), (2, 0), (3, 1)],
+                         ids=["mid-epoch0", "last-of-epoch0",
+                              "first-of-epoch1"])
+def test_non_monotone_grid_aborts_after_the_step_that_made_it(
+        monkeypatch, broken_at, epochs_done):
+    """A step that leaves tied grid times ends training before anything
+    else moves: the next pair_grads, or the refresh when the step was the
+    epoch's last, refuses the grid.  The step's own row is kept."""
+    ds = small_dataset(count=8)  # 4 training pairs: 2 steps per epoch
+    spec = SolverSpec(family="dpmpp", order=2, nfe=4)
+    _, val_idx = split_indices(ds.count, ds.seed)
+    step = RmsPropMomentum.step
+    calls = []
+
+    def tying(self, param, grad, lr):
+        step(self, param, grad, lr)
+        calls.append(None)
+        if len(calls) == broken_at:  # tau(0) == tau(1) == T in float64
+            param[:] = [-40.0, 0.0, 0.0, 0.0, 0.0]
+
+    monkeypatch.setattr(RmsPropMomentum, "step", tying)
+    report = train(ds, GM, VE, spec, CFG)
+    assert report.aborted
+    assert len(report.iter_rows) == broken_at
+    assert len(report.epoch_rows) == epochs_done
+    assert report.best_epoch == epochs_done - 1
+    if not epochs_done:  # no refresh ran
+        np.testing.assert_array_equal(ds.x_prime[val_idx], ds.x_T[val_idx])
+
+
+def test_train_builds_its_discretization_once(monkeypatch):
+    """One Discretization for the whole run, beside select_init's one per
+    heuristic, however many iterations and epochs run."""
+    ds = small_dataset(count=8)
+    spec = SolverSpec(family="dpmpp", order=2, nfe=4)
+    created = []
+    create = Discretization.create.__func__
+
+    def counting(cls, *args, **kwargs):
+        created.append(None)
+        return create(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Discretization, "create", classmethod(counting))
+    report = train(ds, GM, VE, spec, replace(CFG, init="logsnr"))
+    assert len(report.iter_rows) == 4 and not report.aborted
+    assert len(created) == 2
