@@ -14,11 +14,11 @@ from .discretize import (HEURISTICS, Discretization, heuristic_times,
                          init_from_times, load_checkpoint, save_checkpoint,
                          tau)
 from .training import (Dataset, Teacher, TrainConfig, TrainReport,
-                       TrainingError, ball_radius, generate_dataset, project,
-                       radius, train)
-from .evaluate import (BoundReport, bench_rows, bound_closed_terms,
-                       cross_eval, estimate_bound, log_abs_det_jacobian,
-                       rmsd, solve_batch, sweep_r, w1, w1_1d)
+                       TrainingError, generate_dataset, project, radius,
+                       train)
+from .evaluate import (BoundReport, bound_closed_terms, cross_eval,
+                       estimate_bound, log_abs_det_jacobian, rmsd,
+                       solve_batch, sweep_r, w1, w1_1d)
 from .config import ConfigError, DEFAULTS, load_config, parse_config
 from .dataio import FormatError, load_dataset, save_dataset
 from .rng import derive_seed, sample_prior, substream, substreams
@@ -32,8 +32,8 @@ __all__ = [
     "HEURISTICS", "Discretization", "heuristic_times", "init_from_times",
     "load_checkpoint", "save_checkpoint", "tau",
     "Dataset", "Teacher", "TrainConfig", "TrainReport", "TrainingError",
-    "ball_radius", "generate_dataset", "project", "radius", "train",
-    "BoundReport", "bench_rows", "bound_closed_terms", "cross_eval",
+    "generate_dataset", "project", "radius", "train",
+    "BoundReport", "bound_closed_terms", "cross_eval",
     "estimate_bound", "log_abs_det_jacobian", "rmsd", "solve_batch",
     "sweep_r", "w1", "w1_1d",
     "ConfigError", "DEFAULTS", "load_config", "parse_config",

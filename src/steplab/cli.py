@@ -92,15 +92,12 @@ def _load_checkpoint_grid(cfg, sched, needed_by):
     """The sample.checkpoint grid and the solver spec it was trained for."""
     if not cfg["sample.checkpoint"]:
         raise ConfigError(f"{needed_by} needs sample.checkpoint in the config")
-    disc, solver_info = load_checkpoint(cfg["sample.checkpoint"], sched)
-    if solver_info["family"] != cfg["solver.family"]:
+    disc, spec = load_checkpoint(cfg["sample.checkpoint"], sched)
+    if spec.family != cfg["solver.family"]:
         raise ConfigError(
-            f"checkpoint was trained for solver family "
-            f"'{solver_info['family']}' but config requests "
-            f"'{cfg['solver.family']}'")
-    return disc, SolverSpec(family=solver_info["family"],
-                            order=int(solver_info["order"]),
-                            nfe=int(solver_info["nfe"]))
+            f"checkpoint was trained for solver family '{spec.family}' but "
+            f"config requests '{cfg['solver.family']}'")
+    return disc, spec
 
 
 def _cmd_sample(args, cfg, sched, den):

@@ -186,9 +186,8 @@ def _spec(cfg, part, nfe):
                       nfe=int(nfe))
 
 
-def build_solver_spec(cfg, nfe=None):
-    return _spec(cfg, "solver",
-                 at_least(cfg, "solver.nfe", 1) if nfe is None else nfe)
+def build_solver_spec(cfg):
+    return _spec(cfg, "solver", at_least(cfg, "solver.nfe", 1))
 
 
 def build_teacher(cfg, den, sched):

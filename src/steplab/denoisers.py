@@ -64,12 +64,6 @@ def _gm_table(ad, sd, means, variances):
     return v, 2.0 * v, c, ad[..., None, None] * means
 
 
-def gm_epsilon(x, t, sched, weights, means, variances, tangents=None):
-    """Exact epsilon for Gaussian-mixture data at the query time t."""
-    return GMDenoiser(sched, weights, means, variances).epsilon(x, t,
-                                                                tangents)
-
-
 def _gm_kernel(x, row, log_w, means, variances, tangents, pullback):
     """The mixture's epsilon from one row (alpha, sigma, v, 2v, c, alpha mu)
     of time-only terms.
@@ -134,12 +128,6 @@ def _gm_kernel(x, row, log_w, means, variances, tangents, pullback):
     if pullback is not None:
         return sd * acc, vjp
     return en.record(sd * acc, (x, a, s), vjp, "gm_epsilon")
-
-
-def point_epsilon(x, t, sched, x0, tangents=None):
-    """Exact epsilon when the data distribution is a point mass at x0; with
-    tangents V also J V = V / sigma."""
-    return PointDenoiser(sched, x0).epsilon(x, t, tangents)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine as en
-from .solvers import GridError
+from .solvers import ORDERS, GridError, SolverSpec
 
 HEURISTICS = ("uniform", "quadratic", "edm", "logsnr")
 _RHO_EDM = 7.0  # the EDM grid's sigma^(1/rho) spacing
@@ -184,12 +184,13 @@ def save_checkpoint(path, disc, solver_spec):
 
 
 def load_checkpoint(path, sched):
-    """Read a grid checkpoint; returns (Discretization, solver dict).
+    """Read a grid checkpoint; returns (Discretization, SolverSpec).
 
     The file must be JSON, every field save_checkpoint writes must be
     present with its type, the stored times and times_c must be exactly
-    tau(xi) and the query times of (xi, xi_c), and solver.nfe must equal
-    N, so a malformed, edited or stale checkpoint is refused rather than
+    tau(xi) and the query times of (xi, xi_c), the solver family and order
+    must be a known pair and solver.nfe must equal N, so a malformed,
+    edited or stale checkpoint is refused, naming the field, rather than
     sampled.
     """
     try:
@@ -221,7 +222,14 @@ def load_checkpoint(path, sched):
     for key, want in (("times", disc.times()), ("times_c", disc.times_c())):
         if not np.array_equal(np.asarray(blob[key], dtype=np.float64), want):
             raise GridError(f"checkpoint {key} do not match xi and xi_c")
-    if blob["solver"]["nfe"] != n:
-        raise GridError(f"checkpoint solver.nfe = {blob['solver']['nfe']} "
+    solver = blob["solver"]
+    for name, allowed in (("family", ORDERS),
+                          ("order", ORDERS.get(solver["family"]))):
+        if solver[name] not in allowed:
+            raise GridError(f"checkpoint solver.{name} = {solver[name]} "
+                            f"must be one of {', '.join(map(str, allowed))}")
+    if solver["nfe"] != n:
+        raise GridError(f"checkpoint solver.nfe = {solver['nfe']} "
                         f"does not match N = {n}")
-    return disc, blob["solver"]
+    return disc, SolverSpec(family=solver["family"], order=solver["order"],
+                            nfe=n)

@@ -227,18 +227,3 @@ def bench_cell(ds, den, sched, spec, cfg, method, nfe, assets, seed):
     tdist = float(np.mean(distance(out, y_eval)))
     return (method, f"{spec.family}{spec.order}", int(nfe), tdist,
             rmsd(out, ref_out), w1(out, gt), int(seed))
-
-
-def bench_rows(ds, den, sched, spec, cfg, teacher, nfes,
-               methods=BENCH_METHODS, eval_count=64, rmsd_ref_nfe=100,
-               seed=0):
-    """Serial benchmark sweep over every (NFE, method) cell.
-
-    Returns rows (method, solver, nfe, teacher_dist, rmsd, w1, seed).  The
-    RMSD reference is a fine DDIM run (dpmpp order 1) on the same noise; W1
-    compares against exact data samples.
-    """
-    assets = bench_eval_assets(den, sched, teacher, eval_count, rmsd_ref_nfe,
-                               seed)
-    return [bench_cell(ds, den, sched, spec, cfg, method, nfe, assets, seed)
-            for nfe in nfes for method in methods]

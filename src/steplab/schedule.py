@@ -76,22 +76,17 @@ class NoiseSchedule:
     # -------------------------------------------------------------- domain
 
     def check_domain(self, t):
-        td = en.data_of(t)
+        """t, a time or a grid of times, plain or taped; refused, naming
+        the first time at fault, if any lies outside [t_min, T]."""
+        td = np.asarray(en.data_of(t))
         lo = self.t_min - _DOMAIN_SLACK * self.T
         hi = self.T * (1.0 + _DOMAIN_SLACK)
-        # comparisons that NaN fails, where `nan < lo` would let it pass;
-        # a 0-d time (np.float64 is a float) takes one chained comparison
-        if isinstance(td, float) or np.ndim(td) == 0:
-            ok = lo <= td <= hi
-        else:
-            td = np.asarray(td)
-            inside = (td >= lo) & (td <= hi)
-            ok = inside.all()
-            if not ok:  # name the first time at fault
-                td = td[~inside][0]
-        if not ok:
-            raise ScheduleDomainError(
-                f"t={td} outside [{self.t_min}, {self.T}] for {self.family}")
+        # comparisons that NaN fails, where `nan < lo` would let it pass
+        inside = (td >= lo) & (td <= hi)
+        if not inside.all():
+            raise ScheduleDomainError(f"t={td[~inside][0]} outside "
+                                      f"[{self.t_min}, {self.T}] for "
+                                      f"{self.family}")
         return t
 
     # ------------------------------------------------------------ marginals

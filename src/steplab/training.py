@@ -52,11 +52,6 @@ def radius(gamma, d, nfe):
     return gamma * d / float(nfe * nfe)
 
 
-def ball_radius(gamma, d, nfe, sched):
-    """Feasible-ball radius rho_ball = r * sigma_T."""
-    return radius(gamma, d, nfe) * sched.sigma_T
-
-
 def project(x_prime, x_T, rho_ball):
     """Project each row onto the closed ball B(x_T, rho_ball); inside rows pass."""
     x_prime = np.asarray(x_prime, dtype=np.float64)
@@ -282,14 +277,6 @@ class TrainReport:
     best_xi_c: np.ndarray = None
     max_ball_violation: float = 0.0
     aborted: bool = False
-
-    @property
-    def train_losses(self):
-        return [row[3] for row in self.iter_rows]
-
-    @property
-    def val_losses(self):
-        return [row[2] for row in self.epoch_rows]
 
     def best_discretization(self, sched, nfe):
         return Discretization.create(sched, nfe, xi=self.best_xi,

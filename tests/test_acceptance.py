@@ -19,7 +19,7 @@ from steplab.evaluate import (BENCH_METHODS, bench_cell, bench_eval_assets,
 from steplab.rng import sample_prior
 from steplab.schedule import ve_edm, vp_linear
 from steplab.solvers import SolverSpec, solve
-from steplab.training import (Dataset, Teacher, TrainConfig, ball_radius,
+from steplab.training import (Dataset, Teacher, TrainConfig,
                               generate_dataset, pair_grads, radius,
                               soft_loss, train)
 
@@ -297,7 +297,7 @@ def test_criterion_9_invariants(tmp_path):
     spec = SolverSpec(family="dpmpp", order=2, nfe=4)
     rep = train(ds, GM, VE, spec, TrainConfig(seed=0))
     assert rep.max_ball_violation <= 1e-9
-    rho = ball_radius(0.001, 2, 4, VE)
+    rho = radius(0.001, 2, 4) * VE.sigma_T
     gaps = np.linalg.norm(ds.x_prime - ds.x_T, axis=1)
     assert np.all(gaps <= rho * (1 + 1e-12))
 

@@ -13,7 +13,7 @@ from chaingrads import checkpointed_chain_grad
 from logdets import collapse_map
 from steplab import config, evaluate, rng, solvers, training
 from steplab import engine as en
-from steplab.denoisers import gm_epsilon
+from steplab.denoisers import GMDenoiser
 from steplab.discretize import Discretization, heuristic_times
 from steplab.evaluate import (JacobianError, estimate_bound,
                               log_abs_det_jacobian, solver_map)
@@ -299,8 +299,10 @@ def test_refresh_builds_its_frozen_grid_once(monkeypatch):
     assert len(builds) == 1
 
 
-def gm_epsilon_k_loop(x, t, sched, weights, means, variances):
-    """Reference: the mixture's epsilon summed one component at a time."""
+def gm_epsilon_k_loop(den, x, t):
+    """Reference: den's epsilon summed one component at a time."""
+    sched, weights, means, variances = (den.sched, den.weights, den.means,
+                                        den.variances)
     sched.check_domain(t)
     a, s = sched.alpha_sigma(t)
     d = means.shape[1]
@@ -335,24 +337,24 @@ def random_mixture(k, d, seed):
 @pytest.mark.parametrize("family", list(SCHEDULES))
 def test_gm_epsilon_over_components_matches_k_loop(family, k):
     sched, _ = build(family, "gm")
-    mix = random_mixture(k, 3, 10 + k)
+    den = GMDenoiser(sched, *random_mixture(k, 3, 10 + k))
     xs = rng.sample_prior(sched, 3, 6, k)
     cotangent = np.cos(np.arange(xs.size)).reshape(xs.shape)
     for t in (1.5 * sched.t_min, 0.3 * sched.T, sched.T):
         for x in (xs, xs[0]):
-            assert np.array_equal(gm_epsilon(x, t, sched, *mix),
-                                  gm_epsilon_k_loop(x, t, sched, *mix))
+            assert np.array_equal(den.epsilon(x, t),
+                                  gm_epsilon_k_loop(den, x, t))
         # x and t taped, x alone, t alone; a taped t keeps alpha_t live
         # under VP (VE's alpha is the constant 1)
         for live in ("xt", "x", "t"):
             grads = []
-            for fn in (gm_epsilon, gm_epsilon_k_loop):
+            for fn in (GMDenoiser.epsilon, gm_epsilon_k_loop):
                 tape = en.Tape()
                 xv = tape.leaf(xs) if "x" in live else xs
                 tv = tape.leaf(t) if "t" in live else t
                 assert isinstance(sched.alpha(tv), en.Value) == \
                     ("t" in live and family == "vp_linear")
-                out = fn(xv, tv, sched, *mix)
+                out = fn(den, xv, tv)
                 leaves = [v for v in (xv, tv) if isinstance(v, en.Value)]
                 grads.append([out.data] + tape.backward([(out, cotangent)],
                                                         leaves))

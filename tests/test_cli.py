@@ -134,16 +134,25 @@ def test_sample_artifacts_and_determinism(ws, tmp_path):
 
 
 def test_bench_rows_and_parallel_jobs_match(ws, tmp_path):
+    """Every (method, NFE) cell, NFE-major, and the same bytes under
+    --jobs 2."""
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(overridden(SMALL_CFG, "bench.nfes = 3,4\n"
+                              "bench.methods = uniform,logsnr,learned\n"))
     out1, out2 = tmp_path / "b1", tmp_path / "b2"
-    assert main(["bench", "--config", cfg_of(ws), "--data", data_of(ws),
-                 "--out", str(out1)]) == 0
+    for out, jobs in ((out1, "1"), (out2, "2")):
+        assert main(["bench", "--config", str(cfg), "--data", data_of(ws),
+                     "--out", str(out), "--jobs", jobs]) == 0
     lines = (out1 / "bench.csv").read_text().splitlines()
     assert lines[0] == "method,solver,nfe,teacher_dist,rmsd,w1,seed"
-    assert len(lines) == 1 + 2  # one NFE x two methods
-    assert lines[1].startswith("logsnr,dpmpp2,3,")
-    assert lines[2].startswith("learned,dpmpp2,3,")
-    assert main(["bench", "--config", cfg_of(ws), "--data", data_of(ws),
-                 "--out", str(out2), "--jobs", "2"]) == 0
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(m, n) for m, _, n, *_ in rows] == \
+        [("uniform", "3"), ("logsnr", "3"), ("learned", "3"),
+         ("uniform", "4"), ("logsnr", "4"), ("learned", "4")]
+    for _, solver, _, tdist, rms, ww1, seed in rows:
+        assert solver == "dpmpp2" and seed == "0"
+        assert float(tdist) >= 0.0 and float(rms) >= 0.0
+        assert np.isfinite(float(ww1))
     assert (out1 / "bench.csv").read_bytes() == \
         (out2 / "bench.csv").read_bytes()
 
@@ -235,6 +244,15 @@ def sample_edited_checkpoint(ws, tmp_path, capsys, edit):
     return code, capsys.readouterr().err, (out / "samples.npy").exists()
 
 
+def parent_of(blob, field):
+    """The dict that holds a dotted checkpoint field, and the field's key
+    in it."""
+    *parents, last = field.split(".")
+    for part in parents:
+        blob = blob[part]
+    return blob, last
+
+
 @pytest.mark.parametrize("field", ["times", "times_c", "solver.nfe"])
 def test_sample_rejects_self_contradicting_checkpoint(ws, tmp_path, capsys,
                                                      field):
@@ -253,10 +271,7 @@ def test_sample_rejects_self_contradicting_checkpoint(ws, tmp_path, capsys,
 def test_sample_rejects_checkpoint_missing_a_field(ws, tmp_path, capsys,
                                                    field):
     def edit(blob):
-        *parents, last = field.split(".")
-        node = blob
-        for part in parents:
-            node = node[part]
+        node, last = parent_of(blob, field)
         del node[last]
 
     code, err, wrote = sample_edited_checkpoint(ws, tmp_path, capsys, edit)
@@ -270,13 +285,17 @@ def test_sample_rejects_checkpoint_missing_a_field(ws, tmp_path, capsys,
     ("N", "five", "field N has the wrong type"),
     ("T", "80", "field T has the wrong type"),
     ("T", float("nan"), "schedule window does not match"),
-], ids=["truncated", "N", "T", "T-nan"])
+    ("solver.family", "rk45",
+     "checkpoint solver.family = rk45 must be one of euler, dpmpp, ipndm"),
+    ("solver.order", 7, "checkpoint solver.order = 7 must be one of 1, 2"),
+], ids=["truncated", "N", "T", "T-nan", "solver.family", "solver.order"])
 def test_sample_rejects_malformed_checkpoint(ws, tmp_path, capsys, field,
                                              value, named):
     def edit(blob):
         if field == "truncated":
             return json.dumps(blob)[:40]
-        blob[field] = value
+        node, last = parent_of(blob, field)
+        node[last] = value
 
     code, err, wrote = sample_edited_checkpoint(ws, tmp_path, capsys, edit)
     assert code == 2 and not wrote

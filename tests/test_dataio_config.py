@@ -308,11 +308,11 @@ def test_build_denoiser_kinds():
         build_denoiser(cfg_short, sched)
 
 
-def test_build_solver_spec_and_override():
+def test_build_solver_spec():
     cfg = dict(DEFAULTS)
     spec = build_solver_spec(cfg)
-    assert (spec.family, spec.nfe) == (cfg["solver.family"], cfg["solver.nfe"])
-    assert build_solver_spec(cfg, nfe=9).nfe == 9
+    assert (spec.family, spec.order, spec.nfe) == \
+        (cfg["solver.family"], cfg["solver.order"], cfg["solver.nfe"])
     cfg_bad = dict(cfg)
     cfg_bad["solver.family"] = "rk45"
     with pytest.raises(ConfigError):

@@ -7,8 +7,7 @@ import pytest
 from scipy import stats
 
 import steplab.engine as en
-from steplab.denoisers import (GMDenoiser, PointDenoiser, gm_epsilon,
-                               point_epsilon)
+from steplab.denoisers import GMDenoiser, PointDenoiser
 from steplab.discretize import heuristic_times
 from steplab.schedule import ve_edm, vp_linear
 
@@ -54,52 +53,53 @@ def test_gm_epsilon_matches_density_gradient(sched, ts):
     pts = [np.array([0.0, 0.0]), np.array([2.5, -1.0]), np.array([-3.0, 4.0])]
     for t in ts:
         for x in pts:
-            got = gm_epsilon(x, t, sched, WEIGHTS, MEANS, VARS)
+            got = GMDenoiser(sched, WEIGHTS, MEANS, VARS).epsilon(x, t)
             want = oracle_epsilon(x, t, sched, WEIGHTS, MEANS, VARS)
             np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
 
 
 def test_single_component_anchor():
     # mu=0, s=1, VE, t=1, x=(2,): sigma (x - alpha mu) / (alpha^2 s^2 + sigma^2) = 1
-    got = gm_epsilon(np.array([2.0]), 1.0, VE, np.array([1.0]),
-                     np.array([[0.0]]), np.array([1.0]))
+    got = GMDenoiser(VE, np.array([1.0]), np.array([[0.0]]),
+                     np.array([1.0])).epsilon(np.array([2.0]), 1.0)
     np.testing.assert_allclose(got, np.array([1.0]), atol=1e-14)
 
 
 def test_epsilon_zero_at_scaled_mean():
-    got = gm_epsilon(np.array([0.0]), 0.5, VE, np.array([1.0]),
-                     np.array([[0.0]]), np.array([1.0]))
+    got = GMDenoiser(VE, np.array([1.0]), np.array([[0.0]]),
+                     np.array([1.0])).epsilon(np.array([0.0]), 0.5)
     np.testing.assert_allclose(got, 0.0, atol=1e-14)
 
 
 def test_symmetric_pair_cancels_at_origin():
-    got = gm_epsilon(np.array([0.0, 0.0]), 2.0, VE, np.array([0.5, 0.5]),
+    got = GMDenoiser(VE, np.array([0.5, 0.5]),
                      np.array([[1.5, 0.5], [-1.5, -0.5]]),
-                     np.array([0.3, 0.3]))
+                     np.array([0.3, 0.3])).epsilon(np.array([0.0, 0.0]), 2.0)
     np.testing.assert_allclose(got, np.zeros(2), atol=1e-14)
 
 
 def test_translation_equivariance():
     c = np.array([3.7, -2.1])
     x = np.array([0.4, 0.9])
-    base = gm_epsilon(x, 1.3, VE, WEIGHTS, MEANS, VARS)
-    shifted = gm_epsilon(x + c, 1.3, VE, WEIGHTS, MEANS + c, VARS)
+    base = GMDenoiser(VE, WEIGHTS, MEANS, VARS).epsilon(x, 1.3)
+    shifted = GMDenoiser(VE, WEIGHTS, MEANS + c, VARS).epsilon(x + c, 1.3)
     np.testing.assert_allclose(shifted, base, rtol=1e-12, atol=1e-12)
 
 
 def test_point_epsilon_examples():
     x0 = np.array([1.0, -1.0])
-    np.testing.assert_allclose(point_epsilon(x0, 5.0, VE, x0), np.zeros(2))
-    got = point_epsilon(np.array([4.0, 0.0]), 2.0, VE, np.zeros(2))
+    np.testing.assert_allclose(PointDenoiser(VE, x0).epsilon(x0, 5.0),
+                               np.zeros(2))
+    got = PointDenoiser(VE, np.zeros(2)).epsilon(np.array([4.0, 0.0]), 2.0)
     np.testing.assert_allclose(got, np.array([2.0, 0.0]))
 
 
 def test_point_is_small_variance_gm_limit():
     x = np.array([1.7, -0.4])
     x0 = np.array([0.3, 0.8])
-    want = point_epsilon(x, 3.0, VE, x0)
-    got = gm_epsilon(x, 3.0, VE, np.array([1.0]), x0[None, :],
-                     np.array([1e-12]))
+    want = PointDenoiser(VE, x0).epsilon(x, 3.0)
+    got = GMDenoiser(VE, np.array([1.0]), x0[None, :],
+                     np.array([1e-12])).epsilon(x, 3.0)
     np.testing.assert_allclose(got, want, atol=1e-5)
 
 
@@ -118,17 +118,17 @@ def test_gm_epsilon_vjp_matches_finite_differences(sched):
     """The one taped op's closed-form VJP in x and t, for a batch and a
     single row, against central differences of the plain forward."""
     g = np.random.default_rng(6)
+    den = GMDenoiser(sched, WEIGHTS, MEANS, VARS)
     for x in (g.standard_normal((3, 2)), g.standard_normal(2)):
         w = g.standard_normal(x.shape)
         for t in (0.05 * sched.T, 0.4 * sched.T, 0.9 * sched.T):
             tape = en.Tape()
             xv, tv = tape.leaf(x), tape.leaf(t)
-            out = gm_epsilon(xv, tv, sched, WEIGHTS, MEANS, VARS)
+            out = den.epsilon(xv, tv)
             gx, gt = tape.backward([(out, w)], [xv, tv])
 
             def f(xx, tt):
-                return float(np.sum(w * gm_epsilon(xx, tt, sched, WEIGHTS,
-                                                   MEANS, VARS)))
+                return float(np.sum(w * den.epsilon(xx, tt)))
 
             h = 1e-6
             fd_x = np.zeros_like(x)
