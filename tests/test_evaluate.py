@@ -8,7 +8,7 @@ from scipy import stats
 
 import steplab.engine as en
 from logdets import collapse_map, taped_log_abs_det_jacobian
-from steplab import rng
+from steplab import cli, rng
 from steplab.denoisers import GMDenoiser, PointDenoiser
 from steplab.discretize import heuristic_times
 from steplab.evaluate import (BoundReport, JacobianError,
@@ -297,6 +297,45 @@ def test_sweep_r_returns_one_row_per_radius():
     rows = sweep_r(ds, GM, VE, spec, CFG, [0.0, 0.1, 1.0])
     assert [r for r, _ in rows] == [0.0, 0.1, 1.0]
     assert all(np.isfinite(v) for _, v in rows)
+
+
+BENCH_GRID_CFG = """\
+seed = 0
+data.count = 8
+solver.nfe = 3
+teacher.nfe = 30
+train.epochs_phase1 = 1
+train.epochs_phase2 = 1
+bench.nfes = 3,4
+bench.methods = uniform,logsnr,learned
+bench.eval_count = 8
+bench.rmsd_ref_nfe = 30
+"""
+
+
+def test_bench_rows_covers_every_cell(tmp_path):
+    """The bench sweep writes every (method, NFE) cell, NFE-major, and the
+    same bytes under --jobs 2."""
+    cfg, data = tmp_path / "grid.cfg", tmp_path / "dataset.bin"
+    cfg.write_text(BENCH_GRID_CFG)
+    assert cli.main(["gen-data", "--config", str(cfg),
+                     "--out", str(data)]) == 0
+    out1, out2 = tmp_path / "b1", tmp_path / "b2"
+    for out, jobs in ((out1, "1"), (out2, "2")):
+        assert cli.main(["bench", "--config", str(cfg), "--data", str(data),
+                         "--out", str(out), "--jobs", jobs]) == 0
+    lines = (out1 / "bench.csv").read_text().splitlines()
+    assert lines[0] == "method,solver,nfe,teacher_dist,rmsd,w1,seed"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(m, n) for m, _, n, *_ in rows] == \
+        [("uniform", "3"), ("logsnr", "3"), ("learned", "3"),
+         ("uniform", "4"), ("logsnr", "4"), ("learned", "4")]
+    for _, solver, _, tdist, rms, ww1, seed in rows:
+        assert solver == "dpmpp2" and seed == "0"
+        assert float(tdist) >= 0.0 and float(rms) >= 0.0
+        assert np.isfinite(float(ww1))
+    assert (out1 / "bench.csv").read_bytes() == \
+        (out2 / "bench.csv").read_bytes()
 
 
 def test_cross_eval_shape_and_nfe_check():
