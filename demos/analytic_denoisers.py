@@ -23,7 +23,7 @@ for t in (0.01, 1.0, 20.0):
     print(f"  t = {t:6.2f}: eps = {gm.epsilon(x, t)}")
 
 # at the mean of an isolated component the posterior noise is ~zero
-x_near = np.array([2.0, 1.0]) * gm.sched.alpha(0.01)
+x_near = np.array([2.0, 1.0]) * gm.sched.alpha_sigma(0.01)[0]
 print(f"at a component mean, t = 0.01: |eps| = "
       f"{np.linalg.norm(gm.epsilon(x_near, 0.01)):.2e}")
 

@@ -11,8 +11,8 @@ for sched in (ve_edm(), vp_linear()):
     ts = np.geomspace(sched.t_min, sched.T, 7)
     print(f"{'t':>10} {'alpha':>10} {'sigma':>10} {'lambda':>10}")
     for t in ts:
-        print(f"{t:10.4f} {sched.alpha(t):10.6f} {sched.sigma(t):10.6f} "
-              f"{sched.lam(t):10.4f}")
+        a, s = sched.alpha_sigma(t)
+        print(f"{t:10.4f} {a:10.6f} {s:10.6f} {sched.lam(t):10.4f}")
 
     # lambda and sigma are monotone, so both invert in closed form; each
     # inverse takes the whole array in one call

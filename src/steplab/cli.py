@@ -56,8 +56,9 @@ def _load_ds(args, sched):
 
 
 def _cmd_gen_data(args, cfg, sched, den):
+    count = at_least(cfg, "data.count", 2)
     teacher = build_teacher(cfg, den, sched)
-    ds = generate_dataset(den, sched, teacher, cfg["data.count"], cfg["seed"])
+    ds = generate_dataset(den, sched, teacher, count, cfg["seed"])
     out = args.out or "dataset.bin"
     parent = os.path.dirname(out)
     if parent:
@@ -105,8 +106,8 @@ def _cmd_sample(args, cfg, sched, den):
     disc, spec = _load_checkpoint_grid(cfg, sched, "sample")
     x = rngmod.sample_prior(sched, den.d, count,
                             rngmod.derive_seed(cfg["seed"], "sample"))
-    out = _ensure_dir(args.out or "samples")
     samples = solve_batch(den, sched, spec, disc.times(), disc.times_c(), x)
+    out = _ensure_dir(args.out or "samples")
     np.save(os.path.join(out, "samples.npy"), samples)
     manifest = {
         "checkpoint": cfg["sample.checkpoint"],

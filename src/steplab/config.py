@@ -228,6 +228,7 @@ def nonempty(cfg, key):
 
 def build_train_config(cfg):
     at_least(cfg, "train.batch", 1)
+    one_of(cfg, "train.init", ("auto",) + HEURISTICS)
     at_least(cfg, "train.val_refresh_steps", 0)
     p1, p2 = cfg["train.epochs_phase1"], cfg["train.epochs_phase2"]
     if p1 < 0 or p2 < 0 or p1 + p2 < 1:

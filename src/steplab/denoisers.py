@@ -22,11 +22,11 @@ single-row result bit for bit.
 
 A solver grid fixes its query times, so the terms that depend on t alone
 are built once per grid by each denoiser's `step_constants`, with vector
-ops over the N + 1 times: alpha and sigma, and for the mixture v_k, 2 v_k,
-the log-normaliser -(d/2)(log v_k + log 2 pi) and alpha mu_k.  Step i
-passes their row i to `epsilon` in place of t.  A query time is the
-one-row case of the same build, so epsilon at t_i equals epsilon with row
-i bit for bit.
+ops over the N + 1 times: alpha and sigma, from one `sched.alpha_sigma`
+(under VE alpha is ones), and for the mixture v_k, 2 v_k, the
+log-normaliser -(d/2)(log v_k + log 2 pi) and alpha mu_k.  Step i passes
+their row i to `epsilon` in place of t.  A query time is the one-row case
+of the same build, so epsilon at t_i equals epsilon with row i bit for bit.
 """
 
 from __future__ import annotations
@@ -40,16 +40,6 @@ from . import engine as en
 from . import rng as rngmod
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-
-
-def _alpha_sigma(sched, times):
-    """alpha and sigma at times, engine-generic; under VE, where the
-    schedule's alpha is the constant 1, alpha is an array of ones shaped
-    like times."""
-    a, s = sched.alpha_sigma(times)
-    if type(a) is float:
-        a = np.ones(np.shape(en.data_of(times)))
-    return a, s
 
 
 def _gm_table(ad, sd, means, variances):
@@ -171,7 +161,7 @@ class GMDenoiser:
         taped and the rest is plain numpy made from their data, so the GM
         op keeps (x, alpha_i, sigma_i) as its parents.
         """
-        a, s = _alpha_sigma(self.sched, times_c)
+        a, s = self.sched.alpha_sigma(times_c)
         return (a, s) + _gm_table(en.data_of(a), en.data_of(s), self.means,
                                   self.variances)
 
@@ -216,7 +206,7 @@ class PointDenoiser:
     def step_constants(self, times_c):
         """(alpha, sigma) at the checked query times times_c, one row per
         step, as for the mixture."""
-        return _alpha_sigma(self.sched, times_c)
+        return self.sched.alpha_sigma(times_c)
 
     def epsilon(self, x, t, tangents=None, pullback=None):
         """eps(x, t); t is a query time or row i of `step_constants`;

@@ -95,19 +95,17 @@ class NoiseSchedule:
         c2 = 0.25 * (self.beta1 - self.beta0)
         return -(c2 * t * t + 0.5 * self.beta0 * t)
 
-    def alpha(self, t):
+    def alpha_sigma(self, t):
+        """(alpha_t, sigma_t), the one evaluation of the marginals: under VP
+        from one log alpha, under VE alpha as ones shaped like t."""
         if self.family == VE_EDM:
-            return 1.0
-        return en.exp(self._vp_log_alpha(t))
+            return np.ones(np.shape(en.data_of(t))), t
+        la = self._vp_log_alpha(t)
+        # sigma^2 = 1 - alpha^2 = -expm1(2 log alpha), stable near t_min
+        return en.exp(la), en.sqrt(en.neg(en.expm1(2.0 * la)))
 
     def sigma(self, t):
-        if self.family == VE_EDM:
-            return t
-        # sigma^2 = 1 - alpha^2 = -expm1(2 log alpha), stable near t_min
-        return en.sqrt(en.neg(en.expm1(2.0 * self._vp_log_alpha(t))))
-
-    def alpha_sigma(self, t):
-        return self.alpha(t), self.sigma(t)
+        return self.alpha_sigma(t)[1]
 
     def lam(self, t):
         """Log-SNR lambda(t) = log(alpha_t / sigma_t), strictly decreasing."""

@@ -115,17 +115,18 @@ def coeffs(sched, spec, times):
     as in the module docstring; engine-generic, so a learned grid tapes it
     once per chain prelude."""
     steps = np.arange(spec.nfe)
-    t0 = en.index(times, slice(None, -1))
-    t1 = en.index(times, slice(1, None))
+    head, tail = slice(None, -1), slice(1, None)
     if spec.family == EULER:
-        dt = en.sub(t1, t0)
+        t0 = en.index(times, head)
+        dt = en.sub(en.index(times, tail), t0)
         return en.stack([en.add(1.0, en.mul(dt, sched.drift(t0))),
                          en.div(en.mul(dt, sched.diffusion_sq(t0)),
                                 en.mul(2.0, sched.sigma(t0)))])
-    a0, s0 = sched.alpha_sigma(t0)
-    a1, s1 = sched.alpha_sigma(t1)
+    # one evaluation of the marginals on the grid, sliced per step end
+    a0, a1, s0, s1 = [en.index(c, k) for c in sched.alpha_sigma(times)
+                      for k in (head, tail)]
     lam = sched.lam(times)
-    h = en.sub(en.index(lam, slice(1, None)), en.index(lam, slice(None, -1)))
+    h = en.sub(en.index(lam, tail), en.index(lam, head))
     if spec.family == IPNDM:
         base = en.neg(en.mul(s1, en.expm1(h)))
         ab = _AB[np.minimum(steps, spec.order - 1)]

@@ -345,14 +345,14 @@ def test_gm_epsilon_over_components_matches_k_loop(family, k):
             assert np.array_equal(den.epsilon(x, t),
                                   gm_epsilon_k_loop(den, x, t))
         # x and t taped, x alone, t alone; a taped t keeps alpha_t live
-        # under VP (VE's alpha is the constant 1)
+        # under VP (VE's alpha is untaped ones)
         for live in ("xt", "x", "t"):
             grads = []
             for fn in (GMDenoiser.epsilon, gm_epsilon_k_loop):
                 tape = en.Tape()
                 xv = tape.leaf(xs) if "x" in live else xs
                 tv = tape.leaf(t) if "t" in live else t
-                assert isinstance(sched.alpha(tv), en.Value) == \
+                assert isinstance(sched.alpha_sigma(tv)[0], en.Value) == \
                     ("t" in live and family == "vp_linear")
                 out = fn(den, xv, tv)
                 leaves = [v for v in (xv, tv) if isinstance(v, en.Value)]

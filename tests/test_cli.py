@@ -11,6 +11,7 @@ import pytest
 
 from steplab import cli
 from steplab.cli import main
+from steplab.solvers import DivergenceError
 
 SMALL_CFG = """\
 seed = 0
@@ -223,7 +224,7 @@ def test_sample_rejects_family_mismatch(ws, tmp_path, capsys):
 def sample_edited_checkpoint(ws, tmp_path, capsys, edit):
     """Run sample on a copy of the trained checkpoint changed by edit(blob),
     which may instead return the file's whole text; returns the exit code,
-    stderr and whether samples were written."""
+    stderr and whether the --out directory was made."""
     blob = json.loads((ws / "run" / "checkpoint.json").read_text())
     text = edit(blob)
     ckpt = tmp_path / "edited.json"
@@ -232,7 +233,7 @@ def sample_edited_checkpoint(ws, tmp_path, capsys, edit):
     cfg.write_text(SMALL_CFG + f"sample.checkpoint = {ckpt}\n")
     out = tmp_path / "s"
     code = main(["sample", "--config", str(cfg), "--out", str(out)])
-    return code, capsys.readouterr().err, (out / "samples.npy").exists()
+    return code, capsys.readouterr().err, out.exists()
 
 
 def parent_of(blob, field):
@@ -302,6 +303,20 @@ def test_sample_rejects_checkpoint_without_a_step(ws, tmp_path, capsys):
     code, err, wrote = sample_edited_checkpoint(ws, tmp_path, capsys, edit)
     assert code == 2 and not wrote
     assert err.startswith("error:") and "field N = 0 must be >= 1" in err
+
+
+def test_sample_divergence_exits_2_leaving_no_out(ws, tmp_path, capsys,
+                                                  monkeypatch):
+    def diverging(*args):
+        raise DivergenceError(0)
+
+    monkeypatch.setattr(cli, "solve_batch", diverging)
+    out = tmp_path / "s"
+    assert main(["sample", "--config", sample_cfg(ws, tmp_path),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-finite at step 0" in err
+    assert not out.exists()
 
 
 def test_train_rejects_non_finite_dataset_record(ws, tmp_path, capsys):
@@ -427,6 +442,9 @@ VP_WINDOW = ("schedule.family = vp_linear\nschedule.T = 1.0\n"
     ("bound", "bound.r = inf\n", "bound.r"),
     ("bound", "bound.r = -inf\n", "bound.r"),
     ("sweep-r", "sweep.r_values = 0.0,inf\n", "sweep.r_values"),
+    ("train", "train.init = foo\n", "train.init"),
+    ("bench", "train.init = foo\n", "train.init"),
+    ("gen-data", "data.count = 1\n", "data.count"),
 ], ids=["schedule.t_min", "train.batch", "data.d", "sample.count",
         "bound.samples", "train.epochs", "train.val_refresh_steps",
         "cross.families", "sweep.r_values", "bound.r", "bench.eval_count",
@@ -440,7 +458,8 @@ VP_WINDOW = ("schedule.family = vp_linear\nschedule.T = 1.0\n"
         "schedule.family", "schedule.T-inf", "schedule.T-sigma-overflow",
         "vp-alpha_T-zero",
         "vp-alpha_T-subnormal", "vp-beta0-negative", "vp-beta1-negative",
-        "bound.r-inf", "bound.r-minus-inf", "sweep.r_values-inf"])
+        "bound.r-inf", "bound.r-minus-inf", "sweep.r_values-inf",
+        "train.init", "bench-train.init", "data.count"])
 @pytest.mark.filterwarnings("error")
 def test_bad_config_values_exit_2_naming_the_key(ws, tmp_path, capsys,
                                                  command, extra, key):

@@ -24,7 +24,7 @@ def make_gm(sched=VE):
 
 def scipy_log_marginal(x, t, sched, weights, means, variances):
     """Independent oracle: mixture marginal density via scipy pdfs."""
-    a = float(en.data_of(sched.alpha(t)))
+    a = float(en.data_of(sched.alpha_sigma(t)[0]))
     s = float(en.data_of(sched.sigma(t)))
     dens = 0.0
     for w, mu, v in zip(weights, means, variances):

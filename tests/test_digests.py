@@ -81,7 +81,7 @@ def test_solve_outputs_match_recorded_digests(sched_name, kind, solver):
 
 PAIR_GRADS_DIGESTS = {
     "ve": "c4a1f938efe3c06677ef63c68260dd9ef5e342ebdf88137c707149d60e0d0c84",
-    "vp": "62ca258dee2bcbaede2b5057167eb90d1b04e99cd7a1992af82cec459ce66b6c",
+    "vp": "edd0262743ceee6c592f7d44df1c1ee22c4417bb1fb62b6b575327dd75f0afb6",
 }
 
 

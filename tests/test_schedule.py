@@ -27,7 +27,7 @@ def central_diff(f, t, eps=1e-6):
 
 def test_ve_closed_forms():
     for t in (0.002, 0.4, 1.0, 13.0, 80.0):
-        assert VE.alpha(t) == 1.0
+        assert VE.alpha_sigma(t)[0] == 1.0
         assert VE.sigma(t) == t
         assert abs(VE.lam(t) + np.log(t)) < 1e-15
         assert VE.drift(t) == 0.0
@@ -50,13 +50,13 @@ def test_ve_sigma_inverse_is_identity():
 
 def test_vp_alpha_sigma_pythagorean():
     for t in np.linspace(VP.t_min, VP.T, 23):
-        a, s = VP.alpha(t), VP.sigma(t)
+        a, s = VP.alpha_sigma(t)
         assert abs(a * a + s * s - 1.0) < 1e-12
 
 
 def test_vp_drift_is_dlog_alpha_dt():
     for t in (0.01, 0.2, 0.5, 0.9):
-        fd = central_diff(lambda u: np.log(VP.alpha(u)), t)
+        fd = central_diff(lambda u: np.log(VP.alpha_sigma(u)[0]), t)
         assert abs(VP.drift(t) - fd) < 1e-6
 
 
@@ -279,8 +279,8 @@ def test_vp_schedule_without_valid_marginals_is_refused(kwargs, field):
 
 def test_vp_schedule_at_the_alpha_T_edge_is_kept():
     sched = vp_linear(T=11.0)
-    assert 0.0 < sched.alpha(sched.T) < 1e-250
-    assert np.isfinite(1.0 / sched.alpha(sched.T))
+    assert 0.0 < sched.alpha_sigma(sched.T)[0] < 1e-250
+    assert np.isfinite(1.0 / sched.alpha_sigma(sched.T)[0])
 
 
 # ------------------------------------------------------------------ identity
