@@ -3,12 +3,12 @@
 A Gaussian-mixture data distribution admits a closed-form posterior noise
 prediction at every noise level, which makes it the ground truth everything
 else in this package is judged against. A point mass is the even simpler
-edge case.
+edge case: the one-component mixture at variance 0.
 """
 
 import numpy as np
 
-from steplab.denoisers import GMDenoiser, PointDenoiser
+from steplab.denoisers import GMDenoiser
 from steplab.schedule import ve_edm
 
 sched = ve_edm()
@@ -27,7 +27,8 @@ x_near = np.array([2.0, 1.0]) * gm.sched.alpha_sigma(0.01)[0]
 print(f"at a component mean, t = 0.01: |eps| = "
       f"{np.linalg.norm(gm.epsilon(x_near, 0.01)):.2e}")
 
-pt = PointDenoiser.create(sched, np.array([2.0, 1.0]))
+pt = GMDenoiser.create(sched, weights=(1.0,), means=np.array([[2.0, 1.0]]),
+                       variances=(0.0,))
 x = np.array([3.0, -1.0])
 print(f"point mass: eps = {pt.epsilon(x, 1.0)}  "
-      f"(exactly (x - alpha x0)/sigma)")
+      f"((x - alpha x0)/sigma to rounding)")

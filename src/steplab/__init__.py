@@ -6,7 +6,7 @@ evaluation tools to compare them.
 """
 
 from .schedule import NoiseSchedule, ScheduleDomainError, ve_edm, vp_linear
-from .denoisers import GMDenoiser, PointDenoiser
+from .denoisers import GMDenoiser
 from .engine import (EngineError, Tape, Value, adjoint_chain_grad,
                      whole_chain_grad)
 from .solvers import DivergenceError, GridError, SolverSpec, solve
@@ -25,7 +25,7 @@ from .rng import derive_seed, sample_prior, substream, substreams
 
 __all__ = [
     "NoiseSchedule", "ScheduleDomainError", "ve_edm", "vp_linear",
-    "GMDenoiser", "PointDenoiser",
+    "GMDenoiser",
     "EngineError", "Tape", "Value", "adjoint_chain_grad",
     "whole_chain_grad",
     "DivergenceError", "GridError", "SolverSpec", "solve",

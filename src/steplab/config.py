@@ -165,7 +165,8 @@ def build_denoiser(cfg, sched):
         if means.shape[0] < d:
             raise ConfigError(f"data.means holds {means.shape[0]} values, "
                               f"fewer than data.d = {d}")
-        return denoisers.PointDenoiser.create(sched, means[:d])
+        return denoisers.GMDenoiser.create(sched, (1.0,), means[None, :d],
+                                           (0.0,))
     k = len(cfg["data.weights"])
     if means.shape[0] != k * d:
         raise ConfigError("data.means must hold K*d values")
@@ -230,6 +231,9 @@ def build_train_config(cfg):
     at_least(cfg, "train.batch", 1)
     one_of(cfg, "train.init", ("auto",) + HEURISTICS)
     at_least(cfg, "train.val_refresh_steps", 0)
+    at_least(cfg, "train.gamma", 0)
+    if not np.isfinite(cfg["train.r"]):  # below 0 derives r from gamma
+        raise ConfigError(f"train.r must be finite, got {cfg['train.r']}")
     p1, p2 = cfg["train.epochs_phase1"], cfg["train.epochs_phase2"]
     if p1 < 0 or p2 < 0 or p1 + p2 < 1:
         raise ConfigError(f"train.epochs_phase1 = {p1} and "

@@ -1,6 +1,6 @@
-"""Exact epsilon predictors for Gaussian-mixture and point-mass data.
+"""Exact epsilon predictors for Gaussian-mixture data.
 
-Both predictors implement epsilon(x, t) -> noise estimate in the convention
+The predictor implements epsilon(x, t) -> noise estimate in the convention
 
     eps(x, t) = -sigma_t * grad_x log q_t(x),
 
@@ -8,25 +8,25 @@ where q_t is the forward marginal of the data distribution under the noise
 schedule.  For a Gaussian mixture with isotropic components
 N(mu_k, s_k^2 I) the marginal is the mixture of N(alpha_t mu_k,
 (alpha_t^2 s_k^2 + sigma_t^2) I) and the score is a responsibility-weighted
-combination, so epsilon is available in closed form.  For a point mass x0
-it reduces to (x - alpha_t x0) / sigma_t.
+combination, so epsilon is available in closed form.  A point mass x0 is
+the one-component mixture at variance 0: then v = sigma_t^2 and
+eps = (x - alpha_t x0) / sigma_t, J = I / sigma_t, to rounding.
 
 Every epsilon can be evaluated inside a differentiated solver graph
-(gradients flow to x and t).  The point mass is written with engine ops; the
-mixture's epsilon is computed in plain numpy and taped as one op with a
-closed-form VJP.  Both also push tangents forward: epsilon(x, t,
-tangents=V) returns (eps, J V) with J = d eps / dx, which the bound's
-log-det Jacobians march beside the state.  x is one row of shape (d,) or a
-batch of rows (B, d) sharing the time t; each batched row equals its
-single-row result bit for bit.
+(gradients flow to x and t): it is computed in plain numpy and taped as
+one op with a closed-form VJP.  It also pushes tangents forward:
+epsilon(x, t, tangents=V) returns (eps, J V) with J = d eps / dx, which the
+bound's log-det Jacobians march beside the state.  x is one row of shape
+(d,) or a batch of rows (B, d) sharing the time t; each batched row equals
+its single-row result bit for bit.
 
 A solver grid fixes its query times, so the terms that depend on t alone
-are built once per grid by each denoiser's `step_constants`, with vector
-ops over the N + 1 times: alpha and sigma, from one `sched.alpha_sigma`
-(under VE alpha is ones), and for the mixture v_k, 2 v_k, the
-log-normaliser -(d/2)(log v_k + log 2 pi) and alpha mu_k.  Step i passes
-their row i to `epsilon` in place of t.  A query time is the one-row case
-of the same build, so epsilon at t_i equals epsilon with row i bit for bit.
+are built once per grid by `step_constants`, with vector ops over the
+N + 1 times: alpha and sigma, from one `sched.alpha_sigma` (under VE alpha
+is ones), then v_k, 2 v_k, the log-normaliser -(d/2)(log v_k + log 2 pi)
+and alpha mu_k.  Step i passes their row i to `epsilon` in place of t.  A
+query time is the one-row case of the same build, so epsilon at t_i equals
+epsilon with row i bit for bit.
 """
 
 from __future__ import annotations
@@ -138,8 +138,8 @@ class GMDenoiser:
             raise ValueError("means must be (K, d)")
         if weights.shape != (means.shape[0],) or variances.shape != weights.shape:
             raise ValueError("weights/variances must be (K,)")
-        if not (np.all(weights > 0) and np.all(variances > 0)):  # NaN fails
-            raise ValueError("weights and variances must be positive")
+        if not (np.all(weights > 0) and np.all(variances >= 0)):  # NaN fails
+            raise ValueError("weights must be positive and variances >= 0")
         weights = weights / weights.sum()
         return cls(sched=sched, weights=weights, means=means, variances=variances)
 
@@ -186,51 +186,3 @@ class GMDenoiser:
             k = min(k, len(cum) - 1)
             out[i] = self.means[k] + np.sqrt(self.variances[k]) * g.standard_normal(self.d)
         return out
-
-
-@dataclass(frozen=True)
-class PointDenoiser:
-    """Point-mass data distribution at x0."""
-
-    sched: object
-    x0: np.ndarray
-
-    @classmethod
-    def create(cls, sched, x0):
-        return cls(sched=sched, x0=np.asarray(x0, dtype=np.float64))
-
-    @property
-    def d(self):
-        return self.x0.shape[0]
-
-    def step_constants(self, times_c):
-        """(alpha, sigma) at the checked query times times_c, one row per
-        step, as for the mixture."""
-        return self.sched.alpha_sigma(times_c)
-
-    def epsilon(self, x, t, tangents=None, pullback=None):
-        """eps(x, t); t is a query time or row i of `step_constants`;
-        pullback as for the mixture."""
-        a, s = t if type(t) is tuple else \
-            self.step_constants(self.sched.check_domain(t))
-        num = en.sub(x, a * self.x0)
-        eps = en.div(num, s)
-        if pullback is None:
-            return eps if tangents is None else (eps, tangents / s)
-        want_a, want_s = pullback
-
-        def vjp(adj):
-            # the closed form of the taped div(sub(x, a x0), s), rounded
-            # as its VJPs round: sub hands div's g_x to both operands
-            g_x = adj / s
-            g_a = None
-            if want_a:
-                g_ax0 = -g_x if g_x.ndim == 1 else np.sum(-g_x, axis=0)
-                g_a = np.sum(g_ax0 * self.x0)
-            g_s = np.sum(-adj * num / (s * s)) if want_s else None
-            return g_x, g_a, g_s
-
-        return eps, vjp
-
-    def sample_data(self, count, seed):
-        return np.tile(self.x0, (count, 1))

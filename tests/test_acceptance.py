@@ -10,8 +10,9 @@ import time
 import numpy as np
 
 import steplab.engine as en
+from pointmass import point_mass
 from steplab.cli import main
-from steplab.denoisers import GMDenoiser, PointDenoiser
+from steplab.denoisers import GMDenoiser
 from steplab.discretize import Discretization, heuristic_times, tau
 from steplab.evaluate import (BENCH_METHODS, bench_cell, bench_eval_assets,
                               bound_closed_terms, cross_eval, estimate_bound,
@@ -124,7 +125,7 @@ def test_criterion_2_gradient_suite():
 def test_criterion_3_point_mass_exactness():
     t0 = time.perf_counter()
     x0 = np.array([2.0, 1.0])
-    den = PointDenoiser.create(VE, x0)
+    den = point_mass(VE, x0)
     g = np.random.default_rng(3)
     worst = 0.0
     for k in range(100):

@@ -8,8 +8,9 @@ import pytest
 
 import steplab.engine as en
 from chaingrads import checkpointed_chain_grad
+from pointmass import point_mass
 from steplab import training
-from steplab.denoisers import GMDenoiser, PointDenoiser
+from steplab.denoisers import GMDenoiser
 from steplab.discretize import Discretization, heuristic_times
 from steplab.rng import sample_prior
 from steplab.schedule import ve_edm, vp_linear
@@ -29,7 +30,7 @@ def make_den(kind, sched):
                                  np.array([[2.0, 1.0], [-1.4, 1.8],
                                            [0.3, -2.2]]),
                                  np.array([0.25, 0.16, 0.36]))
-    return PointDenoiser.create(sched, np.array([1.0, -1.0]))
+    return point_mass(sched, np.array([1.0, -1.0]))
 
 
 def grid(sched, nfe):

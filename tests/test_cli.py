@@ -445,6 +445,10 @@ VP_WINDOW = ("schedule.family = vp_linear\nschedule.T = 1.0\n"
     ("train", "train.init = foo\n", "train.init"),
     ("bench", "train.init = foo\n", "train.init"),
     ("gen-data", "data.count = 1\n", "data.count"),
+    ("train", "train.r = inf\n", "train.r"),
+    ("train", "train.r = -inf\n", "train.r"),
+    ("train", "train.gamma = inf\n", "train.gamma"),
+    ("train", "train.gamma = -1\n", "train.gamma"),
 ], ids=["schedule.t_min", "train.batch", "data.d", "sample.count",
         "bound.samples", "train.epochs", "train.val_refresh_steps",
         "cross.families", "sweep.r_values", "bound.r", "bench.eval_count",
@@ -459,7 +463,8 @@ VP_WINDOW = ("schedule.family = vp_linear\nschedule.T = 1.0\n"
         "vp-alpha_T-zero",
         "vp-alpha_T-subnormal", "vp-beta0-negative", "vp-beta1-negative",
         "bound.r-inf", "bound.r-minus-inf", "sweep.r_values-inf",
-        "train.init", "bench-train.init", "data.count"])
+        "train.init", "bench-train.init", "data.count", "train.r-inf",
+        "train.r-minus-inf", "train.gamma-inf", "train.gamma-negative"])
 @pytest.mark.filterwarnings("error")
 def test_bad_config_values_exit_2_naming_the_key(ws, tmp_path, capsys,
                                                  command, extra, key):

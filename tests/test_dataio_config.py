@@ -21,7 +21,7 @@ from steplab.dataio import (BENCH_HEADER, METRICS_HEADER, SWEEP_HEADER,
                             write_bench_csv, write_bound_json,
                             write_cross_csv, write_metrics_csv,
                             write_sweep_csv)
-from steplab.denoisers import GMDenoiser, PointDenoiser
+from steplab.denoisers import GMDenoiser
 from steplab.evaluate import BoundReport
 from steplab.training import Dataset, TrainConfig, TrainReport
 
@@ -297,7 +297,11 @@ def test_build_denoiser_kinds():
     assert isinstance(build_denoiser(cfg, sched), GMDenoiser)
     cfg_pt = dict(cfg)
     cfg_pt["data.kind"] = "point"
-    assert isinstance(build_denoiser(cfg_pt, sched), PointDenoiser)
+    point = build_denoiser(cfg_pt, sched)
+    assert isinstance(point, GMDenoiser)
+    assert point.weights.tolist() == [1.0] and point.variances.tolist() == [0.0]
+    assert np.array_equal(point.means,
+                          np.array(cfg["data.means"][:cfg["data.d"]])[None, :])
     cfg_bad = dict(cfg)
     cfg_bad["data.kind"] = "swirl"
     with pytest.raises(ConfigError):

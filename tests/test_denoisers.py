@@ -7,7 +7,8 @@ import pytest
 from scipy import stats
 
 import steplab.engine as en
-from steplab.denoisers import GMDenoiser, PointDenoiser
+from pointmass import point_mass
+from steplab.denoisers import GMDenoiser
 from steplab.discretize import heuristic_times
 from steplab.schedule import ve_edm, vp_linear
 
@@ -88,19 +89,37 @@ def test_translation_equivariance():
 
 def test_point_epsilon_examples():
     x0 = np.array([1.0, -1.0])
-    np.testing.assert_allclose(PointDenoiser(VE, x0).epsilon(x0, 5.0),
+    np.testing.assert_allclose(point_mass(VE, x0).epsilon(x0, 5.0),
                                np.zeros(2))
-    got = PointDenoiser(VE, np.zeros(2)).epsilon(np.array([4.0, 0.0]), 2.0)
+    got = point_mass(VE, np.zeros(2)).epsilon(np.array([4.0, 0.0]), 2.0)
     np.testing.assert_allclose(got, np.array([2.0, 0.0]))
 
 
-def test_point_is_small_variance_gm_limit():
-    x = np.array([1.7, -0.4])
+POINT_ULPS = 8  # observed worst: 2 ulps under VE, 3 under VP
+
+
+@pytest.mark.parametrize("sched", [VE, vp_linear()], ids=["ve", "vp"])
+def test_point_is_the_zero_variance_gm(sched):
+    """At variance 0 the mixture's epsilon is (x - alpha x0) / sigma and its
+    Jacobian is I / sigma, to rounding: each entry within POINT_ULPS ulps of
+    the closed form, for one row and for a batch."""
     x0 = np.array([0.3, 0.8])
-    want = PointDenoiser(VE, x0).epsilon(x, 3.0)
-    got = GMDenoiser(VE, np.array([1.0]), x0[None, :],
-                     np.array([1e-12])).epsilon(x, 3.0)
-    np.testing.assert_allclose(got, want, atol=1e-5)
+    den = point_mass(sched, x0)
+    g = np.random.default_rng(22)
+    worst = 0.0
+    for t in heuristic_times("logsnr", sched, 40):
+        a, s = (float(en.data_of(c)) for c in sched.alpha_sigma(t))
+        for shape in ((2,), (8, 2)):
+            x = a * x0 + (s + 1.0) * g.standard_normal(shape)
+            v = g.standard_normal(shape + (2,))
+            eps, jv = den.epsilon(x, t, tangents=v)
+            assert same_bits(den.epsilon(x, t), eps)
+            for got, want in ((eps, (x - a * x0) / s), (jv, v / s)):
+                ulps = np.abs(got - want) / np.spacing(np.abs(want))
+                worst = max(worst, float(ulps.max()))
+    print(f"point as zero-variance GM: worst {worst:g} ulps, "
+          f"bound {POINT_ULPS}")
+    assert worst <= POINT_ULPS
 
 
 def test_gm_epsilon_differentiable_in_x_and_t():
@@ -157,6 +176,10 @@ def test_gm_create_validation():
         GMDenoiser.create(VE, WEIGHTS, MEANS.ravel(), VARS)
     with pytest.raises(ValueError):
         GMDenoiser.create(VE, WEIGHTS[:2], MEANS[:2], np.array([np.nan, 0.2]))
+    with pytest.raises(ValueError):
+        GMDenoiser.create(VE, WEIGHTS[:2], MEANS[:2], np.array([-1e-12, 0.2]))
+    point = GMDenoiser.create(VE, (1.0,), MEANS[:1], (0.0,))
+    assert point.variances.tolist() == [0.0]  # the point mass is accepted
     den = GMDenoiser.create(VE, np.array([2.0, 2.0]), MEANS[:2], VARS[:2])
     assert abs(den.weights.sum() - 1.0) < 1e-12  # unnormalized input accepted
 
@@ -190,7 +213,7 @@ def test_row_epsilon_equals_time_epsilon_bit_for_bit(sched, kind):
     """Row i of the vector-built constants gives epsilon(x, t_i) exactly,
     with and without tangents, for one row and for batches."""
     den = make_gm(sched) if kind == "gm" else \
-        PointDenoiser.create(sched, np.array([1.0, -1.0]))
+        point_mass(sched, np.array([1.0, -1.0]))
     g = np.random.default_rng(16)
     for nfe in (4, 16, 100):
         times_c = grid_times(sched, nfe)

@@ -8,8 +8,9 @@ from scipy import stats
 
 import steplab.engine as en
 from logdets import collapse_map, taped_log_abs_det_jacobian
+from pointmass import point_mass
 from steplab import cli, rng
-from steplab.denoisers import GMDenoiser, PointDenoiser
+from steplab.denoisers import GMDenoiser
 from steplab.discretize import heuristic_times
 from steplab.evaluate import (BoundReport, JacobianError,
                               bound_closed_terms, cross_eval, estimate_bound,
@@ -152,7 +153,7 @@ SCHEDS = {"ve": VE, "vp": VP}
 
 def denoiser(kind, sched):
     if kind == "point":
-        return PointDenoiser.create(sched, [0.7, -1.2])
+        return point_mass(sched, [0.7, -1.2])
     return GMDenoiser.create(sched, *GM_PARAMS)
 
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pointmass import point_mass
 from steplab import engine as en
-from steplab.denoisers import PointDenoiser
 from steplab.schedule import (_DOMAIN_SLACK, NoiseSchedule,
                               ScheduleDomainError, ve_edm, vp_linear)
 from steplab.solvers import SolverSpec, solve
@@ -209,7 +209,7 @@ def test_domain_check_rejects_nan():
         VP.check_domain(np.array([0.5, np.nan]))
     # a NaN query time is named by validation, not by a diverged step
     spec = SolverSpec("dpmpp", 2, 2)
-    den = PointDenoiser.create(VE, np.zeros(2))
+    den = point_mass(VE, np.zeros(2))
     with pytest.raises(ScheduleDomainError):
         solve(den, VE, spec, [80.0, 1.0, 0.002], [80.0, np.nan, 0.002],
               np.ones(2))

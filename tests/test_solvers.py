@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import steplab.engine as en
-from steplab.denoisers import GMDenoiser, PointDenoiser
+from pointmass import point_mass
+from steplab.denoisers import GMDenoiser
 from steplab.discretize import heuristic_times
 from steplab.evaluate import solver_map
 from steplab.schedule import ve_edm, vp_linear
@@ -51,7 +52,7 @@ def point_exact(x_T, t, T=80.0, x0=np.array([1.0, -1.0])):
 
 
 def test_ddim_point_mass_single_step_anchor():
-    den = PointDenoiser.create(VE, np.array([1.0, -1.0]))
+    den = point_mass(VE, np.array([1.0, -1.0]))
     spec = SolverSpec(family="dpmpp", order=1, nfe=1)
     out = solve(den, VE, spec, np.array([80.0, 0.002]),
                 x_T=np.array([8.0, -8.0]))
@@ -64,7 +65,7 @@ def test_ddim_point_mass_single_step_anchor():
     np.array([80.0, 53.1, 17.0, 2.4, 0.31, 0.002]),
 ])
 def test_ddim_point_mass_exact_on_any_grid(grid):
-    den = PointDenoiser.create(VE, np.array([1.0, -1.0]))
+    den = point_mass(VE, np.array([1.0, -1.0]))
     spec = SolverSpec(family="dpmpp", order=1, nfe=len(grid) - 1)
     x_T = np.array([-3.0, 5.5])
     out = solve(den, VE, spec, grid, x_T=x_T)
@@ -72,7 +73,7 @@ def test_ddim_point_mass_exact_on_any_grid(grid):
 
 
 def test_ddim_point_mass_trajectory_is_the_line():
-    den = PointDenoiser.create(VE, np.array([1.0, -1.0]))
+    den = point_mass(VE, np.array([1.0, -1.0]))
     grid = np.array([80.0, 20.0, 5.0, 0.002])
     x_T = np.array([8.0, -8.0])
     for k in range(1, len(grid)):
