@@ -74,8 +74,8 @@ def _gm_kernel(x, row, log_w, means, variances, tangents, pullback):
     diff = xd[..., None, :] - am
     q = np.vecdot(diff, diff)
     terms = log_w + (c - q / v2)
-    # en.logsumexp's max-shift form, inline; the reductions np.sum and
-    # .max call, without their Python wrappers
+    # en.logsumexp's max-shift form, inline; reductions here and below are
+    # the ufuncs' own, without the Python wrappers of np.sum and .max
     m = np.maximum.reduce(terms, axis=-1, keepdims=True)
     lse = m + np.log(np.add.reduce(np.exp(terms - m), axis=-1, keepdims=True))
     gamma = np.exp(terms - lse)
@@ -85,8 +85,8 @@ def _gm_kernel(x, row, log_w, means, variances, tangents, pullback):
         w = diff / v[:, None] - acc[..., None, :]
         g = gamma[..., None, :] * np.vecdot(tangents[..., None, :],
                                             w[..., None, :, :])
-        wt = np.swapaxes(w, -1, -2)[..., None, :, :]
-        jv = (r.sum(axis=-1)[..., None, None] * tangents
+        wt = w.mT[..., None, :, :]
+        jv = (np.add.reduce(r, axis=-1)[..., None, None] * tangents
               - np.vecdot(g[..., None, :], wt))
         return sd * acc, sd * jv
     if pullback is None:
@@ -103,16 +103,18 @@ def _gm_kernel(x, row, log_w, means, variances, tangents, pullback):
         # softmax, then the log terms' -q/(2v) through q = |diff|^2
         c = gamma * (g_gamma - np.vecdot(gamma, g_gamma)[..., None]) / v
         g_diff = r[..., None] * g[..., None, :] - c[..., None] * diff
-        g_x = np.sum(g_diff, axis=-2)
+        g_x = np.add.reduce(g_diff, axis=-2)
         if not (live_a or live_s):
             return g_x, None, None
         lead = tuple(range(g_r.ndim - 1))
         # v_k = a^2 s_k^2 + s^2 through r_k = gamma_k / v_k and the log terms
-        g_v = np.sum(c * (0.5 * q / v - 0.5 * means.shape[1]) - g_r * r / v,
-                     axis=lead)
-        g_a = 2.0 * ad * np.dot(g_v, variances) \
-            - np.sum(np.sum(g_diff, axis=lead) * means) if live_a else None
-        g_s = np.sum(adj * acc) + 2.0 * sd * np.sum(g_v) if live_s else None
+        g_v = np.add.reduce(c * (0.5 * q / v - 0.5 * means.shape[1])
+                            - g_r * r / v, axis=lead)
+        g_a = 2.0 * ad * np.dot(g_v, variances) - np.add.reduce(
+            np.add.reduce(g_diff, axis=lead) * means, axis=None) \
+            if live_a else None
+        g_s = np.add.reduce(adj * acc, axis=None) \
+            + 2.0 * sd * np.add.reduce(g_v, axis=None) if live_s else None
         return g_x, g_a, g_s
 
     if pullback is not None:

@@ -63,7 +63,7 @@ def init_from_times(times, T, t_min):
     n = times.shape[0] - 1
     if n < 1:
         raise GridError("grid needs at least two points")
-    if not np.all(np.diff(times) < 0.0):
+    if not np.logical_and.reduce(times[1:] < times[:-1]):
         raise GridError("grid must be strictly decreasing")
     span = T - t_min
     if abs(times[0] - T) > 1e-9 * max(1.0, T) or \
@@ -143,7 +143,7 @@ def heuristic_times(kind, sched, nfe):
         raise GridError(f"unknown heuristic {kind!r}")
     grid[0] = T
     grid[-1] = t_min
-    if not np.all(np.diff(grid) < 0.0):
+    if not np.logical_and.reduce(grid[1:] < grid[:-1]):
         raise GridError(f"heuristic {kind} produced a non-decreasing grid")
     return grid
 

@@ -19,6 +19,15 @@ prelude -> steps -> finale chain on one tape.  :func:`adjoint_chain_grad`
 tapes only the prelude: the same steps, given an accumulator, run on plain
 arrays returning their own transposes, and one reverse sweep over those
 cached pullbacks, with no tape and no replay, seeds the prelude's tape.
+
+Hot loops (a step, cold, Jacobian or transposed, the march's divergence
+check, the grid checks and the draws) call ufuncs and C methods, never
+NumPy's Python wrappers: `np.add.reduce` for `np.sum`,
+`np.logical_and.reduce` for `.all()`, `.shape` and `.mT` for `np.shape`
+and `np.swapaxes`, `np.zeros(shape)` for `np.zeros_like`.  On the few-row
+arrays a step handles, a wrapper costs 2-6x the call it wraps, and the
+call gives the same bits, since each replacement runs the same reduction
+in the same order.  tests/test_hotpaths.py holds the rule.
 """
 
 from __future__ import annotations
@@ -83,11 +92,11 @@ def _reduce(g, ref):
     if g.shape == shape:
         return g
     if not shape:
-        return np.sum(g)
+        return np.add.reduce(g, axis=None)
     lead = g.ndim - len(shape)
     axes = tuple(range(lead)) + tuple(lead + k for k, n in enumerate(shape)
                                       if n == 1)
-    return np.sum(g, axis=axes).reshape(shape)
+    return np.add.reduce(g, axis=axes).reshape(shape)
 
 
 class Tape:
@@ -142,7 +151,7 @@ class Tape:
             a = adj[i]
             if a is None:
                 continue
-            if not np.isfinite(a).all():
+            if not np.logical_and.reduce(np.isfinite(a), axis=None):
                 raise EngineError(f"non-finite adjoint at op {i} ({self._names[i]})")
             vjp = self._vjps[i]
             if vjp is None:
@@ -156,7 +165,7 @@ class Tape:
             if not isinstance(leaf, Value) or leaf.tape is not self:
                 raise EngineError("gradient target does not belong to this tape")
             g = adj[leaf.idx]
-            out.append(np.zeros_like(leaf.data) if g is None else g)
+            out.append(np.zeros(leaf.data.shape) if g is None else g)
         return out
 
     def gradient(self, output, leaves):
@@ -317,7 +326,7 @@ def index(x, i):
     xd = x.data
 
     def vjp(adj):
-        g = np.zeros_like(xd)
+        g = np.zeros(xd.shape)
         parts = i if type(i) is tuple else (i,)
         if any(isinstance(k, (np.ndarray, list)) for k in parts):
             np.add.at(g, i, adj)  # an array index may repeat: adjoints add
@@ -336,18 +345,19 @@ def lincomb(row, arrays):
     cold = not (live_row or any(live))
     rd = data_of(row)
     parts = arrays if cold else [data_of(a) for a in arrays]
-    if np.shape(rd) != (len(parts),):
-        raise EngineError(f"lincomb: row shape {np.shape(rd)} for "
+    if rd.shape != (len(parts),):
+        raise EngineError(f"lincomb: row shape {rd.shape} for "
                           f"{len(parts)} arrays")
-    out = rd[0] * parts[0]
-    for c, p in zip(rd[1:], parts[1:]):
+    cs = rd.tolist()  # one C call, then Python floats, not NumPy scalars
+    out = cs[0] * parts[0]
+    for c, p in zip(cs[1:], parts[1:]):
         out = out + c * p
     if cold:
         return out
 
     def vjp(adj):
         g_row = np.array([np.vdot(adj, p) for p in parts]) if live_row else None
-        return [g_row] + [c * adj if lv else None for c, lv in zip(rd, live)]
+        return [g_row] + [c * adj if lv else None for c, lv in zip(cs, live)]
 
     return record(out, (row, *arrays), vjp, "lincomb")
 
@@ -473,7 +483,7 @@ def adjoint_chain_grad(leaves, prelude, steps, finale):
     env = {k: tape.leaf(v) for k, v in leaves.items()}
     shared_p, state_p = prelude(env)
     shared = tuple(data_of(s) for s in shared_p)
-    acc = {j: np.zeros_like(shared[j]) for j, s in enumerate(shared_p)
+    acc = {j: np.zeros(shared[j].shape) for j, s in enumerate(shared_p)
            if type(s) is Value}
     out = tuple(data_of(s) for s in state_p)
     backs = []

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,7 +84,7 @@ class NoiseSchedule:
         hi = self.T * (1.0 + _DOMAIN_SLACK)
         # comparisons that NaN fails, where `nan < lo` would let it pass
         inside = (td >= lo) & (td <= hi)
-        if not inside.all():
+        if not np.logical_and.reduce(inside, axis=None):
             raise ScheduleDomainError(f"t={td[~inside][0]} outside "
                                       f"[{self.t_min}, {self.T}] for "
                                       f"{self.family}")
@@ -95,24 +96,32 @@ class NoiseSchedule:
         c2 = 0.25 * (self.beta1 - self.beta0)
         return -(c2 * t * t + 0.5 * self.beta0 * t)
 
+    @staticmethod
+    def _vp_sigma_sq(la):
+        """VP: sigma^2 = 1 - alpha^2 = -expm1(2 log alpha), stable near
+        t_min, from log alpha la."""
+        return en.neg(en.expm1(2.0 * la))
+
     def alpha_sigma(self, t):
         """(alpha_t, sigma_t), the one evaluation of the marginals: under VP
-        from one log alpha, under VE alpha as ones shaped like t."""
+        from one log alpha, under VE alpha as ones shaped like t.  `sigma`
+        and `lam`, which need no alpha, share its sigma^2."""
         if self.family == VE_EDM:
             return np.ones(np.shape(en.data_of(t))), t
         la = self._vp_log_alpha(t)
-        # sigma^2 = 1 - alpha^2 = -expm1(2 log alpha), stable near t_min
-        return en.exp(la), en.sqrt(en.neg(en.expm1(2.0 * la)))
+        return en.exp(la), en.sqrt(self._vp_sigma_sq(la))
 
     def sigma(self, t):
-        return self.alpha_sigma(t)[1]
+        if self.family == VE_EDM:
+            return t
+        return en.sqrt(self._vp_sigma_sq(self._vp_log_alpha(t)))
 
     def lam(self, t):
         """Log-SNR lambda(t) = log(alpha_t / sigma_t), strictly decreasing."""
         if self.family == VE_EDM:
             return en.neg(en.log(t))
         la = self._vp_log_alpha(t)
-        return la - 0.5 * en.log(en.neg(en.expm1(2.0 * la)))
+        return la - 0.5 * en.log(self._vp_sigma_sq(la))
 
     # ------------------------------------------------------------------ ODE
 
@@ -133,7 +142,7 @@ class NoiseSchedule:
 
     # -------------------------------------------------------------- inverses
 
-    @property
+    @cached_property
     def sigma_T(self):
         return float(en.data_of(self.sigma(self.T)))
 
@@ -148,7 +157,7 @@ class NoiseSchedule:
         slack = _DOMAIN_SLACK * max(1.0, abs(lo), abs(hi))
         # one comparison that NaN fails
         bad = ~((x >= lo - slack) & (x <= hi + slack))
-        if bad.any():
+        if np.logical_or.reduce(bad, axis=None):
             raise ScheduleDomainError(f"{name}={x[bad][0]} outside [{lo}, {hi}]")
         return x
 

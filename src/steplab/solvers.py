@@ -106,7 +106,7 @@ class SolverSpec:
 def initial_state(spec, x_T):
     """State tuple entering step 0: the sample plus zeroed history slots."""
     xd = en.data_of(x_T)
-    pads = tuple(np.zeros_like(xd) for _ in range(spec.history_width))
+    pads = tuple(np.zeros(xd.shape) for _ in range(spec.history_width))
     return (x_T,) + pads
 
 
@@ -239,14 +239,14 @@ def checked_shared(den, sched, spec, times, times_c=None):
         raise GridError("time grid needs at least two points")
     if td.size != spec.nfe + 1:
         raise GridError(f"grid has {td.size - 1} steps, expected {spec.nfe}")
-    if not np.all(np.diff(td) < 0.0):
+    if not np.logical_and.reduce(td[1:] < td[:-1]):
         raise GridError("time grid must be strictly decreasing")
     sched.check_domain(td)
     if times_c is None:
         times_c = times
     else:
         times_c = _as_grid(times_c)
-        if np.shape(en.data_of(times_c)) != td.shape:
+        if en.data_of(times_c).shape != td.shape:
             raise GridError("times_c must match the grid shape")
         sched.check_domain(times_c)
     return (coeffs(sched, spec, times),) + den.step_constants(times_c)
@@ -269,7 +269,8 @@ def shared_map(den, spec, shared):
         for i, step in enumerate(make_steps(den, spec, True)
                                  if jacobian else steps):
             state = step(state, shared)
-            if not np.isfinite(en.data_of(state[0])).all():
+            if not np.logical_and.reduce(np.isfinite(en.data_of(state[0])),
+                                         axis=None):
                 raise DivergenceError(i)
         return state[0]
 

@@ -160,7 +160,7 @@ def _chain_parts(den, sched, spec, y, shared=None):
         def back(adj):
             # distance's transpose: diff enters its dot product twice
             t = (adj * (1.0 / x.shape[-1]))[..., None] * (x - y)
-            return (t + t,) + tuple(np.zeros_like(s) for s in state[1:])
+            return (t + t,) + tuple(np.zeros(s.shape) for s in state[1:])
 
         return loss, back
 

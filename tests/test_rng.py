@@ -1,6 +1,7 @@
 """Stream splitting: substreams must be reproducible, order-free, and
 distinct across tags; the re-keyed loop of `substreams` must give the
-same draws as one fresh `substream` per index."""
+same draws as one fresh `substream` per index, also when loops run side
+by side, nest, or are left early."""
 
 import hashlib
 
@@ -55,12 +56,48 @@ def draw_mix(g, d=3):
         g.permutation(5), g.integers(0, 9, size=3, dtype=np.int32)))
 
 
+def fresh(seed, tag, count):
+    return [draw_mix(substream(seed, tag, i)) for i in range(count)]
+
+
+def one_loop(seed, count):
+    return [draw_mix(g) for g in substreams(seed, "bound", count)]
+
+
+def zipped(seed, count):
+    """Two loops advanced together: each must hold its own generator."""
+    got, other = [], []
+    for g, h in zip(substreams(seed, "bound", count),
+                    substreams(seed, "prior", count)):
+        got.append(draw_mix(g))
+        other.append(draw_mix(h))
+    assert other == fresh(seed, "prior", count)
+    return got
+
+
+def abandoned(seed, count):
+    """A loop left after its first draw, then a fresh loop on the seed."""
+    for g in substreams(seed, "bound", count):
+        g.standard_normal(3)
+        break
+    return one_loop(seed, count)
+
+
+def nested(seed, count):
+    """A loop opened in another loop's body, before the outer one draws."""
+    got = []
+    for g in substreams(seed, "bound", count):
+        assert one_loop(seed, 2) == fresh(seed, "bound", 2)
+        got.append(draw_mix(g))
+    return got
+
+
 @pytest.mark.parametrize("seed", [0, 5, 2 ** 63 + 7, 2 ** 64 - 1, -1])
 @pytest.mark.parametrize("count", [0, 1, 33])
 def test_substreams_equal_fresh_substreams(seed, count):
-    got = [draw_mix(g) for g in substreams(seed, "bound", count)]
-    want = [draw_mix(substream(seed, "bound", i)) for i in range(count)]
-    assert got == want
+    want = fresh(seed, "bound", count)
+    for loop in (one_loop, zipped, abandoned, nested):
+        assert loop(seed, count) == want, loop.__name__
 
 
 def sha(a):

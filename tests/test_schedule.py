@@ -154,6 +154,17 @@ def test_vp_sigma_stable_near_zero():
     assert s == want
 
 
+def test_vp_sigma_and_lam_tape_no_alpha():
+    # both read log alpha alone: an exp(log alpha) there would be a taped
+    # op that no adjoint reaches
+    t = np.array([VP.t_min, 0.3, VP.T])
+    for fn in (VP.sigma, VP.lam):
+        tape = en.Tape()
+        fn(tape.leaf(t))
+        assert "exp" not in tape._names, fn.__name__
+    np.testing.assert_array_equal(VP.sigma(t), VP.alpha_sigma(t)[1])
+
+
 # ------------------------------------------------------------- monotonicity
 
 

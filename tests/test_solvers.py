@@ -2,6 +2,8 @@
 first-order equivalences, warm-up behavior, the coefficient-table solver
 against the per-step formulas, and error paths."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -282,23 +284,48 @@ def test_out_of_domain_grid_rejected():
         solve(GM, VE, spec, np.array([90.0, 1.0, 0.002]), x_T=np.zeros(2))
 
 
-class ExplodingDen:
+class ConstantDen:
+    """Epsilon, and J_eps V in the Jacobian mode, `value` in every entry."""
+
     d = 2
+
+    def __init__(self, value):
+        self.value = value
 
     def step_constants(self, times_c):
         return (times_c,)
 
-    def epsilon(self, x, row):
-        return np.array([np.inf, np.inf])
+    def epsilon(self, x, row, tangents=None):
+        eps = np.full(x.shape, self.value)
+        return eps if tangents is None else (eps, np.full(tangents.shape,
+                                                          self.value))
 
 
 @pytest.mark.parametrize("run", [
-    lambda den, spec, times, x: solve(den, VE, spec, times, x_T=x),
-    lambda den, spec, times, x: solver_map(den, VE, spec, times)(x),
-], ids=["solve", "solver_map"])
+    lambda spec, times, x: solve(ConstantDen(np.inf), VE, spec, times,
+                                 x_T=x),
+    lambda spec, times, x: solver_map(ConstantDen(np.inf), VE, spec,
+                                      times)(x),
+    lambda spec, times, x: solver_map(ConstantDen(np.inf), VE, spec,
+                                      times)(x, jacobian=True),
+    lambda spec, times, x: solve(ConstantDen(np.nan), VE, spec, times,
+                                 x_T=x),
+], ids=["solve", "solver_map", "jacobian", "nan"])
 def test_divergence_error_names_step(run):
     spec = SolverSpec(family="euler", order=1, nfe=3)
     times = heuristic_times("uniform", VE, 3)
     with pytest.raises(DivergenceError) as ei:
-        run(ExplodingDen(), spec, times, np.zeros(2))
+        run(spec, times, np.zeros(2))
     assert ei.value.step == 0
+
+
+def test_finite_state_whose_sum_overflows_is_not_divergence():
+    # VE Euler with epsilon 0 keeps x: the check must test each entry, as
+    # a sum of (1e308, 1e308) overflows to inf and warns
+    spec = SolverSpec(family="euler", order=1, nfe=3)
+    x_T = np.array([1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = solve(ConstantDen(0.0), VE, spec,
+                    heuristic_times("uniform", VE, 3), x_T=x_T)
+    np.testing.assert_array_equal(out, x_T)
