@@ -77,7 +77,7 @@ def _cmd_train(args, cfg, sched, den):
     out = _ensure_dir(args.out or "run")
     write_metrics_csv(os.path.join(out, "metrics.csv"), report)
     write_snapshot(cfg, os.path.join(out, "config.txt"))
-    if report.aborted and report.best_epoch < 0:
+    if report.best_epoch < 0:
         print(f"error: training aborted before its first checkpoint; "
               f"no checkpoint written to {out}", file=sys.stderr)
         return 1

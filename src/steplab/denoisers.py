@@ -74,11 +74,7 @@ def _gm_kernel(x, row, log_w, means, variances, tangents, pullback):
     diff = xd[..., None, :] - am
     q = np.vecdot(diff, diff)
     terms = log_w + (c - q / v2)
-    # en.logsumexp's max-shift form, inline; reductions here and below are
-    # the ufuncs' own, without the Python wrappers of np.sum and .max
-    m = np.maximum.reduce(terms, axis=-1, keepdims=True)
-    lse = m + np.log(np.add.reduce(np.exp(terms - m), axis=-1, keepdims=True))
-    gamma = np.exp(terms - lse)
+    gamma = np.exp(terms - en.logsumexp(terms)[..., None])
     r = gamma / v
     acc = np.add.reduce(r[..., None] * diff, axis=-2)
     if tangents is not None:

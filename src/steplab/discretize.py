@@ -99,10 +99,10 @@ class Discretization:
         return cls(sched=sched, nfe=nfe, xi=xi, xi_c=xi_c)
 
     @classmethod
-    def from_times(cls, sched, times, xi_c=None):
+    def from_times(cls, sched, times):
         times = np.asarray(times, dtype=np.float64)
         xi = init_from_times(times, sched.T, sched.t_min)
-        return cls.create(sched, times.shape[0] - 1, xi=xi, xi_c=xi_c)
+        return cls.create(sched, times.shape[0] - 1, xi=xi)
 
     def times(self):
         return np.asarray(tau(self.xi, self.sched.T, self.sched.t_min))

@@ -21,13 +21,15 @@ arrays returning their own transposes, and one reverse sweep over those
 cached pullbacks, with no tape and no replay, seeds the prelude's tape.
 
 Hot loops (a step, cold, Jacobian or transposed, the march's divergence
-check, the grid checks and the draws) call ufuncs and C methods, never
-NumPy's Python wrappers: `np.add.reduce` for `np.sum`,
-`np.logical_and.reduce` for `.all()`, `.shape` and `.mT` for `np.shape`
-and `np.swapaxes`, `np.zeros(shape)` for `np.zeros_like`.  On the few-row
-arrays a step handles, a wrapper costs 2-6x the call it wraps, and the
-call gives the same bits, since each replacement runs the same reduction
-in the same order.  tests/test_hotpaths.py holds the rule.
+check, the grid checks and builds, and the draws) call ufuncs and C
+methods, never NumPy's Python wrappers: `np.add.reduce` for `np.sum`,
+`np.maximum.reduce` for `.max`, `np.logical_and.reduce` for `.all()`,
+`.shape` and `.mT` for `np.shape` and `np.swapaxes`, `np.zeros(shape)`
+for `np.zeros_like` and a filled `np.empty(shape)` for `np.ones`.  On
+the few-row arrays a step handles, a wrapper costs 2-6x the call it
+wraps, and the call gives the same bits, since each replacement runs the
+same reduction in the same order.  tests/test_hotpaths.py holds the
+rule.
 """
 
 from __future__ import annotations
@@ -168,11 +170,6 @@ class Tape:
             out.append(np.zeros(leaf.data.shape) if g is None else g)
         return out
 
-    def gradient(self, output, leaves):
-        if np.ndim(data_of(output)) != 0:
-            raise EngineError("gradient output must be a scalar")
-        return self.backward([(output, np.float64(1.0))], leaves)
-
 
 # ---------------------------------------------------------------- primitives
 
@@ -283,8 +280,8 @@ def logsumexp(x):
     """log sum exp over the last axis."""
     # the max shift is held constant; the derivative is exact regardless
     xd = data_of(x)
-    m = xd.max(axis=-1, keepdims=True)
-    out = m[..., 0] + np.log(np.exp(xd - m).sum(axis=-1))
+    m = np.maximum.reduce(xd, axis=-1, keepdims=True)
+    out = m[..., 0] + np.log(np.add.reduce(np.exp(xd - m), axis=-1))
     if type(x) is not Value:
         return out
 
@@ -306,7 +303,8 @@ def stack(xs):
     constants); K scalars give a (K,) vector, K (B,) rows (B, K).  Each part
     is a scalar or has the shape of the largest part."""
     parts = [data_of(x) for x in xs]
-    out = np.empty(max((np.shape(p) for p in parts), key=len) + (len(parts),))
+    out = np.empty(max((getattr(p, "shape", ()) for p in parts), key=len)
+                   + (len(parts),))
     for k, p in enumerate(parts):
         out[..., k] = p
     live = [type(x) is Value for x in xs]

@@ -235,6 +235,14 @@ class RmsPropMomentum:
         param -= lr * self.buf
 
 
+# The fixed schedule around the optimizers: each grid gradient is clipped to
+# norm CLIP_NORM; after PLATEAU_PATIENCE epochs with no new best validation
+# loss both learning rates are scaled by PLATEAU_FACTOR, down to their floors.
+CLIP_NORM = 1.0
+PLATEAU_FACTOR, PLATEAU_PATIENCE = 0.8, 5
+LR_FLOOR_XI, LR_FLOOR_XIC = 5e-5, 1e-6
+
+
 def clip_to_norm(grad, max_norm):
     n = float(np.sqrt(np.dot(grad, grad)))
     if n > max_norm > 0.0:
@@ -255,11 +263,6 @@ class TrainConfig:
     lr_xi: float = 0.005
     lr_xic: float = -1.0      # < 0 derives 0.1 / NFE
     lr_xprime: float = -1.0   # < 0 derives 12.0 / NFE
-    clip_norm: float = 1.0
-    plateau_factor: float = 0.8
-    plateau_patience: int = 5
-    lr_floor_xi: float = 5e-5
-    lr_floor_xic: float = 1e-6
     val_refresh_steps: int = 10
     init: str = "auto"        # auto | uniform | quadratic | edm | logsnr
     seed: int = 0
@@ -339,50 +342,45 @@ def train(ds, den, sched, spec, cfg):
         phase = 1 if epoch < cfg.epochs_phase1 else 2
         order = rngmod.substream(cfg.seed, "batches", epoch).permutation(
             len(train_idx))
-        for lo in range(0, len(order), cfg.batch):
-            batch = train_idx[order[lo:lo + cfg.batch]]
-            b = len(batch)
-            try:
+        try:
+            for lo in range(0, len(order), cfg.batch):
+                batch = train_idx[order[lo:lo + cfg.batch]]
+                b = len(batch)
                 res = pair_grads(disc, den, sched, spec, ds.x_prime[batch],
                                  ds.y[batch])
-            except GridError:  # the grid the last step left is refused
-                report.aborted = True
-                break
-            loss = float(np.mean(res.loss))
-            if not np.isfinite(loss):
-                report.aborted = True
-                break
-            if lr_xi > 0:
-                rms.step(xi, clip_to_norm(res.grads["xi"] / b, cfg.clip_norm),
-                         lr_xi)
-            if phase == 2:
-                xi_c -= lr_xic * clip_to_norm(res.grads["xi_c"] / b,
-                                              cfg.clip_norm)
-            moved = ds.x_prime[batch] - lr_xp * (res.grads["x_prime"] / b)
-            ds.x_prime[batch] = project(moved, ds.x_T[batch], rho)
-            it += 1
-            report.iter_rows.append((it, epoch, phase, loss, lr_xi, lr_xic))
-        else:
+                loss = float(np.mean(res.loss))
+                if not np.isfinite(loss):
+                    raise TrainingError(f"training loss {loss}")
+                if lr_xi > 0:
+                    rms.step(xi, clip_to_norm(res.grads["xi"] / b, CLIP_NORM),
+                             lr_xi)
+                if phase == 2:
+                    xi_c -= lr_xic * clip_to_norm(res.grads["xi_c"] / b,
+                                                  CLIP_NORM)
+                moved = ds.x_prime[batch] - lr_xp * (res.grads["x_prime"] / b)
+                ds.x_prime[batch] = project(moved, ds.x_T[batch], rho)
+                it += 1
+                report.iter_rows.append((it, epoch, phase, loss, lr_xi,
+                                         lr_xic))
             # end of epoch: refresh validation x', record loss, decay,
             # checkpoint
-            try:
-                best_x, val_losses = _refresh(
-                    disc, den, sched, spec, ds.x_T[val_idx],
-                    ds.x_prime[val_idx], ds.y[val_idx], rho, lr_xp,
-                    cfg.val_refresh_steps)
-                ds.x_prime[val_idx] = best_x
-            except GridError:  # as above: the epoch's last step left it
-                report.aborted = True
+            best_x, val_losses = _refresh(
+                disc, den, sched, spec, ds.x_T[val_idx], ds.x_prime[val_idx],
+                ds.y[val_idx], rho, lr_xp, cfg.val_refresh_steps)
+            ds.x_prime[val_idx] = best_x
+            val = float(np.mean(val_losses))
+            if not np.isfinite(val):
+                raise TrainingError(f"validation loss {val}")
+        except (GridError, TrainingError):
+            # a check refused the grid the last step left, or a loss is not
+            # finite: the run ends here, keeping its best grid so far
+            report.aborted = True
         # every row moves at most once per epoch, so this sees every state
         diff = ds.x_prime - ds.x_T
         report.max_ball_violation = max(
             report.max_ball_violation,
             float(np.max(np.sqrt(np.vecdot(diff, diff)))) - rho)
         if report.aborted:
-            break
-        val = float(np.mean(val_losses))
-        if not np.isfinite(val):
-            report.aborted = True
             break
         if val < report.best_val:
             report.best_val = val
@@ -392,9 +390,9 @@ def train(ds, den, sched, spec, cfg):
             plateau_count = 0
         else:
             plateau_count += 1
-            if plateau_count >= cfg.plateau_patience:
-                lr_xi = max(lr_xi * cfg.plateau_factor, cfg.lr_floor_xi)
-                lr_xic = max(lr_xic * cfg.plateau_factor, cfg.lr_floor_xic)
+            if plateau_count >= PLATEAU_PATIENCE:
+                lr_xi = max(lr_xi * PLATEAU_FACTOR, LR_FLOOR_XI)
+                lr_xic = max(lr_xic * PLATEAU_FACTOR, LR_FLOOR_XIC)
                 plateau_count = 0
         wall = time.perf_counter() - t_start
         report.epoch_rows.append((epoch, phase, val, lr_xi, lr_xic, wall))

@@ -449,6 +449,12 @@ VP_WINDOW = ("schedule.family = vp_linear\nschedule.T = 1.0\n"
     ("train", "train.r = -inf\n", "train.r"),
     ("train", "train.gamma = inf\n", "train.gamma"),
     ("train", "train.gamma = -1\n", "train.gamma"),
+    # retired keys: the clipping and plateau schedule is fixed
+    ("train", "train.clip_norm = -1\n", "train.clip_norm"),
+    ("train", "train.plateau_factor = 1e300\n", "train.plateau_factor"),
+    ("train", "train.plateau_patience = 0\n", "train.plateau_patience"),
+    ("train", "train.lr_floor_xi = inf\n", "train.lr_floor_xi"),
+    ("train", "train.lr_floor_xic = inf\n", "train.lr_floor_xic"),
 ], ids=["schedule.t_min", "train.batch", "data.d", "sample.count",
         "bound.samples", "train.epochs", "train.val_refresh_steps",
         "cross.families", "sweep.r_values", "bound.r", "bench.eval_count",
@@ -464,7 +470,10 @@ VP_WINDOW = ("schedule.family = vp_linear\nschedule.T = 1.0\n"
         "vp-alpha_T-subnormal", "vp-beta0-negative", "vp-beta1-negative",
         "bound.r-inf", "bound.r-minus-inf", "sweep.r_values-inf",
         "train.init", "bench-train.init", "data.count", "train.r-inf",
-        "train.r-minus-inf", "train.gamma-inf", "train.gamma-negative"])
+        "train.r-minus-inf", "train.gamma-inf", "train.gamma-negative",
+        "retired-train.clip_norm", "retired-train.plateau_factor",
+        "retired-train.plateau_patience", "retired-train.lr_floor_xi",
+        "retired-train.lr_floor_xic"])
 @pytest.mark.filterwarnings("error")
 def test_bad_config_values_exit_2_naming_the_key(ws, tmp_path, capsys,
                                                  command, extra, key):

@@ -128,7 +128,7 @@ def test_gm_epsilon_differentiable_in_x_and_t():
     x = tape.leaf(np.array([1.0, -0.5]))
     t = tape.leaf(2.0)
     out = den.epsilon(x, t)
-    gx, gt = tape.gradient(en.vsum(out), [x, t])
+    gx, gt = tape.backward([(en.vsum(out), 1.0)], [x, t])
     assert np.all(np.isfinite(gx)) and np.isfinite(gt)
 
 

@@ -152,8 +152,8 @@ def test_from_times_matches_grid():
 
 
 def test_checkpoint_roundtrip(tmp_path):
-    disc = Discretization.from_times(VE, heuristic_times("logsnr", VE, 4),
-                                     xi_c=np.full(5, 0.01))
+    disc = Discretization.from_times(VE, heuristic_times("logsnr", VE, 4))
+    disc.xi_c[:] = 0.01
     spec = SolverSpec(family="dpmpp", order=2, nfe=4)
     p = tmp_path / "ck.json"
     save_checkpoint(p, disc, spec)

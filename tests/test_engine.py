@@ -36,7 +36,7 @@ def fd_grad(f, x, eps=1e-6):
 def taped_grad(f, x):
     tape = en.Tape()
     xv = tape.leaf(x)
-    return tape.gradient(f(xv), [xv])[0]
+    return tape.backward([(f(xv), 1.0)], [xv])[0]
 
 
 def check_op(f, x, eps=1e-6, tol=1e-6):
@@ -120,7 +120,7 @@ def test_operator_overloads_and_reflected_forms():
     tape = en.Tape()
     x = tape.leaf(2.0)
     y = 1.0 + x * 3.0 - 4.0 / x + (-x) + x * x
-    g = tape.gradient(y, [x])[0]
+    g = tape.backward([(y, 1.0)], [x])[0]
     # d/dx (1 + 3x - 4/x - x + x^2) = 3 + 4/x^2 - 1 + 2x
     assert abs(g - (3 + 1 - 1 + 4)) < 1e-12
 
@@ -205,7 +205,7 @@ def test_fanout_accumulates():
     tape = en.Tape()
     x = tape.leaf(1.5)
     y = x * x + en.exp(x) * x  # x used three times
-    g = tape.gradient(y, [x])[0]
+    g = tape.backward([(y, 1.0)], [x])[0]
     want = 2 * 1.5 + np.exp(1.5) * (1 + 1.5)
     assert abs(g - want) < 1e-12
 
@@ -214,7 +214,7 @@ def test_unused_leaf_gets_zeros():
     tape = en.Tape()
     x = tape.leaf(np.array([1.0, 2.0]))
     z = tape.leaf(np.array([3.0, 4.0]))
-    g = tape.gradient(en.vsum(x), [x, z])
+    g = tape.backward([(en.vsum(x), 1.0)], [x, z])
     np.testing.assert_array_equal(g[1], np.zeros(2))
 
 
@@ -269,8 +269,8 @@ def test_repeated_backward_same_tape():
     tape = en.Tape()
     x = tape.leaf(np.array([1.0, 2.0, 3.0]))
     y = en.dot(x, x)
-    g1 = tape.gradient(y, [x])[0]
-    g2 = tape.gradient(y, [x])[0]
+    g1 = tape.backward([(y, 1.0)], [x])[0]
+    g2 = tape.backward([(y, 1.0)], [x])[0]
     np.testing.assert_array_equal(g1, g2)
 
 
@@ -315,7 +315,7 @@ def test_foreign_seed_and_leaf_rejected():
     with pytest.raises(en.EngineError):
         t1.backward([(y, 1.0)], [y])
     with pytest.raises(en.EngineError):
-        t1.gradient(x, [y])
+        t1.backward([(x, 1.0)], [y])
 
 
 def test_nonfinite_adjoint_names_the_op():
@@ -326,14 +326,7 @@ def test_nonfinite_adjoint_names_the_op():
     with np.errstate(divide="ignore"), \
             pytest.raises(en.EngineError,
                           match=r"non-finite adjoint at op \d+ \(expm1\)"):
-        tape.gradient(y, [x])
-
-
-def test_gradient_requires_scalar_output():
-    tape = en.Tape()
-    x = tape.leaf(np.array([1.0, 2.0]))
-    with pytest.raises(en.EngineError, match="scalar"):
-        tape.gradient(en.exp(x), [x])
+        tape.backward([(y, 1.0)], [x])
 
 
 # ------------------------------------------------------------- chain gradient

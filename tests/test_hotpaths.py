@@ -1,4 +1,5 @@
-"""Hot loops call ufuncs and C methods, never NumPy's Python wrappers.
+"""Hot loops and grid builds call ufuncs and C methods, never NumPy's Python
+wrappers.
 
 On the (8, 2) arrays of a step, a wrapper such as np.sum, np.shape,
 ndarray.all or np.zeros_like costs 2-6x the ufunc or C call it wraps.  Each
@@ -81,6 +82,17 @@ def step_call(sched, spec_name, mode):
 def test_a_step_enters_no_numpy_wrapper(sched_name, spec_name, mode):
     call = step_call(SCHEDS[sched_name], spec_name, mode)
     assert wrappers_entered(call) == []
+
+
+@pytest.mark.parametrize("spec_name", sorted(SPECS))
+@pytest.mark.parametrize("sched_name", sorted(SCHEDS))
+def test_a_cold_grid_build_enters_no_numpy_wrapper(sched_name, spec_name):
+    sched = SCHEDS[sched_name]
+    den = config.build_denoiser(dict(config.DEFAULTS), sched)
+    spec = SolverSpec(*SPECS[spec_name], nfe=4)
+    times = heuristic_times("logsnr", sched, 4)
+    assert wrappers_entered(
+        lambda: checked_shared(den, sched, spec, times)) == []
 
 
 @pytest.mark.parametrize("sched_name", sorted(SCHEDS))

@@ -433,6 +433,73 @@ def test_non_monotone_grid_aborts_after_the_step_that_made_it(
         np.testing.assert_array_equal(ds.x_prime[val_idx], ds.x_T[val_idx])
 
 
+ABORT_CAUSES = ["iteration-grid", "iteration-loss", "refresh-grid",
+                "validation-loss"]
+
+
+@pytest.mark.parametrize("cause", ABORT_CAUSES)
+def test_each_abort_cause_in_epoch1_keeps_the_epoch0_checkpoint(
+        monkeypatch, cause):
+    """Each cause train() catches, met in epoch 1: a GridError from an
+    iteration's pair_grads or from the refresh, or a non-finite iteration
+    or validation loss.  Each ends training as an abort that keeps epoch
+    0's checkpoint and epoch row, the rows of the iterations that ran and
+    the ball violation of every state the run left."""
+    ds = small_dataset(count=8)  # 4 training pairs: 2 steps per epoch
+    spec = SolverSpec(family="dpmpp", order=2, nfe=4)
+    one = train(fresh(ds), GM, VE, spec, replace(CFG, epochs_phase2=0))
+    both = fresh(ds)
+    full = train(both, GM, VE, spec, CFG)
+    assert not (one.aborted or full.aborted)
+    real_pair_grads, real_refresh = training.pair_grads, training._refresh
+    calls = []
+
+    def faulty_pair_grads(*args):
+        res = real_pair_grads(*args)
+        if len(args) == 6:  # an iteration's call; the refresh passes 8
+            calls.append(None)
+            if len(calls) == 3:  # epoch 1's first iteration
+                if cause == "iteration-grid":
+                    raise GridError("time grid must be strictly decreasing")
+                res.loss = np.full_like(res.loss, np.nan)
+        return res
+
+    def faulty_refresh(*args):
+        calls.append(None)
+        if len(calls) == 2 and cause == "refresh-grid":
+            raise GridError("time grid must be strictly decreasing")
+        best_x, losses = real_refresh(*args)
+        if len(calls) == 2:
+            losses = np.full_like(losses, np.inf)
+        return best_x, losses
+
+    if cause.startswith("iteration"):
+        monkeypatch.setattr(training, "pair_grads", faulty_pair_grads)
+    else:
+        monkeypatch.setattr(training, "_refresh", faulty_refresh)
+    report = train(fresh(ds), GM, VE, spec, CFG)
+    assert report.aborted and report.best_epoch == 0
+    assert report.best_val == one.best_val
+    np.testing.assert_array_equal(report.best_xi, one.best_xi)
+    np.testing.assert_array_equal(report.best_xi_c, one.best_xi_c)
+    assert [row[:5] for row in report.epoch_rows] == \
+        [row[:5] for row in one.epoch_rows]  # wall_s aside
+    if cause.startswith("iteration"):  # nothing of epoch 1 ran
+        assert report.iter_rows == one.iter_rows
+        assert report.max_ball_violation == one.max_ball_violation
+    else:  # epoch 1's iterations ran in full
+        assert report.iter_rows == full.iter_rows
+    if cause == "validation-loss":  # and its refresh moved the rows
+        assert report.max_ball_violation == full.max_ball_violation
+    if cause == "refresh-grid":  # epoch 1's training rows, epoch 0's others
+        train_idx, _ = split_indices(ds.count, ds.seed)
+        diff = both.x_prime[train_idx] - both.x_T[train_idx]
+        rho = radius(CFG.gamma, ds.d, spec.nfe) * VE.sigma_T
+        assert report.max_ball_violation == max(
+            one.max_ball_violation,
+            float(np.max(np.sqrt(np.vecdot(diff, diff)))) - rho)
+
+
 def test_train_builds_its_discretization_once(monkeypatch):
     """One Discretization for the whole run, beside select_init's one per
     heuristic, however many iterations and epochs run."""
