@@ -171,9 +171,19 @@ def build_denoiser(cfg, sched):
     if means.shape[0] != k * d:
         raise ConfigError("data.means must hold K*d values")
     for key in ("data.weights", "data.vars"):
-        if k < 1 or len(cfg[key]) != k or not all(v > 0 for v in cfg[key]):
+        if k < 1 or len(cfg[key]) != k or \
+                not all(0 < v < np.inf for v in cfg[key]):
             raise ConfigError(f"{key} = {cfg[key]} must hold one positive "
-                              f"value per component ({k} in data.weights)")
+                              f"finite value per component ({k} in "
+                              f"data.weights)")
+    if not sum(cfg["data.weights"]) < np.inf:  # they are divided by it
+        raise ConfigError(f"data.weights = {cfg['data.weights']} sum past "
+                          f"the float64 range")
+    # the table holds 2 v_k = 2 (alpha^2 var_k + sigma^2), alpha <= 1
+    s_T = sched.sigma_T
+    if not all(2.0 * (v + s_T * s_T) < np.inf for v in cfg["data.vars"]):
+        raise ConfigError(f"data.vars = {cfg['data.vars']} too large: "
+                          f"2 (var + sigma_T^2) overflows float64")
     return denoisers.GMDenoiser.create(sched, cfg["data.weights"],
                                        means.reshape(k, d),
                                        cfg["data.vars"])

@@ -23,10 +23,14 @@ its single-row result bit for bit.
 A solver grid fixes its query times, so the terms that depend on t alone
 are built once per grid by `step_constants`, with vector ops over the
 N + 1 times: alpha and sigma, from one `sched.alpha_sigma` (under VE alpha
-is ones), then v_k, 2 v_k, the log-normaliser -(d/2)(log v_k + log 2 pi)
-and alpha mu_k.  Step i passes their row i to `epsilon` in place of t.  A
-query time is the one-row case of the same build, so epsilon at t_i equals
-epsilon with row i bit for bit.
+is ones), then v_k, 2 v_k, c_k = log w_k - (d/2)(log v_k + log 2 pi), the
+log weight plus the log-normaliser, and alpha mu_k.  Step i passes their
+row i to `epsilon` in place of t.  A query time is the one-row case of the
+same build, so epsilon at t_i equals epsilon with row i bit for bit.
+
+Each call then forms the log terms c_k - |x - alpha mu_k|^2 / (2 v_k) and
+takes the responsibilities from one exp pass, gamma = e / sum_k e with
+e = exp(terms - max_k terms): no log, one exp.
 """
 
 from __future__ import annotations
@@ -42,26 +46,27 @@ from . import rng as rngmod
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-def _gm_table(ad, sd, means, variances):
+def _gm_table(ad, sd, log_w, means, variances):
     """Plain numpy: the time-only terms of the mixture at alphas ad and
     sigmas sd, both 0-d or (n,): the (..., K) arrays v_k = a^2 s_k^2 + s^2,
-    2 v and c_k = -(d/2)(log v_k + log 2 pi), and the (..., K, d) array
-    a mu_k."""
+    2 v and c_k = log w_k - (d/2)(log v_k + log 2 pi), and the (..., K, d)
+    array a mu_k."""
     ad, sd = np.asarray(ad), np.asarray(sd)
     a, s = ad[..., None], sd[..., None]
     v = a * a * variances + s * s
-    c = -0.5 * means.shape[1] * (np.log(v) + _LOG_2PI)
+    c = log_w - 0.5 * means.shape[1] * (np.log(v) + _LOG_2PI)
     return v, 2.0 * v, c, ad[..., None, None] * means
 
 
-def _gm_kernel(x, row, log_w, means, variances, tangents, pullback):
+def _gm_kernel(x, row, means, variances, tangents, pullback):
     """The mixture's epsilon from one row (alpha, sigma, v, 2v, c, alpha mu)
     of time-only terms.
 
     The value is computed in plain numpy.  When x, alpha or sigma is taped,
     it is recorded as one op over (x, alpha, sigma) whose VJP is the closed
     form of eps = sigma sum_k (gamma_k / v_k) (x - alpha mu_k), gamma the
-    softmax of the log terms log w_k + c_k - |x - alpha mu_k|^2 / (2 v_k).
+    softmax of the log terms c_k - |x - alpha mu_k|^2 / (2 v_k), taken from
+    one exp pass.
     In the pullback mode that VJP comes back beside the value instead.
 
     Given tangents V, rows (..., n, d) at a cold x, it returns (eps, J V)
@@ -73,8 +78,9 @@ def _gm_kernel(x, row, log_w, means, variances, tangents, pullback):
     xd, ad, sd = en.data_of(x), en.data_of(a), en.data_of(s)
     diff = xd[..., None, :] - am
     q = np.vecdot(diff, diff)
-    terms = log_w + (c - q / v2)
-    gamma = np.exp(terms - en.logsumexp(terms)[..., None])
+    terms = c - q / v2
+    e = np.exp(terms - np.maximum.reduce(terms, axis=-1, keepdims=True))
+    gamma = e / np.add.reduce(e, axis=-1, keepdims=True)
     r = gamma / v
     acc = np.add.reduce(r[..., None] * diff, axis=-2)
     if tangents is not None:
@@ -160,7 +166,8 @@ class GMDenoiser:
         op keeps (x, alpha_i, sigma_i) as its parents.
         """
         a, s = self.sched.alpha_sigma(times_c)
-        return (a, s) + _gm_table(en.data_of(a), en.data_of(s), self.means,
+        return (a, s) + _gm_table(en.data_of(a), en.data_of(s),
+                                  self.log_weights, self.means,
                                   self.variances)
 
     def epsilon(self, x, t, tangents=None, pullback=None):
@@ -172,8 +179,8 @@ class GMDenoiser:
         """
         if type(t) is not tuple:
             t = self.step_constants(self.sched.check_domain(t))
-        return _gm_kernel(x, t, self.log_weights, self.means, self.variances,
-                          tangents, pullback)
+        return _gm_kernel(x, t, self.means, self.variances, tangents,
+                          pullback)
 
     def sample_data(self, count, seed):
         """Exact samples from the mixture, one substream per index."""

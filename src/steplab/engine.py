@@ -4,8 +4,8 @@ A :class:`Value` wraps a scalar or a small numpy array and remembers the tape
 position that produced it.  Operations are provided both as module functions
 (`exp`, `dot`, `stack`, ...) and as operators on :class:`Value`.  Operands
 broadcast as in numpy, so one code path runs a single row of shape (d,) or a
-batch of shape (B, d); the row-wise ops (`dot`, `stack`, `logsumexp`) act on
-the last axis.  Every function also accepts plain floats/arrays, so the
+batch of shape (B, d); the row-wise ops (`dot`, `stack`) act on the last
+axis.  Every function also accepts plain floats/arrays, so the
 same code path can run "hot" (taped) or "cold" (plain numpy) with
 bit-identical results: an op makes the same numpy calls either way, and with
 no taped operand it returns the plain numpy value before it builds a VJP.
@@ -21,15 +21,17 @@ arrays returning their own transposes, and one reverse sweep over those
 cached pullbacks, with no tape and no replay, seeds the prelude's tape.
 
 Hot loops (a step, cold, Jacobian or transposed, the march's divergence
-check, the grid checks and builds, and the draws) call ufuncs and C
-methods, never NumPy's Python wrappers: `np.add.reduce` for `np.sum`,
-`np.maximum.reduce` for `.max`, `np.logical_and.reduce` for `.all()`,
-`.shape` and `.mT` for `np.shape` and `np.swapaxes`, `np.zeros(shape)`
-for `np.zeros_like` and a filled `np.empty(shape)` for `np.ones`.  On
-the few-row arrays a step handles, a wrapper costs 2-6x the call it
-wraps, and the call gives the same bits, since each replacement runs the
-same reduction in the same order.  tests/test_hotpaths.py holds the
-rule.
+check, the grid checks and builds, the draws, and a training gradient's
+prelude, seed and sweep) call ufuncs and C methods, never NumPy's Python
+wrappers: `np.add.reduce` for `np.sum`, `np.maximum.reduce` for `.max`,
+`np.logical_and.reduce` for `.all()`, `np.add.accumulate` for
+`np.cumsum`, `np.minimum(np.maximum(...))` for `np.clip`, `.shape`,
+`.ndim` and `.mT` for `np.shape`, `np.ndim` and `np.swapaxes`,
+`np.zeros(shape)` for `np.zeros_like` and :func:`full`, a filled
+`np.empty(shape)`, for `np.ones` and `np.full_like`.  On the few-row
+arrays a step handles, a wrapper costs 2-6x the call it wraps, and the
+call gives the same bits, since each replacement runs the same reduction
+in the same order.  tests/test_hotpaths.py holds the rule.
 """
 
 from __future__ import annotations
@@ -85,6 +87,13 @@ class Value:
 
 def data_of(x):
     return x.data if type(x) is Value else x
+
+
+def full(shape, value):
+    """np.full(shape, value) without NumPy's Python wrapper."""
+    out = np.empty(shape)
+    out.fill(value)
+    return out
 
 
 def _reduce(g, ref):
@@ -145,7 +154,7 @@ class Tape:
             if not isinstance(v, Value) or v.tape is not self:
                 raise EngineError("seed value does not belong to this tape")
             s = np.asarray(s, dtype=np.float64)
-            if s.shape != np.shape(v.data):
+            if s.shape != getattr(v.data, "shape", ()):
                 raise EngineError("seed adjoint shape mismatch")
             adj[v.idx] = s if adj[v.idx] is None else adj[v.idx] + s
             top = max(top, v.idx)
@@ -245,15 +254,17 @@ def clamp(x, lo, hi):
     def dfn(xd, out):
         return ((xd >= lo) & (xd <= hi)).astype(np.float64)
 
-    return _unary(x, lambda v: np.clip(v, lo, hi), dfn, "clamp")
+    return _unary(x, lambda v: np.minimum(np.maximum(v, lo), hi), dfn,
+                  "clamp")
 
 
 def vsum(x):
     """Sum of all entries."""
     if type(x) is not Value:
-        return np.sum(x)
+        return np.add.reduce(x, axis=None)
     xd = x.data
-    return record(np.sum(xd), (x,), lambda adj: (np.full_like(xd, adj),), "sum")
+    return record(np.add.reduce(xd, axis=None), (x,),
+                  lambda adj: (full(xd.shape, adj),), "sum")
 
 
 def dot(a, b):
@@ -276,25 +287,9 @@ def dot(a, b):
     return record(out, (a, b), vjp, "dot")
 
 
-def logsumexp(x):
-    """log sum exp over the last axis."""
-    # the max shift is held constant; the derivative is exact regardless
-    xd = data_of(x)
-    m = np.maximum.reduce(xd, axis=-1, keepdims=True)
-    out = m[..., 0] + np.log(np.add.reduce(np.exp(xd - m), axis=-1))
-    if type(x) is not Value:
-        return out
-
-    def vjp(adj):
-        return (np.asarray(adj)[..., None]
-                * np.exp(xd - np.asarray(out)[..., None]),)
-
-    return record(out, (x,), vjp, "logsumexp")
-
-
 def softmax(x):
     xd = data_of(x)
-    s = exp(sub(x, np.max(xd)))
+    s = exp(sub(x, np.maximum.reduce(xd, axis=None)))
     return div(s, vsum(s))
 
 
@@ -363,10 +358,10 @@ def lincomb(row, arrays):
 def rcumsum(x):
     """Suffix sums: out[i] = sum_{j >= i} x[j]."""
     xd = data_of(x)
-    out = np.cumsum(xd[::-1])[::-1]
+    out = np.add.accumulate(xd[::-1])[::-1]
     if type(x) is not Value:
         return out
-    return record(out, (x,), lambda adj: (np.cumsum(adj),), "rcumsum")
+    return record(out, (x,), lambda adj: (np.add.accumulate(adj),), "rcumsum")
 
 
 def record(out, parents, vjp, name):
@@ -426,12 +421,12 @@ class ChainGradResult:
 
 
 def _ones_like(loss):
-    return np.ones(np.shape(data_of(loss)))
+    return full(getattr(data_of(loss), "shape", ()), 1.0)
 
 
 def _loss_value(loss):
     loss = data_of(loss)
-    return float(loss) if np.ndim(loss) == 0 else np.asarray(loss)
+    return float(loss) if getattr(loss, "ndim", 0) == 0 else np.asarray(loss)
 
 
 def whole_chain_grad(leaves, prelude, steps, finale):

@@ -107,9 +107,7 @@ class NoiseSchedule:
         from one log alpha, under VE alpha as ones shaped like t.  `sigma`
         and `lam`, which need no alpha, share its sigma^2."""
         if self.family == VE_EDM:
-            ones = np.empty(np.asarray(en.data_of(t)).shape)
-            ones.fill(1.0)
-            return ones, t
+            return en.full(np.asarray(en.data_of(t)).shape, 1.0), t
         la = self._vp_log_alpha(t)
         return en.exp(la), en.sqrt(self._vp_sigma_sq(la))
 

@@ -66,7 +66,7 @@ def distance(a, b):
     """Dimension-normalized squared error (1/d) ||a - b||^2 per row;
     engine-generic."""
     diff = en.sub(a, b)
-    d = np.shape(en.data_of(diff))[-1]
+    d = en.data_of(diff).shape[-1]
     return en.mul(en.dot(diff, diff), 1.0 / d)
 
 

@@ -312,14 +312,20 @@ def gm_epsilon_k_loop(den, x, t):
         v = (a * a) * float(variances[k]) + s2
         diff = en.sub(x, a * means[k])
         q = en.dot(diff, diff)
-        logn = -0.5 * d * (en.log(v) + np.log(2.0 * np.pi)) - q / (2.0 * v)
-        terms.append(float(np.log(weights[k])) + logn)
+        c = float(np.log(weights[k])) + -0.5 * d * (en.log(v)
+                                                     + np.log(2.0 * np.pi))
+        terms.append(c - q / (2.0 * v))
         diffs.append(diff)
         varis.append(v)
-    lse = en.logsumexp(en.stack(terms))
+    # one exp pass: e_k = exp(term_k - max), a constant shift, then e / sum e
+    top = np.maximum.reduce([en.data_of(term) for term in terms])
+    es = [en.exp(en.sub(term, top)) for term in terms]
+    total = es[0]
+    for e in es[1:]:  # np.add.reduce sums a few entries left to right
+        total = en.add(total, e)
     acc = None
-    for term, diff, v in zip(terms, diffs, varis):
-        w = en.div(en.exp(en.sub(term, lse)), v)
+    for e, diff, v in zip(es, diffs, varis):
+        w = en.div(en.div(e, total), v)
         if np.ndim(en.data_of(w)):
             w = en.index(w, (Ellipsis, None))
         acc = en.mul(w, diff) if acc is None else en.add(acc, en.mul(w, diff))

@@ -455,6 +455,10 @@ VP_WINDOW = ("schedule.family = vp_linear\nschedule.T = 1.0\n"
     ("train", "train.plateau_patience = 0\n", "train.plateau_patience"),
     ("train", "train.lr_floor_xi = inf\n", "train.lr_floor_xi"),
     ("train", "train.lr_floor_xic = inf\n", "train.lr_floor_xic"),
+    ("gen-data", "data.vars = 0.25,inf,0.36\n", "data.vars"),
+    ("gen-data", "data.vars = 0.25,1e308,0.36\n", "data.vars"),
+    ("gen-data", "data.weights = 0.5,inf,0.2\n", "data.weights"),
+    ("gen-data", "data.weights = 1e308,1e308,1e308\n", "data.weights"),
 ], ids=["schedule.t_min", "train.batch", "data.d", "sample.count",
         "bound.samples", "train.epochs", "train.val_refresh_steps",
         "cross.families", "sweep.r_values", "bound.r", "bench.eval_count",
@@ -473,7 +477,8 @@ VP_WINDOW = ("schedule.family = vp_linear\nschedule.T = 1.0\n"
         "train.r-minus-inf", "train.gamma-inf", "train.gamma-negative",
         "retired-train.clip_norm", "retired-train.plateau_factor",
         "retired-train.plateau_patience", "retired-train.lr_floor_xi",
-        "retired-train.lr_floor_xic"])
+        "retired-train.lr_floor_xic", "data.vars-inf", "data.vars-2v-overflow",
+        "data.weights-inf", "data.weights-sum-overflow"])
 @pytest.mark.filterwarnings("error")
 def test_bad_config_values_exit_2_naming_the_key(ws, tmp_path, capsys,
                                                  command, extra, key):

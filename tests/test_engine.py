@@ -125,10 +125,9 @@ def test_operator_overloads_and_reflected_forms():
     assert abs(g - (3 + 1 - 1 + 4)) < 1e-12
 
 
-def test_dot_norm_logsumexp_match_fd():
+def test_dot_norm_matches_fd():
     x = np.array([0.9, -0.4, 0.2])
     check_op(lambda v: en.dot(v, v), x)
-    check_op(en.logsumexp, x)
 
 
 def test_vsum_and_index():
@@ -225,7 +224,7 @@ PRIMITIVES = [
     ("add", en.add, (X, W)), ("sub", en.sub, (X, W)),
     ("mul", en.mul, (X, W)), ("div", en.div, (X, W)),
     ("vsum", en.vsum, (X,)), ("dot", en.dot, (X, W)),
-    ("logsumexp", en.logsumexp, (X,)), ("softmax", en.softmax, (X,)),
+    ("softmax", en.softmax, (X,)),
     ("stack", lambda *xs: en.stack(xs), (0.5, X, W)),
     ("index", lambda x: en.index(x, 1), (X,)),
     ("lincomb", lambda r, a, b: en.lincomb(r, (a, b)),

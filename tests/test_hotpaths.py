@@ -1,5 +1,5 @@
-"""Hot loops and grid builds call ufuncs and C methods, never NumPy's Python
-wrappers.
+"""Hot loops, grid builds and training's gradient bookkeeping call ufuncs
+and C methods, never NumPy's Python wrappers.
 
 On the (8, 2) arrays of a step, a wrapper such as np.sum, np.shape,
 ndarray.all or np.zeros_like costs 2-6x the ufunc or C call it wraps.  Each
@@ -17,11 +17,12 @@ import pytest
 from numpy._core import _methods, fromnumeric, numeric
 
 from steplab import config
-from steplab.discretize import heuristic_times
+from steplab.discretize import Discretization, heuristic_times
 from steplab.rng import sample_prior
 from steplab.schedule import ve_edm, vp_linear
 from steplab.solvers import (SolverSpec, checked_shared, initial_state,
                              make_steps, shared_map)
+from steplab.training import pair_grads
 
 WRAPPER_FILES = {m.__file__ for m in (fromnumeric, _methods, numeric)}
 SCHEDS = {"ve": ve_edm(), "vp": vp_linear()}
@@ -99,3 +100,22 @@ def test_a_cold_grid_build_enters_no_numpy_wrapper(sched_name, spec_name):
 def test_sample_prior_enters_no_numpy_wrapper(sched_name):
     sched = SCHEDS[sched_name]
     assert wrappers_entered(lambda: sample_prior(sched, 2, B, seed=5)) == []
+
+
+@pytest.mark.parametrize("grid", ["learned", "frozen"])
+@pytest.mark.parametrize("sched_name", sorted(SCHEDS))
+def test_pair_grads_enters_no_numpy_wrapper(sched_name, grid):
+    """One dpmpp2 training call on B pairs: a learned grid tapes its
+    prelude (softmax, suffix sums, clamp) and sweeps back through it; a
+    frozen grid's call tapes x_prime alone.  Both seed the sweep with
+    ones and read the loss back."""
+    sched = SCHEDS[sched_name]
+    den = config.build_denoiser(dict(config.DEFAULTS), sched)
+    spec = SolverSpec("dpmpp", 2, nfe=4)
+    disc = Discretization.from_times(sched,
+                                     heuristic_times("logsnr", sched, 4))
+    x = sample_prior(sched, den.d, B, seed=3)
+    shared = None if grid == "learned" else \
+        checked_shared(den, sched, spec, disc.times(), disc.times_c())
+    assert wrappers_entered(lambda: pair_grads(
+        disc, den, sched, spec, x, 0.5 * x, True, shared)) == []
