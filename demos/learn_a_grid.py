@@ -51,5 +51,5 @@ print()
 print("mean teacher distance on 64 fresh draws:")
 for kind in ("uniform", "quadratic", "edm", "logsnr"):
     times = heuristic_times(kind, sched, spec.nfe)
-    print(f"  {kind:>10}: {mean_teacher_dist(times, times):.5f}")
+    print(f"  {kind:>10}: {mean_teacher_dist(times, None):.5f}")
 print(f"  {'learned':>10}: {mean_teacher_dist(disc.times(), disc.times_c()):.5f}")

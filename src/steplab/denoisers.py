@@ -22,7 +22,7 @@ its single-row result bit for bit.
 
 A solver grid fixes its query times, so the terms that depend on t alone
 are built once per grid by `step_constants`, with vector ops over the
-N + 1 times: alpha and sigma, from one `sched.alpha_sigma` (under VE alpha
+N query times: alpha and sigma, from one `sched.alpha_sigma` (under VE alpha
 is ones), then v_k, 2 v_k, c_k = log w_k - (d/2)(log v_k + log 2 pi), the
 log weight plus the log-normaliser, and alpha mu_k.  Step i passes their
 row i to `epsilon` in place of t.  A query time is the one-row case of the
@@ -157,7 +157,7 @@ class GMDenoiser:
 
     def step_constants(self, times_c):
         """The time-only terms at the checked query times times_c, 0-d or
-        (N + 1,): alpha, sigma, then `_gm_table`'s v, 2v, c and alpha mu,
+        (N,): alpha, sigma, then `_gm_table`'s v, 2v, c and alpha mu,
         each with one row per step.  Row i, the tuple of their i-th
         entries, stands in for t_i in `epsilon`.
 

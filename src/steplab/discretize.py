@@ -1,15 +1,15 @@
 """Learnable and heuristic time grids.
 
-The learned grid is parameterized by an unconstrained vector xi of length
-N + 1 through a cumulative-softmax map: with s = softmax(xi),
+The learned grid of N steps is parameterized by an unconstrained vector xi
+of N logits, one per interval: with e = exp(xi - max xi),
 
-    tau'(i) = sum_{n >= i} s_n,
-    tau(i)  = (tau'(i) - tau'(N)) / (tau'(0) - tau'(N)) * (T - t_min) + t_min,
+    unit(i) = sum_{n >= i} e_n / sum_n e_n,    i = 0 .. N,
+    tau(i)  = unit(i) (T - t_min) + t_min,
 
-which is strictly decreasing in i with tau(0) = T and tau(N) = t_min for any
-xi.  A second vector xi_c of per-index offsets gives the denoiser query times
-t^c_i = clamp(tau(i) + xi_c_i, t_min, T); the solver consumes xi_c only at
-indices 0 .. N-1.
+which is strictly decreasing in i, with unit(0) = 1 and unit(N) = 0
+exactly, so tau(0) = T and tau(N) = t_min for any xi.  A second vector
+xi_c of N per-step offsets gives the denoiser query times
+t^c_i = clamp(tau(i) + xi_c_i, t_min, T), i = 0 .. N-1.
 
 Heuristic grids (uniform, quadratic, edm, logsnr) are produced in the same
 canonical decreasing form with exact endpoints, and `init_from_times` inverts
@@ -31,55 +31,41 @@ _RHO_EDM = 7.0  # the EDM grid's sigma^(1/rho) spacing
 
 
 def tau(xi, T, t_min):
-    """Decreasing grid from unconstrained xi; engine-generic.
+    """The N + 1 decreasing grid times of the N logits xi; engine-generic.
 
-    Softmax masses below float resolution relative to the largest make
-    suffix sums collide; the grid then cannot stay strictly decreasing in
-    float64, so that degenerate case raises instead of returning NaNs.
+    A logit spread past float resolution ties neighbouring times, which
+    `solvers.checked_shared` refuses.
     """
-    s = en.softmax(xi)
-    suffix = en.rcumsum(s)
-    top = en.index(suffix, 0)
-    bottom = en.index(suffix, -1)
-    span = en.sub(top, bottom)
-    if en.data_of(span) <= 0.0:
-        raise GridError("xi spread too large: softmax masses underflow")
-    unit = en.div(en.sub(suffix, bottom), span)
+    e = en.exp(en.sub(xi, np.maximum.reduce(en.data_of(xi), axis=None)))
+    suffix = en.rcumsum(e)
+    unit = en.div(suffix, en.index(suffix, 0))
     return en.add(en.mul(unit, T - t_min), t_min)
 
 
 def query_times(times, xi_c, T, t_min):
-    """t^c = clamp(times + xi_c, t_min, T), times = tau(xi); engine-generic."""
-    return en.clamp(en.add(times, xi_c), t_min, T)
+    """t^c_i = clamp(t_i + xi_c_i, t_min, T) for the N steps, times =
+    tau(xi); engine-generic."""
+    return en.clamp(en.add(en.index(times, slice(None, -1)), xi_c), t_min, T)
 
 
 def init_from_times(times, T, t_min):
-    """Invert tau: find xi with tau(xi) = times (to float precision).
-
-    The softmax leaves one degree of freedom; the mass at index N is pinned
-    to the mean interior mass, so a uniform grid maps to a constant xi.
-    """
+    """Invert tau: xi = log of the grid's interval widths, so tau(xi) =
+    times to float precision and a uniform grid maps to a constant xi."""
     times = np.asarray(times, dtype=np.float64)
-    n = times.shape[0] - 1
-    if n < 1:
+    if times.shape[0] < 2:
         raise GridError("grid needs at least two points")
     if not np.logical_and.reduce(times[1:] < times[:-1]):
         raise GridError("grid must be strictly decreasing")
-    span = T - t_min
     if abs(times[0] - T) > 1e-9 * max(1.0, T) or \
             abs(times[-1] - t_min) > 1e-9 * max(1.0, T):
         raise GridError("grid endpoints must be T and t_min")
-    u = (times - t_min) / span
-    du = u[:-1] - u[1:]
-    masses = np.empty(n + 1, dtype=np.float64)
-    masses[:n] = du * (n / (n + 1.0))
-    masses[n] = 1.0 / (n + 1.0)
-    return np.log(masses)
+    u = (times - t_min) / (T - t_min)
+    return np.log(u[:-1] - u[1:])
 
 
 @dataclass
 class Discretization:
-    """Grid parameters bound to a schedule; xi and xi_c have length nfe + 1."""
+    """Grid parameters bound to a schedule; xi and xi_c have length nfe."""
 
     sched: object
     nfe: int
@@ -89,13 +75,13 @@ class Discretization:
     @classmethod
     def create(cls, sched, nfe, xi=None, xi_c=None):
         if xi is None:
-            xi = np.zeros(nfe + 1, dtype=np.float64)
+            xi = np.zeros(nfe, dtype=np.float64)
         xi = np.asarray(xi, dtype=np.float64).copy()
         if xi_c is None:
-            xi_c = np.zeros(nfe + 1, dtype=np.float64)
+            xi_c = np.zeros(nfe, dtype=np.float64)
         xi_c = np.asarray(xi_c, dtype=np.float64).copy()
-        if xi.shape != (nfe + 1,) or xi_c.shape != (nfe + 1,):
-            raise GridError(f"xi and xi_c must have shape ({nfe + 1},)")
+        if xi.shape != (nfe,) or xi_c.shape != (nfe,):
+            raise GridError(f"xi and xi_c must have shape ({nfe},)")
         return cls(sched=sched, nfe=nfe, xi=xi, xi_c=xi_c)
 
     @classmethod
@@ -187,11 +173,11 @@ def load_checkpoint(path, sched):
     """Read a grid checkpoint; returns (Discretization, SolverSpec).
 
     The file must be JSON, every field save_checkpoint writes must be
-    present with its type, the stored times and times_c must be exactly
-    tau(xi) and the query times of (xi, xi_c), the solver family and order
-    must be a known pair and solver.nfe must equal N, so a malformed,
-    edited or stale checkpoint is refused, naming the field, rather than
-    sampled.
+    present with its type, xi and xi_c must hold N entries each, the stored
+    times and times_c must be exactly tau(xi) and the query times of
+    (xi, xi_c), the solver family and order must be a known pair and
+    solver.nfe must equal N, so a malformed, edited or stale checkpoint is
+    refused, naming the field, rather than sampled.
     """
     try:
         with open(path) as fh:
@@ -217,6 +203,10 @@ def load_checkpoint(path, sched):
     times = np.asarray(blob["times"], dtype=np.float64)
     if times.shape != (n + 1,) or not np.all(np.diff(times) < 0.0):
         raise GridError("checkpoint times must be strictly decreasing")
+    for key in ("xi", "xi_c"):
+        if len(blob[key]) != n:
+            raise GridError(f"checkpoint field {key} has {len(blob[key])} "
+                            f"entries, not N = {n}")
     disc = Discretization.create(sched, n, xi=np.asarray(blob["xi"]),
                                  xi_c=np.asarray(blob["xi_c"]))
     for key, want in (("times", disc.times()), ("times_c", disc.times_c())):

@@ -28,10 +28,10 @@ wrappers: `np.add.reduce` for `np.sum`, `np.maximum.reduce` for `.max`,
 `np.cumsum`, `np.minimum(np.maximum(...))` for `np.clip`, `.shape`,
 `.ndim` and `.mT` for `np.shape`, `np.ndim` and `np.swapaxes`,
 `np.zeros(shape)` for `np.zeros_like` and :func:`full`, a filled
-`np.empty(shape)`, for `np.ones` and `np.full_like`.  On the few-row
-arrays a step handles, a wrapper costs 2-6x the call it wraps, and the
-call gives the same bits, since each replacement runs the same reduction
-in the same order.  tests/test_hotpaths.py holds the rule.
+`np.empty(shape)`, for `np.ones`.  On the few-row arrays a step
+handles, a wrapper costs 2-6x the call it wraps, and the call gives the
+same bits, since each replacement runs the same reduction in the same
+order.  tests/test_hotpaths.py holds the rule.
 """
 
 from __future__ import annotations
@@ -258,15 +258,6 @@ def clamp(x, lo, hi):
                   "clamp")
 
 
-def vsum(x):
-    """Sum of all entries."""
-    if type(x) is not Value:
-        return np.add.reduce(x, axis=None)
-    xd = x.data
-    return record(np.add.reduce(xd, axis=None), (x,),
-                  lambda adj: (full(xd.shape, adj),), "sum")
-
-
 def dot(a, b):
     """Row-wise inner product over the last axis: (..., d) x (..., d) -> (...)."""
     ad, bd = data_of(a), data_of(b)
@@ -285,12 +276,6 @@ def dot(a, b):
                 _reduce(col * ad, bd) if live_b else None)
 
     return record(out, (a, b), vjp, "dot")
-
-
-def softmax(x):
-    xd = data_of(x)
-    s = exp(sub(x, np.maximum.reduce(xd, axis=None)))
-    return div(s, vsum(s))
 
 
 def stack(xs):
@@ -356,12 +341,15 @@ def lincomb(row, arrays):
 
 
 def rcumsum(x):
-    """Suffix sums: out[i] = sum_{j >= i} x[j]."""
+    """The n + 1 suffix sums of a vector of n, the empty one last:
+    out[i] = sum_{j >= i} x[j], so out[n] = 0 exactly."""
     xd = data_of(x)
-    out = np.add.accumulate(xd[::-1])[::-1]
+    out = np.zeros(xd.shape[0] + 1)
+    np.add.accumulate(xd[::-1], out=out[-2::-1])
     if type(x) is not Value:
         return out
-    return record(out, (x,), lambda adj: (np.add.accumulate(adj),), "rcumsum")
+    return record(out, (x,), lambda adj: (np.add.accumulate(adj[:-1]),),
+                  "rcumsum")
 
 
 def record(out, parents, vjp, name):

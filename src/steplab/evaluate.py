@@ -222,7 +222,7 @@ def bench_cell(ds, den, sched, spec, cfg, method, nfe, assets, seed):
         times, times_c = disc.times(), disc.times_c()
     else:
         times = heuristic_times(method, sched, spec_n.nfe)
-        times_c = times
+        times_c = None
     out = solve_batch(den, sched, spec_n, times, times_c, x_eval)
     tdist = float(np.mean(distance(out, y_eval)))
     return (method, f"{spec.family}{spec.order}", int(nfe), tdist,

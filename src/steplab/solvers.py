@@ -220,7 +220,7 @@ class _Tangents:
 
 def solver_map(den, sched, spec, times, times_c=None):
     """Closure x_T -> x_N on the checked grid, taped or raw, (d,) or (B, d);
-    times_c defaults to times.  With jacobian=True (cold x_T, a denoiser
+    times_c defaults to times[:-1].  With jacobian=True (cold x_T, a denoiser
     taking tangents) it returns the stacked final slot (..., 1 + d, d):
     x_N, then the rows of (dx_N / dx_T)^T."""
     return shared_map(den, spec,
@@ -229,10 +229,11 @@ def solver_map(den, sched, spec, times, times_c=None):
 
 def checked_shared(den, sched, spec, times, times_c=None):
     """What every step reads, engine-generic: the table of `times`, then
-    den's step constants on times_c (default times).  Raises GridError or
+    den's step constants on the nfe query times times_c (default
+    times[:-1], each step's start).  Raises GridError or
     ScheduleDomainError unless the grid has nfe + 1 strictly decreasing
-    times, it and times_c in the schedule's domain; a taped grid's checks
-    read its data and tape nothing."""
+    times and times_c nfe, both in the schedule's domain; a taped grid's
+    checks read its data and tape nothing."""
     times = _as_grid(times)
     td = en.data_of(times)
     if td.ndim != 1 or td.shape[0] < 2:
@@ -243,11 +244,12 @@ def checked_shared(den, sched, spec, times, times_c=None):
         raise GridError("time grid must be strictly decreasing")
     sched.check_domain(td)
     if times_c is None:
-        times_c = times
+        times_c = en.index(times, slice(None, -1))
     else:
         times_c = _as_grid(times_c)
-        if en.data_of(times_c).shape != td.shape:
-            raise GridError("times_c must match the grid shape")
+        if en.data_of(times_c).shape != (spec.nfe,):
+            raise GridError(f"times_c must have shape ({spec.nfe},), one "
+                            f"query time per step")
         sched.check_domain(times_c)
     return (coeffs(sched, spec, times),) + den.step_constants(times_c)
 
@@ -285,7 +287,7 @@ def solve(den, sched, spec, times, times_c=None, x_T=None):
         sched: NoiseSchedule.
         spec: SolverSpec (family/order/nfe).
         times: decreasing grid, length nfe + 1.
-        times_c: denoiser query times (defaults to `times`).
+        times_c: the nfe denoiser query times (defaults to `times[:-1]`).
         x_T: initial sample, shape (d,), or a batch of them, shape (B, d).
 
     Raises:

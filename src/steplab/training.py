@@ -53,12 +53,21 @@ def radius(gamma, d, nfe):
 
 
 def project(x_prime, x_T, rho_ball):
-    """Project each row onto the closed ball B(x_T, rho_ball); inside rows pass."""
+    """Project each row onto the closed ball B(x_T, rho_ball); inside rows
+    pass.
+
+    x_T + scale * diff rounds each coordinate at the spacing of
+    |x_T| + rho_ball, far coarser than rho_ball's own when |x_T| >> rho, so
+    an outside row aims sqrt(d) such spacings inside the sphere: it then
+    lies in the ball up to the rounding of rho_ball itself.
+    """
     x_prime = np.asarray(x_prime, dtype=np.float64)
     diff = x_prime - x_T
     dist = np.sqrt(np.vecdot(diff, diff))[..., None]
     outside = dist > rho_ball
-    scale = rho_ball / np.where(outside, dist, 1.0)
+    top = np.maximum.reduce(np.abs(x_T), axis=-1, keepdims=True) + rho_ball
+    aim = rho_ball - np.sqrt(diff.shape[-1]) * np.spacing(top)
+    scale = np.maximum(aim, 0.0) / np.where(outside, dist, 1.0)
     return np.where(outside, x_T + scale * diff, x_prime)
 
 

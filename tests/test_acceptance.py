@@ -53,10 +53,10 @@ def test_criterion_1_radius_anchor():
 
 
 def geometric_mid_offsets(times):
-    """Query-time offsets placing each node strictly between its neighbors,
-    keeping the clamp inactive so central differences see a smooth loss."""
-    times_c = np.sqrt(times[:-1] * times[1:])
-    return np.append(times_c, times[-1]) - times
+    """Query-time offsets placing each step's query strictly inside its
+    interval, keeping the clamp inactive so central differences see a
+    smooth loss."""
+    return np.sqrt(times[:-1] * times[1:]) - times[:-1]
 
 
 def fd_grad(f, x, scale):
@@ -105,8 +105,8 @@ def test_criterion_2_gradient_suite():
                 return soft_loss(disc, GM, VE, spec, v, y)
 
             checks = (
-                (res.grads["xi"], fd_grad(of_xi, disc.xi, np.ones(nfe + 1))),
-                (res.grads["xi_c"], fd_grad(of_xic, disc.xi_c, base)),
+                (res.grads["xi"], fd_grad(of_xi, disc.xi, np.ones(nfe))),
+                (res.grads["xi_c"], fd_grad(of_xic, disc.xi_c, base[:-1])),
                 (res.grads["x_prime"],
                  fd_grad(of_xp, xp, np.full(2, VE.sigma_T))),
             )
@@ -284,7 +284,7 @@ def test_criterion_9_invariants(tmp_path):
     vp = vp_linear()
     for _ in range(1000):
         nfe = int(g.integers(2, 11))
-        xi = 3.0 * g.standard_normal(nfe + 1)
+        xi = 3.0 * g.standard_normal(nfe)
         for sched in (VE, vp):
             times = tau(xi, sched.T, sched.t_min)
             assert np.all(np.diff(times) < 0.0)

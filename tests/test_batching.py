@@ -36,9 +36,9 @@ def build(family, kind):
 
 
 def learned_looking_grid(sched, nfe):
-    """An edm grid with nonzero query offsets, so times_c != times."""
+    """An edm grid with nonzero query offsets, so times_c != times[:-1]."""
     disc = Discretization.from_times(sched, heuristic_times("edm", sched, nfe))
-    disc.xi_c[:] = 0.01 * (sched.T - sched.t_min) * np.sin(np.arange(nfe + 1))
+    disc.xi_c[:] = 0.01 * (sched.T - sched.t_min) * np.sin(np.arange(nfe))
     return disc
 
 

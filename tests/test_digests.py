@@ -8,7 +8,10 @@ one-component mixture at variance 0, which moves its solves by rounding.
 The mixture pins were re-recorded when the responsibilities came to be
 taken from one exp pass (e / sum e) instead of exp(terms - logsumexp),
 which moves every K >= 2 epsilon by rounding; a one-component gamma is 1
-exactly either way, so the point-mass pins stayed.
+exactly either way, so the point-mass pins stayed.  The pair_grads pins
+were re-recorded when the learned grid lost its dead coordinates (N logits
+and N query offsets, not N + 1), which moves tau and its gradients by
+rounding; the solve pins stayed, given the same N query times.
 """
 
 import hashlib
@@ -79,7 +82,7 @@ def test_solve_outputs_match_recorded_digests(sched_name, kind, solver):
     den = make_den(kind, sched)
     spec = SolverSpec(family=solver[:-1], order=int(solver[-1]), nfe=6)
     times = heuristic_times("logsnr", sched, 6)
-    times_c = np.clip(times * 1.01, sched.t_min, sched.T)
+    times_c = np.clip(times * 1.01, sched.t_min, sched.T)[:-1]
     x = sample_prior(sched, 2, 4, 17)
     out = solve(den, sched, spec, times, times_c, x)
     jac = solver_map(den, sched, spec, times, times_c)(x, True)
@@ -87,8 +90,8 @@ def test_solve_outputs_match_recorded_digests(sched_name, kind, solver):
 
 
 PAIR_GRADS_DIGESTS = {
-    "ve": "f0e0beb2810a869db4bc869a3e43f11a79989a23fb17600004ab0eef37a98ab5",
-    "vp": "4ca950abe1f54e867f0cc89c97dc4fb1f95f44731567125c9d79189854d98d04",
+    "ve": "c07e1e6a376a102db338f376860329db92a46b5a05c94c01d2c66ba0c8bd90df",
+    "vp": "12ba290923e656fd59194a5913076875d4a466894fcaa67f310c10f9910624c3",
 }
 
 
@@ -101,7 +104,7 @@ def test_checkpointed_pair_grads_match_recorded_digest(sched_name):
     base = Discretization.from_times(sched,
                                      heuristic_times("logsnr", sched, 4))
     disc = Discretization.create(sched, 4, xi=base.xi,
-                                 xi_c=np.array([-0.02, 0.01, -0.01, 0.0, 0.0]))
+                                 xi_c=np.array([-0.02, 0.01, -0.01, 0.0]))
     x = sample_prior(sched, 2, 3, 18)
     res = pair_grads(disc, den, sched, spec, x, 0.5 * x)
     assert sha(res.loss, res.grads["xi"], res.grads["xi_c"],

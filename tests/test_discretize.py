@@ -10,18 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steplab.denoisers import GMDenoiser
 from steplab.discretize import (HEURISTICS, Discretization, heuristic_times,
                                 init_from_times, load_checkpoint,
                                 query_times, save_checkpoint, tau)
 from steplab.schedule import ve_edm, vp_linear
-from steplab.solvers import GridError, SolverSpec
+from steplab.solvers import GridError, SolverSpec, checked_shared
 
 VE = ve_edm()
 VP = vp_linear()
 
 
 def test_tau_uniform_anchor():
-    got = tau(np.zeros(5), 80.0, 0.002)
+    got = tau(np.zeros(4), 80.0, 0.002)
     np.testing.assert_allclose(
         got, [80.0, 60.0005, 40.001, 20.0015, 0.002], rtol=0, atol=1e-12)
 
@@ -37,17 +38,34 @@ def test_tau_endpoints_exact_regardless_of_xi():
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(min_value=-12.0, max_value=12.0),
-                min_size=2, max_size=12))
+                min_size=1, max_size=12))
 def test_tau_strictly_decreasing(xs):
     # logit spread 24 keeps every interval width far above one ulp of T;
-    # beyond ~36 the widths drop below float resolution and tau raises
+    # beyond ~36 the widths drop below float resolution and times tie
     t = tau(np.array(xs), 80.0, 0.002)
+    assert t.shape == (len(xs) + 1,)
     assert np.all(np.diff(t) < 0.0)
 
 
 def test_tau_underflow_guard():
-    with pytest.raises(GridError, match="underflow"):
-        tau(np.array([-40.0, 40.0]), 80.0, 0.002)
+    # the first interval's mass is below float resolution: t_1 ties T, and
+    # the grid check refuses the tie
+    times = tau(np.array([-40.0, 40.0]), 80.0, 0.002)
+    assert times[0] == times[1] == 80.0
+    den = GMDenoiser.create(VE, [1.0], [[0.0, 0.0]], [0.25])
+    with pytest.raises(GridError, match="strictly decreasing"):
+        checked_shared(den, VE, SolverSpec("euler", 1, 2), times)
+
+
+@pytest.mark.parametrize("shift", [-30.0, -1.0, 0.5, 7.0, 700.0])
+def test_tau_invariant_under_a_common_shift(shift):
+    g = np.random.default_rng(3)
+    for nfe in (1, 4, 8, 16):
+        xi = 2.0 * g.standard_normal(nfe)
+        for sched in (VE, VP):
+            want = tau(xi, sched.T, sched.t_min)
+            got = tau(xi + shift, sched.T, sched.t_min)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_query_times_clamped_to_domain():
@@ -100,10 +118,19 @@ def test_unknown_heuristic_rejected():
 
 @pytest.mark.parametrize("kind", HEURISTICS)
 def test_init_from_times_roundtrip(kind):
-    want = heuristic_times(kind, VE, 6)
-    xi = init_from_times(want, VE.T, VE.t_min)
-    got = tau(xi, VE.T, VE.t_min)
-    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+    """tau(init_from_times(t)) = t to a few float64 spacings of T under VE
+    and VP, with both endpoints exact."""
+    worst = 0.0
+    for sched in (VE, VP):
+        for nfe in (1, 2, 4, 6, 8, 16, 100):
+            want = heuristic_times(kind, sched, nfe)
+            got = tau(init_from_times(want, sched.T, sched.t_min), sched.T,
+                      sched.t_min)
+            assert got[0] == sched.T and got[-1] == sched.t_min
+            worst = max(worst, float(np.max(np.abs(got - want))
+                                     / np.spacing(sched.T)))
+    print(f"{kind}: worst round-trip error {worst:g} spacings of T")
+    assert worst <= 16.0
 
 
 def test_uniform_grid_inverts_to_constant_xi():
@@ -127,19 +154,23 @@ def test_discretization_defaults_to_uniform():
     disc = Discretization.create(VE, 4)
     np.testing.assert_allclose(disc.times(),
                                heuristic_times("uniform", VE, 4), atol=1e-12)
-    np.testing.assert_array_equal(disc.times_c(), disc.times())
+    np.testing.assert_array_equal(disc.times_c(), disc.times()[:-1])
 
 
 def test_discretization_copies_inputs():
-    xi = np.zeros(5)
+    xi = np.zeros(4)
     disc = Discretization.create(VE, 4, xi=xi)
     xi[0] = 99.0
     assert disc.xi[0] == 0.0
 
 
 def test_discretization_shape_check():
-    with pytest.raises(GridError):
-        Discretization.create(VE, 4, xi=np.zeros(3))
+    # N entries each: neither N - 1 nor N + 1 logits or offsets
+    for n in (3, 5):
+        with pytest.raises(GridError, match=r"shape \(4,\)"):
+            Discretization.create(VE, 4, xi=np.zeros(n))
+        with pytest.raises(GridError, match=r"shape \(4,\)"):
+            Discretization.create(VE, 4, xi_c=np.zeros(n))
 
 
 def test_from_times_matches_grid():
@@ -173,9 +204,9 @@ def checkpoint_grids(draw):
     nfe = draw(st.integers(min_value=1, max_value=12))
     # a spread of at most 24 keeps tau strictly decreasing, as checked above
     xi = draw(st.lists(st.floats(min_value=-12.0, max_value=12.0),
-                       min_size=nfe + 1, max_size=nfe + 1))
+                       min_size=nfe, max_size=nfe))
     xi_c = draw(st.lists(st.floats(min_value=-2.0, max_value=2.0),
-                         min_size=nfe + 1, max_size=nfe + 1))
+                         min_size=nfe, max_size=nfe))
     return nfe, xi, xi_c, draw(st.sampled_from(SPECS)), \
         draw(st.sampled_from([VE, VP]))
 
@@ -225,4 +256,20 @@ def test_checkpoint_rejects_fewer_than_one_step(tmp_path, n):
     blob["solver"]["nfe"] = n
     p.write_text(json.dumps(blob))
     with pytest.raises(GridError, match=f"field N = {n} must be >= 1"):
+        load_checkpoint(p, VE)
+
+
+@pytest.mark.parametrize("field", ["xi", "xi_c"])
+def test_checkpoint_refuses_n_plus_one_entries(tmp_path, field):
+    """A checkpoint that stores N + 1 logits or offsets, as the grid once
+    did, is refused naming the field."""
+    disc = Discretization.from_times(VE, heuristic_times("logsnr", VE, 4))
+    p = tmp_path / "ck.json"
+    save_checkpoint(p, disc, SolverSpec(family="dpmpp", order=2, nfe=4))
+    blob = json.loads(p.read_text())
+    blob[field] = blob[field] + [0.0]
+    p.write_text(json.dumps(blob))
+    with pytest.raises(GridError,
+                       match=f"checkpoint field {field} has 5 entries, "
+                             f"not N = 4"):
         load_checkpoint(p, VE)

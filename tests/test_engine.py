@@ -53,14 +53,18 @@ def weighted(op):
     return lambda x: en.dot(W, op(x))
 
 
+def wsum(w, m):
+    """sum_ij w_ij m_ij of (B, d) rows, through two row-wise dots."""
+    return en.dot(np.ones(w.shape[0]), en.dot(w, m))
+
+
 UNARY_CASES = [
     ("neg", en.neg, X),
     ("exp", en.exp, X),
     ("expm1", en.expm1, X),
     ("log", en.log, np.array([0.2, 1.1, 3.0])),
     ("sqrt", en.sqrt, np.array([0.5, 1.0, 4.2])),
-    ("rcumsum", en.rcumsum, X),
-    ("softmax", en.softmax, X),
+    ("rcumsum", en.rcumsum, X[:2]),  # 2 entries, 3 suffix sums
 ]
 
 
@@ -102,10 +106,10 @@ def test_row_broadcast_reduces_adjoint():
     vec = np.array([0.9, -0.3, 1.1])
     weights = np.array([[0.7, -1.3, 0.4], [0.2, 0.5, -0.8]])
     for op in (en.add, en.sub, en.mul, en.div):
-        check_op(lambda m: en.vsum(en.mul(weights, op(m, vec))), rows)
-        check_op(lambda v: en.vsum(en.mul(weights, op(rows, v))), vec)
-    check_op(lambda s: en.vsum(en.mul(weights, en.mul(s, rows))), 0.7)
-    check_op(lambda m: en.vsum(en.mul(weights, en.mul(0.7, m))), rows)
+        check_op(lambda m: wsum(weights, op(m, vec)), rows)
+        check_op(lambda v: wsum(weights, op(rows, v)), vec)
+    check_op(lambda s: wsum(weights, en.mul(s, rows)), 0.7)
+    check_op(lambda m: wsum(weights, en.mul(0.7, m)), rows)
 
 
 def test_unbroadcastable_shapes_rejected():
@@ -130,9 +134,15 @@ def test_dot_norm_matches_fd():
     check_op(lambda v: en.dot(v, v), x)
 
 
-def test_vsum_and_index():
-    check_op(en.vsum, X)
+def test_index_matches_fd():
     check_op(lambda v: en.index(v, 1), X)
+
+
+def test_rcumsum_ends_with_the_empty_suffix():
+    x = np.array([0.3, 1e-17, 2.0, 5.0])
+    got = en.rcumsum(x)
+    np.testing.assert_array_equal(got[:-1], np.cumsum(x[::-1])[::-1])
+    assert got.shape == (5,) and got[-1] == 0.0
 
 
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
@@ -157,7 +167,7 @@ def test_stack_mixed_parents():
     def g(m):
         s = en.stack([en.index(m, (Ellipsis, 0)), en.index(m, (1, 1)),
                       en.index(m, (Ellipsis, 1))])
-        return en.vsum(en.mul(np.array([0.7, -1.3, 0.4]), s))
+        return en.dot(np.ones(2), en.dot(np.array([0.7, -1.3, 0.4]), s))
     check_op(g, rows)
 
 
@@ -166,11 +176,12 @@ def test_index_repeated_array_index_adds_adjoints():
     w = np.array([0.5, -1.0, 2.0, 0.3])
     check_op(lambda v: en.dot(w, en.index(v, np.array([0, 0, 2, 0]))), X)
     np.testing.assert_array_equal(
-        taped_grad(lambda v: en.vsum(en.index(v, [1, 1])), X), [0.0, 2.0, 0.0])
+        taped_grad(lambda v: en.dot(np.ones(2), en.index(v, [1, 1])), X),
+        [0.0, 2.0, 0.0])
     rows = np.array([[0.3, -0.8], [1.7, 0.2]])
-    check_op(lambda m: en.vsum(en.mul(
+    check_op(lambda m: wsum(
         np.array([[0.7, -1.3], [0.4, 0.9], [-0.2, 0.6]]),
-        en.index(m, (np.array([1, 1, 0]), slice(None))))), rows)
+        en.index(m, (np.array([1, 1, 0]), slice(None)))), rows)
 
 
 LC_ROW = np.array([0.7, -1.2, 0.4])
@@ -186,7 +197,7 @@ def test_lincomb_matches_fd_in_every_slot(slot):
 
     def f(v):
         live = args[:slot] + [v] + args[slot + 1:]
-        return en.vsum(en.mul(LC_W, en.lincomb(live[0], tuple(live[1:]))))
+        return wsum(LC_W, en.lincomb(live[0], tuple(live[1:])))
 
     check_op(f, args[slot])
 
@@ -213,7 +224,7 @@ def test_unused_leaf_gets_zeros():
     tape = en.Tape()
     x = tape.leaf(np.array([1.0, 2.0]))
     z = tape.leaf(np.array([3.0, 4.0]))
-    g = tape.backward([(en.vsum(x), 1.0)], [x, z])
+    g = tape.backward([(en.dot(x, np.ones(2)), 1.0)], [x, z])
     np.testing.assert_array_equal(g[1], np.zeros(2))
 
 
@@ -223,8 +234,7 @@ PRIMITIVES = [
     ("clamp", lambda x: en.clamp(x, 0.0, 1.0), (X,)),
     ("add", en.add, (X, W)), ("sub", en.sub, (X, W)),
     ("mul", en.mul, (X, W)), ("div", en.div, (X, W)),
-    ("vsum", en.vsum, (X,)), ("dot", en.dot, (X, W)),
-    ("softmax", en.softmax, (X,)),
+    ("dot", en.dot, (X, W)),
     ("stack", lambda *xs: en.stack(xs), (0.5, X, W)),
     ("index", lambda x: en.index(x, 1), (X,)),
     ("lincomb", lambda r, a, b: en.lincomb(r, (a, b)),
@@ -336,7 +346,7 @@ def chain_parts(n_steps):
     each step mixes the state nonlinearly, finale is a quadratic loss."""
 
     def prelude(env):
-        times = en.softmax(env["xi"])
+        times = en.mul(0.25, en.exp(env["xi"]))
         return (times,), (env["x"], en.mul(0.0, env["x"]))
 
     def make_step(i):

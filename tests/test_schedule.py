@@ -222,7 +222,7 @@ def test_domain_check_rejects_nan():
     spec = SolverSpec("dpmpp", 2, 2)
     den = point_mass(VE, np.zeros(2))
     with pytest.raises(ScheduleDomainError):
-        solve(den, VE, spec, [80.0, 1.0, 0.002], [80.0, np.nan, 0.002],
+        solve(den, VE, spec, [80.0, 1.0, 0.002], [80.0, np.nan],
               np.ones(2))
 
 

@@ -95,10 +95,10 @@ def test_denoiser_called_once_per_step_at_query_times(family, order):
     cd = CountingDen(GM)
     nfe = 5
     times = heuristic_times("logsnr", VE, nfe)
-    times_c = np.clip(times * 1.01, VE.t_min, VE.T)
+    times_c = np.clip(times[:-1] * 1.01, VE.t_min, VE.T)
     spec = SolverSpec(family=family, order=order, nfe=nfe)
     solve(cd, VE, spec, times, times_c, x_T=np.array([10.0, -4.0]))
-    np.testing.assert_allclose(cd.calls, times_c[:nfe], rtol=1e-15)
+    np.testing.assert_allclose(cd.calls, times_c, rtol=1e-15)
 
 
 def test_first_order_families_coincide_under_ve():
@@ -114,12 +114,13 @@ def test_first_order_families_coincide_under_ve():
 
 
 def test_times_c_defaults_to_times():
+    # each step queries the denoiser at its start, t_i for i < N
     times = heuristic_times("logsnr", VE, 4)
     spec = SolverSpec(family="dpmpp", order=2, nfe=4)
     x_T = np.array([3.0, -2.0])
     np.testing.assert_array_equal(
         solve(GM, VE, spec, times, None, x_T),
-        solve(GM, VE, spec, times, times, x_T))
+        solve(GM, VE, spec, times, times[:-1], x_T))
 
 
 # ------------------------------------------------------------ accuracy order
@@ -224,7 +225,7 @@ def test_table_solver_matches_per_step_formulas(sched, den, family, order,
                                                 nfe):
     spec = SolverSpec(family=family, order=order, nfe=nfe)
     times = heuristic_times("logsnr", sched, nfe)
-    times_c = np.clip(times * 0.97, sched.t_min, sched.T)
+    times_c = np.clip(times[:-1] * 0.97, sched.t_min, sched.T)
     xs = np.array([[1.3, -0.4], [-0.8, 2.1], [0.05, 0.6]]) * sched.sigma_T
     batch = solve(den, sched, spec, times, times_c, xs)
     for j, x in enumerate(xs):
@@ -269,9 +270,10 @@ def test_grid_validation_errors():
         solve(GM, VE, spec, np.array([80.0, 0.002]), x_T=x)
     with pytest.raises(GridError, match="decreasing"):
         solve(GM, VE, spec, np.array([80.0, 80.0, 0.002]), x_T=x)
-    with pytest.raises(GridError, match="times_c"):
+    # one query time per step: N + 1 of them are refused, not truncated
+    with pytest.raises(GridError, match=r"times_c must have shape \(2,\)"):
         solve(GM, VE, spec, np.array([80.0, 1.0, 0.002]),
-              np.array([80.0, 1.0]), x)
+              np.array([80.0, 1.0, 0.002]), x)
     # transport maps check their grid the same way, when they are built
     with pytest.raises(GridError, match="expected 2"):
         solver_map(GM, VE, spec, np.array([80.0, 0.002]))

@@ -59,6 +59,21 @@ def test_project_zero_radius_returns_center():
     np.testing.assert_array_equal(project(c + 1.0, c, 0.0), c)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_trained_starts_lie_inside_the_ball(seed):
+    """x_T + scale * diff rounds at the spacing of |x_T| (about 200 under
+    VE), about 3e-12 of rho = 0.01: a projection aimed at the sphere itself
+    lands outside for some seeds.  Every row lies inside, with no slack."""
+    teacher = Teacher.create(GM, VE, nfe=60)
+    ds = generate_dataset(GM, VE, teacher, 16, seed)
+    spec = SolverSpec(family="dpmpp", order=2, nfe=4)
+    report = train(ds, GM, VE, spec, TrainConfig(seed=seed))
+    rho = radius(0.001, 2, 4) * VE.sigma_T
+    gaps = np.linalg.norm(ds.x_prime - ds.x_T, axis=1)
+    assert np.max(gaps) <= rho
+    assert report.max_ball_violation <= 0.0
+
+
 def test_distance_is_normalized_squared_error():
     a, b = np.array([1.0, 3.0]), np.array([0.0, 1.0])
     assert distance(a, b) == (1.0 + 4.0) / 2.0
@@ -122,7 +137,7 @@ def test_pair_grads_match_finite_differences():
     # nonzero xi_c keeps times_c off the clamp boundary at T, where central
     # differences would average the two one-sided slopes
     disc = Discretization.create(VE, 3, xi=base.xi,
-                                 xi_c=np.array([-0.5, 0.3, -0.2, 0.1]))
+                                 xi_c=np.array([-0.5, 0.3, -0.2]))
     xp = ds.x_prime[0] + 0.05
     y = ds.y[0]
     res = pair_grads(disc, GM, VE, spec, xp, y)
@@ -170,8 +185,8 @@ def test_pair_grads_match_finite_differences_under_vp(family, order):
     spec = SolverSpec(family=family, order=order, nfe=nfe)
     base = Discretization.from_times(VP, heuristic_times("logsnr", VP, nfe))
     disc = Discretization.create(
-        VP, nfe, xi=base.xi + np.array([0.1, -0.2, 0.0, 0.3, 0.1]),
-        xi_c=np.array([-0.02, 0.01, -0.01, 0.0, 0.0]))
+        VP, nfe, xi=base.xi + np.array([0.1, -0.2, 0.0, 0.3]),
+        xi_c=np.array([-0.02, 0.01, -0.01, 0.0]))
     xp, y = np.array([0.9, -0.3]), np.array([0.8, -0.6])
     res = pair_grads(disc, VP_GM, VP, spec, xp, y)
 
@@ -188,9 +203,9 @@ def test_pair_grads_match_finite_differences_under_vp(family, order):
 
 
 # taped ops of a whole-tape dpmpp2 pair_grads on the default config, as of
-# the coefficient-table solver; a step that re-derives its coefficients from
-# scalar times again shows up here
-WHOLE_TAPE_OPS = {4: 65, 8: 89, 16: 137}
+# the coefficient-table solver and the N-logit grid; a step that re-derives
+# its coefficients from scalar times again shows up here
+WHOLE_TAPE_OPS = {4: 61, 8: 85, 16: 133}
 
 
 @pytest.mark.parametrize("nfe", sorted(WHOLE_TAPE_OPS))
@@ -225,7 +240,7 @@ def test_learned_grid_with_tied_times_raises_grid_error(checkpointed):
     """The chain prelude checks the learned grid as `solve` checks any
     grid; tied times are refused before any step runs."""
     spec = SolverSpec(family="dpmpp", order=2, nfe=4)
-    disc = Discretization.create(VE, 4, xi=[-40.0, 0.0, 0.0, 0.0, 0.0])
+    disc = Discretization.create(VE, 4, xi=[-40.0, 0.0, 0.0, 0.0])
     assert disc.times()[0] == disc.times()[1]
     x = np.array([30.0, -45.0])
     with pytest.raises(GridError, match="strictly decreasing"):
@@ -340,7 +355,7 @@ def test_phase1_freezes_xi_c():
     spec = SolverSpec(family="dpmpp", order=2, nfe=4)
     cfg = replace(CFG, epochs_phase2=0, epochs_phase1=2)
     report = train(fresh(ds), GM, VE, spec, cfg)
-    np.testing.assert_array_equal(report.best_xi_c, np.zeros(5))
+    np.testing.assert_array_equal(report.best_xi_c, np.zeros(4))
 
 
 def test_soft_forcing_alone_still_improves():
@@ -379,8 +394,8 @@ def test_explicit_init_respected_and_bad_init_rejected():
 
 def test_grid_underflow_in_the_loop_aborts_keeping_the_best_grid(
         monkeypatch):
-    """A GridError from tau inside the loop (softmax masses that underflow)
-    ends training as an abort that keeps the epoch-0 grid."""
+    """A GridError from the grid prelude inside the loop ends training as an
+    abort that keeps the epoch-0 grid."""
     ds = small_dataset(count=8)
     spec = SolverSpec(family="dpmpp", order=2, nfe=4)
     want = train(fresh(ds), GM, VE, spec, replace(CFG, epochs_phase2=0))
@@ -390,7 +405,7 @@ def test_grid_underflow_in_the_loop_aborts_keeping_the_best_grid(
     def underflowing(*args):
         calls.append(None)
         if len(calls) > len(want.iter_rows):  # epoch 1's first prelude
-            raise GridError("xi spread too large: softmax masses underflow")
+            raise GridError("time grid must be strictly decreasing")
         return real_tau(*args)
 
     monkeypatch.setattr(training, "tau", underflowing)
@@ -421,7 +436,7 @@ def test_non_monotone_grid_aborts_after_the_step_that_made_it(
         step(self, param, grad, lr)
         calls.append(None)
         if len(calls) == broken_at:  # tau(0) == tau(1) == T in float64
-            param[:] = [-40.0, 0.0, 0.0, 0.0, 0.0]
+            param[:] = [-40.0, 0.0, 0.0, 0.0]
 
     monkeypatch.setattr(RmsPropMomentum, "step", tying)
     report = train(ds, GM, VE, spec, CFG)
