@@ -242,8 +242,10 @@ def build_train_config(cfg):
     one_of(cfg, "train.init", ("auto",) + HEURISTICS)
     at_least(cfg, "train.val_refresh_steps", 0)
     at_least(cfg, "train.gamma", 0)
-    if not np.isfinite(cfg["train.r"]):  # below 0 derives r from gamma
-        raise ConfigError(f"train.r must be finite, got {cfg['train.r']}")
+    # train.r, lr_xic and lr_xprime below 0 derive their values
+    for key in ("train.r", "train.lr_xi", "train.lr_xic", "train.lr_xprime"):
+        if not np.isfinite(cfg[key]):
+            raise ConfigError(f"{key} must be finite, got {cfg[key]}")
     p1, p2 = cfg["train.epochs_phase1"], cfg["train.epochs_phase2"]
     if p1 < 0 or p2 < 0 or p1 + p2 < 1:
         raise ConfigError(f"train.epochs_phase1 = {p1} and "

@@ -200,13 +200,13 @@ def load_checkpoint(path, sched):
     if not (abs(blob["T"] - sched.T) <= 1e-12 * max(1.0, sched.T)
             and abs(blob["t_min"] - sched.t_min) <= 1e-12):
         raise GridError("checkpoint schedule window does not match config")
-    times = np.asarray(blob["times"], dtype=np.float64)
-    if times.shape != (n + 1,) or not np.all(np.diff(times) < 0.0):
-        raise GridError("checkpoint times must be strictly decreasing")
-    for key in ("xi", "xi_c"):
-        if len(blob[key]) != n:
+    for key, size, want in (("times", "N + 1", n + 1), ("xi", "N", n),
+                            ("xi_c", "N", n)):
+        if len(blob[key]) != want:
             raise GridError(f"checkpoint field {key} has {len(blob[key])} "
-                            f"entries, not N = {n}")
+                            f"entries, not {size} = {want}")
+    if not np.all(np.diff(np.asarray(blob["times"], dtype=np.float64)) < 0.0):
+        raise GridError("checkpoint times must be strictly decreasing")
     disc = Discretization.create(sched, n, xi=np.asarray(blob["xi"]),
                                  xi_c=np.asarray(blob["xi_c"]))
     for key, want in (("times", disc.times()), ("times_c", disc.times_c())):

@@ -21,17 +21,20 @@ arrays returning their own transposes, and one reverse sweep over those
 cached pullbacks, with no tape and no replay, seeds the prelude's tape.
 
 Hot loops (a step, cold, Jacobian or transposed, the march's divergence
-check, the grid checks and builds, the draws, and a training gradient's
-prelude, seed and sweep) call ufuncs and C methods, never NumPy's Python
-wrappers: `np.add.reduce` for `np.sum`, `np.maximum.reduce` for `.max`,
-`np.logical_and.reduce` for `.all()`, `np.add.accumulate` for
-`np.cumsum`, `np.minimum(np.maximum(...))` for `np.clip`, `.shape`,
-`.ndim` and `.mT` for `np.shape`, `np.ndim` and `np.swapaxes`,
-`np.zeros(shape)` for `np.zeros_like` and :func:`full`, a filled
-`np.empty(shape)`, for `np.ones`.  On the few-row arrays a step
-handles, a wrapper costs 2-6x the call it wraps, and the call gives the
-same bits, since each replacement runs the same reduction in the same
-order.  tests/test_hotpaths.py holds the rule.
+check, the grid checks and builds, the draws, the bound's log-dets and
+mean, and a training gradient's prelude, seed and sweep) call ufuncs and
+C methods, never NumPy's Python wrappers: `np.add.reduce` for `np.sum`,
+`np.maximum.reduce` for `.max`, `np.logical_and.reduce` for `.all()`,
+`np.add.accumulate` for `np.cumsum`, `np.minimum(np.maximum(...))` for
+`np.clip`, `.shape`, `.ndim` and `.mT` for `np.shape`, `np.ndim` and
+`np.swapaxes`, `np.zeros(shape)` for `np.zeros_like`, :func:`full`, a
+filled `np.empty(shape)`, for `np.ones`, and `np.sqrt(np.dot(v, v))` for
+`np.linalg.norm`.  On the few-row arrays a step handles, a wrapper costs
+2-6x the call it wraps, and the call gives the same bits, since each
+replacement runs the same reduction in the same order.  A warm step also
+reads its rows prebuilt once per grid: it calls neither `ndarray.tolist`
+nor :func:`index`, and :func:`lincomb` takes its list of Python floats
+as it is.  tests/test_hotpaths.py holds the rule.
 """
 
 from __future__ import annotations
@@ -316,17 +319,24 @@ def index(x, i):
 
 
 def lincomb(row, arrays):
-    """sum_j row[j] * arrays[j] for a (k,) row and k arrays of one shape,
-    accumulated left to right."""
+    """sum_j row[j] * arrays[j] for k arrays of one shape, accumulated left
+    to right.  row is a list of k Python floats, used as it is (a grid's
+    prebuilt step row), or a (k,) array or Value."""
+    if type(row) is list:
+        cs = row
+        if len(cs) != len(arrays):
+            raise EngineError(f"lincomb: row of {len(cs)} floats for "
+                              f"{len(arrays)} arrays")
+    else:
+        rd = data_of(row)
+        if rd.shape != (len(arrays),):
+            raise EngineError(f"lincomb: row shape {rd.shape} for "
+                              f"{len(arrays)} arrays")
+        cs = rd.tolist()  # one C call, then Python floats, not NumPy scalars
     live_row = type(row) is Value
     live = [type(a) is Value for a in arrays]
     cold = not (live_row or any(live))
-    rd = data_of(row)
     parts = arrays if cold else [data_of(a) for a in arrays]
-    if rd.shape != (len(parts),):
-        raise EngineError(f"lincomb: row shape {rd.shape} for "
-                          f"{len(parts)} arrays")
-    cs = rd.tolist()  # one C call, then Python floats, not NumPy scalars
     out = cs[0] * parts[0]
     for c, p in zip(cs[1:], parts[1:]):
         out = out + c * p

@@ -84,8 +84,8 @@ def log_abs_det_jacobian(map_fn, x):
         raise JacobianError(f"log-det Jacobian needs data.d <= 4, got {d}")
     sign, logdet = np.linalg.slogdet(map_fn(x, jacobian=True)[..., 1:, :])
     bad = (sign == 0.0) | ~np.isfinite(logdet)
-    if np.any(bad):
-        row = int(np.argmax(bad))
+    if np.logical_or.reduce(bad, axis=None):
+        row = int(bad.argmax())
         raise JacobianError(f"singular Jacobian at row {row}", row)
     return float(logdet) if x.ndim == 1 else logdet
 
@@ -122,7 +122,7 @@ def estimate_bound(teacher_map, student_map, sched, r, d, n_samples, seed):
     for i, g in enumerate(rngmod.substreams(seed, "bound", n_samples)):
         centres[i] = sig * g.standard_normal(d)
         direction = g.standard_normal(d)
-        direction /= np.linalg.norm(direction)
+        direction /= np.sqrt(np.dot(direction, direction))
         rad = r * sig * g.random() ** (1.0 / d)
         points[i] = centres[i] + rad * direction
     gaps = np.empty(n_samples, dtype=np.float64)
@@ -138,7 +138,8 @@ def estimate_bound(teacher_map, student_map, sched, r, d, n_samples, seed):
             raise JacobianError(f"singular Jacobian at sample {lo + exc.row}",
                                 lo + exc.row) from None
     return BoundReport(r=float(r), d=int(d), term1=float(term1),
-                       term2=float(term2), term3=float(np.mean(gaps)),
+                       term2=float(term2),
+                       term3=float(np.add.reduce(gaps) / n_samples),
                        n_samples=int(n_samples))
 
 

@@ -26,13 +26,18 @@ grid and builds shared once for it, taped or cold: the table, then the
 denoiser's per-step constants on the query times (`den.step_constants`,
 a tuple of arrays with one row per step), and step i hands their row i
 to `den.epsilon`.  So steps run identically on plain numpy arrays and on
-taped engine Values.  Given acc, `step(state, shared, acc)` runs on plain
-arrays and also returns its transpose, which training's discrete adjoint
-sweeps: the adjoints of the state are row i times the adjoint of the
-update, the row's gradient is one vdot per array, and the denoiser's
-pullback gives those of x and of alpha_i and sigma_i, the only step
-constants that can carry a gradient.  The
-inter-step state has a fixed width per solver spec (history slots are
+taped engine Values.  A step does not index shared itself: the steps of
+one `make_steps` call read prebuilt rows, which the first of them to meet
+a shared builds for all (`step_reads`).  On a plain grid each table row is
+a list of Python floats, from one tolist per grid, and each denoiser row a
+tuple, so a warm step is one denoiser call plus its update arithmetic; on
+a taped grid the same reads are taped.  Given acc,
+`step(state, shared, acc)` runs on plain arrays and also returns its
+transpose, which training's discrete adjoint sweeps: the adjoints of the
+state are row i times the adjoint of the update, the row's gradient is
+one vdot per array, and the denoiser's pullback gives those of x and of
+alpha_i and sigma_i, the only step constants that can carry a gradient.
+The inter-step state has a fixed width per solver spec (history slots are
 zero-padded before they fill), which keeps the number of arrays cached per
 step constant regardless of grid length.
 
@@ -145,36 +150,57 @@ def coeffs(sched, spec, times):
 
 def make_steps(den, spec, jacobian=False):
     """Pure step closures for i = 0 .. nfe-1, all of the one generic step
-    (see `_step`); with jacobian=True they march stacked tangent slots."""
+    (see `_step`); with jacobian=True they march stacked tangent slots.
+    They share one memo of `step_reads`: the first step to meet a shared
+    builds every step's reads of it, and the rest reuse them."""
     if jacobian:
         den = _Tangents(den)
-    return [_step(den, spec, i) for i in range(spec.nfe)]
+    memo = [None, None]  # the last shared the steps met, and its reads
+    return [_step(den, spec, i, memo) for i in range(spec.nfe)]
 
 
-def _step(den, spec, i):
+def step_reads(spec, shared):
+    """What each step reads of shared, built once per grid: per step i,
+    the (head, tail) parts of table row i, split after DPM-Solver++'s two
+    data-prediction entries (head is empty for the other families), and
+    den's row i of the step constants.  On a plain table the parts are
+    lists of Python floats from one tolist; on a taped one each read is
+    taped, as the whole-tape reference differentiates it."""
+    table = shared[0]
+    pre = 2 if spec.family == DPMPP else 0
+    if type(table) is not en.Value:
+        # iterating the constants yields the rows c[i] gives
+        return [(r[:pre], r[pre:], row)
+                for r, row in zip(table.tolist(), zip(*shared[1:]))]
+    return [(en.index(table, (i, slice(0, pre))) if pre else None,
+             en.index(table, (i, slice(pre, None))),
+             tuple([c[i] for c in shared[1:]])) for i in range(spec.nfe)]
+
+
+def _step(den, spec, i, memo):
     """Step i: step(state, shared) -> state', engine-generic; or, given
     acc, its transpose pair on plain arrays, step(state, shared, acc) ->
     (state', back), where back(adj') -> adj maps the adjoints of state' to
     those of state and adds the step's gradients of the table row and of
-    alpha_i, sigma_i into acc[0], acc[1] and acc[2] where acc has them."""
+    alpha_i, sigma_i into acc[0], acc[1] and acc[2] where acc has them.
+    Either way it reads its row i from memo, the `step_reads` of shared."""
     width = 1 + spec.history_width
     pre = 2 if spec.family == DPMPP else 0
-    head, tail = (i, slice(0, pre)), (i, slice(pre, None))
+    cols_head, cols_tail = (i, slice(0, pre)), (i, slice(pre, None))
 
     def step(state, shared, acc=None):
-        table = shared[0]
+        if shared is not memo[0]:
+            memo[:] = shared, step_reads(spec, shared)
+        head, tail, row = memo[1][i]
         x = state[0]
-        # row i of the step constants (a Value indexes through en.index)
-        row = tuple([c[i] for c in shared[1:]])
         if acc is None:
             eps = den.epsilon(x, row)
         else:
             eps, eps_vjp = den.epsilon(x, row, pullback=(1 in acc, 2 in acc))
         # DPM-Solver++ combines data predictions
-        out = en.lincomb(en.index(table, head), (x, eps)) if pre else eps
+        out = en.lincomb(head, (x, eps)) if pre else eps
         parts = (x, out) + state[1:]
-        new = ((en.lincomb(en.index(table, tail), parts), out)
-               + state[1:])[:width]
+        new = ((en.lincomb(tail, parts), out) + state[1:])[:width]
         if acc is None:
             return new
 
@@ -182,15 +208,16 @@ def _step(den, spec, i):
             # a lincomb's transpose: its row times the adjoint for each
             # part, one vdot per part for the row; out and the kept history
             # slots add their own adjoints as outputs of the step
-            g = [c * adj[0] for c in table[tail]]
+            g = [c * adj[0] for c in tail]
             g[1:width] = [a + b for a, b in zip(adj[1:], g[1:width])]
             if 0 in acc:
-                acc[0][tail] += [np.vdot(adj[0], p) for p in parts]
+                acc[0][cols_tail] += [np.vdot(adj[0], p) for p in parts]
             g_x, g_eps = g[0], g[1]
             if pre:
                 if 0 in acc:
-                    acc[0][head] += [np.vdot(g_eps, x), np.vdot(g_eps, eps)]
-                c_x, c_eps = table[head]
+                    acc[0][cols_head] += [np.vdot(g_eps, x),
+                                          np.vdot(g_eps, eps)]
+                c_x, c_eps = head
                 g_x = g_x + c_x * g_eps
                 g_eps = c_eps * g_eps
             g_den, g_a, g_s = eps_vjp(g_eps)
@@ -260,16 +287,19 @@ def _as_grid(t):
 
 
 def shared_map(den, spec, shared):
-    """The `solver_map` closure on a grid's prebuilt `checked_shared`."""
-    steps = make_steps(den, spec)
+    """The `solver_map` closure on a grid's prebuilt `checked_shared`; its
+    cold and its Jacobian steps are each built once, on first use."""
+    sets = {}
 
     def march(x, jacobian=False):
         if jacobian:  # x_T stacked over the identity: (..., 1 + d, d)
             eye = np.broadcast_to(np.eye(x.shape[-1]), x.shape + x.shape[-1:])
             x = np.concatenate([x[..., None, :], eye], axis=-2)
+        steps = sets.get(jacobian)
+        if steps is None:
+            steps = sets[jacobian] = make_steps(den, spec, jacobian)
         state = initial_state(spec, x)
-        for i, step in enumerate(make_steps(den, spec, True)
-                                 if jacobian else steps):
+        for i, step in enumerate(steps):
             state = step(state, shared)
             if not np.logical_and.reduce(np.isfinite(en.data_of(state[0])),
                                          axis=None):

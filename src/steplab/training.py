@@ -149,7 +149,8 @@ def _chain_parts(den, sched, spec, y, shared=None):
     """Prelude, steps and finale for one pair or a batch, as both chain
     gradients take them.  The prelude checks and builds the grid of the
     leaves xi and xi_c, or hands on a frozen grid's prebuilt `shared`; the
-    finale, like a step, is a transpose pair when also given acc."""
+    steps build their reads of it once per chain (`solvers.step_reads`);
+    the finale, like a step, is a transpose pair when also given acc."""
     T, t_min = sched.T, sched.t_min
 
     def prelude(env):

@@ -5,6 +5,7 @@ import json
 import os
 import struct
 from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -449,6 +450,9 @@ VP_WINDOW = ("schedule.family = vp_linear\nschedule.T = 1.0\n"
     ("train", "train.r = -inf\n", "train.r"),
     ("train", "train.gamma = inf\n", "train.gamma"),
     ("train", "train.gamma = -1\n", "train.gamma"),
+    ("train", "train.lr_xi = inf\n", "train.lr_xi"),
+    ("train", "train.lr_xic = inf\n", "train.lr_xic"),
+    ("train", "train.lr_xprime = inf\n", "train.lr_xprime"),
     # retired keys: the clipping and plateau schedule is fixed
     ("train", "train.clip_norm = -1\n", "train.clip_norm"),
     ("train", "train.plateau_factor = 1e300\n", "train.plateau_factor"),
@@ -475,6 +479,7 @@ VP_WINDOW = ("schedule.family = vp_linear\nschedule.T = 1.0\n"
         "bound.r-inf", "bound.r-minus-inf", "sweep.r_values-inf",
         "train.init", "bench-train.init", "data.count", "train.r-inf",
         "train.r-minus-inf", "train.gamma-inf", "train.gamma-negative",
+        "train.lr_xi-inf", "train.lr_xic-inf", "train.lr_xprime-inf",
         "retired-train.clip_norm", "retired-train.plateau_factor",
         "retired-train.plateau_patience", "retired-train.lr_floor_xi",
         "retired-train.lr_floor_xic", "data.vars-inf", "data.vars-2v-overflow",
@@ -560,16 +565,22 @@ def test_train_aborted_before_first_checkpoint_exits_1(ws, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["train", "sweep-r"])
-@pytest.mark.parametrize("extra,says", [
-    ("train.lr_xic = inf\n", "t=nan"),
-    ("train.lr_xprime = inf\n", "non-finite adjoint"),
+@pytest.mark.parametrize("field,says", [
+    ("lr_xic", "t=nan"),
+    ("lr_xprime", "non-finite adjoint"),
 ], ids=["lr_xic-inf", "lr_xprime-inf"])
-def test_errors_raised_inside_training_exit_2(ws, tmp_path, capsys, command,
-                                              extra, says):
+def test_errors_raised_inside_training_exit_2(ws, tmp_path, capsys,
+                                              monkeypatch, command, field,
+                                              says):
     """A schedule-domain or engine error from inside the training loop ends
-    in an error line, not a traceback, and leaves no --out directory."""
+    in an error line, not a traceback, and leaves no --out directory.  The
+    config refuses an infinite learning rate, so train() gets one past that
+    check."""
+    built = cli.build_train_config
+    monkeypatch.setattr(cli, "build_train_config",
+                        lambda cfg: replace(built(cfg), **{field: np.inf}))
     cfg2 = tmp_path / "blowup.cfg"
-    cfg2.write_text(SMALL_CFG + extra)
+    cfg2.write_text(SMALL_CFG)
     with np.errstate(all="ignore"):
         code = main([command, "--config", str(cfg2), "--data", data_of(ws),
                      "--out", str(tmp_path / "o")])
@@ -581,7 +592,7 @@ def test_errors_raised_inside_training_exit_2(ws, tmp_path, capsys, command,
 
 def test_sweep_r_refuses_an_aborted_training(ws, tmp_path, capsys):
     cfg2 = tmp_path / "blowup.cfg"
-    cfg2.write_text(SMALL_CFG + "train.lr_xi = inf\n")
+    cfg2.write_text(SMALL_CFG + "train.lr_xi = 1e4\n")
     out = tmp_path / "o"
     with np.errstate(all="ignore"):
         code = main(["sweep-r", "--config", str(cfg2), "--data",
@@ -603,7 +614,7 @@ def test_aborted_training_is_refused(ws, tmp_path, capsys, command, jobs,
     unvalidated init grid; cross-eval and bench's learned cell refuse it
     instead of reporting that grid as learned."""
     cfg2 = tmp_path / "blowup.cfg"
-    cfg2.write_text(SMALL_CFG + "train.lr_xi = inf\n")
+    cfg2.write_text(SMALL_CFG + "train.lr_xi = 1e4\n")
     out = tmp_path / "o"
     with np.errstate(all="ignore"):
         code = main([command, "--config", str(cfg2), "--data", data_of(ws),

@@ -273,3 +273,17 @@ def test_checkpoint_refuses_n_plus_one_entries(tmp_path, field):
                        match=f"checkpoint field {field} has 5 entries, "
                              f"not N = 4"):
         load_checkpoint(p, VE)
+
+
+def test_checkpoint_names_a_short_times_field(tmp_path):
+    """A times field one entry short, still strictly decreasing, is refused
+    for its length, naming the field and both lengths."""
+    disc = Discretization.from_times(VE, heuristic_times("logsnr", VE, 4))
+    p = tmp_path / "ck.json"
+    save_checkpoint(p, disc, SolverSpec(family="dpmpp", order=2, nfe=4))
+    blob = json.loads(p.read_text())
+    blob["times"] = blob["times"][:-1]
+    p.write_text(json.dumps(blob))
+    with pytest.raises(GridError, match=r"checkpoint field times has 4 "
+                                        r"entries, not N \+ 1 = 5$"):
+        load_checkpoint(p, VE)

@@ -262,6 +262,24 @@ def test_cold_lincomb_checks_its_row():
     with pytest.raises(en.EngineError,
                        match=r"lincomb: row shape \(1, 3\) for 3 arrays"):
         en.lincomb(LC_ROW[None], LC_ARRAYS)
+    with pytest.raises(en.EngineError,
+                       match=r"lincomb: row of 3 floats for 2 arrays"):
+        en.lincomb(LC_ROW.tolist(), LC_ARRAYS[:2])
+
+
+def test_lincomb_takes_a_float_row_as_its_array():
+    """A list of Python floats, as a grid's prebuilt step row holds it,
+    gives the array row's bits, cold and taped."""
+    row = LC_ROW.tolist()
+    assert en.lincomb(row, LC_ARRAYS).tobytes() == \
+        en.lincomb(LC_ROW, LC_ARRAYS).tobytes()
+    tape = en.Tape()
+    live = [tape.leaf(a) for a in LC_ARRAYS]
+    out = en.lincomb(row, live)
+    grads = tape.backward([(out, LC_W)], live)
+    assert out.data.tobytes() == en.lincomb(LC_ROW, LC_ARRAYS).tobytes()
+    for g, c in zip(grads, row):
+        assert g.tobytes() == (c * LC_W).tobytes()
 
 
 def test_cold_index_repeated_array_index():

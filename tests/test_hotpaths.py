@@ -1,13 +1,15 @@
-"""Hot loops, grid builds and training's gradient bookkeeping call ufuncs
-and C methods, never NumPy's Python wrappers.
+"""Hot loops, grid builds, the bound and training's gradient bookkeeping
+call ufuncs and C methods, never NumPy's Python wrappers.
 
 On the (8, 2) arrays of a step, a wrapper such as np.sum, np.shape,
 ndarray.all or np.zeros_like costs 2-6x the ufunc or C call it wraps.  Each
 case runs once to warm up (the schedule caches sigma_T, the draw loop
-fills its idle list), then once under sys.setprofile, and fails if it
-entered any function defined in NumPy's fromnumeric.py, _methods.py or
-numeric.py.  The one-frame dispatchers in multiarray.py of C functions
-such as vdot, dot and concatenate are allowed.
+fills its idle list, a step set builds its grid's reads), then once under
+sys.setprofile, and fails if it entered any function defined in NumPy's
+fromnumeric.py, _methods.py or numeric.py, or np.linalg.norm.  The
+one-frame dispatchers in multiarray.py of C functions such as vdot, dot
+and concatenate are allowed.  A warm step also reads its grid's prebuilt
+rows: it calls neither ndarray.tolist nor engine.index.
 """
 
 import sys
@@ -16,29 +18,34 @@ import numpy as np
 import pytest
 from numpy._core import _methods, fromnumeric, numeric
 
-from steplab import config
+from steplab import config, engine
 from steplab.discretize import Discretization, heuristic_times
+from steplab.evaluate import estimate_bound, log_abs_det_jacobian
 from steplab.rng import sample_prior
 from steplab.schedule import ve_edm, vp_linear
 from steplab.solvers import (SolverSpec, checked_shared, initial_state,
-                             make_steps, shared_map)
+                             make_steps, shared_map, solver_map)
 from steplab.training import pair_grads
 
 WRAPPER_FILES = {m.__file__ for m in (fromnumeric, _methods, numeric)}
+NORM = np.linalg.norm.__wrapped__.__code__
 SCHEDS = {"ve": ve_edm(), "vp": vp_linear()}
 SPECS = {"euler1": ("euler", 1), "dpmpp2": ("dpmpp", 2),
          "ipndm4": ("ipndm", 4)}
 B = 8
 
 
-def wrappers_entered(fn):
-    """The NumPy wrapper functions a warm call of fn enters, by name."""
+def entered(fn):
+    """The Python code objects and the C functions, by name, that a warm
+    call of fn enters."""
     fn()
     seen = []
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename in WRAPPER_FILES:
-            seen.append(frame.f_code.co_name)
+        if event == "call":
+            seen.append(frame.f_code)
+        elif event == "c_call":
+            seen.append(arg.__name__)
 
     sys.setprofile(profile)
     try:
@@ -46,6 +53,12 @@ def wrappers_entered(fn):
     finally:
         sys.setprofile(None)
     return seen
+
+
+def wrappers_entered(fn):
+    """The NumPy wrapper functions a warm call of fn enters, by name."""
+    return [c.co_name for c in entered(fn) if type(c) is not str
+            and (c.co_filename in WRAPPER_FILES or c is NORM)]
 
 
 def step_call(sched, spec_name, mode):
@@ -81,8 +94,50 @@ def step_call(sched, spec_name, mode):
 @pytest.mark.parametrize("spec_name", sorted(SPECS))
 @pytest.mark.parametrize("sched_name", sorted(SCHEDS))
 def test_a_step_enters_no_numpy_wrapper(sched_name, spec_name, mode):
+    """A warm step reads its prebuilt row, too: no tolist, no en.index."""
     call = step_call(SCHEDS[sched_name], spec_name, mode)
     assert wrappers_entered(call) == []
+    assert [c for c in entered(call)
+            if c == "tolist" or c is engine.index.__code__] == []
+
+
+@pytest.mark.parametrize("jacobian", [False, True], ids=["cold", "jacobian"])
+def test_a_map_lists_its_table_once(jacobian):
+    """The first march of a map lists its table in one call; the next
+    march lists nothing."""
+    sched = SCHEDS["vp"]
+    den = config.build_denoiser(dict(config.DEFAULTS), sched)
+    x = sample_prior(sched, den.d, B, seed=3)
+    march = solver_map(den, sched, SolverSpec("dpmpp", 2, nfe=16),
+                       heuristic_times("logsnr", sched, 16))
+    lists = [0, 0]  # tolist calls in the first and in the second march
+
+    def profile(frame, event, arg):
+        if event == "c_call" and arg.__name__ == "tolist":
+            lists[run] += 1
+
+    sys.setprofile(profile)
+    try:
+        for run in range(2):
+            march(x, jacobian)
+    finally:
+        sys.setprofile(None)
+    assert lists == [1, 0]
+
+
+@pytest.mark.parametrize("sched_name", sorted(SCHEDS))
+def test_the_bound_enters_no_numpy_wrapper(sched_name):
+    """estimate_bound and, inside it, log_abs_det_jacobian: the draws, the
+    tangent marches, the log-dets and the mean of the gaps."""
+    sched = SCHEDS[sched_name]
+    den = config.build_denoiser(dict(config.DEFAULTS), sched)
+    maps = [solver_map(den, sched, SolverSpec("dpmpp", 2, nfe=nfe),
+                       heuristic_times("logsnr", sched, nfe))
+            for nfe in (8, 4)]
+    assert wrappers_entered(
+        lambda: estimate_bound(*maps, sched, 0.19, den.d, 3, 5)) == []
+    x = sample_prior(sched, den.d, B, seed=3)
+    assert wrappers_entered(lambda: log_abs_det_jacobian(maps[0], x)) == []
 
 
 @pytest.mark.parametrize("spec_name", sorted(SPECS))
