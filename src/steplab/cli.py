@@ -43,7 +43,7 @@ def _ensure_dir(path):
     return path
 
 
-def _load_ds(args, sched):
+def _load_ds(args, cfg, sched):
     if args.data is None:
         raise ConfigError("this command requires --data")
     ds = load_dataset(args.data)
@@ -52,6 +52,9 @@ def _load_ds(args, sched):
             f"dataset {args.data} was generated under a different schedule "
             f"(hash {ds.schedule_hash:#x}, config gives "
             f"{sched.schedule_hash():#x})")
+    if ds.d != cfg["data.d"]:
+        raise ConfigError(f"dataset {args.data} has dimension d = {ds.d}, "
+                          f"but config gives data.d = {cfg['data.d']}")
     return ds
 
 
@@ -70,7 +73,7 @@ def _cmd_gen_data(args, cfg, sched, den):
 
 
 def _cmd_train(args, cfg, sched, den):
-    ds = _load_ds(args, sched)
+    ds = _load_ds(args, cfg, sched)
     spec = build_solver_spec(cfg)
     tc = build_train_config(cfg)
     report = train(ds, den, sched, spec, tc)
@@ -94,10 +97,11 @@ def _load_checkpoint_grid(cfg, sched, needed_by):
     if not cfg["sample.checkpoint"]:
         raise ConfigError(f"{needed_by} needs sample.checkpoint in the config")
     disc, spec = load_checkpoint(cfg["sample.checkpoint"], sched)
-    if spec.family != cfg["solver.family"]:
-        raise ConfigError(
-            f"checkpoint was trained for solver family '{spec.family}' but "
-            f"config requests '{cfg['solver.family']}'")
+    for key in ("family", "order", "nfe"):
+        got, want = getattr(spec, key), cfg[f"solver.{key}"]
+        if got != want:
+            raise ConfigError(f"checkpoint was trained for solver.{key} = "
+                              f"{got!r} but config requests {want!r}")
     return disc, spec
 
 
@@ -131,7 +135,7 @@ def _cmd_bench(args, cfg, sched, den):
     nfes = at_least(cfg, "bench.nfes", 1)
     methods = one_of(cfg, "bench.methods", BENCH_METHODS)
     spec, tc = build_solver_spec(cfg), build_train_config(cfg)
-    ds = _load_ds(args, sched)
+    ds = _load_ds(args, cfg, sched)
     teacher = build_teacher(cfg, den, sched)
     assets = bench_eval_assets(den, sched, teacher, eval_count, ref_nfe,
                                cfg["seed"])
@@ -153,7 +157,7 @@ def _cmd_bench(args, cfg, sched, den):
 
 def _cmd_sweep_r(args, cfg, sched, den):
     r_values = [float(r) for r in at_least(cfg, "sweep.r_values", 0.0)]
-    ds = _load_ds(args, sched)
+    ds = _load_ds(args, cfg, sched)
     spec = build_solver_spec(cfg)
     tc = build_train_config(cfg)
     rows = sweep_r(ds, den, sched, spec, tc, r_values)
@@ -196,7 +200,7 @@ def _cmd_bound(args, cfg, sched, den):
 
 def _cmd_cross_eval(args, cfg, sched, den):
     families = one_of(cfg, "cross.families", _CROSS_DEFAULT_ORDER)
-    ds = _load_ds(args, sched)
+    ds = _load_ds(args, cfg, sched)
     tc = build_train_config(cfg)
     nfe = at_least(cfg, "solver.nfe", 1)
     specs = [build_solver_spec(cfg) if family == cfg["solver.family"]

@@ -15,26 +15,31 @@ recording path.
 Gradients are pulled with :meth:`Tape.backward`, which allocates its own
 adjoint buffer per call; a tape can therefore be differentiated several times
 (e.g. once per Jacobian row).  :func:`whole_chain_grad` differentiates a
-prelude -> steps -> finale chain on one tape.  :func:`adjoint_chain_grad`
-tapes only the prelude: the same steps, given an accumulator, run on plain
-arrays returning their own transposes, and one reverse sweep over those
-cached pullbacks, with no tape and no replay, seeds the prelude's tape.
+prelude -> steps -> finale chain on one tape, building the steps once from
+the taped shared.  :func:`adjoint_chain_grad` tapes only the prelude: the
+same builder makes the steps of the plain shared, which, given an
+accumulator, run returning their own transposes, and one reverse sweep over
+those cached pullbacks, with no tape and no replay, seeds the prelude's tape.
 
 Hot loops (a step, cold, Jacobian or transposed, the march's divergence
 check, the grid checks and builds, the draws, the bound's log-dets and
 mean, and a training gradient's prelude, seed and sweep) call ufuncs and
-C methods, never NumPy's Python wrappers: `np.add.reduce` for `np.sum`,
-`np.maximum.reduce` for `.max`, `np.logical_and.reduce` for `.all()`,
-`np.add.accumulate` for `np.cumsum`, `np.minimum(np.maximum(...))` for
-`np.clip`, `.shape`, `.ndim` and `.mT` for `np.shape`, `np.ndim` and
-`np.swapaxes`, `np.zeros(shape)` for `np.zeros_like`, :func:`full`, a
-filled `np.empty(shape)`, for `np.ones`, and `np.sqrt(np.dot(v, v))` for
+C methods, never the NumPy Python wrappers of fromnumeric.py, _methods.py
+and numeric.py: `np.add.reduce` for `np.sum`, `np.maximum.reduce` for
+`.max`, `np.logical_and.reduce` for `.all()`, `np.add.accumulate` for
+`np.cumsum`, `np.minimum(np.maximum(...))` for `np.clip`, `.shape`,
+`.ndim` and `.mT` for `np.shape`, `np.ndim` and `np.swapaxes`,
+`np.zeros(shape)` for `np.zeros_like`, :func:`full`, a filled
+`np.empty(shape)`, for `np.ones`, and `np.sqrt(np.dot(v, v))` for
 `np.linalg.norm`.  On the few-row arrays a step handles, a wrapper costs
 2-6x the call it wraps, and the call gives the same bits, since each
-replacement runs the same reduction in the same order.  A warm step also
-reads its rows prebuilt once per grid: it calls neither `ndarray.tolist`
-nor :func:`index`, and :func:`lincomb` takes its list of Python floats
-as it is.  tests/test_hotpaths.py holds the rule.
+replacement runs the same reduction in the same order.  Two wrappers from
+other files remain, once per march rather than per step: the Jacobian
+march stacks x_T over `np.eye` with `np.broadcast_to`, and the bound's
+log-det is `np.linalg.slogdet`.  A step reads rows its grid built once:
+it calls neither `ndarray.tolist` nor :func:`index`, and :func:`lincomb`
+takes its list of Python floats as it is.  tests/test_hotpaths.py holds
+the rule.
 """
 
 from __future__ import annotations
@@ -433,10 +438,11 @@ def whole_chain_grad(leaves, prelude, steps, finale):
     Args:
         leaves: dict name -> numpy array/scalar, the differentiation targets.
         prelude: fn(env dict of Values) -> (shared tuple, initial state tuple).
-        steps: sequence of pure fns (state, shared) -> state.
-        finale: fn(state, shared) -> scalar, or a per-row loss vector whose
-            entries are all seeded with 1 (each row's gradient is then the
-            gradient of its own loss when rows do not interact).
+        steps: fn(shared) -> the step fns state -> state, run once, on the
+            taped shared, for the whole tape.
+        finale: fn(state) -> scalar, or a per-row loss vector whose entries
+            are all seeded with 1 (each row's gradient is then the gradient
+            of its own loss when rows do not interact).
 
     Returns:
         ChainGradResult with grads keyed like `leaves`.
@@ -444,13 +450,14 @@ def whole_chain_grad(leaves, prelude, steps, finale):
     tape = Tape()
     env = {k: tape.leaf(v) for k, v in leaves.items()}
     shared, state = prelude(env)
-    for step in steps:
-        state = step(state, shared)
-    loss = finale(state, shared)
+    chain = steps(shared)
+    for step in chain:
+        state = step(state)
+    loss = finale(state)
     names = list(leaves)
     grads = tape.backward([(loss, _ones_like(loss))], [env[k] for k in names])
     return ChainGradResult(_loss_value(loss), dict(zip(names, grads)),
-                           retained_arrays=len(tape), n_steps=len(steps))
+                           retained_arrays=len(tape), n_steps=len(chain))
 
 
 def adjoint_chain_grad(leaves, prelude, steps, finale):
@@ -458,17 +465,16 @@ def adjoint_chain_grad(leaves, prelude, steps, finale):
 
     The prelude runs once, taped; its Values mark which shared entries are
     differentiable, and the data of its outputs feed the forward pass.
-    The steps and finale are those :func:`whole_chain_grad` takes, called
-    with acc: each runs on plain arrays as a transpose pair,
-    step(state, shared, acc) -> (state', back), and
-    finale(state, shared, acc) -> (loss, back).  back(adj') returns the
-    adjoints of the segment's input and adds its gradient of shared[j]
-    into acc[j], a zero array for each differentiable shared[j].  The
-    forward caches each back; the sweep calls them last to first from a
-    ones seed, and the prelude's tape is then seeded with acc and the
-    adjoint of its initial state.  `retained_arrays` counts the distinct
-    arrays the cached backs hold (counted when first read, which keeps
-    them until then).
+    The builder steps runs once, on that plain shared, and its steps and
+    finale are called with acc: each runs on plain arrays as a transpose
+    pair, step(state, acc) -> (state', back), and finale(state, acc) ->
+    (loss, back).  back(adj') returns the adjoints of the segment's input
+    and adds its gradient of shared[j] into acc[j], a zero array for each
+    differentiable shared[j].  The forward caches each back; the sweep
+    calls them last to first from a ones seed, and the prelude's tape is
+    then seeded with acc and the adjoint of its initial state.
+    `retained_arrays` counts the distinct arrays the cached backs hold
+    (counted when first read, which keeps them until then).
     """
     tape = Tape()
     env = {k: tape.leaf(v) for k, v in leaves.items()}
@@ -477,9 +483,9 @@ def adjoint_chain_grad(leaves, prelude, steps, finale):
     acc = {j: np.zeros(shared[j].shape) for j, s in enumerate(shared_p)
            if type(s) is Value}
     out = tuple(data_of(s) for s in state_p)
-    backs = []
-    for seg in (*steps, finale):
-        out, back = seg(out, shared, acc)
+    chain, backs = steps(shared), []
+    for seg in (*chain, finale):
+        out, back = seg(out, acc)
         backs.append(back)
     adj = _ones_like(out)
     for back in reversed(backs):
@@ -490,7 +496,7 @@ def adjoint_chain_grad(leaves, prelude, steps, finale):
     grads = tape.backward(seeds, [env[k] for k in names])
     return ChainGradResult(_loss_value(out), dict(zip(names, grads)),
                            retained_arrays=lambda: _held_arrays(backs),
-                           n_steps=len(steps))
+                           n_steps=len(chain))
 
 
 def _held_arrays(fns):

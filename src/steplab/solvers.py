@@ -21,18 +21,16 @@ h_i = lambda_{i+1} - lambda_i (> 0 along sampling), the rows are
             with b_i the Adams-Bashforth row of order min(i + 1, order),
             zero-padded during warm-up
 
-Steps are pure functions of (state, shared).  `checked_shared` checks a
-grid and builds shared once for it, taped or cold: the table, then the
-denoiser's per-step constants on the query times (`den.step_constants`,
-a tuple of arrays with one row per step), and step i hands their row i
-to `den.epsilon`.  So steps run identically on plain numpy arrays and on
-taped engine Values.  A step does not index shared itself: the steps of
-one `make_steps` call read prebuilt rows, which the first of them to meet
-a shared builds for all (`step_reads`).  On a plain grid each table row is
-a list of Python floats, from one tolist per grid, and each denoiser row a
-tuple, so a warm step is one denoiser call plus its update arithmetic; on
-a taped grid the same reads are taped.  Given acc,
-`step(state, shared, acc)` runs on plain arrays and also returns its
+`checked_shared` checks a grid and builds shared once for it, taped or
+cold: the table, then the denoiser's per-step constants on the query
+times (`den.step_constants`, a tuple of arrays with one row per step).
+`make_steps` builds the steps of one shared: it reads every step's rows
+of it once, and step i hands its denoiser row to `den.epsilon`.  So steps
+run identically on plain numpy arrays and on taped engine Values.  On a
+plain grid each table row is a list of Python floats, from one tolist per
+grid, and each denoiser row a tuple, so a step is one denoiser call plus
+its update arithmetic; on a taped grid the same reads are taped.  Given
+acc, `step(state, acc)` runs on plain arrays and also returns its
 transpose, which training's discrete adjoint sweeps: the adjoints of the
 state are row i times the adjoint of the update, the row's gradient is
 one vdot per array, and the denoiser's pullback gives those of x and of
@@ -148,50 +146,41 @@ def coeffs(sched, spec, times):
                             en.mul(em, c)])
 
 
-def make_steps(den, spec, jacobian=False):
-    """Pure step closures for i = 0 .. nfe-1, all of the one generic step
-    (see `_step`); with jacobian=True they march stacked tangent slots.
-    They share one memo of `step_reads`: the first step to meet a shared
-    builds every step's reads of it, and the rest reuse them."""
-    if jacobian:
-        den = _Tangents(den)
-    memo = [None, None]  # the last shared the steps met, and its reads
-    return [_step(den, spec, i, memo) for i in range(spec.nfe)]
-
-
-def step_reads(spec, shared):
-    """What each step reads of shared, built once per grid: per step i,
-    the (head, tail) parts of table row i, split after DPM-Solver++'s two
-    data-prediction entries (head is empty for the other families), and
-    den's row i of the step constants.  On a plain table the parts are
-    lists of Python floats from one tolist; on a taped one each read is
-    taped, as the whole-tape reference differentiates it."""
+def make_steps(den, spec, shared):
+    """The step closures of the grid `shared` for i = 0 .. nfe-1, all of
+    the one generic step (see `_step`); given `_Tangents(den)` they march
+    stacked tangent slots.  Each step is bound to its reads of shared,
+    built here once for all: the (head, tail) parts of table row i, split
+    after DPM-Solver++'s two data-prediction entries (head is empty for the
+    other families), and den's row i of the step constants.  On a plain
+    table the parts are lists of Python floats from one tolist; on a taped
+    one each read is taped, as the whole-tape reference differentiates
+    it."""
     table = shared[0]
     pre = 2 if spec.family == DPMPP else 0
     if type(table) is not en.Value:
         # iterating the constants yields the rows c[i] gives
-        return [(r[:pre], r[pre:], row)
-                for r, row in zip(table.tolist(), zip(*shared[1:]))]
-    return [(en.index(table, (i, slice(0, pre))) if pre else None,
-             en.index(table, (i, slice(pre, None))),
-             tuple([c[i] for c in shared[1:]])) for i in range(spec.nfe)]
+        reads = [(r[:pre], r[pre:], row)
+                 for r, row in zip(table.tolist(), zip(*shared[1:]))]
+    else:
+        reads = [(en.index(table, (i, slice(0, pre))) if pre else None,
+                  en.index(table, (i, slice(pre, None))),
+                  tuple([c[i] for c in shared[1:]]))
+                 for i in range(spec.nfe)]
+    return [_step(den, spec, i, *r) for i, r in enumerate(reads)]
 
 
-def _step(den, spec, i, memo):
-    """Step i: step(state, shared) -> state', engine-generic; or, given
-    acc, its transpose pair on plain arrays, step(state, shared, acc) ->
+def _step(den, spec, i, head, tail, row):
+    """Step i on its reads: step(state) -> state', engine-generic; or,
+    given acc, its transpose pair on plain arrays, step(state, acc) ->
     (state', back), where back(adj') -> adj maps the adjoints of state' to
     those of state and adds the step's gradients of the table row and of
-    alpha_i, sigma_i into acc[0], acc[1] and acc[2] where acc has them.
-    Either way it reads its row i from memo, the `step_reads` of shared."""
+    alpha_i, sigma_i into acc[0], acc[1] and acc[2] where acc has them."""
     width = 1 + spec.history_width
     pre = 2 if spec.family == DPMPP else 0
     cols_head, cols_tail = (i, slice(0, pre)), (i, slice(pre, None))
 
-    def step(state, shared, acc=None):
-        if shared is not memo[0]:
-            memo[:] = shared, step_reads(spec, shared)
-        head, tail, row = memo[1][i]
+    def step(state, acc=None):
         x = state[0]
         if acc is None:
             eps = den.epsilon(x, row)
@@ -297,10 +286,11 @@ def shared_map(den, spec, shared):
             x = np.concatenate([x[..., None, :], eye], axis=-2)
         steps = sets.get(jacobian)
         if steps is None:
-            steps = sets[jacobian] = make_steps(den, spec, jacobian)
+            steps = sets[jacobian] = make_steps(
+                _Tangents(den) if jacobian else den, spec, shared)
         state = initial_state(spec, x)
         for i, step in enumerate(steps):
-            state = step(state, shared)
+            state = step(state)
             if not np.logical_and.reduce(np.isfinite(en.data_of(state[0])),
                                          axis=None):
                 raise DivergenceError(i)

@@ -25,6 +25,7 @@ refuses, aborts training with the best grid so far.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field, replace
 
@@ -149,8 +150,8 @@ def _chain_parts(den, sched, spec, y, shared=None):
     """Prelude, steps and finale for one pair or a batch, as both chain
     gradients take them.  The prelude checks and builds the grid of the
     leaves xi and xi_c, or hands on a frozen grid's prebuilt `shared`; the
-    steps build their reads of it once per chain (`solvers.step_reads`);
-    the finale, like a step, is a transpose pair when also given acc."""
+    steps are built for it by `solvers.make_steps`, once per chain; the
+    finale, like a step, is a transpose pair when also given acc."""
     T, t_min = sched.T, sched.t_min
 
     def prelude(env):
@@ -161,7 +162,7 @@ def _chain_parts(den, sched, spec, y, shared=None):
         times_c = query_times(times, env["xi_c"], T, t_min)
         return checked_shared(den, sched, spec, times, times_c), state
 
-    def finale(state, shared, acc=None):
+    def finale(state, acc=None):
         x = state[0]
         loss = distance(x, y)
         if acc is None:
@@ -174,7 +175,7 @@ def _chain_parts(den, sched, spec, y, shared=None):
 
         return loss, back
 
-    return prelude, make_steps(den, spec), finale
+    return prelude, functools.partial(make_steps, den, spec), finale
 
 
 def pair_grads(disc, den, sched, spec, x_prime, y, checkpointed=True,
@@ -325,6 +326,9 @@ def train(ds, den, sched, spec, cfg):
     updates xi_c.  The dataset's x_prime columns are updated in place, so the
     perturbed starts persist across epochs.
     """
+    if ds.count < 2:
+        raise TrainingError(f"training needs a dataset of >= 2 pairs, got "
+                            f"{ds.count}: its validation split is empty")
     d = ds.d
     nfe = spec.nfe
     lr_xi = cfg.lr_xi

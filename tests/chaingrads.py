@@ -17,23 +17,26 @@ def checkpointed_chain_grad(leaves, prelude, steps, finale):
 
     The prelude runs once, taped; its Values mark which shared and initial
     state entries are differentiable, and their data feed the forward pass,
-    which runs the segments untaped (the finale is the last) and caches
-    each one's output.  The backward sweep replays the segments last to
-    first, each on a fresh tape and checked bitwise against the forward
+    which runs the segments the builder steps makes of them untaped (the
+    finale is the last) and caches each one's output.  The backward sweep
+    replays the segments last to first, each built from that replay's own
+    taped shared on a fresh tape and checked bitwise against the forward
     (EngineError if it diverged), and accumulates adjoints for the shared
     prelude outputs; the prelude is backpropagated last.  Retained
     activations across step boundaries are exactly the cached step states,
     independent of chain length.
     """
-    segments = list(steps) + [lambda state, shared: (finale(state, shared),)]
+    def segments(shared):
+        return list(steps(shared)) + [lambda state: (finale(state),)]
+
     tape_p = Tape()
     env_p = {k: tape_p.leaf(v) for k, v in leaves.items()}
     shared_p, state0_p = prelude(env_p)
     shared_raw = tuple(data_of(s) for s in shared_p)
     # cold forward
     states = [tuple(data_of(s) for s in state0_p)]
-    for seg in segments:
-        states.append(seg(states[-1], shared_raw))
+    for seg in segments(shared_raw):
+        states.append(seg(states[-1]))
     retained = sum(len(s) for s in states[1:-1])
 
     shared_acc = {j: np.zeros_like(np.asarray(shared_raw[j]))
@@ -41,12 +44,12 @@ def checkpointed_chain_grad(leaves, prelude, steps, finale):
 
     # segments, last to first; ones seed the loss
     adj_state = (_ones_like(states[-1][0]),)
-    for i in range(len(segments) - 1, -1, -1):
+    for i in range(len(states) - 2, -1, -1):
         tape = Tape()
         st = tuple(tape.leaf(x) for x in states[i])
         sh = tuple(tape.leaf(x) if j in shared_acc else x
                    for j, x in enumerate(shared_raw))
-        out = segments[i](st, sh)
+        out = segments(sh)[i](st)
         for o, ref in zip(out, states[i + 1]):
             # bytes, so a NaN the forward made must replay as the same NaN
             if np.asarray(data_of(o)).tobytes() != np.asarray(ref).tobytes():
@@ -63,4 +66,4 @@ def checkpointed_chain_grad(leaves, prelude, steps, finale):
     names = list(leaves)
     grads = tape_p.backward(seeds, [env_p[k] for k in names])
     return ChainGradResult(_loss_value(states[-1][0]), dict(zip(names, grads)),
-                           retained_arrays=retained, n_steps=len(steps))
+                           retained_arrays=retained, n_steps=len(states) - 2)

@@ -12,6 +12,7 @@ import pytest
 
 from steplab import cli
 from steplab.cli import main
+from steplab.dataio import load_dataset, save_dataset
 from steplab.solvers import DivergenceError
 
 SMALL_CFG = """\
@@ -222,6 +223,25 @@ def test_sample_rejects_family_mismatch(ws, tmp_path, capsys):
     assert "family" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sample", "bound"])
+@pytest.mark.parametrize("key,value", [("solver.order", 1),
+                                       ("solver.nfe", 4)],
+                         ids=["order", "nfe"])
+def test_checkpoint_solver_must_match_the_config(ws, tmp_path, capsys,
+                                                 command, key, value):
+    """The checkpoint was trained with dpmpp2 at NFE 3; a config asking
+    for another order or NFE is refused, not overridden."""
+    cfg = tmp_path / "other.cfg"
+    cfg.write_text(overridden(
+        SMALL_CFG, f"sample.checkpoint = {ws / 'run' / 'checkpoint.json'}\n"
+        f"bound.grid = checkpoint\n{key} = {value}\n"))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{key} = " in err
+    assert not out.exists()
+
+
 def sample_edited_checkpoint(ws, tmp_path, capsys, edit):
     """Run sample on a copy of the trained checkpoint changed by edit(blob),
     which may instead return the file's whole text; returns the exit code,
@@ -330,6 +350,52 @@ def test_train_rejects_non_finite_dataset_record(ws, tmp_path, capsys):
                  "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "record 2 " in err
+
+
+D3_MEANS = "data.d = 3\ndata.means = 2,1,0,-1.4,1.8,0,0.3,-2.2,0\n"
+
+
+@pytest.mark.parametrize("command", ["train", "bench", "sweep-r",
+                                     "cross-eval"])
+def test_dataset_of_another_dimension_is_refused(ws, tmp_path, capsys,
+                                                 command):
+    """The d = 2 dataset under a data.d = 3 config."""
+    cfg2 = tmp_path / "d3.cfg"
+    cfg2.write_text(SMALL_CFG + D3_MEANS)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg2), "--data", data_of(ws),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "data.d = 3" in err
+    assert "d = 2" in err
+    assert not out.exists()
+
+
+def one_pair_dataset(ws, tmp_path):
+    ds = load_dataset(data_of(ws))
+    one = replace(ds, x_T=ds.x_T[:1], x_prime=ds.x_prime[:1], y=ds.y[:1])
+    path = tmp_path / "one.bin"
+    save_dataset(str(path), one)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["train", "bench"])
+def test_training_refuses_a_one_pair_dataset(ws, tmp_path, capsys, command):
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg_of(ws), "--data",
+                 one_pair_dataset(ws, tmp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "validation split is empty" in err
+    assert not out.exists()
+
+
+def test_heuristic_bench_runs_on_a_one_pair_dataset(ws, tmp_path):
+    cfg2 = tmp_path / "heur.cfg"
+    cfg2.write_text(overridden(SMALL_CFG, "bench.methods = logsnr\n"))
+    out = tmp_path / "o"
+    assert main(["bench", "--config", str(cfg2), "--data",
+                 one_pair_dataset(ws, tmp_path), "--out", str(out)]) == 0
+    assert len((out / "bench.csv").read_text().splitlines()) == 2
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -367,20 +367,22 @@ def chain_parts(n_steps):
         times = en.mul(0.25, en.exp(env["xi"]))
         return (times,), (env["x"], en.mul(0.0, env["x"]))
 
-    def make_step(i):
-        def step(state, shared):
+    def make_step(dt):
+        def step(state):
             x, h = state
-            dt = en.index(shared[0], i)
             u = en.sub(x, h)
             xn = en.add(x, en.mul(dt, en.div(u, en.add(1.0, en.mul(u, u)))))
             return (xn, en.mul(0.5, en.add(h, x)))
         return step
 
-    def finale(state, shared):
+    def steps(shared):
+        return [make_step(en.index(shared[0], i)) for i in range(n_steps)]
+
+    def finale(state):
         r = en.sub(state[0], 0.3)
         return en.dot(r, r)
 
-    return prelude, [make_step(i) for i in range(n_steps)], finale
+    return prelude, steps, finale
 
 
 LEAVES4 = {"xi": np.array([0.1, -0.2, 0.4, 0.0]),
@@ -435,15 +437,21 @@ def test_replay_divergence_is_caught():
     prelude, steps, finale = chain_parts(3)
     calls = []
 
-    def drifting(state, shared):
-        # adds a different constant on each call, so the replay cannot match
-        calls.append(None)
-        x, h = steps[1](state, shared)
-        return (en.add(x, 1e-3 * len(calls)), h)
+    def drifting_chain(shared):
+        first, middle, last = steps(shared)
+
+        def drifting(state):
+            # adds a different constant on each call, so the replay cannot
+            # match
+            calls.append(None)
+            x, h = middle(state)
+            return (en.add(x, 1e-3 * len(calls)), h)
+
+        return [first, drifting, last]
 
     with pytest.raises(en.EngineError, match="replay diverged"):
         checkpointed_chain_grad(LEAVES4 | {"xi": np.zeros(3)}, prelude,
-                                   [steps[0], drifting, steps[2]], finale)
+                                drifting_chain, finale)
 
 
 def test_retained_arrays_constant_per_step():
@@ -467,14 +475,16 @@ def test_constant_state_slots_are_fine():
     def prelude(env):
         return (), (env["x"], np.zeros(2))
 
-    def step(state, shared):
+    def step(state):
         x, pad = state
         return (en.mul(0.9, x), pad)
 
-    def finale(state, shared):
+    def finale(state):
         return en.dot(state[0], state[0])
 
     leaves = {"x": np.array([1.0, 2.0])}
-    ck = checkpointed_chain_grad(leaves, prelude, [step, step], finale)
-    whole = en.whole_chain_grad(leaves, prelude, [step, step], finale)
+    ck = checkpointed_chain_grad(leaves, prelude, lambda shared: [step, step],
+                                 finale)
+    whole = en.whole_chain_grad(leaves, prelude, lambda shared: [step, step],
+                                finale)
     np.testing.assert_allclose(ck.grads["x"], whole.grads["x"], atol=1e-15)

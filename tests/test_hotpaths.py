@@ -4,7 +4,7 @@ call ufuncs and C methods, never NumPy's Python wrappers.
 On the (8, 2) arrays of a step, a wrapper such as np.sum, np.shape,
 ndarray.all or np.zeros_like costs 2-6x the ufunc or C call it wraps.  Each
 case runs once to warm up (the schedule caches sigma_T, the draw loop
-fills its idle list, a step set builds its grid's reads), then once under
+fills its idle list, a map builds its steps), then once under
 sys.setprofile, and fails if it entered any function defined in NumPy's
 fromnumeric.py, _methods.py or numeric.py, or np.linalg.norm.  The
 one-frame dispatchers in multiarray.py of C functions such as vdot, dot
@@ -23,8 +23,9 @@ from steplab.discretize import Discretization, heuristic_times
 from steplab.evaluate import estimate_bound, log_abs_det_jacobian
 from steplab.rng import sample_prior
 from steplab.schedule import ve_edm, vp_linear
-from steplab.solvers import (SolverSpec, checked_shared, initial_state,
-                             make_steps, shared_map, solver_map)
+from steplab.solvers import (SolverSpec, _Tangents, checked_shared,
+                             initial_state, make_steps, shared_map,
+                             solver_map)
 from steplab.training import pair_grads
 
 WRAPPER_FILES = {m.__file__ for m in (fromnumeric, _methods, numeric)}
@@ -75,16 +76,16 @@ def step_call(sched, spec_name, mode):
     if mode == "jacobian":
         eye = np.broadcast_to(np.eye(den.d), x.shape + (den.d,))
         state = initial_state(spec, np.concatenate([x[:, None], eye], axis=1))
-        step = make_steps(den, spec, jacobian=True)[1]
-        return lambda: step(state, shared)
+        step = make_steps(_Tangents(den), spec, shared)[1]
+        return lambda: step(state)
     state = initial_state(spec, x)
-    step = make_steps(den, spec)[1]
+    step = make_steps(den, spec, shared)[1]
     if mode == "cold":
-        return lambda: step(state, shared)
+        return lambda: step(state)
     acc = {j: np.zeros(shared[j].shape) for j in range(3)}
 
     def transposed():
-        new, back = step(state, shared, acc)
+        new, back = step(state, acc)
         return back(new)
 
     return transposed
@@ -123,6 +124,23 @@ def test_a_map_lists_its_table_once(jacobian):
     finally:
         sys.setprofile(None)
     assert lists == [1, 0]
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["learned", "frozen"])
+def test_pair_grads_lists_its_table_once(frozen):
+    """One training gradient builds its steps once: learned, the prelude's
+    table, or frozen, the prebuilt one, is listed in one call."""
+    sched = SCHEDS["vp"]
+    den = config.build_denoiser(dict(config.DEFAULTS), sched)
+    spec = SolverSpec("dpmpp", 2, nfe=16)
+    disc = Discretization.from_times(sched,
+                                     heuristic_times("logsnr", sched, 16))
+    shared = checked_shared(den, sched, spec, disc.times(),
+                            disc.times_c()) if frozen else None
+    x = sample_prior(sched, den.d, B, seed=3)
+    calls = entered(lambda: pair_grads(disc, den, sched, spec, x, 0.5 * x,
+                                       True, shared))
+    assert calls.count("tolist") == 1
 
 
 @pytest.mark.parametrize("sched_name", sorted(SCHEDS))

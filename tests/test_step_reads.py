@@ -1,11 +1,11 @@
 """Steps that read their grid's prebuilt rows equal, bit for bit, the step
 that indexed the table and the step constants on every call.
 
-`indexing_step` is that step as it stood before `solvers.step_reads`: per
-call it builds the denoiser row tuple, slices the table with `en.index`
-and hands `en.lincomb` an array row.  Each case marches every step of a
-grid whose query times are moved off the step starts, in one of the four
-modes a step runs in, and compares bytes: the state after every step
+`indexing_step` is that step as it stood before steps read prebuilt rows,
+bound to its grid: per call it builds the denoiser row tuple, slices the
+table with `en.index` and hands `en.lincomb` an array row.  Each case
+marches every step of a grid whose query times are moved off the step
+starts, in one of the four modes a step runs in, and compares bytes: the state after every step
 (cold, tangent), the state and the adjoints of the sweep with every
 accumulated table, alpha and sigma gradient (transpose), and the state and
 the gradients of the grid and x_T a tape gives (taped).
@@ -31,13 +31,14 @@ SOLVER_IDS = [f"{f}{o}" for f, o in SOLVERS]
 ROWS = 3
 
 
-def indexing_step(den, spec, i):
-    """Step i as it indexed its reads on every call (the oracle)."""
+def indexing_step(den, spec, i, shared):
+    """Step i of the grid shared as it indexed its reads on every call (the
+    oracle)."""
     width = 1 + spec.history_width
     pre = 2 if spec.family == DPMPP else 0
     head, tail = (i, slice(0, pre)), (i, slice(pre, None))
 
-    def step(state, shared, acc=None):
+    def step(state, acc=None):
         table = shared[0]
         x = state[0]
         row = tuple([c[i] for c in shared[1:]])
@@ -76,10 +77,8 @@ def indexing_step(den, spec, i):
     return step
 
 
-def indexing_steps(den, spec, jacobian=False):
-    if jacobian:
-        den = solvers._Tangents(den)
-    return [indexing_step(den, spec, i) for i in range(spec.nfe)]
+def indexing_steps(den, spec, shared):
+    return [indexing_step(den, spec, i, shared) for i in range(spec.nfe)]
 
 
 def make_den(kind, sched):
@@ -106,9 +105,9 @@ def as_bytes(state):
     return [np.asarray(en.data_of(s)).tobytes() for s in state]
 
 
-def march(steps, state, shared, trail):
+def march(steps, state, trail):
     for step in steps:
-        state = step(state, shared)
+        state = step(state)
         trail.append(as_bytes(state))
     return state
 
@@ -117,7 +116,7 @@ def cold(den, sched, spec, steps_of):
     shared = checked_shared(den, sched, spec, *grid(sched, spec.nfe))
     x = sample_prior(sched, den.d, ROWS, 7)
     trail = []
-    march(steps_of(den, spec), initial_state(spec, x), shared, trail)
+    march(steps_of(den, spec, shared), initial_state(spec, x), trail)
     return trail
 
 
@@ -127,7 +126,8 @@ def tangent(den, sched, spec, steps_of):
     eye = np.broadcast_to(np.eye(den.d), x.shape + (den.d,))
     xs = np.concatenate([x[:, None, :], eye], axis=1)
     trail = []
-    march(steps_of(den, spec, True), initial_state(spec, xs), shared, trail)
+    march(steps_of(solvers._Tangents(den), spec, shared),
+          initial_state(spec, xs), trail)
     return trail
 
 
@@ -138,8 +138,8 @@ def transpose(den, sched, spec, steps_of):
     x = sample_prior(sched, den.d, ROWS, 7)
     acc = {j: np.zeros(shared[j].shape) for j in range(3)}
     state, backs, trail = initial_state(spec, x), [], []
-    for step in steps_of(den, spec):
-        state, back = step(state, shared, acc)
+    for step in steps_of(den, spec, shared):
+        state, back = step(state, acc)
         backs.append(back)
         trail.append(as_bytes(state))
     adj = tuple(np.full(s.shape, 0.5) for s in state)
@@ -157,7 +157,7 @@ def taped(den, sched, spec, steps_of):
     x = tape.leaf(sample_prior(sched, den.d, ROWS, 7))
     shared = checked_shared(den, sched, spec, times, times_c)
     trail = []
-    out = march(steps_of(den, spec), initial_state(spec, x), shared, trail)
+    out = march(steps_of(den, spec, shared), initial_state(spec, x), trail)
     w = np.linspace(-1.0, 1.0, out[0].data.size).reshape(out[0].data.shape)
     grads = tape.backward([(out[0], w)], [times, times_c, x])
     return trail + [as_bytes(grads)]
@@ -185,28 +185,3 @@ def test_prebuilt_reads_equal_the_indexing_step(family, order, sched_name,
     for k, (g, w) in enumerate(zip(got, want)):
         assert g == w, f"entry {k} differs"
 
-
-def test_steps_reuse_their_reads_until_shared_changes(monkeypatch):
-    """One step set builds a grid's reads once, however many marches read
-    them, and builds them again for another shared, here of the same
-    grid."""
-    sched = SCHEDS["vp"]
-    den = make_den("gm", sched)
-    spec = SolverSpec("dpmpp", 2, nfe=4)
-    builds = []
-    step_reads = solvers.step_reads
-
-    def counting(spec, shared):
-        builds.append(shared)
-        return step_reads(spec, shared)
-
-    monkeypatch.setattr(solvers, "step_reads", counting)
-    steps = make_steps(den, spec)
-    a = checked_shared(den, sched, spec, *grid(sched, 4))
-    b = checked_shared(den, sched, spec, *grid(sched, 4))
-    x = initial_state(spec, sample_prior(sched, den.d, ROWS, 7))
-    trails = [[], [], []]
-    for shared, trail in zip((a, a, b), trails):
-        march(steps, x, shared, trail)
-    assert trails[0] == trails[1] == trails[2]
-    assert [s is a for s in builds] == [True, False]
