@@ -33,7 +33,8 @@ from .evaluate import (BENCH_METHODS, JacobianError, bench_cell,
                        solve_batch, solver_map, sweep_r)
 from .schedule import ScheduleDomainError
 from .solvers import DivergenceError, GridError, SolverSpec
-from .training import TrainingError, generate_dataset, train
+from .training import (TrainingError, generate_dataset, mixture_hashes,
+                       train)
 
 _CROSS_DEFAULT_ORDER = {"euler": 1, "dpmpp": 2, "ipndm": 4}
 
@@ -43,7 +44,7 @@ def _ensure_dir(path):
     return path
 
 
-def _load_ds(args, cfg, sched):
+def _load_ds(args, cfg, sched, den):
     if args.data is None:
         raise ConfigError("this command requires --data")
     ds = load_dataset(args.data)
@@ -55,6 +56,19 @@ def _load_ds(args, cfg, sched):
     if ds.d != cfg["data.d"]:
         raise ConfigError(f"dataset {args.data} has dimension d = {ds.d}, "
                           f"but config gives data.d = {cfg['data.d']}")
+    for key, got, want in zip(("data.weights", "data.means", "data.vars"),
+                              ds.mixture, mixture_hashes(den)):
+        if got != want:
+            raise ConfigError(
+                f"dataset {args.data} was generated from another mixture: "
+                f"its {key} differ from those of the config's "
+                f"data.kind = {cfg['data.kind']} (hash {got:#x}, config "
+                f"gives {want:#x})")
+    for key, got in zip(("family", "order", "nfe", "grid"), ds.teacher):
+        if got != cfg[f"teacher.{key}"]:
+            raise ConfigError(
+                f"dataset {args.data} was generated with teacher.{key} = "
+                f"{got}, but config gives {cfg[f'teacher.{key}']}")
     return ds
 
 
@@ -73,7 +87,7 @@ def _cmd_gen_data(args, cfg, sched, den):
 
 
 def _cmd_train(args, cfg, sched, den):
-    ds = _load_ds(args, cfg, sched)
+    ds = _load_ds(args, cfg, sched, den)
     spec = build_solver_spec(cfg)
     tc = build_train_config(cfg)
     report = train(ds, den, sched, spec, tc)
@@ -135,7 +149,7 @@ def _cmd_bench(args, cfg, sched, den):
     nfes = at_least(cfg, "bench.nfes", 1)
     methods = one_of(cfg, "bench.methods", BENCH_METHODS)
     spec, tc = build_solver_spec(cfg), build_train_config(cfg)
-    ds = _load_ds(args, cfg, sched)
+    ds = _load_ds(args, cfg, sched, den)
     teacher = build_teacher(cfg, den, sched)
     assets = bench_eval_assets(den, sched, teacher, eval_count, ref_nfe,
                                cfg["seed"])
@@ -157,7 +171,7 @@ def _cmd_bench(args, cfg, sched, den):
 
 def _cmd_sweep_r(args, cfg, sched, den):
     r_values = [float(r) for r in at_least(cfg, "sweep.r_values", 0.0)]
-    ds = _load_ds(args, cfg, sched)
+    ds = _load_ds(args, cfg, sched, den)
     spec = build_solver_spec(cfg)
     tc = build_train_config(cfg)
     rows = sweep_r(ds, den, sched, spec, tc, r_values)
@@ -200,7 +214,7 @@ def _cmd_bound(args, cfg, sched, den):
 
 def _cmd_cross_eval(args, cfg, sched, den):
     families = one_of(cfg, "cross.families", _CROSS_DEFAULT_ORDER)
-    ds = _load_ds(args, cfg, sched)
+    ds = _load_ds(args, cfg, sched, den)
     tc = build_train_config(cfg)
     nfe = at_least(cfg, "solver.nfe", 1)
     specs = [build_solver_spec(cfg) if family == cfg["solver.family"]

@@ -1,16 +1,20 @@
 """On-disk formats: the binary pair dataset and the CSV reports.
 
-Dataset layout (little-endian):
+Dataset layout, format version 2 (little-endian):
 
     bytes 0-3    magic b"LD3D"
-    bytes 4-7    u32 format version (= 1)
+    bytes 4-7    u32 format version (= 2)
     bytes 8-11   u32 dimension d
     bytes 12-15  u32 pair count
     bytes 16-23  u64 schedule hash
     bytes 24-31  u64 generation seed
-    then count records of 3*d float64: x_T, x_prime, y
+    bytes 32-55  u64 hashes of the mixture's weights, means and variances
+    bytes 56-71  teacher family, ASCII, NUL-padded
+    bytes 72-79  u32 teacher order, u32 teacher nfe
+    bytes 80-95  teacher grid, ASCII, NUL-padded
+    then count records of 2*d float64: x_T, y
 
-so a file holds exactly 32 + count * 3 * d * 8 bytes, and every record is
+so a file holds exactly 96 + count * 2 * d * 8 bytes, and every record is
 finite.  Floats in the CSVs are rendered with Python's shortest round-trip
 repr, keeping reruns byte-comparable.
 """
@@ -25,8 +29,8 @@ import numpy as np
 from .training import Dataset
 
 MAGIC = b"LD3D"
-VERSION = 1
-_HEADER = struct.Struct("<4sIIIQQ")
+VERSION = 2
+_HEADER = struct.Struct("<4sIIIQQ3Q16sII16s")
 
 METRICS_HEADER = "iter,epoch,phase,train_loss,val_loss,lr_xi,lr_xic,wall_s"
 BENCH_HEADER = "method,solver,nfe,teacher_dist,rmsd,w1,seed"
@@ -38,34 +42,43 @@ class FormatError(ValueError):
 
 
 def save_dataset(path, ds):
-    recs = np.concatenate([ds.x_T, ds.x_prime, ds.y], axis=1)
+    family, order, nfe, grid = ds.teacher
+    recs = np.concatenate([ds.x_T, ds.y], axis=1)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, ds.d, ds.count,
-                              ds.schedule_hash, ds.seed))
+                              ds.schedule_hash, ds.seed, *ds.mixture,
+                              family.encode(), order, nfe, grid.encode()))
         fh.write(recs.astype("<f8").tobytes())
 
 
 def load_dataset(path):
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
-        if len(head) < _HEADER.size:
+        if len(head) < 8:
             raise FormatError("truncated dataset header")
-        magic, version, d, count, sched_hash, seed = _HEADER.unpack(head)
+        magic, version = struct.unpack_from("<4sI", head)
         if magic != MAGIC:
             raise FormatError(f"bad magic {magic!r}")
         if version != VERSION:
-            raise FormatError(f"unsupported dataset version {version}")
+            raise FormatError(f"unsupported dataset version {version}: "
+                              f"gen-data rebuilds it as version {VERSION}")
+        if len(head) < _HEADER.size:
+            raise FormatError("truncated dataset header")
         payload = fh.read()
-    expected = count * 3 * d * 8
+    (_, _, d, count, sched_hash, seed, *mixture, family, order, nfe,
+     grid) = _HEADER.unpack(head)
+    expected = count * 2 * d * 8
     if len(payload) != expected:
         raise FormatError(f"payload is {len(payload)} bytes, expected {expected}")
-    recs = np.frombuffer(payload, dtype="<f8").reshape(count, 3 * d)
+    recs = np.frombuffer(payload, dtype="<f8").reshape(count, 2 * d)
     bad = ~np.all(np.isfinite(recs), axis=1)
     if np.any(bad):
         raise FormatError(f"record {np.argmax(bad)} holds a non-finite value")
-    return Dataset(x_T=recs[:, :d].copy(), x_prime=recs[:, d:2 * d].copy(),
-                   y=recs[:, 2 * d:].copy(), seed=seed,
-                   schedule_hash=sched_hash)
+    family, grid = (s.rstrip(b"\0").decode("ascii", "replace")
+                    for s in (family, grid))
+    return Dataset(x_T=recs[:, :d].copy(), y=recs[:, d:].copy(), seed=seed,
+                   schedule_hash=sched_hash, mixture=tuple(mixture),
+                   teacher=(family, order, nfe, grid))
 
 
 # ------------------------------------------------------------------- CSVs

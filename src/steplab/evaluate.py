@@ -152,7 +152,7 @@ def sweep_r(ds, den, sched, spec, cfg, r_values):
     aborted before its first checkpoint."""
     rows = []
     for r in r_values:
-        report = train(ds.fresh(), den, sched, spec,
+        report = train(ds, den, sched, spec,
                        replace(cfg, r_override=float(r)))
         rows.append((float(r), report.best_val))
     return rows
@@ -171,7 +171,7 @@ def cross_eval(ds, den, sched, specs, cfg):
     if len(nfes) != 1:
         raise ValueError("cross_eval requires a shared NFE")
     _, val_idx = split_indices(ds.count, ds.seed)
-    trained = [_checkpointed(train(ds.fresh(), den, sched, spec, cfg),
+    trained = [_checkpointed(train(ds, den, sched, spec, cfg),
                              f"{spec.family}{spec.order}") for spec in specs]
     n = len(specs)
     matrix = np.zeros((n, n), dtype=np.float64)
@@ -217,7 +217,7 @@ def bench_cell(ds, den, sched, spec, cfg, method, nfe, assets, seed):
     spec_n = SolverSpec(family=spec.family, order=spec.order, nfe=int(nfe))
     if method == "learned":
         report = _checkpointed(
-            train(ds.fresh(), den, sched, spec_n, replace(cfg, seed=seed)),
+            train(ds, den, sched, spec_n, replace(cfg, seed=seed)),
             f"{spec.family}{spec.order} at NFE {nfe}")
         disc = report.best_discretization(sched, spec_n.nfe)
         times, times_c = disc.times(), disc.times_c()

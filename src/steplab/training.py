@@ -2,9 +2,9 @@
 
 A teacher solver with a fine grid maps prior noise x_T to targets
 y = Psi*(x_T).  The student reuses the same denoiser with only N steps and
-learnable (xi, xi_c).  Rather than forcing Psi_xi(x_T) = y (hard loss), each
-training pair carries a perturbed start x'_T that is co-optimized under the
-constraint ||x'_T - x_T|| <= rho_ball, with
+learnable (xi, xi_c).  Rather than forcing Psi_xi(x_T) = y (hard loss), a
+run gives each pair a perturbed start x'_T, from x_T, that is co-optimized
+under the constraint ||x'_T - x_T|| <= rho_ball, with
 
     rho_ball = r * sigma_T,      r = gamma * d / NFE^2.
 
@@ -26,8 +26,9 @@ refuses, aborts training with the best grid so far.
 from __future__ import annotations
 
 import functools
+import hashlib
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,12 +61,22 @@ def project(x_prime, x_T, rho_ball):
     x_T + scale * diff rounds each coordinate at the spacing of
     |x_T| + rho_ball, far coarser than rho_ball's own when |x_T| >> rho, so
     an outside row aims sqrt(d) such spacings inside the sphere: it then
-    lies in the ball up to the rounding of rho_ball itself.
+    lies in the ball up to the rounding of rho_ball itself.  A finite row
+    whose squared distance overflows is measured at its own scale, so it
+    too lands on the sphere along its direction.
     """
     x_prime = np.asarray(x_prime, dtype=np.float64)
     diff = x_prime - x_T
-    dist = np.sqrt(np.vecdot(diff, diff))[..., None]
-    outside = dist > rho_ball
+    with np.errstate(over="ignore"):
+        dist = np.sqrt(np.vecdot(diff, diff))[..., None]
+    unit = 1.0  # the scale diff and dist are measured in
+    huge = dist == np.inf
+    if np.logical_or.reduce(huge, axis=None):
+        unit = np.where(huge, np.maximum.reduce(np.abs(diff), axis=-1,
+                                                keepdims=True), 1.0)
+        diff = diff / unit
+        dist = np.where(huge, np.sqrt(np.vecdot(diff, diff))[..., None], dist)
+    outside = dist > rho_ball / unit
     top = np.maximum.reduce(np.abs(x_T), axis=-1, keepdims=True) + rho_ball
     aim = rho_ball - np.sqrt(diff.shape[-1]) * np.spacing(top)
     scale = np.maximum(aim, 0.0) / np.where(outside, dist, 1.0)
@@ -91,28 +102,32 @@ class Teacher:
     sched: object
     spec: SolverSpec
     times: np.ndarray
+    grid: str
 
     @classmethod
     def create(cls, den, sched, family="dpmpp", order=2, nfe=100,
                grid="logsnr"):
         spec = SolverSpec(family=family, order=order, nfe=nfe)
         times = heuristic_times(grid, sched, nfe)
-        return cls(den=den, sched=sched, spec=spec, times=times)
+        return cls(den=den, sched=sched, spec=spec, times=times, grid=grid)
 
     def solve_many(self, xs):
         """Targets for the rows of xs, solved as one batch."""
         return solve(self.den, self.sched, self.spec, self.times, None, xs)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    """Training triples (x_T, x'_T, y) plus provenance for format checks."""
+    """Teacher pairs (x_T, y = Psi*(x_T)) and what made them: the seed, the
+    schedule hash, one hash per mixture group (`mixture_hashes`) and the
+    teacher spec (family, order, nfe, grid)."""
 
     x_T: np.ndarray
-    x_prime: np.ndarray
     y: np.ndarray
     seed: int
     schedule_hash: int
+    mixture: tuple
+    teacher: tuple
 
     @property
     def count(self):
@@ -122,10 +137,15 @@ class Dataset:
     def d(self):
         return self.x_T.shape[1]
 
-    def fresh(self):
-        """A deep copy whose perturbed starts are reset to x_T."""
-        return replace(self, x_T=self.x_T.copy(), x_prime=self.x_T.copy(),
-                       y=self.y.copy())
+
+def mixture_hashes(den):
+    """Stable 64-bit fingerprints of the mixture's weights, means and
+    variances, as the denoiser holds them: configs that give the same
+    mixture agree."""
+    return tuple(int.from_bytes(hashlib.blake2b(
+        repr(a.shape).encode() + a.astype("<f8").tobytes(),
+        digest_size=8).digest(), "little")
+        for a in (den.weights, den.means, den.variances))
 
 
 def generate_dataset(den, sched, teacher, count, seed):
@@ -133,8 +153,11 @@ def generate_dataset(den, sched, teacher, count, seed):
         raise TrainingError("dataset needs count >= 2")
     x_T = rngmod.sample_prior(sched, den.d, count, seed)
     y = teacher.solve_many(x_T)
-    return Dataset(x_T=x_T, x_prime=x_T.copy(), y=y, seed=int(seed),
-                   schedule_hash=sched.schedule_hash())
+    spec = teacher.spec
+    return Dataset(x_T=x_T, y=y, seed=int(seed),
+                   schedule_hash=sched.schedule_hash(),
+                   mixture=mixture_hashes(den),
+                   teacher=(spec.family, spec.order, spec.nfe, teacher.grid))
 
 
 def split_indices(count, seed):
@@ -291,6 +314,7 @@ class TrainReport:
     best_xi_c: np.ndarray = None
     max_ball_violation: float = 0.0
     aborted: bool = False
+    x_prime: np.ndarray = None  # the perturbed starts where training left them
 
     def best_discretization(self, sched, nfe):
         return Discretization.create(sched, nfe, xi=self.best_xi,
@@ -323,8 +347,8 @@ def train(ds, den, sched, spec, cfg):
     """Run the two-phase grid optimization; returns a TrainReport.
 
     Phase 1 (epochs_phase1) updates xi and x'_T only; phase 2 additionally
-    updates xi_c.  The dataset's x_prime columns are updated in place, so the
-    perturbed starts persist across epochs.
+    updates xi_c.  The perturbed starts begin at x_T and persist across
+    epochs; they come back as the report's x_prime, the dataset unchanged.
     """
     if ds.count < 2:
         raise TrainingError(f"training needs a dataset of >= 2 pairs, got "
@@ -345,8 +369,10 @@ def train(ds, den, sched, spec, cfg):
     disc = Discretization.create(sched, nfe, xi=xi)
     xi, xi_c = disc.xi, disc.xi_c  # the steps below update them in place
 
+    x_prime = ds.x_T.copy()
     report = TrainReport(init_kind=init_kind, init_val_loss=init_val,
-                         best_xi=xi.copy(), best_xi_c=xi_c.copy())
+                         best_xi=xi.copy(), best_xi_c=xi_c.copy(),
+                         x_prime=x_prime)
     rms = RmsPropMomentum(xi.shape)
     plateau_count = 0
     it = 0
@@ -360,7 +386,7 @@ def train(ds, den, sched, spec, cfg):
             for lo in range(0, len(order), cfg.batch):
                 batch = train_idx[order[lo:lo + cfg.batch]]
                 b = len(batch)
-                res = pair_grads(disc, den, sched, spec, ds.x_prime[batch],
+                res = pair_grads(disc, den, sched, spec, x_prime[batch],
                                  ds.y[batch])
                 loss = float(np.mean(res.loss))
                 if not np.isfinite(loss):
@@ -371,17 +397,17 @@ def train(ds, den, sched, spec, cfg):
                 if phase == 2:
                     xi_c -= lr_xic * clip_to_norm(res.grads["xi_c"] / b,
                                                   CLIP_NORM)
-                moved = ds.x_prime[batch] - lr_xp * (res.grads["x_prime"] / b)
-                ds.x_prime[batch] = project(moved, ds.x_T[batch], rho)
+                moved = x_prime[batch] - lr_xp * (res.grads["x_prime"] / b)
+                x_prime[batch] = project(moved, ds.x_T[batch], rho)
                 it += 1
                 report.iter_rows.append((it, epoch, phase, loss, lr_xi,
                                          lr_xic))
             # end of epoch: refresh validation x', record loss, decay,
             # checkpoint
             best_x, val_losses = _refresh(
-                disc, den, sched, spec, ds.x_T[val_idx], ds.x_prime[val_idx],
+                disc, den, sched, spec, ds.x_T[val_idx], x_prime[val_idx],
                 ds.y[val_idx], rho, lr_xp, cfg.val_refresh_steps)
-            ds.x_prime[val_idx] = best_x
+            x_prime[val_idx] = best_x
             val = float(np.mean(val_losses))
             if not np.isfinite(val):
                 raise TrainingError(f"validation loss {val}")
@@ -390,7 +416,7 @@ def train(ds, den, sched, spec, cfg):
             # finite: the run ends here, keeping its best grid so far
             report.aborted = True
         # every row moves at most once per epoch, so this sees every state
-        diff = ds.x_prime - ds.x_T
+        diff = x_prime - ds.x_T
         report.max_ball_violation = max(
             report.max_ball_violation,
             float(np.max(np.sqrt(np.vecdot(diff, diff)))) - rho)

@@ -20,9 +20,8 @@ from steplab.evaluate import (BENCH_METHODS, bench_cell, bench_eval_assets,
 from steplab.rng import sample_prior
 from steplab.schedule import ve_edm, vp_linear
 from steplab.solvers import SolverSpec, solve
-from steplab.training import (Dataset, Teacher, TrainConfig,
-                              generate_dataset, pair_grads, radius,
-                              soft_loss, train)
+from steplab.training import (Teacher, TrainConfig, generate_dataset,
+                              pair_grads, radius, soft_loss, train)
 
 VE = ve_edm()
 WEIGHTS = np.array([0.5, 0.3, 0.2])
@@ -299,11 +298,11 @@ def test_criterion_9_invariants(tmp_path):
     rep = train(ds, GM, VE, spec, TrainConfig(seed=0))
     assert rep.max_ball_violation <= 1e-9
     rho = radius(0.001, 2, 4) * VE.sigma_T
-    gaps = np.linalg.norm(ds.x_prime - ds.x_T, axis=1)
+    gaps = np.linalg.norm(rep.x_prime - ds.x_T, axis=1)
     assert np.all(gaps <= rho * (1 + 1e-12))
 
     # checkpointed and whole-tape gradients agree to 1e-12
-    xp, y = ds.x_prime[3], ds.y[3]
+    xp, y = rep.x_prime[3], ds.y[3]
     for fam, order in (("dpmpp", 2), ("ipndm", 4)):
         sp = SolverSpec(family=fam, order=order, nfe=6)
         disc = Discretization.from_times(VE, heuristic_times("logsnr", VE, 6))

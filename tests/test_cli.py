@@ -61,12 +61,15 @@ def data_of(ws):
 
 def test_gen_data_artifacts(ws):
     data = ws / "dataset.bin"
-    # 32-byte header + count * 3 * d * 8 record bytes
-    assert data.stat().st_size == 32 + 8 * 3 * 2 * 8
+    # 96-byte header + count * 2 * d * 8 record bytes
+    assert data.stat().st_size == 96 + 8 * 2 * 2 * 8
     assert (ws / "dataset.bin.config.txt").exists()
     magic, version, d, count, _, seed = struct.unpack(
         "<4sIIIQQ", data.read_bytes()[:32])
-    assert (magic, version, d, count, seed) == (b"LD3D", 1, 2, 8, 0)
+    assert (magic, version, d, count, seed) == (b"LD3D", 2, 2, 8, 0)
+    # the teacher spec of SMALL_CFG, after the three mixture hashes
+    assert struct.unpack("<16sII16s", data.read_bytes()[56:96]) == \
+        (b"dpmpp".ljust(16, b"\0"), 2, 30, b"logsnr".ljust(16, b"\0"))
 
 
 def test_gen_data_rerun_is_byte_identical(ws, tmp_path):
@@ -210,6 +213,46 @@ def test_schedule_hash_mismatch(ws, tmp_path, capsys):
     assert "different schedule" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,extra,key", [
+    ("train", "data.means = 0,0,1,1,-1,-1\n", "data.means"),
+    ("train", "data.weights = 0.2,0.3,0.5\n", "data.weights"),
+    ("train", "data.vars = 0.25,0.16,0.5\n", "data.vars"),
+    ("train", "data.kind = point\n", "data.weights"),
+    ("train", "teacher.nfe = 20\n", "teacher.nfe"),
+    ("train", "teacher.grid = edm\n", "teacher.grid"),
+    ("train", "teacher.family = euler\nteacher.order = 1\n",
+     "teacher.family"),
+    ("bench", "teacher.nfe = 20\n", "teacher.nfe"),
+    ("sweep-r", "data.means = 0,0,1,1,-1,-1\n", "data.means"),
+    ("cross-eval", "teacher.order = 1\n", "teacher.order"),
+])
+def test_dataset_of_another_mixture_or_teacher_is_refused(
+        ws, tmp_path, capsys, command, extra, key):
+    """The dataset records what made its targets: a config with another
+    mixture or teacher is refused by the key that differs, before any
+    output is written."""
+    cfg2 = tmp_path / "other.cfg"
+    cfg2.write_text(overridden(SMALL_CFG, extra))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg2), "--data", data_of(ws),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not out.exists()
+
+
+def test_a_config_giving_the_same_mixture_is_accepted(ws, tmp_path):
+    """The mixture hashes are those of the weights as the denoiser holds
+    them, normalised: 5,3,2 gives the same mixture as 0.5,0.3,0.2."""
+    cfg2 = tmp_path / "scaled.cfg"
+    cfg2.write_text(overridden(SMALL_CFG, "data.weights = 5,3,2\n"))
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(cfg2), "--data", data_of(ws),
+                 "--out", str(out)]) == 0
+    assert (out / "checkpoint.json").read_bytes() == \
+        (ws / "run" / "checkpoint.json").read_bytes()
+
+
 def test_sample_needs_checkpoint_key(ws, tmp_path, capsys):
     assert main(["sample", "--config", cfg_of(ws),
                  "--out", str(tmp_path / "s")]) == 2
@@ -342,8 +385,8 @@ def test_sample_divergence_exits_2_leaving_no_out(ws, tmp_path, capsys,
 
 def test_train_rejects_non_finite_dataset_record(ws, tmp_path, capsys):
     blob = bytearray((ws / "dataset.bin").read_bytes())
-    # record 2, coordinate 1 of x_T: 32-byte header, 3 * d floats per record
-    struct.pack_into("<d", blob, 32 + 8 * (2 * 3 * 2 + 1), float("nan"))
+    # record 2, coordinate 1 of x_T: 96-byte header, 2 * d floats per record
+    struct.pack_into("<d", blob, 96 + 8 * (2 * 2 * 2 + 1), float("nan"))
     bad = tmp_path / "bad.bin"
     bad.write_bytes(bytes(blob))
     assert main(["train", "--config", cfg_of(ws), "--data", str(bad),
@@ -373,7 +416,7 @@ def test_dataset_of_another_dimension_is_refused(ws, tmp_path, capsys,
 
 def one_pair_dataset(ws, tmp_path):
     ds = load_dataset(data_of(ws))
-    one = replace(ds, x_T=ds.x_T[:1], x_prime=ds.x_prime[:1], y=ds.y[:1])
+    one = replace(ds, x_T=ds.x_T[:1], y=ds.y[:1])
     path = tmp_path / "one.bin"
     save_dataset(str(path), one)
     return str(path)

@@ -22,16 +22,19 @@ from steplab.dataio import (BENCH_HEADER, METRICS_HEADER, SWEEP_HEADER,
                             write_cross_csv, write_metrics_csv,
                             write_sweep_csv)
 from steplab.denoisers import GMDenoiser
+from steplab.discretize import HEURISTICS
 from steplab.evaluate import BoundReport
+from steplab.solvers import ORDERS
 from steplab.training import Dataset, TrainConfig, TrainReport
 
 
 def toy_dataset(count=5, d=3, seed=7):
     g = np.random.default_rng(seed)
     return Dataset(x_T=g.normal(size=(count, d)),
-                   x_prime=g.normal(size=(count, d)),
                    y=g.normal(size=(count, d)),
-                   seed=seed, schedule_hash=0xDEADBEEF12345678)
+                   seed=seed, schedule_hash=0xDEADBEEF12345678,
+                   mixture=(1, 2**64 - 1, 0x0123456789ABCDEF),
+                   teacher=("ipndm", 4, 250, "quadratic"))
 
 
 # ------------------------------------------------------------- dataset binary
@@ -43,10 +46,11 @@ def test_dataset_roundtrip(tmp_path):
     save_dataset(p, ds)
     back = load_dataset(p)
     np.testing.assert_array_equal(back.x_T, ds.x_T)
-    np.testing.assert_array_equal(back.x_prime, ds.x_prime)
     np.testing.assert_array_equal(back.y, ds.y)
     assert back.seed == 7
     assert back.schedule_hash == ds.schedule_hash
+    assert back.mixture == ds.mixture
+    assert back.teacher == ds.teacher
 
 
 @st.composite
@@ -55,9 +59,12 @@ def datasets(draw):
     d = draw(st.integers(min_value=1, max_value=4))
     rows = hnp.arrays(np.float64, (count, d),
                       elements=st.floats(allow_nan=False, allow_infinity=False))
-    return Dataset(x_T=draw(rows), x_prime=draw(rows), y=draw(rows),
-                   seed=draw(st.integers(0, 2**64 - 1)),
-                   schedule_hash=draw(st.integers(0, 2**64 - 1)))
+    u64, u32 = st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1)
+    return Dataset(x_T=draw(rows), y=draw(rows), seed=draw(u64),
+                   schedule_hash=draw(u64),
+                   mixture=tuple(draw(u64) for _ in range(3)),
+                   teacher=(draw(st.sampled_from(sorted(ORDERS))), draw(u32),
+                            draw(u32), draw(st.sampled_from(HEURISTICS))))
 
 
 @settings(max_examples=60, deadline=None)
@@ -67,16 +74,17 @@ def test_dataset_save_load_roundtrip(ds):
         p = Path(tmp) / "d.bin"
         save_dataset(p, ds)
         back = load_dataset(p)
-    for name in ("x_T", "x_prime", "y"):
+    for name in ("x_T", "y"):
         np.testing.assert_array_equal(getattr(back, name), getattr(ds, name))
-    assert (back.seed, back.schedule_hash) == (ds.seed, ds.schedule_hash)
+    assert (back.seed, back.schedule_hash, back.mixture, back.teacher) == \
+        (ds.seed, ds.schedule_hash, ds.mixture, ds.teacher)
 
 
 def test_dataset_file_size_is_header_plus_records(tmp_path):
     ds = toy_dataset(count=5, d=3)
     p = tmp_path / "d.bin"
     save_dataset(p, ds)
-    assert p.stat().st_size == 32 + 5 * 3 * 3 * 8
+    assert p.stat().st_size == 96 + 5 * 2 * 3 * 8
 
 
 def test_dataset_bytes_deterministic(tmp_path):
@@ -109,6 +117,16 @@ def test_dataset_rejects_bad_version(tmp_path):
         load_dataset(p)
 
 
+def test_dataset_refuses_a_version_1_file(tmp_path):
+    """Version 1 held 3*d floats per record (x_T, a copy of x_T, y) after
+    a 32-byte header; it is refused by name, not read."""
+    p = tmp_path / "d.bin"
+    p.write_bytes(struct.pack("<4sIIIQQ", b"LD3D", 1, 2, 4, 0, 0)
+                  + bytes(4 * 3 * 2 * 8))
+    with pytest.raises(FormatError, match=r"version 1\b.*gen-data"):
+        load_dataset(p)
+
+
 def test_dataset_rejects_truncation(tmp_path):
     ds = toy_dataset(count=2)
     p = tmp_path / "d.bin"
@@ -127,7 +145,7 @@ def test_dataset_rejects_truncation(tmp_path):
 def test_dataset_rejects_non_finite_records(tmp_path, bad):
     ds = toy_dataset(count=5, d=3)
     ds.y[3, 1] = bad
-    ds.x_prime[4, 0] = bad  # only the first bad record is named
+    ds.x_T[4, 0] = bad  # only the first bad record is named
     p = tmp_path / "d.bin"
     save_dataset(p, ds)
     with pytest.raises(FormatError, match="record 3 "):

@@ -2,6 +2,8 @@
 finite differences, closed forms and the taped oracle, and the shapes of
 the experiment drivers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -12,13 +14,14 @@ from pointmass import point_mass
 from steplab import cli, rng
 from steplab.denoisers import GMDenoiser
 from steplab.discretize import heuristic_times
-from steplab.evaluate import (BoundReport, JacobianError,
-                              bound_closed_terms, cross_eval, estimate_bound,
+from steplab.evaluate import (BoundReport, JacobianError, bench_cell,
+                              bench_eval_assets, bound_closed_terms,
+                              cross_eval, estimate_bound,
                               log_abs_det_jacobian, rmsd, solve_batch,
                               solver_map, sweep_r, w1, w1_1d)
 from steplab.schedule import ve_edm, vp_linear
 from steplab.solvers import ORDERS, SolverSpec, solve
-from steplab.training import Dataset, Teacher, TrainConfig, generate_dataset
+from steplab.training import Teacher, TrainConfig, generate_dataset
 
 VE = ve_edm()
 VP = vp_linear()
@@ -371,6 +374,34 @@ def test_bench_rows_covers_every_cell(tmp_path):
         assert np.isfinite(float(ww1))
     assert (out1 / "bench.csv").read_bytes() == \
         (out2 / "bench.csv").read_bytes()
+
+
+def test_experiments_share_one_dataset_as_separate_copies():
+    """Every training starts its own x'_T at the dataset's x_T and leaves
+    the dataset as it is, so the trainings of a sweep, a cross-evaluation
+    and a bench, run one after another on one dataset, give the rows they
+    give on separate copies of it."""
+    ds = small_dataset()
+
+    def copy():
+        return replace(ds, x_T=ds.x_T.copy(), y=ds.y.copy())
+
+    spec = SolverSpec(family="dpmpp", order=2, nfe=3)
+    radii = [0.0, 1.0, 5.0]
+    assert sweep_r(ds, GM, VE, spec, CFG, radii) == \
+        [sweep_r(copy(), GM, VE, spec, CFG, [r])[0] for r in radii]
+    specs = [SolverSpec(family="dpmpp", order=1, nfe=3),
+             SolverSpec(family="euler", order=1, nfe=3)]
+    m = cross_eval(ds, GM, VE, specs, CFG)
+    assert cross_eval(ds, GM, VE, specs[::-1], CFG).tobytes() == \
+        m[::-1, ::-1].tobytes()  # no training sees another's starts
+    for i, sp in enumerate(specs):
+        assert cross_eval(copy(), GM, VE, [sp], CFG)[0, 0] == m[i, i]
+    assets = bench_eval_assets(GM, VE, Teacher.create(GM, VE, nfe=30), 8,
+                               30, 0)
+    cells = [(spec, CFG, "learned", nfe, assets, 0) for nfe in (3, 4)]
+    assert [bench_cell(ds, GM, VE, *cell) for cell in cells] == \
+        [bench_cell(copy(), GM, VE, *cell) for cell in cells]
 
 
 def test_cross_eval_shape_and_nfe_check():

@@ -3,7 +3,7 @@ finite differences, optimizer oracle, and the shape of a full training run."""
 
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import steplab.engine as en
 from steplab.denoisers import GMDenoiser
@@ -11,11 +11,11 @@ from steplab.discretize import Discretization, heuristic_times
 from steplab import config, training
 from steplab.schedule import ScheduleDomainError, ve_edm, vp_linear
 from steplab.solvers import GridError, SolverSpec, checked_shared, solve
-from steplab.training import (Dataset, RmsPropMomentum, Teacher, TrainConfig,
+from steplab.training import (RmsPropMomentum, Teacher, TrainConfig,
                               TrainingError, clip_to_norm,
                               distance, generate_dataset, mean_loss,
-                              pair_grads, project, radius, select_init,
-                              soft_loss, split_indices, train)
+                              mixture_hashes, pair_grads, project, radius,
+                              select_init, soft_loss, split_indices, train)
 
 VE = ve_edm()
 GM = GMDenoiser.create(VE, np.array([0.5, 0.3, 0.2]),
@@ -59,6 +59,24 @@ def test_project_zero_radius_returns_center():
     np.testing.assert_array_equal(project(c + 1.0, c, 0.0), c)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rho", [0.5, 8.0])
+def test_project_lands_an_overflowing_row_on_the_sphere(rho):
+    """|x' - x_T|^2 overflows float64 for the middle row: it is measured
+    at its own scale and lands on the sphere along its direction, with no
+    overflow warning, whether rho is below or above that scale's unit; the
+    rows whose distance is finite keep their bits."""
+    x_T = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]])
+    x = x_T + [[0.1, -0.1], [3e300, 4e300], [30.0, 40.0]]
+    got = project(x, x_T, rho)
+    np.testing.assert_allclose(got[1], x_T[1] + rho * np.array([0.6, 0.8]),
+                               rtol=1e-14)
+    assert np.linalg.norm(got[1] - x_T[1]) <= rho
+    assert got[0].tobytes() == x[0].tobytes()  # inside: passes as it is
+    assert got[[0, 2]].tobytes() == \
+        project(x[[0, 2]], x_T[[0, 2]], rho).tobytes()
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_trained_starts_lie_inside_the_ball(seed):
     """x_T + scale * diff rounds at the spacing of |x_T| (about 200 under
@@ -69,7 +87,7 @@ def test_trained_starts_lie_inside_the_ball(seed):
     spec = SolverSpec(family="dpmpp", order=2, nfe=4)
     report = train(ds, GM, VE, spec, TrainConfig(seed=seed))
     rho = radius(0.001, 2, 4) * VE.sigma_T
-    gaps = np.linalg.norm(ds.x_prime - ds.x_T, axis=1)
+    gaps = np.linalg.norm(report.x_prime - ds.x_T, axis=1)
     assert np.max(gaps) <= rho
     assert report.max_ball_violation <= 0.0
 
@@ -85,10 +103,9 @@ def test_distance_is_normalized_squared_error():
 def test_generate_dataset_shapes_and_copy():
     ds = small_dataset(count=4)
     assert ds.count == 4 and ds.d == 2
-    np.testing.assert_array_equal(ds.x_prime, ds.x_T)
-    ds.x_prime[0, 0] += 1.0
-    assert ds.x_T[0, 0] != ds.x_prime[0, 0]  # no aliasing
     assert ds.schedule_hash == VE.schedule_hash()
+    assert ds.mixture == mixture_hashes(GM)
+    assert ds.teacher == ("dpmpp", 2, 40, "logsnr")
     with pytest.raises(TrainingError):
         generate_dataset(GM, VE, Teacher.create(GM, VE, nfe=10), 1, 0)
 
@@ -138,7 +155,7 @@ def test_pair_grads_match_finite_differences():
     # differences would average the two one-sided slopes
     disc = Discretization.create(VE, 3, xi=base.xi,
                                  xi_c=np.array([-0.5, 0.3, -0.2]))
-    xp = ds.x_prime[0] + 0.05
+    xp = ds.x_T[0] + 0.05
     y = ds.y[0]
     res = pair_grads(disc, GM, VE, spec, xp, y)
 
@@ -162,7 +179,7 @@ def test_checkpointed_equals_whole_tape_on_real_chain():
     ds = small_dataset(count=4, teacher_nfe=40)
     spec = SolverSpec(family="ipndm", order=3, nfe=4)
     disc = Discretization.from_times(VE, heuristic_times("edm", VE, 4))
-    xp, y = ds.x_prime[1], ds.y[1]
+    xp, y = ds.x_T[1], ds.y[1]
     ck = pair_grads(disc, GM, VE, spec, xp, y, checkpointed=True)
     whole = pair_grads(disc, GM, VE, spec, xp, y, checkpointed=False)
     assert ck.loss == whole.loss
@@ -252,7 +269,7 @@ def test_grid_constant_mode_freezes_grid():
     spec = SolverSpec(family="dpmpp", order=1, nfe=3)
     disc = Discretization.from_times(VE, heuristic_times("logsnr", VE, 3))
     shared = checked_shared(GM, VE, spec, disc.times(), disc.times_c())
-    res = pair_grads(disc, GM, VE, spec, ds.x_prime[0], ds.y[0],
+    res = pair_grads(disc, GM, VE, spec, ds.x_T[0], ds.y[0],
                      shared=shared)
     assert set(res.grads) == {"x_prime"}
 
@@ -316,11 +333,6 @@ def test_clip_to_norm():
 CFG = TrainConfig(epochs_phase1=1, epochs_phase2=1, seed=0)
 
 
-def fresh(ds):
-    return Dataset(x_T=ds.x_T.copy(), x_prime=ds.x_T.copy(), y=ds.y.copy(),
-                   seed=ds.seed, schedule_hash=ds.schedule_hash)
-
-
 def test_train_improves_and_reports():
     ds = small_dataset(count=8, teacher_nfe=40)
     spec = SolverSpec(family="dpmpp", order=2, nfe=4)
@@ -338,13 +350,34 @@ def test_train_improves_and_reports():
     assert np.all(np.diff(disc.times()) < 0.0)
 
 
+def test_train_leaves_its_dataset_and_reports_the_moved_starts():
+    """x'_T belongs to the run: the dataset comes back byte-equal, and the
+    starts the run moved, inside the ball, are the report's x_prime."""
+    ds = small_dataset(count=8)
+    before = [getattr(ds, f.name) for f in fields(ds)]
+    before = [v.copy() if isinstance(v, np.ndarray) else v for v in before]
+    spec = SolverSpec(family="dpmpp", order=2, nfe=4)
+    report = train(ds, GM, VE, spec, CFG)
+    for f, was in zip(fields(ds), before):
+        now = getattr(ds, f.name)
+        if isinstance(was, np.ndarray):
+            assert now.tobytes() == was.tobytes(), f.name
+        else:
+            assert now == was, f.name
+    assert report.x_prime.shape == ds.x_T.shape
+    gaps = np.linalg.norm(report.x_prime - ds.x_T, axis=1)
+    assert np.all(gaps > 0.0)  # every row moved, in training or refresh
+    assert np.max(gaps) <= radius(CFG.gamma, ds.d, 4) * VE.sigma_T
+
+
 def test_train_is_deterministic():
     ds = small_dataset(count=8)
     spec = SolverSpec(family="dpmpp", order=2, nfe=4)
-    r1 = train(fresh(ds), GM, VE, spec, CFG)
-    r2 = train(fresh(ds), GM, VE, spec, CFG)
+    r1 = train(ds, GM, VE, spec, CFG)
+    r2 = train(ds, GM, VE, spec, CFG)
     np.testing.assert_array_equal(r1.best_xi, r2.best_xi)
     np.testing.assert_array_equal(r1.best_xi_c, r2.best_xi_c)
+    np.testing.assert_array_equal(r1.x_prime, r2.x_prime)
     assert r1.iter_rows == r2.iter_rows
     assert [row[:5] for row in r1.epoch_rows] == \
         [row[:5] for row in r2.epoch_rows]  # all but wall_s
@@ -354,7 +387,7 @@ def test_phase1_freezes_xi_c():
     ds = small_dataset(count=8)
     spec = SolverSpec(family="dpmpp", order=2, nfe=4)
     cfg = replace(CFG, epochs_phase2=0, epochs_phase1=2)
-    report = train(fresh(ds), GM, VE, spec, cfg)
+    report = train(ds, GM, VE, spec, cfg)
     np.testing.assert_array_equal(report.best_xi_c, np.zeros(4))
 
 
@@ -375,21 +408,21 @@ def test_zero_radius_reduces_to_hard_forcing():
     spec = SolverSpec(family="dpmpp", order=2, nfe=4)
     cfg = replace(CFG, r_override=0.0)
     report = train(ds, GM, VE, spec, cfg)
-    np.testing.assert_array_equal(ds.x_prime, ds.x_T)  # ball has radius 0
+    np.testing.assert_array_equal(report.x_prime, ds.x_T)  # ball has radius 0
     assert report.max_ball_violation <= 0.0
 
 
 def test_explicit_init_respected_and_bad_init_rejected():
     ds = small_dataset(count=8)
     spec = SolverSpec(family="dpmpp", order=2, nfe=4)
-    report = train(fresh(ds), GM, VE, spec, replace(CFG, init="quadratic"))
+    report = train(ds, GM, VE, spec, replace(CFG, init="quadratic"))
     assert report.init_kind == "quadratic"
     _, val_idx = split_indices(ds.count, ds.seed)
     disc = Discretization.from_times(VE, heuristic_times("quadratic", VE, 4))
     assert report.init_val_loss == mean_loss(disc, GM, VE, spec,
                                              ds.x_T[val_idx], ds.y[val_idx])
     with pytest.raises(TrainingError):
-        train(fresh(ds), GM, VE, spec, replace(CFG, init="karras"))
+        train(ds, GM, VE, spec, replace(CFG, init="karras"))
 
 
 def test_grid_underflow_in_the_loop_aborts_keeping_the_best_grid(
@@ -398,7 +431,7 @@ def test_grid_underflow_in_the_loop_aborts_keeping_the_best_grid(
     abort that keeps the epoch-0 grid."""
     ds = small_dataset(count=8)
     spec = SolverSpec(family="dpmpp", order=2, nfe=4)
-    want = train(fresh(ds), GM, VE, spec, replace(CFG, epochs_phase2=0))
+    want = train(ds, GM, VE, spec, replace(CFG, epochs_phase2=0))
     calls = []
     real_tau = training.tau
 
@@ -409,7 +442,7 @@ def test_grid_underflow_in_the_loop_aborts_keeping_the_best_grid(
         return real_tau(*args)
 
     monkeypatch.setattr(training, "tau", underflowing)
-    report = train(fresh(ds), GM, VE, spec, CFG)
+    report = train(ds, GM, VE, spec, CFG)
     assert report.aborted and report.best_epoch == 0
     np.testing.assert_array_equal(report.best_xi, want.best_xi)
     np.testing.assert_array_equal(report.best_xi_c, want.best_xi_c)
@@ -445,7 +478,8 @@ def test_non_monotone_grid_aborts_after_the_step_that_made_it(
     assert len(report.epoch_rows) == epochs_done
     assert report.best_epoch == epochs_done - 1
     if not epochs_done:  # no refresh ran
-        np.testing.assert_array_equal(ds.x_prime[val_idx], ds.x_T[val_idx])
+        np.testing.assert_array_equal(report.x_prime[val_idx],
+                                      ds.x_T[val_idx])
 
 
 ABORT_CAUSES = ["iteration-grid", "iteration-loss", "refresh-grid",
@@ -462,9 +496,8 @@ def test_each_abort_cause_in_epoch1_keeps_the_epoch0_checkpoint(
     the ball violation of every state the run left."""
     ds = small_dataset(count=8)  # 4 training pairs: 2 steps per epoch
     spec = SolverSpec(family="dpmpp", order=2, nfe=4)
-    one = train(fresh(ds), GM, VE, spec, replace(CFG, epochs_phase2=0))
-    both = fresh(ds)
-    full = train(both, GM, VE, spec, CFG)
+    one = train(ds, GM, VE, spec, replace(CFG, epochs_phase2=0))
+    full = train(ds, GM, VE, spec, CFG)
     assert not (one.aborted or full.aborted)
     real_pair_grads, real_refresh = training.pair_grads, training._refresh
     calls = []
@@ -492,7 +525,7 @@ def test_each_abort_cause_in_epoch1_keeps_the_epoch0_checkpoint(
         monkeypatch.setattr(training, "pair_grads", faulty_pair_grads)
     else:
         monkeypatch.setattr(training, "_refresh", faulty_refresh)
-    report = train(fresh(ds), GM, VE, spec, CFG)
+    report = train(ds, GM, VE, spec, CFG)
     assert report.aborted and report.best_epoch == 0
     assert report.best_val == one.best_val
     np.testing.assert_array_equal(report.best_xi, one.best_xi)
@@ -508,7 +541,7 @@ def test_each_abort_cause_in_epoch1_keeps_the_epoch0_checkpoint(
         assert report.max_ball_violation == full.max_ball_violation
     if cause == "refresh-grid":  # epoch 1's training rows, epoch 0's others
         train_idx, _ = split_indices(ds.count, ds.seed)
-        diff = both.x_prime[train_idx] - both.x_T[train_idx]
+        diff = full.x_prime[train_idx] - ds.x_T[train_idx]
         rho = radius(CFG.gamma, ds.d, spec.nfe) * VE.sigma_T
         assert report.max_ball_violation == max(
             one.max_ball_violation,
