@@ -20,6 +20,9 @@ the taped shared.  :func:`adjoint_chain_grad` tapes only the prelude: the
 same builder makes the steps of the plain shared, which, given an
 accumulator, run returning their own transposes, and one reverse sweep over
 those cached pullbacks, with no tape and no replay, seeds the prelude's tape.
+:func:`state_chain_grad` runs the same sweep over steps its caller built
+once, with no prelude and no tape at all: the gradient of the chain's
+input is the sweep's adjoint of the initial state.
 
 Hot loops (a step, cold, Jacobian or transposed, the march's divergence
 check, the grid checks and builds, the draws, the bound's log-dets and
@@ -38,8 +41,9 @@ other files remain, once per march rather than per step: the Jacobian
 march stacks x_T over `np.eye` with `np.broadcast_to`, and the bound's
 log-det is `np.linalg.slogdet`.  A step reads rows its grid built once:
 it calls neither `ndarray.tolist` nor :func:`index`, and :func:`lincomb`
-takes its list of Python floats as it is.  tests/test_hotpaths.py holds
-the rule.
+takes its list of Python floats as it is and, over plain arrays, returns
+their sum before any tape bookkeeping.  tests/test_hotpaths.py holds the
+rule.
 """
 
 from __future__ import annotations
@@ -326,12 +330,18 @@ def index(x, i):
 def lincomb(row, arrays):
     """sum_j row[j] * arrays[j] for k arrays of one shape, accumulated left
     to right.  row is a list of k Python floats, used as it is (a grid's
-    prebuilt step row), or a (k,) array or Value."""
+    prebuilt step row), or a (k,) array or Value.  A list row over arrays
+    none of which is a Value returns the sum before any tape bookkeeping."""
     if type(row) is list:
         cs = row
         if len(cs) != len(arrays):
             raise EngineError(f"lincomb: row of {len(cs)} floats for "
                               f"{len(arrays)} arrays")
+        for a in arrays:
+            if type(a) is Value:
+                break
+        else:  # a plain grid's row over plain arrays: the arithmetic alone
+            return _weighted_sum(cs, arrays)
     else:
         rd = data_of(row)
         if rd.shape != (len(arrays),):
@@ -342,9 +352,7 @@ def lincomb(row, arrays):
     live = [type(a) is Value for a in arrays]
     cold = not (live_row or any(live))
     parts = arrays if cold else [data_of(a) for a in arrays]
-    out = cs[0] * parts[0]
-    for c, p in zip(cs[1:], parts[1:]):
-        out = out + c * p
+    out = _weighted_sum(cs, parts)
     if cold:
         return out
 
@@ -353,6 +361,13 @@ def lincomb(row, arrays):
         return [g_row] + [c * adj if lv else None for c, lv in zip(cs, live)]
 
     return record(out, (row, *arrays), vjp, "lincomb")
+
+
+def _weighted_sum(cs, parts):
+    out = cs[0] * parts[0]
+    for k in range(1, len(cs)):
+        out = out + cs[k] * parts[k]
+    return out
 
 
 def rcumsum(x):
@@ -470,9 +485,8 @@ def adjoint_chain_grad(leaves, prelude, steps, finale):
     pair, step(state, acc) -> (state', back), and finale(state, acc) ->
     (loss, back).  back(adj') returns the adjoints of the segment's input
     and adds its gradient of shared[j] into acc[j], a zero array for each
-    differentiable shared[j].  The forward caches each back; the sweep
-    calls them last to first from a ones seed, and the prelude's tape is
-    then seeded with acc and the adjoint of its initial state.
+    differentiable shared[j].  :func:`_sweep` runs them, and the prelude's
+    tape is then seeded with acc and the adjoint of its initial state.
     `retained_arrays` counts the distinct arrays the cached backs hold
     (counted when first read, which keeps them until then).
     """
@@ -482,21 +496,46 @@ def adjoint_chain_grad(leaves, prelude, steps, finale):
     shared = tuple(data_of(s) for s in shared_p)
     acc = {j: np.zeros(shared[j].shape) for j, s in enumerate(shared_p)
            if type(s) is Value}
-    out = tuple(data_of(s) for s in state_p)
-    chain, backs = steps(shared), []
-    for seg in (*chain, finale):
-        out, back = seg(out, acc)
-        backs.append(back)
-    adj = _ones_like(out)
-    for back in reversed(backs):
-        adj = back(adj)
+    chain = steps(shared)
+    loss, adj, backs = _sweep(chain, finale,
+                              tuple(data_of(s) for s in state_p), acc)
     seeds = [(shared_p[j], g) for j, g in acc.items()]
     seeds += [(s, a) for s, a in zip(state_p, adj) if type(s) is Value]
     names = list(leaves)
     grads = tape.backward(seeds, [env[k] for k in names])
-    return ChainGradResult(_loss_value(out), dict(zip(names, grads)),
+    return ChainGradResult(_loss_value(loss), dict(zip(names, grads)),
                            retained_arrays=lambda: _held_arrays(backs),
                            n_steps=len(chain))
+
+
+def state_chain_grad(name, state, chain, finale):
+    """Differentiate prebuilt steps -> finale in state[0] alone, with no
+    tape: :func:`_sweep` with an empty acc, whose adjoint of state[0] is
+    grads[name] (EngineError naming `name` if it is not finite); the other
+    slots, zeroed history, carry none.  Counted as
+    :func:`adjoint_chain_grad` counts its retained arrays."""
+    loss, adj, backs = _sweep(chain, finale, state, {})
+    grad = adj[0]
+    if not np.logical_and.reduce(np.isfinite(grad), axis=None):
+        raise EngineError(f"non-finite adjoint of {name}")
+    return ChainGradResult(_loss_value(loss), {name: grad},
+                           retained_arrays=lambda: _held_arrays(backs),
+                           n_steps=len(chain))
+
+
+def _sweep(chain, finale, state, acc):
+    """The forward pass of the transpose pairs (chain's steps, finale
+    last) from the plain `state`, caching each back, then one reverse
+    sweep over them from a ones seed.  Returns (loss, the adjoints of
+    state, the backs)."""
+    backs = []
+    for seg in (*chain, finale):
+        state, back = seg(state, acc)
+        backs.append(back)
+    adj = _ones_like(state)
+    for back in reversed(backs):
+        adj = back(adj)
+    return state, adj, backs
 
 
 def _held_arrays(fns):

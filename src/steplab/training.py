@@ -16,11 +16,13 @@ steps run once on plain arrays caching their pullbacks, and one reverse
 sweep with no tape yields the adjoints that seed the prelude's tape.  End
 of epoch, validation x'_T are refreshed with K frozen-grid projected-SGD
 steps (keeping each pair's best iterate), whose gradients come from the
-same sweep; the frozen grid is checked and built once per refresh.  Then
-the validation soft loss is recorded, plateau decay is applied to both
-learning rates, and (xi, xi_c) is checkpointed whenever the validation loss
-reaches a new minimum.  A non-finite loss, or a grid the next check
-refuses, aborts training with the best grid so far.
+same sweep with no tape at all: x'_T's gradient is the sweep's adjoint of
+the initial state.  The frozen grid is checked and built, and its steps
+built, once per refresh.  Then the validation soft loss is recorded,
+plateau decay is applied to both learning rates, and (xi, xi_c) is
+checkpointed whenever the validation loss reaches a new minimum.  A
+non-finite loss, or a grid the next check refuses, aborts training with
+the best grid so far.
 """
 
 from __future__ import annotations
@@ -169,18 +171,19 @@ def split_indices(count, seed):
 # ------------------------------------------------------------------- losses
 
 
-def _chain_parts(den, sched, spec, y, shared=None):
+def _chain_parts(den, sched, spec, y, steps=None):
     """Prelude, steps and finale for one pair or a batch, as both chain
     gradients take them.  The prelude checks and builds the grid of the
-    leaves xi and xi_c, or hands on a frozen grid's prebuilt `shared`; the
-    steps are built for it by `solvers.make_steps`, once per chain; the
-    finale, like a step, is a transpose pair when also given acc."""
+    leaves xi and xi_c, whose steps `solvers.make_steps` builds once per
+    chain; given a frozen grid's prebuilt `steps`, it hands on no shared
+    and the builder returns those steps.  The finale, like a step, is a
+    transpose pair when also given acc."""
     T, t_min = sched.T, sched.t_min
 
     def prelude(env):
         state = initial_state(spec, env["x_prime"])
-        if shared is not None:
-            return shared, state
+        if steps is not None:
+            return (), state
         times = tau(env["xi"], T, t_min)
         times_c = query_times(times, env["xi_c"], T, t_min)
         return checked_shared(den, sched, spec, times, times_c), state
@@ -198,28 +201,37 @@ def _chain_parts(den, sched, spec, y, shared=None):
 
         return loss, back
 
-    return prelude, functools.partial(make_steps, den, spec), finale
+    build = functools.partial(make_steps, den, spec) if steps is None \
+        else lambda shared: steps
+    return prelude, build, finale
 
 
 def pair_grads(disc, den, sched, spec, x_prime, y, checkpointed=True,
-               shared=None):
+               steps=None):
     """Soft-loss value and gradients for one pair, or for a batch of pairs.
 
     Returns a ChainGradResult with grads for xi, xi_c, x_prime, or for
-    x_prime alone when `shared`, the frozen grid's prebuilt
-    `checked_shared`, is given.  For (B, d) rows the loss is the vector of
-    per-pair losses and each row of the x_prime gradient is that pair's own
-    gradient; grid gradients are summed over the pairs.
+    x_prime alone when `steps`, a frozen grid's prebuilt steps
+    (`make_steps(den, spec, checked_shared(...))`), are given.  For (B, d)
+    rows the loss is the vector of per-pair losses and each row of the
+    x_prime gradient is that pair's own gradient; grid gradients are
+    summed over the pairs.
 
-    checkpointed=True (the default) tapes only the grid prelude and takes
-    the steps' gradients with the discrete adjoint, one reverse sweep over
-    the cached step states; checkpointed=False differentiates the whole
-    chain on one tape, the reference.
+    checkpointed=True (the default) takes the steps' gradients with the
+    discrete adjoint, one reverse sweep over the cached step states: a
+    learned grid tapes only its prelude, which the sweep seeds, and a
+    frozen grid tapes nothing, x_prime's gradient being the sweep's
+    adjoint of the initial state.  checkpointed=False differentiates the
+    whole chain on one tape, the reference.
     """
-    leaves = {"x_prime": x_prime} if shared is not None else \
+    prelude, build, finale = _chain_parts(den, sched, spec, y, steps)
+    if steps is not None and checkpointed:
+        state = initial_state(spec, np.asarray(x_prime, dtype=np.float64))
+        return en.state_chain_grad("x_prime", state, steps, finale)
+    leaves = {"x_prime": x_prime} if steps is not None else \
         {"xi": disc.xi, "xi_c": disc.xi_c, "x_prime": x_prime}
     chain = en.adjoint_chain_grad if checkpointed else en.whole_chain_grad
-    return chain(leaves, *_chain_parts(den, sched, spec, y, shared))
+    return chain(leaves, prelude, build, finale)
 
 
 def soft_loss(disc, den, sched, spec, x_prime, y):
@@ -325,13 +337,15 @@ def _refresh(disc, den, sched, spec, x_T, x_prime, y, rho, lr, k_steps):
     """K projected-SGD steps on the rows of x' with the grid frozen; keeps
     each row's best iterate.  Returns (best rows, their losses).  The
     frozen grid is checked and built once, for every step and the final
-    loss."""
+    loss, and its steps are built once for the K gradients; the final
+    loss's march builds its own."""
     shared = checked_shared(den, sched, spec, disc.times(), disc.times_c())
+    steps = make_steps(den, spec, shared)
     best_x = x_prime.copy()
     best_loss = np.full(x_prime.shape[0], np.inf)
     x = x_prime.copy()
     for _ in range(k_steps):
-        res = pair_grads(disc, den, sched, spec, x, y, True, shared)
+        res = pair_grads(disc, den, sched, spec, x, y, True, steps)
         better = res.loss < best_loss
         best_loss[better] = res.loss[better]
         best_x[better] = x[better]

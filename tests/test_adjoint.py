@@ -1,7 +1,8 @@
 """The discrete adjoint behind `pair_grads`: bit for bit the step-checkpointed
 replay it replaced, within 1e-12 of the whole tape, and finite differences
-to 1e-4; a tape that holds only the grid prelude; denoisers queried on
-plain arrays only."""
+to 1e-4; a tape that holds only the grid prelude, and none for a frozen
+grid, whose tape-free gradient equals the one-leaf tape it replaced;
+denoisers queried on plain arrays only."""
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from steplab.denoisers import GMDenoiser
 from steplab.discretize import Discretization, heuristic_times
 from steplab.rng import sample_prior
 from steplab.schedule import ve_edm, vp_linear
-from steplab.solvers import SolverSpec, checked_shared
+from steplab.solvers import SolverSpec, checked_shared, make_steps
 from steplab.training import pair_grads, soft_loss
 
 SCHEDS = {"ve": ve_edm(), "vp": vp_linear()}
@@ -52,16 +53,25 @@ def pair(sched, rows):
 
 
 def frozen_grid(disc, den, sched, spec, frozen):
-    """The prebuilt grid that freezes disc, or None to learn it."""
-    return checked_shared(den, sched, spec, disc.times(),
-                          disc.times_c()) if frozen else None
+    """The prebuilt steps of the grid that freezes disc, or None to learn
+    it."""
+    return make_steps(den, spec, checked_shared(
+        den, sched, spec, disc.times(), disc.times_c())) if frozen else None
 
 
-def oracle(disc, den, sched, spec, x, y, shared):
-    leaves = {"x_prime": x} if shared is not None else \
+def oracle(disc, den, sched, spec, x, y, steps):
+    leaves = {"x_prime": x} if steps is not None else \
         {"xi": disc.xi, "xi_c": disc.xi_c, "x_prime": x}
     return checkpointed_chain_grad(
-        leaves, *training._chain_parts(den, sched, spec, y, shared))
+        leaves, *training._chain_parts(den, sched, spec, y, steps))
+
+
+def one_leaf(den, sched, spec, x, y, steps):
+    """The frozen grid's gradient as it was taken before the tape-free
+    sweep: x_prime alone on a tape, seeded with the sweep's adjoint of the
+    initial state."""
+    return en.adjoint_chain_grad(
+        {"x_prime": x}, *training._chain_parts(den, sched, spec, y, steps))
 
 
 @pytest.mark.parametrize("frozen", [False, True], ids=["learned", "frozen"])
@@ -76,10 +86,10 @@ def test_adjoint_equals_checkpointed_oracle_and_whole_tape(
     spec = SolverSpec(family=family, order=order, nfe=5)
     disc = grid(sched, 5)
     x, y = pair(sched, rows)
-    shared = frozen_grid(disc, den, sched, spec, frozen)
-    got = pair_grads(disc, den, sched, spec, x, y, True, shared)
-    want = oracle(disc, den, sched, spec, x, y, shared)
-    whole = pair_grads(disc, den, sched, spec, x, y, False, shared)
+    steps = frozen_grid(disc, den, sched, spec, frozen)
+    got = pair_grads(disc, den, sched, spec, x, y, True, steps)
+    want = oracle(disc, den, sched, spec, x, y, steps)
+    whole = pair_grads(disc, den, sched, spec, x, y, False, steps)
     assert np.asarray(got.loss).tobytes() == np.asarray(want.loss).tobytes()
     assert np.array_equal(got.loss, whole.loss)
     assert sorted(got.grads) == sorted(want.grads)
@@ -87,6 +97,60 @@ def test_adjoint_equals_checkpointed_oracle_and_whole_tape(
         assert got.grads[k].tobytes() == want.grads[k].tobytes(), k
         np.testing.assert_allclose(got.grads[k], whole.grads[k],
                                    rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("rows", [1, 5], ids=["B1", "B5"])
+@pytest.mark.parametrize("nfe", [2, 4, 8])
+@pytest.mark.parametrize("kind", ["gm", "point"])
+@pytest.mark.parametrize("sched_name", sorted(SCHEDS))
+@pytest.mark.parametrize("family,order", SOLVERS, ids=SOLVER_IDS)
+def test_frozen_grid_sweep_equals_the_one_leaf_tape(family, order,
+                                                    sched_name, kind, nfe,
+                                                    rows):
+    """A frozen grid's tape-free gradient is, bit for bit, the one-leaf
+    tape it replaced, and within 1e-12 of the whole tape."""
+    sched = SCHEDS[sched_name]
+    den = make_den(kind, sched)
+    spec = SolverSpec(family=family, order=order, nfe=nfe)
+    disc = grid(sched, nfe)
+    x, y = pair(sched, rows)
+    steps = frozen_grid(disc, den, sched, spec, True)
+    got = pair_grads(disc, den, sched, spec, x, y, True, steps)
+    want = one_leaf(den, sched, spec, x, y, steps)
+    whole = pair_grads(disc, den, sched, spec, x, y, False, steps)
+    assert got.loss.tobytes() == want.loss.tobytes()
+    assert np.array_equal(got.loss, whole.loss)
+    assert list(got.grads) == list(want.grads) == ["x_prime"]
+    g = got.grads["x_prime"]
+    assert g.shape == x.shape
+    assert g.tobytes() == want.grads["x_prime"].tobytes()
+    np.testing.assert_allclose(g, whole.grads["x_prime"], rtol=1e-12,
+                               atol=1e-12)
+    assert got.n_steps == want.n_steps == nfe
+    assert got.retained_arrays == want.retained_arrays
+
+
+@pytest.mark.parametrize("rows", [1, 5], ids=["B1", "B5"])
+@pytest.mark.parametrize("sched_name", sorted(SCHEDS))
+def test_frozen_grid_refuses_a_non_finite_adjoint_on_both_paths(sched_name,
+                                                                rows):
+    """A target holding inf makes x_prime's adjoint non-finite: the sweep
+    names x_prime, the one-leaf tape its leaf op."""
+    sched = SCHEDS[sched_name]
+    den = make_den("gm", sched)
+    spec = SolverSpec(family="dpmpp", order=2, nfe=4)
+    disc = grid(sched, 4)
+    x, y = pair(sched, rows)
+    y = y.copy()
+    y[-1, 0] = np.inf
+    steps = frozen_grid(disc, den, sched, spec, True)
+    with np.errstate(all="ignore"):
+        with pytest.raises(en.EngineError,
+                           match="^non-finite adjoint of x_prime$"):
+            pair_grads(disc, den, sched, spec, x, y, True, steps)
+        with pytest.raises(en.EngineError,
+                           match=r"^non-finite adjoint at op 0 \(leaf\)$"):
+            one_leaf(den, sched, spec, x, y, steps)
 
 
 def fd_grad(f, x, eps):
@@ -166,16 +230,24 @@ def test_learned_grid_tapes_the_same_prelude_at_every_nfe(monkeypatch,
     assert whole[0] > counts[0]
 
 
-def test_frozen_grid_tapes_only_x_prime(monkeypatch):
+def test_frozen_grid_tapes_nothing(monkeypatch):
     sched = SCHEDS["vp"]
     den = make_den("gm", sched)
     spec = SolverSpec(family="ipndm", order=3, nfe=6)
     disc = grid(sched, 6)
     x, y = pair(sched, 3)
-    shared = frozen_grid(disc, den, sched, spec, True)
+    steps = frozen_grid(disc, den, sched, spec, True)
+    tapes = []
+    init = en.Tape.__init__
+
+    def counting(self):
+        tapes.append(None)
+        init(self)
+
+    monkeypatch.setattr(en.Tape, "__init__", counting)
     sizes = taped_ops(monkeypatch, lambda: pair_grads(
-        disc, den, sched, spec, x, y, True, shared))
-    assert sizes == [1]
+        disc, den, sched, spec, x, y, True, steps))
+    assert sizes == [] and tapes == []
 
 
 @pytest.mark.parametrize("frozen", [False, True], ids=["learned", "frozen"])
@@ -204,15 +276,16 @@ def test_no_epsilon_call_sees_a_taped_x(monkeypatch, sched_name, kind,
 
 
 def test_prebuilt_grid_gives_the_same_gradients():
-    """Freezing a grid by its prebuilt rows gives the loss and x'
+    """Freezing a grid by its prebuilt steps gives the loss and x'
     gradients of the learned grid it freezes, bit for bit."""
     sched = SCHEDS["ve"]
     den = make_den("gm", sched)
     spec = SolverSpec(family="dpmpp", order=2, nfe=4)
     disc = grid(sched, 4)
     x, y = pair(sched, 3)
-    shared = checked_shared(den, sched, spec, disc.times(), disc.times_c())
-    got = pair_grads(disc, den, sched, spec, x, y, True, shared)
+    steps = make_steps(den, spec, checked_shared(den, sched, spec,
+                                                 disc.times(), disc.times_c()))
+    got = pair_grads(disc, den, sched, spec, x, y, True, steps)
     want = pair_grads(disc, den, sched, spec, x, y, True)
     assert got.loss.tobytes() == want.loss.tobytes()
     assert got.grads["x_prime"].tobytes() == want.grads["x_prime"].tobytes()
@@ -227,10 +300,10 @@ def test_non_finite_adjoint_raises_engine_error(frozen):
     y = y.copy()
     y[1, 0] = np.inf
     disc = grid(sched, 4)
-    shared = frozen_grid(disc, den, sched, spec, frozen)
+    steps = frozen_grid(disc, den, sched, spec, frozen)
     with np.errstate(all="ignore"), \
             pytest.raises(en.EngineError, match="non-finite adjoint"):
-        pair_grads(disc, den, sched, spec, x, y, True, shared)
+        pair_grads(disc, den, sched, spec, x, y, True, steps)
 
 
 @pytest.mark.parametrize("family,order", SOLVERS, ids=SOLVER_IDS)

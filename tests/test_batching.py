@@ -4,6 +4,8 @@ at a time, the GM's epsilon over all K components at once equals its
 sum over the components one by one, and the validation refresh, its grid
 built once, equals one taken on the checkpointed oracle."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from steplab.denoisers import GMDenoiser
 from steplab.discretize import Discretization, heuristic_times
 from steplab.evaluate import (JacobianError, estimate_bound,
                               log_abs_det_jacobian, solver_map)
-from steplab.solvers import SolverSpec, checked_shared, solve
+from steplab.solvers import SolverSpec, checked_shared, make_steps, solve
 from steplab.training import (Teacher, TrainConfig, generate_dataset,
                               pair_grads, project, train)
 
@@ -83,12 +85,13 @@ def test_frozen_grid_pair_grads_batch_equals_rows(solver, order, family,
     disc = learned_looking_grid(sched, 4)
     xs = rng.sample_prior(sched, den.d, 5, 8)
     ys = 0.02 * xs[::-1]
-    shared = checked_shared(den, sched, spec, disc.times(), disc.times_c())
-    res = pair_grads(disc, den, sched, spec, xs, ys, checkpointed, shared)
+    steps = make_steps(den, spec, checked_shared(den, sched, spec,
+                                                 disc.times(), disc.times_c()))
+    res = pair_grads(disc, den, sched, spec, xs, ys, checkpointed, steps)
     assert res.loss.shape == (5,)
     for j in range(5):
         one = pair_grads(disc, den, sched, spec, xs[j], ys[j], checkpointed,
-                         shared)
+                         steps)
         assert one.loss == res.loss[j]
         assert np.array_equal(one.grads["x_prime"], res.grads["x_prime"][j])
 
@@ -238,16 +241,17 @@ def test_singular_bound_sample_is_named_across_chunks(monkeypatch):
 def refresh_checkpointed(disc, den, sched, spec, x_T, x_prime, y, rho, lr,
                          k_steps):
     """Reference: the validation refresh with each step's x' gradients
-    taken on the checkpointed oracle, which builds the grid every step."""
+    taken on the checkpointed oracle, which builds the grid and its steps
+    every step."""
     best_x = x_prime.copy()
     best_loss = np.full(x_prime.shape[0], np.inf)
     x = x_prime.copy()
     for _ in range(k_steps):
-        shared = checked_shared(den, sched, spec, disc.times(),
-                                disc.times_c())
+        steps = make_steps(den, spec, checked_shared(
+            den, sched, spec, disc.times(), disc.times_c()))
         res = checkpointed_chain_grad(
             {"x_prime": x}, *training._chain_parts(den, sched, spec, y,
-                                                   shared))
+                                                   steps))
         better = res.loss < best_loss
         best_loss[better] = res.loss[better]
         best_x[better] = x[better]
@@ -281,22 +285,35 @@ def test_whole_tape_refresh_equals_checkpointed_loop(solver, order, family,
 
 
 def test_refresh_builds_its_frozen_grid_once(monkeypatch):
+    """One refresh checks and builds its grid once, and lists its table
+    twice: once for the steps of its K gradients, once for the final
+    loss's march."""
     sched, den = build("ve_edm", "gm")
     spec = SolverSpec(family="dpmpp", order=2, nfe=4)
     disc = learned_looking_grid(sched, 4)
     x_T = rng.sample_prior(sched, den.d, 6, 5)
     builds = []
+    lists = []
 
     def counting(*args):
         builds.append(None)
         return checked_shared(*args)
 
+    def profile(frame, event, arg):
+        if event == "c_call" and arg.__name__ == "tolist":
+            lists.append(None)
+
     # training's own name and the one solver_map looks up
     monkeypatch.setattr(training, "checked_shared", counting)
     monkeypatch.setattr(solvers, "checked_shared", counting)
-    training._refresh(disc, den, sched, spec, x_T, x_T.copy(), 0.02 * x_T,
-                      0.1 * sched.sigma_T, 3.0, 5)
+    sys.setprofile(profile)
+    try:
+        training._refresh(disc, den, sched, spec, x_T, x_T.copy(),
+                          0.02 * x_T, 0.1 * sched.sigma_T, 3.0, 5)
+    finally:
+        sys.setprofile(None)
     assert len(builds) == 1
+    assert len(lists) == 2
 
 
 def gm_epsilon_k_loop(den, x, t):

@@ -282,6 +282,37 @@ def test_lincomb_takes_a_float_row_as_its_array():
         assert g.tobytes() == (c * LC_W).tobytes()
 
 
+@pytest.mark.parametrize("shape", [(3,), (4, 3), (4, 1 + 3, 3)],
+                         ids=["row", "batch", "tangents"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_plain_float_row_gives_the_generic_sum(k, shape):
+    """A list row over plain arrays, the fast path, gives the bits of the
+    generic path (an array row) and of the left-to-right sum, on a row, a
+    batch and tangent-stacked slots; a length mismatch still raises."""
+    g = np.random.default_rng(k)
+    arrays = tuple(g.standard_normal(shape) for _ in range(k))
+    row = g.standard_normal(k)
+    got = en.lincomb(row.tolist(), arrays)
+    assert type(got) is np.ndarray and got.shape == shape
+    assert got.tobytes() == en.lincomb(row, arrays).tobytes()
+    want = row.tolist()[0] * arrays[0]
+    for c, a in zip(row.tolist()[1:], arrays[1:]):
+        want = want + c * a
+    assert got.tobytes() == want.tobytes()
+    with pytest.raises(en.EngineError,
+                       match=f"lincomb: row of {k} floats for {k + 1} arrays"):
+        en.lincomb(row.tolist(), arrays + (arrays[0],))
+
+
+def test_float_row_over_a_taped_array_records_one_op():
+    tape = en.Tape()
+    live = tape.leaf(LC_ARRAYS[1])
+    out = en.lincomb(LC_ROW.tolist(), (LC_ARRAYS[0], live, LC_ARRAYS[2]))
+    assert type(out) is en.Value
+    assert len(tape) == 2 and tape._names[-1] == "lincomb"
+    assert out.data.tobytes() == en.lincomb(LC_ROW, LC_ARRAYS).tobytes()
+
+
 def test_cold_index_repeated_array_index():
     i = np.array([0, 0, 2, 0])
     out = en.index(X, i)

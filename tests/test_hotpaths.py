@@ -129,18 +129,19 @@ def test_a_map_lists_its_table_once(jacobian):
 @pytest.mark.parametrize("frozen", [False, True], ids=["learned", "frozen"])
 def test_pair_grads_lists_its_table_once(frozen):
     """One training gradient builds its steps once: learned, the prelude's
-    table, or frozen, the prebuilt one, is listed in one call."""
+    table is listed in one call; frozen, the caller built the steps, and
+    the call lists nothing."""
     sched = SCHEDS["vp"]
     den = config.build_denoiser(dict(config.DEFAULTS), sched)
     spec = SolverSpec("dpmpp", 2, nfe=16)
     disc = Discretization.from_times(sched,
                                      heuristic_times("logsnr", sched, 16))
-    shared = checked_shared(den, sched, spec, disc.times(),
-                            disc.times_c()) if frozen else None
+    steps = make_steps(den, spec, checked_shared(
+        den, sched, spec, disc.times(), disc.times_c())) if frozen else None
     x = sample_prior(sched, den.d, B, seed=3)
     calls = entered(lambda: pair_grads(disc, den, sched, spec, x, 0.5 * x,
-                                       True, shared))
-    assert calls.count("tolist") == 1
+                                       True, steps))
+    assert calls.count("tolist") == (0 if frozen else 1)
 
 
 @pytest.mark.parametrize("sched_name", sorted(SCHEDS))
@@ -179,16 +180,17 @@ def test_sample_prior_enters_no_numpy_wrapper(sched_name):
 @pytest.mark.parametrize("sched_name", sorted(SCHEDS))
 def test_pair_grads_enters_no_numpy_wrapper(sched_name, grid):
     """One dpmpp2 training call on B pairs: a learned grid tapes its
-    prelude (softmax, suffix sums, clamp) and sweeps back through it; a
-    frozen grid's call tapes x_prime alone.  Both seed the sweep with
-    ones and read the loss back."""
+    prelude (exp, suffix sums, clamp) and sweeps back through it; a frozen
+    grid's call, on its prebuilt steps, tapes nothing and checks x_prime's
+    adjoint.  Both seed the sweep with ones and read the loss back."""
     sched = SCHEDS[sched_name]
     den = config.build_denoiser(dict(config.DEFAULTS), sched)
     spec = SolverSpec("dpmpp", 2, nfe=4)
     disc = Discretization.from_times(sched,
                                      heuristic_times("logsnr", sched, 4))
     x = sample_prior(sched, den.d, B, seed=3)
-    shared = None if grid == "learned" else \
-        checked_shared(den, sched, spec, disc.times(), disc.times_c())
+    steps = None if grid == "learned" else make_steps(
+        den, spec, checked_shared(den, sched, spec, disc.times(),
+                                  disc.times_c()))
     assert wrappers_entered(lambda: pair_grads(
-        disc, den, sched, spec, x, 0.5 * x, True, shared)) == []
+        disc, den, sched, spec, x, 0.5 * x, True, steps)) == []

@@ -10,7 +10,8 @@ from steplab.denoisers import GMDenoiser
 from steplab.discretize import Discretization, heuristic_times
 from steplab import config, training
 from steplab.schedule import ScheduleDomainError, ve_edm, vp_linear
-from steplab.solvers import GridError, SolverSpec, checked_shared, solve
+from steplab.solvers import (GridError, SolverSpec, checked_shared,
+                             make_steps, solve)
 from steplab.training import (RmsPropMomentum, Teacher, TrainConfig,
                               TrainingError, clip_to_norm,
                               distance, generate_dataset, mean_loss,
@@ -268,9 +269,9 @@ def test_grid_constant_mode_freezes_grid():
     ds = small_dataset(count=4)
     spec = SolverSpec(family="dpmpp", order=1, nfe=3)
     disc = Discretization.from_times(VE, heuristic_times("logsnr", VE, 3))
-    shared = checked_shared(GM, VE, spec, disc.times(), disc.times_c())
-    res = pair_grads(disc, GM, VE, spec, ds.x_T[0], ds.y[0],
-                     shared=shared)
+    steps = make_steps(GM, spec, checked_shared(GM, VE, spec, disc.times(),
+                                                disc.times_c()))
+    res = pair_grads(disc, GM, VE, spec, ds.x_T[0], ds.y[0], steps=steps)
     assert set(res.grads) == {"x_prime"}
 
 
