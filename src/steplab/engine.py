@@ -330,31 +330,29 @@ def index(x, i):
 def lincomb(row, arrays):
     """sum_j row[j] * arrays[j] for k arrays of one shape, accumulated left
     to right.  row is a list of k Python floats, used as it is (a grid's
-    prebuilt step row), or a (k,) array or Value.  A list row over arrays
-    none of which is a Value returns the sum before any tape bookkeeping."""
+    prebuilt step row), or a (k,) array or Value.  With no Value among the
+    row and the arrays it returns the sum before any tape bookkeeping."""
     if type(row) is list:
         cs = row
         if len(cs) != len(arrays):
             raise EngineError(f"lincomb: row of {len(cs)} floats for "
                               f"{len(arrays)} arrays")
-        for a in arrays:
-            if type(a) is Value:
-                break
-        else:  # a plain grid's row over plain arrays: the arithmetic alone
-            return _weighted_sum(cs, arrays)
     else:
         rd = data_of(row)
         if rd.shape != (len(arrays),):
             raise EngineError(f"lincomb: row shape {rd.shape} for "
                               f"{len(arrays)} arrays")
         cs = rd.tolist()  # one C call, then Python floats, not NumPy scalars
+    if type(row) is not Value:
+        for a in arrays:
+            if type(a) is Value:
+                break
+        else:  # nothing taped: the arithmetic alone
+            return _weighted_sum(cs, arrays)
     live_row = type(row) is Value
     live = [type(a) is Value for a in arrays]
-    cold = not (live_row or any(live))
-    parts = arrays if cold else [data_of(a) for a in arrays]
+    parts = [data_of(a) for a in arrays]
     out = _weighted_sum(cs, parts)
-    if cold:
-        return out
 
     def vjp(adj):
         g_row = np.array([np.vdot(adj, p) for p in parts]) if live_row else None

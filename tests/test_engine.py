@@ -286,8 +286,8 @@ def test_lincomb_takes_a_float_row_as_its_array():
                          ids=["row", "batch", "tangents"])
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_plain_float_row_gives_the_generic_sum(k, shape):
-    """A list row over plain arrays, the fast path, gives the bits of the
-    generic path (an array row) and of the left-to-right sum, on a row, a
+    """A list row over plain arrays, the untaped path, gives the bits of an
+    array row, of the taped path and of the left-to-right sum, on a row, a
     batch and tangent-stacked slots; a length mismatch still raises."""
     g = np.random.default_rng(k)
     arrays = tuple(g.standard_normal(shape) for _ in range(k))
@@ -295,6 +295,9 @@ def test_plain_float_row_gives_the_generic_sum(k, shape):
     got = en.lincomb(row.tolist(), arrays)
     assert type(got) is np.ndarray and got.shape == shape
     assert got.tobytes() == en.lincomb(row, arrays).tobytes()
+    taped = en.lincomb(en.Tape().leaf(row), arrays)
+    assert type(taped) is en.Value
+    assert got.tobytes() == taped.data.tobytes()
     want = row.tolist()[0] * arrays[0]
     for c, a in zip(row.tolist()[1:], arrays[1:]):
         want = want + c * a
