@@ -48,6 +48,30 @@ def query_times(times, xi_c, T, t_min):
     return en.clamp(en.add(en.index(times, slice(None, -1)), xi_c), t_min, T)
 
 
+def tau_transpose(xi, T, t_min, g):
+    """The transpose of `tau` at the plain logits xi: the gradient of xi
+    given the gradient g of the N + 1 times.  unit = S / S_0 for the
+    suffix sums S of e = exp(xi - max xi), so S_i receives g_i / S_0 and
+    S_0 also -(g . S) / S_0^2; e_j then receives the prefix sum of those
+    up to j, and xi_j that times e_j."""
+    e = np.exp(xi - np.maximum.reduce(xi, axis=None))
+    suffix = en.rcumsum(e)
+    g_unit = g * ((T - t_min) / suffix[0])
+    g_unit[0] -= np.dot(g_unit, suffix) / suffix[0]
+    return np.add.accumulate(g_unit[:-1]) * e
+
+
+def query_times_transpose(times, xi_c, T, t_min, g):
+    """The transpose of `query_times` at plain times and xi_c: (the
+    gradient of the N + 1 times, that of xi_c) given the gradient g of the
+    N query times, which passes where the clamp does not bind."""
+    raw = times[:-1] + xi_c
+    g = g * ((raw >= t_min) & (raw <= T))
+    g_times = np.zeros(times.shape)
+    g_times[:-1] = g
+    return g_times, g
+
+
 def init_from_times(times, T, t_min):
     """Invert tau: xi = log of the grid's interval widths, so tau(xi) =
     times to float precision and a uniform grid maps to a constant xi."""
@@ -164,7 +188,8 @@ def save_checkpoint(path, disc, solver_spec):
         "solver": {"family": solver_spec.family, "order": solver_spec.order,
                    "nfe": solver_spec.nfe},
     }
-    with open(path, "w") as fh:
+    from .dataio import open_new  # dataio imports this module via training
+    with open_new(path) as fh:
         json.dump(blob, fh, sort_keys=True)
         fh.write("\n")
 

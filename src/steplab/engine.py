@@ -20,6 +20,9 @@ the taped shared.  :func:`adjoint_chain_grad` tapes only the prelude: the
 same builder makes the steps of the plain shared, which, given an
 accumulator, run returning their own transposes, and one reverse sweep over
 those cached pullbacks, with no tape and no replay, seeds the prelude's tape.
+Training's learned-grid prelude keeps that tape short: it builds the grid
+cold and records only its differentiable outputs, each as one op whose VJP
+is a closed form, as the GM epsilon records its own.
 :func:`state_chain_grad` runs the same sweep over steps its caller built
 once, with no prelude and no tape at all: the gradient of the chain's
 input is the sweep's adjoint of the initial state.
@@ -36,10 +39,11 @@ and numeric.py: `np.add.reduce` for `np.sum`, `np.maximum.reduce` for
 `np.empty(shape)`, for `np.ones`, and `np.sqrt(np.dot(v, v))` for
 `np.linalg.norm`.  On the few-row arrays a step handles, a wrapper costs
 2-6x the call it wraps, and the call gives the same bits, since each
-replacement runs the same reduction in the same order.  Two wrappers from
-other files remain, once per march rather than per step: the Jacobian
-march stacks x_T over `np.eye` with `np.broadcast_to`, and the bound's
-log-det is `np.linalg.slogdet`.  A step reads rows its grid built once:
+replacement runs the same reduction in the same order.  The Jacobian
+march stacks x_T over an identity it fills itself, not over `np.eye` with
+`np.broadcast_to`; one wrapper from another file remains, once per bound
+call rather than per step: the log-det is `np.linalg.slogdet`.  A step
+reads rows its grid built once:
 it calls neither `ndarray.tolist` nor :func:`index`, and :func:`lincomb`
 takes its list of Python floats as it is and, over plain arrays, returns
 their sum before any tape bookkeeping.  tests/test_hotpaths.py holds the

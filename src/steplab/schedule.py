@@ -18,8 +18,11 @@ domain.  Both families invert in closed form: VE by t = exp(-lambda) and
 t = sigma, VP by the positive root of c2 t^2 + (beta0/2) t + log alpha_t = 0
 with c2 = (beta1 - beta0)/4 (DPM-Solver, Lu et al. 2022, arXiv 2206.00927).
 
-All value-returning methods accept plain floats/arrays or engine Values, so
-schedule quantities can sit inside differentiated solver graphs.
+All value-returning methods but `marginals` accept plain floats/arrays or
+engine Values, so schedule quantities can sit inside differentiated solver
+graphs.  `marginals` gives alpha, sigma and lambda with their
+t-derivatives on plain arrays, and `ode_slopes` those of f and g^2, for
+the closed-form transposes of a grid build.
 """
 
 from __future__ import annotations
@@ -123,6 +126,21 @@ class NoiseSchedule:
         la = self._vp_log_alpha(t)
         return la - 0.5 * en.log(self._vp_sigma_sq(la))
 
+    def marginals(self, t):
+        """((alpha, sigma, lambda), their t-derivatives) at the plain times
+        t, from one log alpha: under VE 1, t, -log t and 0, 1, -1/t; under
+        VP, with la' = d log alpha / dt = -beta(t)/2, alpha la',
+        -alpha^2 la' / sigma and la' / sigma^2.  The transposes of the grid
+        build read them."""
+        if self.family == VE_EDM:
+            ones = en.full(t.shape, 1.0)
+            return (ones, t, -np.log(t)), (np.zeros(t.shape), ones, -1.0 / t)
+        la = self._vp_log_alpha(t)
+        s2 = -np.expm1(2.0 * la)
+        a, s, dla = np.exp(la), np.sqrt(s2), self.drift(t)
+        return (a, s, la - 0.5 * np.log(s2)), \
+            (a * dla, -a * a * dla / s, dla / s2)
+
     # ------------------------------------------------------------------ ODE
 
     def beta(self, t):
@@ -139,6 +157,13 @@ class NoiseSchedule:
         if self.family == VE_EDM:
             return 2.0 * t
         return self.beta(t)
+
+    def ode_slopes(self):
+        """(f', (g^2)'), the t-derivatives of `drift` and `diffusion_sq`,
+        constant for both families."""
+        if self.family == VE_EDM:
+            return 0.0, 2.0
+        return -0.5 * (self.beta1 - self.beta0), self.beta1 - self.beta0
 
     # -------------------------------------------------------------- inverses
 

@@ -24,6 +24,9 @@ h_i = lambda_{i+1} - lambda_i (> 0 along sampling), the rows are
 `checked_shared` checks a grid and builds shared once for it, taped or
 cold: the table, then the denoiser's per-step constants on the query
 times (`den.step_constants`, a tuple of arrays with one row per step).
+`coeffs_transpose` is the table's closed-form transpose, which training's
+learned grid runs in place of a tape of `coeffs`: each row reads t_i and
+t_{i+1}, and dpmpp2's c_i also h_{i-1}, so it is banded.
 `make_steps` builds the steps of one shared: it reads every step's rows
 of it once, and step i hands its denoiser row to `den.epsilon`.  So steps
 run identically on plain numpy arrays and on taped engine Values.  On a
@@ -39,12 +42,13 @@ The inter-step state has a fixed width per solver spec (history slots are
 zero-padded before they fill), which keeps the number of arrays cached per
 step constant regardless of grid length.
 
-The closure `solver_map` returns is the one loop that applies the steps
-outside the engine's chain gradients: `solve`, the bound's transport maps
-and, through `solve`, teacher targets and student losses all run it.  Its
-Jacobian mode carries the d tangents of x_T beside the state: every slot
-is stacked as (..., 1 + d, d), row 0 the state and row j the pushforward
-of e_j.  An update linear in its arrays moves the tangents by the same
+`march_steps` is the one loop that applies the steps outside the
+engine's chain gradients: the closure `solver_map` returns runs it for
+`solve`, the bound's transport maps and, through `solve`, teacher targets
+and student losses, and training's refresh runs it on steps it built.  The
+closure's Jacobian mode carries the d tangents of x_T beside the state:
+every slot is stacked as (..., 1 + d, d), row 0 the state and row j the
+pushforward of e_j.  An update linear in its arrays moves the tangents by the same
 table row, so the mode runs the same steps; only the denoiser call also
 returns J_eps V (forward-mode propagation of the ODE's variational
 equation, with no tape).
@@ -144,6 +148,63 @@ def coeffs(sched, spec, times):
                en.index(h, np.maximum(steps - 1, 0)))
     return en.stack(cols + [en.neg(en.mul(em, en.add(1.0, c))),
                             en.mul(em, c)])
+
+
+def coeffs_transpose(sched, spec, times, g):
+    """The transpose of `coeffs` at the plain grid `times`: the (N + 1,)
+    gradient of the times given the gradient g of the (N, k) table.  It is
+    banded: row i reads t_i and t_{i+1}, through dt_i or a, s at both ends
+    and h_i, and dpmpp2's c_i also reads h_{i-1}.  The a, s and lambda
+    gradients reach the times through `sched.marginals`' derivatives."""
+    (a, s, lam), (da, ds, dlam) = sched.marginals(times)
+    a0, a1, s0, s1 = a[:-1], a[1:], s[:-1], s[1:]
+    if spec.family == EULER:
+        t0 = times[:-1]
+        dt = times[1:] - t0
+        f, q = sched.drift(t0), sched.diffusion_sq(t0) / (2.0 * s0)
+        df, dg2 = sched.ode_slopes()
+        # col 0 = 1 + dt f(t0), col 1 = dt q(t0), q = g^2 / (2 s)
+        g_t1 = g[:, 0] * f + g[:, 1] * q
+        g_t = np.zeros(times.shape)
+        g_t[1:] = g_t1
+        g_t[:-1] += dt * (g[:, 0] * df + g[:, 1] * (dg2 - 2.0 * q * ds[:-1])
+                          / (2.0 * s0)) - g_t1
+        return g_t
+    h = lam[1:] - lam[:-1]
+    g_a, g_s = np.zeros(times.shape), np.zeros(times.shape)
+    if spec.family == IPNDM:
+        # col 0 = a1 / a0, col 1 + j = base ab_j, base = -s1 expm1(h)
+        steps = np.arange(spec.nfe)
+        g_base = np.vecdot(g[:, 1:], _AB[np.minimum(steps, spec.order - 1),
+                                         :spec.order])
+        g_a[1:] = g[:, 0] / a0
+        g_a[:-1] -= g[:, 0] * a1 / (a0 * a0)
+        g_s[1:] = -g_base * np.expm1(h)
+        g_h = -g_base * s1 * np.exp(h)
+    else:
+        # cols 1 / a0, -s0 / a0, s1 / s0, then -em (1 + c), em c with
+        # em = a1 expm1(-h), or -em alone at order 1
+        em = a1 * np.expm1(-h)
+        if spec.order == 1:
+            g_em = -g[:, 3]
+        else:
+            c = np.zeros(h.shape)
+            c[1:] = 0.5 * h[1:] / h[:-1]
+            g_em = g[:, 4] * c - g[:, 3] * (1.0 + c)
+        g_a[:-1] = (g[:, 1] * s0 - g[:, 0]) / (a0 * a0)
+        g_a[1:] += g_em * np.expm1(-h)
+        g_s[:-1] = -g[:, 1] / a0 - g[:, 2] * s1 / (s0 * s0)
+        g_s[1:] += g[:, 2] / s0
+        g_h = -g_em * a1 * np.exp(-h)
+        if spec.order == 2:
+            # c_i = h_i / (2 h_{i-1}) for i > 0
+            g_c = em[1:] * (g[1:, 4] - g[1:, 3]) / h[:-1]
+            g_h[1:] += 0.5 * g_c
+            g_h[:-1] -= g_c * c[1:]
+    g_lam = np.zeros(times.shape)
+    g_lam[1:] = g_h
+    g_lam[:-1] -= g_h
+    return g_a * da + g_s * ds + g_lam * dlam
 
 
 def make_steps(den, spec, shared):
@@ -282,21 +343,30 @@ def shared_map(den, spec, shared):
 
     def march(x, jacobian=False):
         if jacobian:  # x_T stacked over the identity: (..., 1 + d, d)
-            eye = np.broadcast_to(np.eye(x.shape[-1]), x.shape + x.shape[-1:])
-            x = np.concatenate([x[..., None, :], eye], axis=-2)
+            d = x.shape[-1]
+            stacked = np.zeros(x.shape[:-1] + (1 + d, d))
+            stacked[..., 0, :] = x
+            stacked[..., 1 + np.arange(d), np.arange(d)] = 1.0
+            x = stacked
         steps = sets.get(jacobian)
         if steps is None:
             steps = sets[jacobian] = make_steps(
                 _Tangents(den) if jacobian else den, spec, shared)
-        state = initial_state(spec, x)
-        for i, step in enumerate(steps):
-            state = step(state)
-            if not np.logical_and.reduce(np.isfinite(en.data_of(state[0])),
-                                         axis=None):
-                raise DivergenceError(i)
-        return state[0]
+        return march_steps(spec, steps, x)
 
     return march
+
+
+def march_steps(spec, steps, x):
+    """The final state of prebuilt steps marched from x; DivergenceError
+    names the first step whose state is not finite."""
+    state = initial_state(spec, x)
+    for i, step in enumerate(steps):
+        state = step(state)
+        if not np.logical_and.reduce(np.isfinite(en.data_of(state[0])),
+                                     axis=None):
+            raise DivergenceError(i)
+    return state[0]
 
 
 def solve(den, sched, spec, times, times_c=None, x_T=None):

@@ -10,15 +10,17 @@ under the constraint ||x'_T - x_T|| <= rho_ball, with
 
 Each iteration takes one projected-SGD step on x'_T and simultaneous steps on
 xi (RMSprop with momentum) and xi_c (plain SGD, phase 2 only).  Its
-gradients come from the discrete adjoint of the solver map: only the grid
-prelude (tau, the query times and the checked per-grid rows) is taped, the
-steps run once on plain arrays caching their pullbacks, and one reverse
-sweep with no tape yields the adjoints that seed the prelude's tape.  End
-of epoch, validation x'_T are refreshed with K frozen-grid projected-SGD
-steps (keeping each pair's best iterate), whose gradients come from the
-same sweep with no tape at all: x'_T's gradient is the sweep's adjoint of
-the initial state.  The frozen grid is checked and built, and its steps
-built, once per refresh.  Then the validation soft loss is recorded,
+gradients come from the discrete adjoint of the solver map: the grid
+prelude (tau, the query times and the checked per-grid rows) runs cold
+and tapes only its differentiable outputs, a few ops with closed-form
+transposes, the steps run once on plain arrays caching their pullbacks,
+and one reverse sweep with no tape yields the adjoints that seed the
+prelude's tape.  End of epoch, validation x'_T are refreshed with K
+frozen-grid projected-SGD steps (keeping each pair's best iterate), whose
+gradients come from the same sweep with no tape at all: x'_T's gradient
+is the sweep's adjoint of the initial state.  The frozen grid is checked
+and built, and its steps built, once per refresh, for those K gradients
+and its final loss.  Then the validation soft loss is recorded,
 plateau decay is applied to both learning rates, and (xi, xi_c) is
 checkpointed whenever the validation loss reaches a new minimum.  A
 non-finite loss, or a grid the next check refuses, aborts training with
@@ -37,9 +39,12 @@ import numpy as np
 from . import engine as en
 from . import rng as rngmod
 from .discretize import (Discretization, HEURISTICS, heuristic_times,
-                         query_times, tau)
-from .solvers import (GridError, SolverSpec, checked_shared, initial_state,
-                      make_steps, shared_map, solve)
+                         query_times, query_times_transpose, tau,
+                         tau_transpose)
+from .schedule import VE_EDM
+from .solvers import (GridError, SolverSpec, checked_shared,
+                      coeffs_transpose, initial_state, make_steps,
+                      march_steps, solve)
 
 
 class TrainingError(RuntimeError):
@@ -174,19 +179,18 @@ def split_indices(count, seed):
 def _chain_parts(den, sched, spec, y, steps=None):
     """Prelude, steps and finale for one pair or a batch, as both chain
     gradients take them.  The prelude checks and builds the grid of the
-    leaves xi and xi_c, whose steps `solvers.make_steps` builds once per
-    chain; given a frozen grid's prebuilt `steps`, it hands on no shared
-    and the builder returns those steps.  The finale, like a step, is a
-    transpose pair when also given acc."""
-    T, t_min = sched.T, sched.t_min
+    leaves xi and xi_c cold and tapes it as `_learned_shared`'s few ops,
+    and `solvers.make_steps` builds its steps once per chain; given a
+    frozen grid's prebuilt `steps`, it hands on no shared and the builder
+    returns those steps.  The finale, like a step, is a transpose pair
+    when also given acc."""
 
     def prelude(env):
         state = initial_state(spec, env["x_prime"])
         if steps is not None:
             return (), state
-        times = tau(env["xi"], T, t_min)
-        times_c = query_times(times, env["xi_c"], T, t_min)
-        return checked_shared(den, sched, spec, times, times_c), state
+        return _learned_shared(den, sched, spec, env["xi"], env["xi_c"]), \
+            state
 
     def finale(state, acc=None):
         x = state[0]
@@ -206,6 +210,32 @@ def _chain_parts(den, sched, spec, y, steps=None):
     return prelude, build, finale
 
 
+def _learned_shared(den, sched, spec, xi, xi_c):
+    """`checked_shared` of the grid of the taped leaves xi and xi_c: built
+    cold by `tau`, `query_times` and `checked_shared`, with every check,
+    then its differentiable outputs taped as a few ops over the leaves,
+    each with a closed-form transpose: the times, the query times, the
+    table and, at the query times, sigma_i and, under VP, alpha_i (under
+    VE alpha is 1).  So the prelude's tape has the same length at any
+    NFE."""
+    T, t_min = sched.T, sched.t_min
+    xid, xicd = xi.data, xi_c.data
+    times = tau(xid, T, t_min)
+    times_c = query_times(times, xicd, T, t_min)
+    shared = checked_shared(den, sched, spec, times, times_c)
+    tv = en.record(times, (xi,), lambda g: (tau_transpose(xid, T, t_min, g),),
+                   "tau")
+    tcv = en.record(times_c, (tv, xi_c), lambda g: query_times_transpose(
+        times, xicd, T, t_min, g), "query_times")
+    table = en.record(shared[0], (tv,), lambda g: (coeffs_transpose(
+        sched, spec, times, g),), "coeffs")
+    _, (da, ds, _) = sched.marginals(times_c)
+    a = shared[1] if sched.family == VE_EDM else \
+        en.record(shared[1], (tcv,), lambda g: (g * da,), "alpha")
+    s = en.record(shared[2], (tcv,), lambda g: (g * ds,), "sigma")
+    return (table, a, s) + shared[3:]
+
+
 def pair_grads(disc, den, sched, spec, x_prime, y, checkpointed=True,
                steps=None):
     """Soft-loss value and gradients for one pair, or for a batch of pairs.
@@ -219,10 +249,11 @@ def pair_grads(disc, den, sched, spec, x_prime, y, checkpointed=True,
 
     checkpointed=True (the default) takes the steps' gradients with the
     discrete adjoint, one reverse sweep over the cached step states: a
-    learned grid tapes only its prelude, which the sweep seeds, and a
+    learned grid tapes only its prelude, whose few ops the sweep seeds and
+    whose closed-form transposes carry the gradients to xi and xi_c, and a
     frozen grid tapes nothing, x_prime's gradient being the sweep's
     adjoint of the initial state.  checkpointed=False differentiates the
-    whole chain on one tape, the reference.
+    whole chain on one tape, the reference for the steps.
     """
     prelude, build, finale = _chain_parts(den, sched, spec, y, steps)
     if steps is not None and checkpointed:
@@ -336,9 +367,8 @@ class TrainReport:
 def _refresh(disc, den, sched, spec, x_T, x_prime, y, rho, lr, k_steps):
     """K projected-SGD steps on the rows of x' with the grid frozen; keeps
     each row's best iterate.  Returns (best rows, their losses).  The
-    frozen grid is checked and built once, for every step and the final
-    loss, and its steps are built once for the K gradients; the final
-    loss's march builds its own."""
+    frozen grid is checked and built, and its steps built, once for the K
+    gradients and the final loss's march."""
     shared = checked_shared(den, sched, spec, disc.times(), disc.times_c())
     steps = make_steps(den, spec, shared)
     best_x = x_prime.copy()
@@ -350,7 +380,7 @@ def _refresh(disc, den, sched, spec, x_T, x_prime, y, rho, lr, k_steps):
         best_loss[better] = res.loss[better]
         best_x[better] = x[better]
         x = project(x - lr * res.grads["x_prime"], x_T, rho)
-    final = distance(shared_map(den, spec, shared)(x), y)
+    final = distance(march_steps(spec, steps, x), y)
     better = final < best_loss
     best_loss[better] = final[better]
     best_x[better] = x[better]

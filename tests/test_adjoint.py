@@ -1,8 +1,9 @@
 """The discrete adjoint behind `pair_grads`: bit for bit the step-checkpointed
 replay it replaced, within 1e-12 of the whole tape, and finite differences
-to 1e-4; a tape that holds only the grid prelude, and none for a frozen
-grid, whose tape-free gradient equals the one-leaf tape it replaced;
-denoisers queried on plain arrays only."""
+to 1e-4; a tape that holds only the grid prelude's few closed-form ops,
+within 1e-12 of a tape of its fine ops, and none for a frozen grid, whose
+tape-free gradient equals the one-leaf tape it replaced; denoisers queried
+on plain arrays only."""
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from chaingrads import checkpointed_chain_grad
 from pointmass import point_mass
 from steplab import training
 from steplab.denoisers import GMDenoiser
-from steplab.discretize import Discretization, heuristic_times
+from steplab.discretize import (Discretization, heuristic_times,
+                                query_times, tau)
 from steplab.rng import sample_prior
 from steplab.schedule import ve_edm, vp_linear
-from steplab.solvers import SolverSpec, checked_shared, make_steps
+from steplab.solvers import (SolverSpec, checked_shared, initial_state,
+                             make_steps)
 from steplab.training import pair_grads, soft_loss
 
 SCHEDS = {"ve": ve_edm(), "vp": vp_linear()}
@@ -72,6 +75,47 @@ def one_leaf(den, sched, spec, x, y, steps):
     initial state."""
     return en.adjoint_chain_grad(
         {"x_prime": x}, *training._chain_parts(den, sched, spec, y, steps))
+
+
+def fine_prelude(den, sched, spec):
+    """The learned grid's prelude as a tape of its fine ops, as it was
+    taken before the closed-form transposes: tau, the query times and
+    checked_shared, all engine-generic, on the taped leaves."""
+    def prelude(env):
+        times = tau(env["xi"], sched.T, sched.t_min)
+        times_c = query_times(times, env["xi_c"], sched.T, sched.t_min)
+        return (checked_shared(den, sched, spec, times, times_c),
+                initial_state(spec, env["x_prime"]))
+
+    return prelude
+
+
+@pytest.mark.parametrize("nfe", [2, 4, 8, 16])
+@pytest.mark.parametrize("kind", ["gm", "point"])
+@pytest.mark.parametrize("sched_name", sorted(SCHEDS))
+@pytest.mark.parametrize("family,order", SOLVERS, ids=SOLVER_IDS)
+def test_closed_form_prelude_equals_the_fine_taped_prelude(
+        family, order, sched_name, kind, nfe):
+    """The learned grid's closed-form prelude gives the gradients of the
+    tape of tau -> query_times -> checked_shared to 1e-12, with the first
+    query time clamped at T and the last at t_min; the loss keeps its
+    bits, since the forward pass is the same."""
+    sched = SCHEDS[sched_name]
+    den = make_den(kind, sched)
+    spec = SolverSpec(family=family, order=order, nfe=nfe)
+    disc = grid(sched, nfe)
+    disc.xi_c[0], disc.xi_c[-1] = 0.05 * sched.T, -sched.T
+    assert disc.times_c()[0] == sched.T and disc.times_c()[-1] == sched.t_min
+    x, y = pair(sched, 3)
+    got = pair_grads(disc, den, sched, spec, x, y)
+    _, build, finale = training._chain_parts(den, sched, spec, y)
+    want = en.adjoint_chain_grad(
+        {"xi": disc.xi, "xi_c": disc.xi_c, "x_prime": x},
+        fine_prelude(den, sched, spec), build, finale)
+    assert got.loss.tobytes() == want.loss.tobytes()
+    for k in KEYS:
+        np.testing.assert_allclose(got.grads[k], want.grads[k], rtol=1e-12,
+                                   atol=1e-12, err_msg=k)
 
 
 @pytest.mark.parametrize("frozen", [False, True], ids=["learned", "frozen"])
@@ -212,6 +256,9 @@ def taped_ops(monkeypatch, fn):
 @pytest.mark.parametrize("sched_name", sorted(SCHEDS))
 def test_learned_grid_tapes_the_same_prelude_at_every_nfe(monkeypatch,
                                                           sched_name):
+    """The prelude's tape holds the three leaves, the times, the query
+    times, the table and sigma_i, plus alpha_i under VP (it is 1 under
+    VE): 7 or 8 entries at every NFE, where the fine ops were 34."""
     sched = SCHEDS[sched_name]
     den = make_den("gm", sched)
     x, y = pair(sched, 2)
@@ -223,7 +270,7 @@ def test_learned_grid_tapes_the_same_prelude_at_every_nfe(monkeypatch,
             disc, den, sched, spec, x, y))
         assert len(sizes) == 1  # one reverse pass: the prelude's
         counts.append(sizes[0])
-    assert counts[0] == counts[1] == counts[2]
+    assert counts == [{"ve": 7, "vp": 8}[sched_name]] * 3
     # the whole tape grows with the steps instead
     whole = taped_ops(monkeypatch, lambda: pair_grads(
         disc, den, sched, spec, x, y, checkpointed=False))

@@ -286,8 +286,7 @@ def test_whole_tape_refresh_equals_checkpointed_loop(solver, order, family,
 
 def test_refresh_builds_its_frozen_grid_once(monkeypatch):
     """One refresh checks and builds its grid once, and lists its table
-    twice: once for the steps of its K gradients, once for the final
-    loss's march."""
+    once: its steps serve the K gradients and the final loss's march."""
     sched, den = build("ve_edm", "gm")
     spec = SolverSpec(family="dpmpp", order=2, nfe=4)
     disc = learned_looking_grid(sched, 4)
@@ -313,7 +312,7 @@ def test_refresh_builds_its_frozen_grid_once(monkeypatch):
     finally:
         sys.setprofile(None)
     assert len(builds) == 1
-    assert len(lists) == 2
+    assert len(lists) == 1
 
 
 def gm_epsilon_k_loop(den, x, t):

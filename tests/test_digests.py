@@ -11,7 +11,12 @@ which moves every K >= 2 epsilon by rounding; a one-component gamma is 1
 exactly either way, so the point-mass pins stayed.  The pair_grads pins
 were re-recorded when the learned grid lost its dead coordinates (N logits
 and N query offsets, not N + 1), which moves tau and its gradients by
-rounding; the solve pins stayed, given the same N query times.
+rounding; the solve pins stayed, given the same N query times.  They were
+re-recorded again when the learned grid's prelude came to be differentiated
+by closed-form transposes (of tau, the query times' clamp, the table and
+alpha_i, sigma_i) in place of a tape of its fine ops: the xi gradients
+moved by up to 2.7e-13 (VE, 2.4e-15 relative) and xi_c's by 8.9e-16 (VP),
+while the losses and x_prime gradients kept their bits.
 """
 
 import hashlib
@@ -90,8 +95,8 @@ def test_solve_outputs_match_recorded_digests(sched_name, kind, solver):
 
 
 PAIR_GRADS_DIGESTS = {
-    "ve": "c07e1e6a376a102db338f376860329db92a46b5a05c94c01d2c66ba0c8bd90df",
-    "vp": "12ba290923e656fd59194a5913076875d4a466894fcaa67f310c10f9910624c3",
+    "ve": "e5990e83c00c615fe1de2d1770cfc852457da7ca33c28de6bd19f0077c696794",
+    "vp": "a6cdf92d54c1389b7168219a21316048cc8d26339fee37429266007624a30586",
 }
 
 

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steplab import engine as en
 from steplab.denoisers import GMDenoiser
 from steplab.discretize import (HEURISTICS, Discretization, heuristic_times,
                                 init_from_times, load_checkpoint,
-                                query_times, save_checkpoint, tau)
+                                query_times, query_times_transpose,
+                                save_checkpoint, tau, tau_transpose)
 from steplab.schedule import ve_edm, vp_linear
 from steplab.solvers import GridError, SolverSpec, checked_shared
 
@@ -45,6 +47,27 @@ def test_tau_strictly_decreasing(xs):
     t = tau(np.array(xs), 80.0, 0.002)
     assert t.shape == (len(xs) + 1,)
     assert np.all(np.diff(t) < 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 5, 16])
+def test_tau_and_query_transposes_equal_their_tapes(n):
+    """The closed-form transposes of tau and of the query times give the
+    gradients a tape of their fine ops gives, to 1e-12, with query times
+    clamped at T (first step) and at t_min (last)."""
+    g = np.random.default_rng(n)
+    xi, xi_c = 0.5 * g.standard_normal(n), g.uniform(-1.0, 1.0, n)
+    xi_c[0], xi_c[-1] = 5.0, -100.0
+    g_times, g_c = g.standard_normal(n + 1), g.standard_normal(n)
+    tape = en.Tape()
+    xv, cv = tape.leaf(xi), tape.leaf(xi_c)
+    times = tau(xv, 80.0, 0.002)
+    times_c = query_times(times, cv, 80.0, 0.002)
+    assert times_c.data[0] == 80.0 and times_c.data[-1] == 0.002
+    want = tape.backward([(times, g_times), (times_c, g_c)], [xv, cv])
+    gt, got_c = query_times_transpose(times.data, xi_c, 80.0, 0.002, g_c)
+    got = tau_transpose(xi, 80.0, 0.002, g_times + gt)
+    for a, b in zip((got, got_c), want):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
 def test_tau_underflow_guard():

@@ -6,7 +6,8 @@ ndarray.all or np.zeros_like costs 2-6x the ufunc or C call it wraps.  Each
 case runs once to warm up (the schedule caches sigma_T, the draw loop
 fills its idle list, a map builds its steps), then once under
 sys.setprofile, and fails if it entered any function defined in NumPy's
-fromnumeric.py, _methods.py or numeric.py, or np.linalg.norm.  The
+fromnumeric.py, _methods.py, numeric.py, _twodim_base_impl.py (np.eye) or
+_stride_tricks_impl.py (np.broadcast_to), or np.linalg.norm.  The
 one-frame dispatchers in multiarray.py of C functions such as vdot, dot
 and concatenate are allowed.  A warm step also reads its grid's prebuilt
 rows: it calls neither ndarray.tolist nor engine.index.
@@ -17,6 +18,7 @@ import sys
 import numpy as np
 import pytest
 from numpy._core import _methods, fromnumeric, numeric
+from numpy.lib import _stride_tricks_impl, _twodim_base_impl
 
 from steplab import config, engine
 from steplab.discretize import Discretization, heuristic_times
@@ -28,7 +30,8 @@ from steplab.solvers import (SolverSpec, _Tangents, checked_shared,
                              solver_map)
 from steplab.training import pair_grads
 
-WRAPPER_FILES = {m.__file__ for m in (fromnumeric, _methods, numeric)}
+WRAPPER_FILES = {m.__file__ for m in (fromnumeric, _methods, numeric,
+                                      _twodim_base_impl, _stride_tricks_impl)}
 NORM = np.linalg.norm.__wrapped__.__code__
 SCHEDS = {"ve": ve_edm(), "vp": vp_linear()}
 SPECS = {"euler1": ("euler", 1), "dpmpp2": ("dpmpp", 2),
@@ -147,7 +150,8 @@ def test_pair_grads_lists_its_table_once(frozen):
 @pytest.mark.parametrize("sched_name", sorted(SCHEDS))
 def test_the_bound_enters_no_numpy_wrapper(sched_name):
     """estimate_bound and, inside it, log_abs_det_jacobian: the draws, the
-    tangent marches, the log-dets and the mean of the gaps."""
+    tangent marches, whose x_T is stacked over an identity built without
+    np.eye or np.broadcast_to, the log-dets and the mean of the gaps."""
     sched = SCHEDS[sched_name]
     den = config.build_denoiser(dict(config.DEFAULTS), sched)
     maps = [solver_map(den, sched, SolverSpec("dpmpp", 2, nfe=nfe),
@@ -179,8 +183,9 @@ def test_sample_prior_enters_no_numpy_wrapper(sched_name):
 @pytest.mark.parametrize("grid", ["learned", "frozen"])
 @pytest.mark.parametrize("sched_name", sorted(SCHEDS))
 def test_pair_grads_enters_no_numpy_wrapper(sched_name, grid):
-    """One dpmpp2 training call on B pairs: a learned grid tapes its
-    prelude (exp, suffix sums, clamp) and sweeps back through it; a frozen
+    """One dpmpp2 training call on B pairs: a learned grid builds its
+    grid cold, tapes it as a few ops and runs their closed-form transposes
+    (tau's, the clamp's, the table's and the marginals'); a frozen
     grid's call, on its prebuilt steps, tapes nothing and checks x_prime's
     adjoint.  Both seed the sweep with ones and read the loss back."""
     sched = SCHEDS[sched_name]

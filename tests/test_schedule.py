@@ -45,6 +45,28 @@ def test_ve_sigma_inverse_is_identity():
     assert VE.t_of_sigma(3.7) == 3.7
 
 
+# ------------------------------------------------------------ derivatives
+
+
+@pytest.mark.parametrize("sched", [VE, VP], ids=["ve", "vp"])
+def test_marginals_and_ode_slopes_match_central_differences(sched):
+    """`marginals` gives alpha, sigma and lambda as the other methods do,
+    and its t-derivatives, like `ode_slopes`' of drift and g^2, match
+    central differences near t_min and T and in between."""
+    t = np.array([sched.t_min * 1.5, 0.3 * sched.T, sched.T * 0.999])
+    eps = 1e-5 * t
+    (a, s, lam), slopes = sched.marginals(t)
+    np.testing.assert_allclose(a, sched.alpha_sigma(t)[0], rtol=1e-15)
+    np.testing.assert_allclose(s, sched.sigma(t), rtol=1e-15)
+    np.testing.assert_allclose(lam, sched.lam(t), rtol=1e-14)
+    for f, got in [(lambda u: sched.alpha_sigma(u)[0], slopes[0]),
+                   (sched.sigma, slopes[1]), (sched.lam, slopes[2]),
+                   (sched.drift, sched.ode_slopes()[0]),
+                   (sched.diffusion_sq, sched.ode_slopes()[1])]:
+        fd = (f(t + eps) - f(t - eps)) / (2.0 * eps)
+        np.testing.assert_allclose(got, fd, rtol=1e-6, atol=1e-9)
+
+
 # ----------------------------------------------------------------------- VP
 
 

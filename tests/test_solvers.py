@@ -14,7 +14,8 @@ from steplab.discretize import heuristic_times
 from steplab.evaluate import solver_map
 from steplab.schedule import ve_edm, vp_linear
 from steplab.solvers import (DivergenceError, GridError, SolverSpec,
-                             initial_state, solve)
+                             checked_shared, coeffs, coeffs_transpose,
+                             initial_state, make_steps, march_steps, solve)
 
 VE = ve_edm()
 VP = vp_linear()
@@ -312,7 +313,10 @@ class ConstantDen:
                                       times)(x, jacobian=True),
     lambda spec, times, x: solve(ConstantDen(np.nan), VE, spec, times,
                                  x_T=x),
-], ids=["solve", "solver_map", "jacobian", "nan"])
+    lambda spec, times, x: march_steps(spec, make_steps(
+        ConstantDen(np.inf), spec,
+        checked_shared(ConstantDen(np.inf), VE, spec, times)), x),
+], ids=["solve", "solver_map", "jacobian", "nan", "prebuilt"])
 def test_divergence_error_names_step(run):
     spec = SolverSpec(family="euler", order=1, nfe=3)
     times = heuristic_times("uniform", VE, 3)
@@ -331,3 +335,22 @@ def test_finite_state_whose_sum_overflows_is_not_divergence():
         out = solve(ConstantDen(0.0), VE, spec,
                     heuristic_times("uniform", VE, 3), x_T=x_T)
     np.testing.assert_array_equal(out, x_T)
+
+
+@pytest.mark.parametrize("nfe", [1, 2, 5])
+@pytest.mark.parametrize("sched", [VE, VP], ids=["ve", "vp"])
+@pytest.mark.parametrize("family,order", [
+    ("euler", 1), ("dpmpp", 1), ("dpmpp", 2), ("ipndm", 1), ("ipndm", 2),
+    ("ipndm", 3), ("ipndm", 4)])
+def test_coeffs_transpose_equals_the_taped_table(family, order, sched, nfe):
+    """The banded transpose gives the times' gradient that a tape of
+    `coeffs` gives for the same table adjoint, to 1e-12."""
+    spec = SolverSpec(family=family, order=order, nfe=nfe)
+    times = heuristic_times("edm", sched, nfe)
+    tape = en.Tape()
+    tv = tape.leaf(times)
+    table = coeffs(sched, spec, tv)
+    g = np.cos(np.arange(table.data.size)).reshape(table.data.shape)
+    want, = tape.backward([(table, g)], [tv])
+    np.testing.assert_allclose(coeffs_transpose(sched, spec, times, g), want,
+                               rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
