@@ -22,7 +22,7 @@ from . import rng as rngmod
 from .config import (ConfigError, at_least, build_denoiser, build_schedule,
                      build_solver_spec, build_teacher, build_train_config,
                      load_config, one_of, write_snapshot)
-from .dataio import (FormatError, load_dataset, open_new, save_dataset,
+from .dataio import (FormatError, load_dataset, save_dataset,
                      write_bench_csv, write_bound_json, write_cross_csv,
                      write_metrics_csv, write_sweep_csv)
 from .discretize import (HEURISTICS, heuristic_times, load_checkpoint,
@@ -126,8 +126,7 @@ def _cmd_sample(args, cfg, sched, den):
                             rngmod.derive_seed(cfg["seed"], "sample"))
     samples = solve_batch(den, sched, spec, disc.times(), disc.times_c(), x)
     out = _ensure_dir(args.out or "samples")
-    with open_new(os.path.join(out, "samples.npy"), "wb") as fh:
-        np.save(fh, samples)
+    np.save(os.path.join(out, "samples.npy"), samples)
     manifest = {
         "checkpoint": cfg["sample.checkpoint"],
         "count": count,
@@ -136,7 +135,7 @@ def _cmd_sample(args, cfg, sched, den):
         "solver": {"family": spec.family, "order": spec.order,
                    "nfe": spec.nfe},
     }
-    with open_new(os.path.join(out, "manifest.json")) as fh:
+    with open(os.path.join(out, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     write_snapshot(cfg, os.path.join(out, "config.txt"))

@@ -14,7 +14,6 @@ from dataclasses import fields
 import numpy as np
 
 from . import denoisers, schedule as schedmod
-from .dataio import open_new
 from .discretize import HEURISTICS
 from .evaluate import BENCH_METHODS
 from .solvers import ORDERS, SolverSpec
@@ -134,7 +133,7 @@ def format_config(cfg):
 
 
 def write_snapshot(cfg, path):
-    with open_new(path) as fh:
+    with open(path, "w") as fh:
         fh.write(format_config(cfg))
 
 

@@ -17,15 +17,11 @@ Dataset layout, format version 2 (little-endian):
 so a file holds exactly 96 + count * 2 * d * 8 bytes, and every record is
 finite.  Floats in the CSVs are rendered with Python's shortest round-trip
 repr, keeping reruns byte-comparable.
-
-Every artifact is written through `open_new`, which replaces a file rather
-than truncating it.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import struct
 
 import numpy as np
@@ -45,23 +41,10 @@ class FormatError(ValueError):
     pass
 
 
-def open_new(path, mode="w"):
-    """Open path for writing as a new file, mode "w" or "wb": an existing
-    file or symlink there is unlinked, then the path is created with "x".
-    Truncating a file that is still being written back to disk waits on
-    that I/O, and a new file does not; a hard link to the old file keeps
-    its bytes, and a symlink is replaced, not written through."""
-    try:
-        os.unlink(path)
-    except FileNotFoundError:
-        pass
-    return open(path, mode.replace("w", "x"))
-
-
 def save_dataset(path, ds):
     family, order, nfe, grid = ds.teacher
     recs = np.concatenate([ds.x_T, ds.y], axis=1)
-    with open_new(path, "wb") as fh:
+    with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, ds.d, ds.count,
                               ds.schedule_hash, ds.seed, *ds.mixture,
                               family.encode(), order, nfe, grid.encode()))
@@ -119,7 +102,7 @@ def write_metrics_csv(path, report):
              for ep, phase, val, lr_xi, lr_xic, wall in report.epoch_rows]
     rows.sort(key=lambda row: row[:2])  # stable: iterations keep their order
     lines = [METRICS_HEADER] + [line for _, _, line in rows]
-    with open_new(path) as fh:
+    with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -128,7 +111,7 @@ def write_bench_csv(path, rows):
     for method, solver, nfe, tdist, rms, w1v, seed in rows:
         lines.append(f"{method},{solver},{nfe},{_fmt(tdist)},{_fmt(rms)},"
                      f"{_fmt(w1v)},{seed}")
-    with open_new(path) as fh:
+    with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -136,7 +119,7 @@ def write_sweep_csv(path, rows):
     lines = [SWEEP_HEADER]
     for r, best in rows:
         lines.append(f"{_fmt(r)},{_fmt(best)}")
-    with open_new(path) as fh:
+    with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -145,7 +128,7 @@ def write_cross_csv(path, matrix, labels):
     for i, label in enumerate(labels):
         cells = ",".join(_fmt(matrix[i, j]) for j in range(len(labels)))
         lines.append(f"{label},{cells}")
-    with open_new(path) as fh:
+    with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -160,6 +143,6 @@ def write_bound_json(path, report, seed):
         "n_samples": report.n_samples,
         "seed": int(seed),
     }
-    with open_new(path) as fh:
+    with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -27,6 +27,9 @@ is ones), then v_k, 2 v_k, c_k = log w_k - (d/2)(log v_k + log 2 pi), the
 log weight plus the log-normaliser, and alpha mu_k.  Step i passes their
 row i to `epsilon` in place of t.  A query time is the one-row case of the
 same build, so epsilon at t_i equals epsilon with row i bit for bit.
+Training's learned grid builds them cold and tapes them with
+`tape_step_constants`: alpha and sigma as one op each over the query
+times, with closed-form VJPs.
 
 Each call then forms the log terms c_k - |x - alpha mu_k|^2 / (2 v_k) and
 takes the responsibilities from one exp pass, gamma = e / sum_k e with
@@ -42,6 +45,7 @@ import numpy as np
 
 from . import engine as en
 from . import rng as rngmod
+from .schedule import VE_EDM
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -169,6 +173,20 @@ class GMDenoiser:
         return (a, s) + _gm_table(en.data_of(a), en.data_of(s),
                                   self.log_weights, self.means,
                                   self.variances)
+
+    def tape_step_constants(self, consts, times_c):
+        """`step_constants` on the taped query times times_c, given consts,
+        its cold build at their data: alpha and sigma are taped as one op
+        each, whose VJP is its t-derivative from `sched.marginals` (under
+        VE alpha is 1 and stays plain), and the rest stays plain, as on a
+        taped build.  Training's learned prelude tapes these two ops in
+        place of `sched.alpha_sigma`'s fine ones."""
+        a, s = consts[:2]
+        _, (da, ds, _) = self.sched.marginals(times_c.data)
+        if self.sched.family != VE_EDM:
+            a = en.record(a, (times_c,), lambda g: (g * da,), "alpha")
+        s = en.record(s, (times_c,), lambda g: (g * ds,), "sigma")
+        return (a, s) + consts[2:]
 
     def epsilon(self, x, t, tangents=None, pullback=None):
         """eps(x, t); t is a query time or row i of `step_constants`.

@@ -188,8 +188,7 @@ def save_checkpoint(path, disc, solver_spec):
         "solver": {"family": solver_spec.family, "order": solver_spec.order,
                    "nfe": solver_spec.nfe},
     }
-    from .dataio import open_new  # dataio imports this module via training
-    with open_new(path) as fh:
+    with open(path, "w") as fh:
         json.dump(blob, fh, sort_keys=True)
         fh.write("\n")
 

@@ -41,7 +41,6 @@ from . import rng as rngmod
 from .discretize import (Discretization, HEURISTICS, heuristic_times,
                          query_times, query_times_transpose, tau,
                          tau_transpose)
-from .schedule import VE_EDM
 from .solvers import (GridError, SolverSpec, checked_shared,
                       coeffs_transpose, initial_state, make_steps,
                       march_steps, solve)
@@ -215,9 +214,11 @@ def _learned_shared(den, sched, spec, xi, xi_c):
     cold by `tau`, `query_times` and `checked_shared`, with every check,
     then its differentiable outputs taped as a few ops over the leaves,
     each with a closed-form transpose: the times, the query times, the
-    table and, at the query times, sigma_i and, under VP, alpha_i (under
-    VE alpha is 1).  So the prelude's tape has the same length at any
-    NFE."""
+    table, and the denoiser's step constants, which
+    `den.tape_step_constants` tapes on the taped query times.  So the
+    prelude's tape has the same length at any NFE.  A denoiser without
+    that method has its constants rebuilt by `step_constants` on the
+    taped query times, engine-generic."""
     T, t_min = sched.T, sched.t_min
     xid, xicd = xi.data, xi_c.data
     times = tau(xid, T, t_min)
@@ -229,11 +230,9 @@ def _learned_shared(den, sched, spec, xi, xi_c):
         times, xicd, T, t_min, g), "query_times")
     table = en.record(shared[0], (tv,), lambda g: (coeffs_transpose(
         sched, spec, times, g),), "coeffs")
-    _, (da, ds, _) = sched.marginals(times_c)
-    a = shared[1] if sched.family == VE_EDM else \
-        en.record(shared[1], (tcv,), lambda g: (g * da,), "alpha")
-    s = en.record(shared[2], (tcv,), lambda g: (g * ds,), "sigma")
-    return (table, a, s) + shared[3:]
+    tape = getattr(den, "tape_step_constants", None)
+    return (table,) + (den.step_constants(tcv) if tape is None
+                       else tape(shared[1:], tcv))
 
 
 def pair_grads(disc, den, sched, spec, x_prime, y, checkpointed=True,

@@ -118,6 +118,42 @@ def test_closed_form_prelude_equals_the_fine_taped_prelude(
                                    atol=1e-12, err_msg=k)
 
 
+class Untaped:
+    """A GM behind a denoiser with no `tape_step_constants`."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.d = inner.d
+
+    def step_constants(self, times_c):
+        return self.inner.step_constants(times_c)
+
+    def epsilon(self, x, row, pullback=None):
+        return self.inner.epsilon(x, row, pullback=pullback)
+
+
+@pytest.mark.parametrize("sched_name", sorted(SCHEDS))
+@pytest.mark.parametrize("family,order", [("euler", 1), ("dpmpp", 2)],
+                         ids=["euler1", "dpmpp2"])
+def test_a_denoiser_without_tape_step_constants_keeps_its_gradients(
+        family, order, sched_name):
+    """The learned prelude reads no layout of a denoiser's step constants:
+    one without `tape_step_constants` has them rebuilt on the taped query
+    times by its engine-generic `step_constants`, to the same gradients
+    as the GM's own closed-form ops."""
+    sched = SCHEDS[sched_name]
+    den = make_den("gm", sched)
+    spec = SolverSpec(family=family, order=order, nfe=4)
+    disc = grid(sched, 4)
+    x, y = pair(sched, 3)
+    got = pair_grads(disc, Untaped(den), sched, spec, x, y)
+    want = pair_grads(disc, den, sched, spec, x, y)
+    assert got.loss.tobytes() == want.loss.tobytes()
+    for k in KEYS:
+        np.testing.assert_allclose(got.grads[k], want.grads[k], rtol=1e-12,
+                                   atol=1e-12, err_msg=k)
+
+
 @pytest.mark.parametrize("frozen", [False, True], ids=["learned", "frozen"])
 @pytest.mark.parametrize("rows", [None, 1, 3], ids=["row", "B1", "B3"])
 @pytest.mark.parametrize("kind", ["gm", "point"])

@@ -193,65 +193,6 @@ def test_bound_from_checkpoint_grid(ws, tmp_path):
     assert (out / "bound.json").exists()
 
 
-ARTIFACTS = ["dataset.bin", "dataset.bin.config.txt", "run/metrics.csv",
-             "run/config.txt", "run/checkpoint.json", "s/samples.npy",
-             "s/manifest.json", "s/config.txt", "b/bench.csv",
-             "b/config.txt", "sw/sweep.csv", "sw/config.txt",
-             "bd/bound.json", "bd/config.txt", "cr/cross.csv",
-             "cr/config.txt"]
-
-
-def run_every_command(root):
-    """All seven commands on SMALL_CFG, their artifacts under root."""
-    root.mkdir(exist_ok=True)
-    cfg = root / "small.cfg"
-    cfg.write_text(SMALL_CFG + f"sample.checkpoint = "
-                               f"{root / 'run' / 'checkpoint.json'}\n")
-    data = str(root / "dataset.bin")
-    for argv in (["gen-data", "--out", data],
-                 ["train", "--data", data, "--out", str(root / "run")],
-                 ["sample", "--out", str(root / "s")],
-                 ["bench", "--data", data, "--out", str(root / "b")],
-                 ["sweep-r", "--data", data, "--out", str(root / "sw")],
-                 ["bound", "--out", str(root / "bd")],
-                 ["cross-eval", "--data", data, "--out", str(root / "cr")]):
-        assert main(argv + ["--config", str(cfg)]) == 0, argv
-
-
-def test_a_rerun_replaces_its_artifacts_instead_of_truncating(tmp_path):
-    """Every artifact is written as a new file: a hard link to the file it
-    replaces keeps the old bytes, a longer stale file leaves no tail, a
-    symlink is replaced rather than written through, and what is written
-    equals a fresh run's output (metrics.csv up to its wall clock)."""
-    fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
-    run_every_command(fresh)
-    links = tmp_path / "links"
-    links.mkdir()
-    for k, name in enumerate(ARTIFACTS):
-        path = rerun / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        stale = f"stale {name}\n".encode() * 4000
-        if name.endswith("config.txt"):  # the snapshots are symlinks
-            (links / f"target{k}").write_bytes(stale)
-            path.symlink_to(links / f"target{k}")
-        else:
-            path.write_bytes(stale)
-            os.link(path, links / f"link{k}")
-    run_every_command(rerun)
-    for k, name in enumerate(ARTIFACTS):
-        old = links / (f"target{k}" if (links / f"target{k}").exists()
-                       else f"link{k}")
-        assert old.read_bytes() == f"stale {name}\n".encode() * 4000, name
-        path = rerun / name
-        assert not path.is_symlink(), name
-        # the snapshots and the manifest name the checkpoint's directory
-        got = path.read_bytes().replace(b"/rerun/", b"/fresh/")
-        want = (fresh / name).read_bytes()
-        if name.endswith("metrics.csv"):
-            got, want = strip_wall(got.decode()), strip_wall(want.decode())
-        assert got == want, name
-
-
 # ---------------------------------------------------------------- error paths
 
 
