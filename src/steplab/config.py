@@ -44,9 +44,9 @@ DEFAULTS = {
     "teacher.order": 2,
     "teacher.nfe": 100,
     "teacher.grid": "logsnr",
-    # every train.* default lives on TrainConfig; r_override reads train.r
-    **{"train." + ("r" if f.name == "r_override" else f.name): f.default
-       for f in fields(TrainConfig) if f.name != "seed"},
+    # every train.* default lives on TrainConfig
+    **{"train." + f.name: f.default for f in fields(TrainConfig)
+       if f.name != "seed"},
     "sample.count": 64,
     "sample.checkpoint": "",
     "bench.nfes": (4, 6, 8),
@@ -252,5 +252,4 @@ def build_train_config(cfg):
                           f"train.epochs_phase2 = {p2} must be >= 0 and "
                           f"give at least one epoch")
     kw = {k[len("train."):]: v for k, v in cfg.items() if k.startswith("train.")}
-    kw["r_override"] = kw.pop("r")
     return TrainConfig(seed=cfg["seed"], **kw)

@@ -21,8 +21,10 @@ same builder makes the steps of the plain shared, which, given an
 accumulator, run returning their own transposes, and one reverse sweep over
 those cached pullbacks, with no tape and no replay, seeds the prelude's tape.
 Training's learned-grid prelude keeps that tape short: it builds the grid
-cold and records only its differentiable outputs, each as one op whose VJP
-is a closed form, as the GM epsilon records its own.
+cold and records only its differentiable outputs, the times, the query
+times and the table, each as one op whose VJP is a closed form, as the GM
+epsilon records its own.  The denoiser's step constants stay plain: its
+epsilon is differentiated in its query time.
 :func:`state_chain_grad` runs the same sweep over steps its caller built
 once, with no prelude and no tape at all: the gradient of the chain's
 input is the sweep's adjoint of the initial state.

@@ -152,8 +152,7 @@ def sweep_r(ds, den, sched, spec, cfg, r_values):
     aborted before its first checkpoint."""
     rows = []
     for r in r_values:
-        report = train(ds, den, sched, spec,
-                       replace(cfg, r_override=float(r)))
+        report = train(ds, den, sched, spec, replace(cfg, r=float(r)))
         rows.append((float(r), report.best_val))
     return rows
 

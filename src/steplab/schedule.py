@@ -22,7 +22,8 @@ All value-returning methods but `marginals` accept plain floats/arrays or
 engine Values, so schedule quantities can sit inside differentiated solver
 graphs.  `marginals` gives alpha, sigma and lambda with their
 t-derivatives on plain arrays, and `ode_slopes` those of f and g^2, for
-the closed-form transposes of a grid build.
+the closed-form transposes of a grid build and the denoiser's step
+constants.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ class NoiseSchedule:
         t, from one log alpha: under VE 1, t, -log t and 0, 1, -1/t; under
         VP, with la' = d log alpha / dt = -beta(t)/2, alpha la',
         -alpha^2 la' / sigma and la' / sigma^2.  The transposes of the grid
-        build read them."""
+        build and the denoiser's step constants read them."""
         if self.family == VE_EDM:
             ones = en.full(t.shape, 1.0)
             return (ones, t, -np.log(t)), (np.zeros(t.shape), ones, -1.0 / t)

@@ -22,22 +22,24 @@ h_i = lambda_{i+1} - lambda_i (> 0 along sampling), the rows are
             zero-padded during warm-up
 
 `checked_shared` checks a grid and builds shared once for it, taped or
-cold: the table, then the denoiser's per-step constants on the query
-times (`den.step_constants`, a tuple of arrays with one row per step).
+cold: the table, the query times, then the denoiser's per-step constants
+on their plain data (`den.step_constants`, a tuple of arrays with one row
+per step).  So the query times are the only step constants that can
+carry a gradient, and no solver reads a denoiser's layout.
 `coeffs_transpose` is the table's closed-form transpose, which training's
 learned grid runs in place of a tape of `coeffs`: each row reads t_i and
 t_{i+1}, and dpmpp2's c_i also h_{i-1}, so it is banded.
 `make_steps` builds the steps of one shared: it reads every step's rows
-of it once, and step i hands its denoiser row to `den.epsilon`.  So steps
-run identically on plain numpy arrays and on taped engine Values.  On a
-plain grid each table row is a list of Python floats, from one tolist per
-grid, and each denoiser row a tuple, so a step is one denoiser call plus
-its update arithmetic; on a taped grid the same reads are taped.  Given
-acc, `step(state, acc)` runs on plain arrays and also returns its
-transpose, which training's discrete adjoint sweeps: the adjoints of the
-state are row i times the adjoint of the update, the row's gradient is
-one vdot per array, and the denoiser's pullback gives those of x and of
-alpha_i and sigma_i, the only step constants that can carry a gradient.
+of it once, and step i hands its denoiser row, t^c_i followed by row i of
+the constants, to `den.epsilon`.  So steps run identically on plain numpy
+arrays and on taped engine Values.  On a plain grid each table row is a
+list of Python floats, from one tolist per grid, and each denoiser row a
+tuple, so a step is one denoiser call plus its update arithmetic; on a
+taped grid the same reads are taped.  Given acc, `step(state, acc)` runs
+on plain arrays and also returns its transpose, which training's discrete
+adjoint sweeps: the adjoints of the state are row i times the adjoint of
+the update, the row's gradient is one vdot per array, and the denoiser's
+pullback gives those of x and of the query time t^c_i.
 The inter-step state has a fixed width per solver spec (history slots are
 zero-padded before they fill), which keeps the number of arrays cached per
 step constant regardless of grid length.
@@ -213,10 +215,10 @@ def make_steps(den, spec, shared):
     stacked tangent slots.  Each step is bound to its reads of shared,
     built here once for all: the (head, tail) parts of table row i, split
     after DPM-Solver++'s two data-prediction entries (head is empty for the
-    other families), and den's row i of the step constants.  On a plain
-    table the parts are lists of Python floats from one tolist; on a taped
-    one each read is taped, as the whole-tape reference differentiates
-    it."""
+    other families), and den's row: t^c_i, then row i of its step
+    constants.  On a plain table the parts are lists of Python floats from
+    one tolist; on a taped one each read is taped, as the whole-tape
+    reference differentiates it."""
     table = shared[0]
     pre = 2 if spec.family == DPMPP else 0
     if type(table) is not en.Value:
@@ -236,7 +238,7 @@ def _step(den, spec, i, head, tail, row):
     given acc, its transpose pair on plain arrays, step(state, acc) ->
     (state', back), where back(adj') -> adj maps the adjoints of state' to
     those of state and adds the step's gradients of the table row and of
-    alpha_i, sigma_i into acc[0], acc[1] and acc[2] where acc has them."""
+    the query time t^c_i into acc[0] and acc[1] where acc has them."""
     width = 1 + spec.history_width
     pre = 2 if spec.family == DPMPP else 0
     cols_head, cols_tail = (i, slice(0, pre)), (i, slice(pre, None))
@@ -246,7 +248,7 @@ def _step(den, spec, i, head, tail, row):
         if acc is None:
             eps = den.epsilon(x, row)
         else:
-            eps, eps_vjp = den.epsilon(x, row, pullback=(1 in acc, 2 in acc))
+            eps, eps_vjp = den.epsilon(x, row, pullback=1 in acc)
         # DPM-Solver++ combines data predictions
         out = en.lincomb(head, (x, eps)) if pre else eps
         parts = (x, out) + state[1:]
@@ -270,11 +272,9 @@ def _step(den, spec, i, head, tail, row):
                 c_x, c_eps = head
                 g_x = g_x + c_x * g_eps
                 g_eps = c_eps * g_eps
-            g_den, g_a, g_s = eps_vjp(g_eps)
-            if g_a is not None:
-                acc[1][i] += g_a
-            if g_s is not None:
-                acc[2][i] += g_s
+            g_den, g_t = eps_vjp(g_eps)
+            if g_t is not None:
+                acc[1][i] += g_t
             return (g_x + g_den,) + tuple(g[2:])
 
         return new, back
@@ -299,15 +299,32 @@ def solver_map(den, sched, spec, times, times_c=None):
     """Closure x_T -> x_N on the checked grid, taped or raw, (d,) or (B, d);
     times_c defaults to times[:-1].  With jacobian=True (cold x_T, a denoiser
     taking tangents) it returns the stacked final slot (..., 1 + d, d):
-    x_N, then the rows of (dx_N / dx_T)^T."""
-    return shared_map(den, spec,
-                      checked_shared(den, sched, spec, times, times_c))
+    x_N, then the rows of (dx_N / dx_T)^T.  The grid is checked and built
+    here once; its cold and its Jacobian steps are each built once, on
+    first use."""
+    shared = checked_shared(den, sched, spec, times, times_c)
+    sets = {}
+
+    def march(x, jacobian=False):
+        if jacobian:  # x_T stacked over the identity: (..., 1 + d, d)
+            d = x.shape[-1]
+            stacked = np.zeros(x.shape[:-1] + (1 + d, d))
+            stacked[..., 0, :] = x
+            stacked[..., 1 + np.arange(d), np.arange(d)] = 1.0
+            x = stacked
+        steps = sets.get(jacobian)
+        if steps is None:
+            steps = sets[jacobian] = make_steps(
+                _Tangents(den) if jacobian else den, spec, shared)
+        return march_steps(spec, steps, x)
+
+    return march
 
 
 def checked_shared(den, sched, spec, times, times_c=None):
-    """What every step reads, engine-generic: the table of `times`, then
-    den's step constants on the nfe query times times_c (default
-    times[:-1], each step's start).  Raises GridError or
+    """What every step reads, engine-generic: the table of `times`, the nfe
+    query times times_c (default times[:-1], each step's start), then den's
+    step constants on their plain data.  Raises GridError or
     ScheduleDomainError unless the grid has nfe + 1 strictly decreasing
     times and times_c nfe, both in the schedule's domain; a taped grid's
     checks read its data and tape nothing."""
@@ -328,33 +345,13 @@ def checked_shared(den, sched, spec, times, times_c=None):
             raise GridError(f"times_c must have shape ({spec.nfe},), one "
                             f"query time per step")
         sched.check_domain(times_c)
-    return (coeffs(sched, spec, times),) + den.step_constants(times_c)
+    return (coeffs(sched, spec, times), times_c) \
+        + den.step_constants(en.data_of(times_c))
 
 
 def _as_grid(t):
     """A taped grid as it is, anything else as a float64 array."""
     return t if type(t) is en.Value else np.asarray(t, dtype=np.float64)
-
-
-def shared_map(den, spec, shared):
-    """The `solver_map` closure on a grid's prebuilt `checked_shared`; its
-    cold and its Jacobian steps are each built once, on first use."""
-    sets = {}
-
-    def march(x, jacobian=False):
-        if jacobian:  # x_T stacked over the identity: (..., 1 + d, d)
-            d = x.shape[-1]
-            stacked = np.zeros(x.shape[:-1] + (1 + d, d))
-            stacked[..., 0, :] = x
-            stacked[..., 1 + np.arange(d), np.arange(d)] = 1.0
-            x = stacked
-        steps = sets.get(jacobian)
-        if steps is None:
-            steps = sets[jacobian] = make_steps(
-                _Tangents(den) if jacobian else den, spec, shared)
-        return march_steps(spec, steps, x)
-
-    return march
 
 
 def march_steps(spec, steps, x):
@@ -373,7 +370,8 @@ def solve(den, sched, spec, times, times_c=None, x_T=None):
     """March x_T down the grid; returns the final state x_N, shaped as x_T.
 
     Args:
-        den: object with step_constants(times_c) and epsilon(x, row).
+        den: object with step_constants(times_c) and epsilon(x, row), row
+            t^c_i followed by row i of its step constants.
         sched: NoiseSchedule.
         spec: SolverSpec (family/order/nfe).
         times: decreasing grid, length nfe + 1.

@@ -12,18 +12,20 @@ Each iteration takes one projected-SGD step on x'_T and simultaneous steps on
 xi (RMSprop with momentum) and xi_c (plain SGD, phase 2 only).  Its
 gradients come from the discrete adjoint of the solver map: the grid
 prelude (tau, the query times and the checked per-grid rows) runs cold
-and tapes only its differentiable outputs, a few ops with closed-form
-transposes, the steps run once on plain arrays caching their pullbacks,
-and one reverse sweep with no tape yields the adjoints that seed the
-prelude's tape.  End of epoch, validation x'_T are refreshed with K
-frozen-grid projected-SGD steps (keeping each pair's best iterate), whose
-gradients come from the same sweep with no tape at all: x'_T's gradient
-is the sweep's adjoint of the initial state.  The frozen grid is checked
-and built, and its steps built, once per refresh, for those K gradients
-and its final loss.  Then the validation soft loss is recorded,
-plateau decay is applied to both learning rates, and (xi, xi_c) is
-checkpointed whenever the validation loss reaches a new minimum.  A
-non-finite loss, or a grid the next check refuses, aborts training with
+and tapes only its differentiable outputs, the times, the query times and
+the table, three ops with closed-form transposes; the denoiser is
+differentiated in its query time, so its step constants stay plain.  The
+steps run once on plain arrays caching their pullbacks, and one reverse
+sweep with no tape yields the adjoints that seed the prelude's tape.
+End of epoch, validation x'_T are refreshed with K frozen-grid
+projected-SGD steps (keeping each pair's best iterate), whose gradients
+come from the same sweep with no tape at all: x'_T's gradient is the
+sweep's adjoint of the initial state.  The frozen grid is checked and
+built, and its steps built, once per refresh, for those K gradients and
+its final loss.  Then the validation soft loss is recorded, plateau decay
+is applied to both learning rates, and (xi, xi_c) is checkpointed
+whenever the validation loss reaches a new minimum.  A non-finite loss,
+or a grid the next check refuses, aborts training with
 the best grid so far.
 """
 
@@ -212,13 +214,11 @@ def _chain_parts(den, sched, spec, y, steps=None):
 def _learned_shared(den, sched, spec, xi, xi_c):
     """`checked_shared` of the grid of the taped leaves xi and xi_c: built
     cold by `tau`, `query_times` and `checked_shared`, with every check,
-    then its differentiable outputs taped as a few ops over the leaves,
-    each with a closed-form transpose: the times, the query times, the
-    table, and the denoiser's step constants, which
-    `den.tape_step_constants` tapes on the taped query times.  So the
-    prelude's tape has the same length at any NFE.  A denoiser without
-    that method has its constants rebuilt by `step_constants` on the
-    taped query times, engine-generic."""
+    then its differentiable outputs taped as three ops over the leaves,
+    each with a closed-form transpose: the times, the query times and the
+    table.  The denoiser's step constants stay plain, since its epsilon
+    is differentiated in the query time.  So the prelude's tape has the
+    same length at any NFE, and reads no denoiser's layout."""
     T, t_min = sched.T, sched.t_min
     xid, xicd = xi.data, xi_c.data
     times = tau(xid, T, t_min)
@@ -230,9 +230,7 @@ def _learned_shared(den, sched, spec, xi, xi_c):
         times, xicd, T, t_min, g), "query_times")
     table = en.record(shared[0], (tv,), lambda g: (coeffs_transpose(
         sched, spec, times, g),), "coeffs")
-    tape = getattr(den, "tape_step_constants", None)
-    return (table,) + (den.step_constants(tcv) if tape is None
-                       else tape(shared[1:], tcv))
+    return (table, tcv) + shared[2:]
 
 
 def pair_grads(disc, den, sched, spec, x_prime, y, checkpointed=True,
@@ -332,7 +330,7 @@ def clip_to_norm(grad, max_norm):
 @dataclass
 class TrainConfig:
     gamma: float = 0.001
-    r_override: float = -1.0  # >= 0 overrides gamma*d/NFE^2
+    r: float = -1.0           # >= 0 overrides gamma*d/NFE^2
     epochs_phase1: int = 2
     epochs_phase2: int = 5
     batch: int = 2
@@ -401,7 +399,7 @@ def train(ds, den, sched, spec, cfg):
     lr_xi = cfg.lr_xi
     lr_xic = cfg.lr_xic if cfg.lr_xic >= 0 else 0.1 / nfe
     lr_xp = cfg.lr_xprime if cfg.lr_xprime >= 0 else 12.0 / nfe
-    r = cfg.r_override if cfg.r_override >= 0 else radius(cfg.gamma, d, nfe)
+    r = cfg.r if cfg.r >= 0 else radius(cfg.gamma, d, nfe)
     rho = r * sched.sigma_T
     train_idx, val_idx = split_indices(ds.count, ds.seed)
 

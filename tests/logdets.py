@@ -40,7 +40,7 @@ class MaskDenoiser:
         self.mask = mask
 
     def step_constants(self, times_c):
-        return (times_c,)
+        return ()
 
     def epsilon(self, x, row, tangents=None):
         m = self.mask(x)

@@ -118,40 +118,84 @@ def test_closed_form_prelude_equals_the_fine_taped_prelude(
                                    atol=1e-12, err_msg=k)
 
 
-class Untaped:
-    """A GM behind a denoiser with no `tape_step_constants`."""
+@pytest.mark.parametrize("kind", ["gm", "point"])
+@pytest.mark.parametrize("sched_name", sorted(SCHEDS))
+def test_query_time_gradient_equals_the_fine_taped_marginals(sched_name,
+                                                             kind):
+    """The denoiser's t gradient, g_sigma sigma' + g_alpha alpha', equals
+    a fine tape of `sched.alpha_sigma` at the query times seeded with the
+    kernel's alpha and sigma adjoints, to 1e-12, with query times clamped
+    at T and at t_min.  The adjoints come from rows whose (alpha', sigma')
+    are set to (1, 0) and then (0, 1)."""
+    sched = SCHEDS[sched_name]
+    den = make_den(kind, sched)
+    times = heuristic_times("logsnr", sched, 6)
+    times_c = query_times(times, np.array([0.05, 0.0, 0.3, -0.2, 0.1, -1.0])
+                          * sched.T, sched.T, sched.t_min)
+    assert times_c[0] == sched.T and times_c[-1] == sched.t_min
+    x, _ = pair(sched, 3)
+    adj = np.cos(np.arange(x.size)).reshape(x.shape)
+    rows = list(zip(times_c, *den.step_constants(times_c)))
 
-    def __init__(self, inner):
+    def grad_t(slopes=None):
+        """Each row's t gradient, its (alpha', sigma') set to slopes."""
+        return np.array([den.epsilon(x, row[:-2] + (slopes or row[-2:]),
+                                     pullback=True)[1](adj)[1]
+                         for row in rows])
+
+    g_t, g_a, g_s = grad_t(), grad_t((1.0, 0.0)), grad_t((0.0, 1.0))
+    for row in rows:
+        assert den.epsilon(x, row, pullback=False)[1](adj)[1] is None
+    tape = en.Tape()
+    tv = tape.leaf(times_c)
+    a, s = sched.alpha_sigma(tv)
+    seeds = [(s, g_s)] + ([(a, g_a)] if type(a) is en.Value else [])
+    want, = tape.backward(seeds, [tv])
+    np.testing.assert_allclose(g_t, want, rtol=1e-12, atol=1e-12)
+
+
+class Wrapped:
+    """The GM behind another denoiser.  With own_copy its step constants
+    lead with its own copy of the query times, which its epsilon drops
+    from the row (the entry just before the GM's constants); without, it
+    only delegates."""
+
+    def __init__(self, inner, own_copy):
         self.inner = inner
         self.d = inner.d
+        self.own_copy = own_copy
+        self.n_inner = len(inner.step_constants(np.asarray(inner.sched.T)))
 
     def step_constants(self, times_c):
-        return self.inner.step_constants(times_c)
+        inner = self.inner.step_constants(times_c)
+        return ((times_c,) + inner) if self.own_copy else inner
 
-    def epsilon(self, x, row, pullback=None):
-        return self.inner.epsilon(x, row, pullback=pullback)
+    def epsilon(self, x, t, **kw):
+        if self.own_copy and type(t) is tuple:
+            t = t[:-self.n_inner - 1] + t[-self.n_inner:]
+        return self.inner.epsilon(x, t, **kw)
 
 
+@pytest.mark.parametrize("own_copy", [True, False], ids=["own", "plain"])
 @pytest.mark.parametrize("sched_name", sorted(SCHEDS))
-@pytest.mark.parametrize("family,order", [("euler", 1), ("dpmpp", 2)],
-                         ids=["euler1", "dpmpp2"])
-def test_a_denoiser_without_tape_step_constants_keeps_its_gradients(
-        family, order, sched_name):
-    """The learned prelude reads no layout of a denoiser's step constants:
-    one without `tape_step_constants` has them rebuilt on the taped query
-    times by its engine-generic `step_constants`, to the same gradients
-    as the GM's own closed-form ops."""
+@pytest.mark.parametrize("family,order", [("euler", 1), ("dpmpp", 2),
+                                          ("ipndm", 4)],
+                         ids=["euler1", "dpmpp2", "ipndm4"])
+def test_a_wrapping_denoiser_gets_the_gm_gradients_bit_for_bit(
+        family, order, sched_name, own_copy):
+    """Neither the solvers nor training read a denoiser's step constants:
+    a denoiser that wraps the GM, with or without constants of its own
+    ahead of the GM's, gets the GM's loss and gradients bit for bit."""
     sched = SCHEDS[sched_name]
     den = make_den("gm", sched)
     spec = SolverSpec(family=family, order=order, nfe=4)
     disc = grid(sched, 4)
     x, y = pair(sched, 3)
-    got = pair_grads(disc, Untaped(den), sched, spec, x, y)
+    got = pair_grads(disc, Wrapped(den, own_copy), sched, spec, x, y)
     want = pair_grads(disc, den, sched, spec, x, y)
     assert got.loss.tobytes() == want.loss.tobytes()
     for k in KEYS:
-        np.testing.assert_allclose(got.grads[k], want.grads[k], rtol=1e-12,
-                                   atol=1e-12, err_msg=k)
+        assert got.grads[k].tobytes() == want.grads[k].tobytes(), k
 
 
 @pytest.mark.parametrize("frozen", [False, True], ids=["learned", "frozen"])
@@ -293,8 +337,8 @@ def taped_ops(monkeypatch, fn):
 def test_learned_grid_tapes_the_same_prelude_at_every_nfe(monkeypatch,
                                                           sched_name):
     """The prelude's tape holds the three leaves, the times, the query
-    times, the table and sigma_i, plus alpha_i under VP (it is 1 under
-    VE): 7 or 8 entries at every NFE, where the fine ops were 34."""
+    times and the table: 6 entries at every NFE and under both schedules,
+    where the fine ops were 34."""
     sched = SCHEDS[sched_name]
     den = make_den("gm", sched)
     x, y = pair(sched, 2)
@@ -306,7 +350,7 @@ def test_learned_grid_tapes_the_same_prelude_at_every_nfe(monkeypatch,
             disc, den, sched, spec, x, y))
         assert len(sizes) == 1  # one reverse pass: the prelude's
         counts.append(sizes[0])
-    assert counts == [{"ve": 7, "vp": 8}[sched_name]] * 3
+    assert counts == [6] * 3
     # the whole tape grows with the steps instead
     whole = taped_ops(monkeypatch, lambda: pair_grads(
         disc, den, sched, spec, x, y, checkpointed=False))
@@ -409,20 +453,20 @@ def test_retained_arrays_grow_by_a_fixed_count_per_step(family, order):
 
 def test_denoiser_pullbacks_share_the_taped_vjp():
     """The GM pullback's closure is the VJP `en.record` tapes: it gives the
-    same gradients as a tape over (x, alpha_i, sigma_i)."""
+    same gradients as a tape over (x, t^c_i)."""
     sched = SCHEDS["vp"]
     for den in (make_den("gm", sched), make_den("point", sched)):
-        rows = den.step_constants(np.array([0.7, 0.3]))
+        times_c = np.array([0.7, 0.3])
+        rows = den.step_constants(times_c)
         x, _ = pair(sched, 3)
         adj = np.cos(np.arange(x.size)).reshape(x.shape)
-        row = tuple(c[1] for c in rows)
-        eps, vjp = den.epsilon(x, row, pullback=(True, True))
+        row = (times_c[1],) + tuple(c[1] for c in rows)
+        eps, vjp = den.epsilon(x, row, pullback=True)
         tape = en.Tape()
-        xv, av, sv = tape.leaf(x), tape.leaf(row[0]), tape.leaf(row[1])
-        out = den.epsilon(xv, (av, sv) + row[2:])
+        xv, tv = tape.leaf(x), tape.leaf(row[0])
+        out = den.epsilon(xv, (tv,) + row[1:])
         assert eps.tobytes() == out.data.tobytes()
-        want = tape.backward([(out, adj)], [xv, av, sv])
+        want = tape.backward([(out, adj)], [xv, tv])
         for g, w in zip(vjp(adj), want):
             assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
-        assert den.epsilon(x, row, pullback=(False, False))[1](adj)[1:] == \
-            (None, None)
+        assert den.epsilon(x, row, pullback=False)[1](adj)[1] is None

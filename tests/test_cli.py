@@ -4,6 +4,7 @@ seed overrides, and the error paths that must exit with status 2."""
 import json
 import os
 import struct
+from collections import Counter
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from steplab import cli
+from steplab import engine as en
 from steplab.cli import main
 from steplab.dataio import load_dataset, save_dataset
 from steplab.solvers import DivergenceError
@@ -740,3 +742,33 @@ def test_one_parser_serves_every_call():
     again = cli._parser().parse_args(["sample"])
     assert (first.seed, first.jobs) == (3, 2)
     assert (again.command, again.seed, again.jobs) == ("sample", None, 1)
+
+
+@pytest.mark.parametrize("extra", [
+    "",
+    VP_WINDOW + "solver.family = ipndm\nsolver.order = 4\n",
+    "data.kind = point\nsolver.family = euler\nsolver.order = 1\n",
+], ids=["default", "vp-ipndm4", "point-euler1"])
+def test_every_command_tapes_only_the_learned_grid_prelude(
+        tmp_path, monkeypatch, capsys, extra):
+    """All seven commands tape only a learned grid's prelude: the leaves,
+    the times, the query times and the table.  No denoiser op and no step
+    constant is ever taped."""
+    names = Counter()
+    record = en.Tape._record
+
+    def counting(self, data, parents, vjp, name):
+        names[name] += 1
+        return record(self, data, parents, vjp, name)
+
+    monkeypatch.setattr(en.Tape, "_record", counting)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(SMALL_CFG + extra + "sample.checkpoint = "
+                   f"{tmp_path / 'train' / 'checkpoint.json'}\n")
+    data = str(tmp_path / "dataset.bin")
+    for command in ("gen-data", "train", "sample", "bound", "bench",
+                    "sweep-r", "cross-eval"):
+        out = data if command == "gen-data" else str(tmp_path / command)
+        assert main([command, "--config", str(cfg), "--data", data,
+                     "--out", out]) == 0, capsys.readouterr().err
+    assert set(names) == {"leaf", "tau", "query_times", "coeffs"}

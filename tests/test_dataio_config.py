@@ -352,5 +352,5 @@ def test_build_teacher_and_train_config():
         TrainConfig(seed=DEFAULTS["seed"])
     tc = build_train_config(cfg)
     assert tc.seed == cfg["seed"]
-    assert tc.r_override == cfg["train.r"]
+    assert tc.r == cfg["train.r"]
     assert tc.init == cfg["train.init"]

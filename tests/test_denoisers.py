@@ -210,8 +210,9 @@ def same_bits(a, b):
 @pytest.mark.parametrize("kind", ["gm", "point"])
 @pytest.mark.parametrize("sched", [VE, vp_linear()], ids=["ve", "vp"])
 def test_row_epsilon_equals_time_epsilon_bit_for_bit(sched, kind):
-    """Row i of the vector-built constants gives epsilon(x, t_i) exactly,
-    with and without tangents, for one row and for batches."""
+    """Row i of a grid, t_i followed by row i of the vector-built
+    constants, gives epsilon(x, t_i) exactly, with and without tangents,
+    for one row and for batches."""
     den = make_gm(sched) if kind == "gm" else \
         point_mass(sched, np.array([1.0, -1.0]))
     g = np.random.default_rng(16)
@@ -220,7 +221,7 @@ def test_row_epsilon_equals_time_epsilon_bit_for_bit(sched, kind):
         consts = den.step_constants(times_c)
         assert all(np.shape(c)[0] == nfe for c in consts)
         for i in range(nfe):
-            row = tuple(c[i] for c in consts)
+            row = (times_c[i],) + tuple(c[i] for c in consts)
             for shape in ((2,), (1, 2), (8, 2), (64, 2)):
                 x = sched.sigma_T * g.standard_normal(shape)
                 assert same_bits(den.epsilon(x, row),
@@ -242,9 +243,10 @@ def test_vector_built_terms_equal_per_time_terms(sched):
             assert all(same_bits(c[i], w) for c, w in zip(consts, one))
 
 
-def test_taped_row_keeps_alpha_sigma_as_parents():
-    """On a taped grid only alpha and sigma are taped; the row epsilon's
-    gradients equal the time epsilon's."""
+def test_taped_row_keeps_the_query_time_as_its_parent():
+    """On a taped grid only the query time is taped; the step constants
+    are built on its data, and the row epsilon's gradients equal the time
+    epsilon's."""
     sched = vp_linear()
     den = make_gm(sched)
     times_c = grid_times(sched, 4)
@@ -252,9 +254,9 @@ def test_taped_row_keeps_alpha_sigma_as_parents():
     w = np.array([1.0, 2.0])
     tape = en.Tape()
     tv, xv = tape.leaf(times_c), tape.leaf(x)
-    consts = den.step_constants(tv)
-    assert [type(c) is en.Value for c in consts] == [True, True] + [False] * 4
-    out = den.epsilon(xv, tuple(en.index(c, 2) for c in consts))
+    consts = den.step_constants(times_c)
+    assert not any(type(c) is en.Value for c in consts)
+    out = den.epsilon(xv, (en.index(tv, 2),) + tuple(c[2] for c in consts))
     gx, gt = tape.backward([(out, w)], [xv, tv])
     tape2 = en.Tape()
     t2, x2 = tape2.leaf(times_c[2]), tape2.leaf(x)

@@ -35,10 +35,13 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 def logsumexp_epsilon(den, x, t, tangents=None, pullback=None):
     """The earlier kernel: epsilon of den at a query time t, by
-    exp(terms - logsumexp(terms)), in the same modes as den.epsilon."""
+    exp(terms - logsumexp(terms)), in the same modes as den.epsilon.  Like
+    it, it is differentiated in t through alpha' and sigma', so the two
+    differ only in the softmax."""
     means, variances = den.means, den.variances
-    a, s = den.sched.alpha_sigma(den.sched.check_domain(t))
-    xd, ad, sd = en.data_of(x), en.data_of(a), en.data_of(s)
+    td = np.asarray(en.data_of(den.sched.check_domain(t)), dtype=np.float64)
+    (ad, sd, _), (da, ds, _) = den.sched.marginals(td)
+    xd = en.data_of(x)
     v = ad * ad * variances + sd * sd
     v2 = 2.0 * v
     c = -0.5 * means.shape[1] * (np.log(v) + _LOG_2PI)
@@ -58,8 +61,7 @@ def logsumexp_epsilon(den, x, t, tangents=None, pullback=None):
         jv = (np.add.reduce(r, axis=-1)[..., None, None] * tangents
               - np.vecdot(g[..., None, :], wt))
         return sd * acc, sd * jv
-    live_a, live_s = pullback if pullback is not None else \
-        (type(a) is en.Value, type(s) is en.Value)
+    live_t = pullback if pullback is not None else type(t) is en.Value
 
     def vjp(adj):
         g = sd * adj
@@ -68,21 +70,20 @@ def logsumexp_epsilon(den, x, t, tangents=None, pullback=None):
         cg = gamma * (g_gamma - np.vecdot(gamma, g_gamma)[..., None]) / v
         g_diff = r[..., None] * g[..., None, :] - cg[..., None] * diff
         g_x = np.add.reduce(g_diff, axis=-2)
-        if not (live_a or live_s):
-            return g_x, None, None
+        if not live_t:
+            return g_x, None
         lead = tuple(range(g_r.ndim - 1))
         g_v = np.add.reduce(cg * (0.5 * q / v - 0.5 * means.shape[1])
                             - g_r * r / v, axis=lead)
         g_a = 2.0 * ad * np.dot(g_v, variances) - np.add.reduce(
-            np.add.reduce(g_diff, axis=lead) * means, axis=None) \
-            if live_a else None
+            np.add.reduce(g_diff, axis=lead) * means, axis=None)
         g_s = np.add.reduce(adj * acc, axis=None) \
-            + 2.0 * sd * np.add.reduce(g_v, axis=None) if live_s else None
-        return g_x, g_a, g_s
+            + 2.0 * sd * np.add.reduce(g_v, axis=None)
+        return g_x, g_s * ds + g_a * da
 
     if pullback is not None:
         return sd * acc, vjp
-    return en.record(sd * acc, (x, a, s), vjp, "gm_epsilon")
+    return en.record(sd * acc, (x, t), vjp, "gm_epsilon")
 
 
 def ulps(got, want):
@@ -104,10 +105,10 @@ def check_modes(den, x, t):
     values = [(den.epsilon(x, t), logsumexp_epsilon(den, x, t))]
     values += zip(den.epsilon(x, t, tangents=v),
                   logsumexp_epsilon(den, x, t, tangents=v))
-    row = den.step_constants(den.sched.check_domain(t))
+    row = (t,) + den.step_constants(np.asarray(t))
     (e1, back1), (e2, back2) = (
-        den.epsilon(x, row, pullback=(True, True)),
-        logsumexp_epsilon(den, x, t, pullback=(True, True)))
+        den.epsilon(x, row, pullback=True),
+        logsumexp_epsilon(den, x, t, pullback=True))
     values.append((e1, e2))
     grads = list(zip(back1(cot), back2(cot)))
     taped = []
@@ -189,7 +190,7 @@ def test_one_exp_epsilon_matches_logsumexp_kernel_tied(sched_name):
     worst = []
     for t in (1.5 * sched.t_min, 0.3 * sched.T, sched.T):
         worst += [check_modes(den, x, t), check_modes(den, x[0], t)]
-        _, s, v, _, _, am = den.step_constants(t)
+        _, s, v, _, _, am, _, _ = den.step_constants(np.asarray(t))
         r = 0.5 / v  # gamma_k / v_k at gamma = 1/2
         want = s * (r[0] * (x - am[0]) + r[1] * (x - am[1]))
         assert np.array_equal(den.epsilon(x, t), want)
@@ -210,7 +211,7 @@ def test_one_exp_epsilon_is_within_few_ulps_of_long_double(sched_name):
         for x in (sample_prior(sched, 3, 8, 40 + k),
                   sample_prior(sched, 3, 1, 40 + k)[0]):
             for t in (1.5 * sched.t_min, 0.3 * sched.T, sched.T):
-                row = den.step_constants(t)
+                row = (t,) + den.step_constants(np.asarray(t))
                 want = _gm_kernel(x.astype(ld), tuple(np.asarray(c, ld)
                                                       for c in row),
                                   den.means.astype(ld),

@@ -26,8 +26,7 @@ from steplab.evaluate import estimate_bound, log_abs_det_jacobian
 from steplab.rng import sample_prior
 from steplab.schedule import ve_edm, vp_linear
 from steplab.solvers import (SolverSpec, _Tangents, checked_shared,
-                             initial_state, make_steps, shared_map,
-                             solver_map)
+                             initial_state, make_steps, solver_map)
 from steplab.training import pair_grads
 
 WRAPPER_FILES = {m.__file__ for m in (fromnumeric, _methods, numeric,
@@ -70,12 +69,12 @@ def step_call(sched, spec_name, mode):
     the default GM on B rows, in the given mode, or a whole march."""
     den = config.build_denoiser(dict(config.DEFAULTS), sched)
     spec = SolverSpec(*SPECS[spec_name], nfe=4)
-    shared = checked_shared(den, sched, spec,
-                            heuristic_times("logsnr", sched, 4))
+    times = heuristic_times("logsnr", sched, 4)
     x = sample_prior(sched, den.d, B, seed=3)
     if mode == "march":
-        march = shared_map(den, spec, shared)
+        march = solver_map(den, sched, spec, times)
         return lambda: (march(x), march(x, jacobian=True))
+    shared = checked_shared(den, sched, spec, times)
     if mode == "jacobian":
         eye = np.broadcast_to(np.eye(den.d), x.shape + (den.d,))
         state = initial_state(spec, np.concatenate([x[:, None], eye], axis=1))
@@ -85,7 +84,7 @@ def step_call(sched, spec_name, mode):
     step = make_steps(den, spec, shared)[1]
     if mode == "cold":
         return lambda: step(state)
-    acc = {j: np.zeros(shared[j].shape) for j in range(3)}
+    acc = {j: np.zeros(shared[j].shape) for j in range(2)}
 
     def transposed():
         new, back = step(state, acc)

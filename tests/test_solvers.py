@@ -26,8 +26,8 @@ GM = GMDenoiser.create(VE, np.array([0.5, 0.3, 0.2]),
 
 
 class CountingDen:
-    """Wraps a denoiser, recording every query time: its step rows carry
-    t^c_i ahead of the inner denoiser's row."""
+    """Wraps a denoiser, recording every query time: the first entry of
+    each step's row, t^c_i."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -38,11 +38,11 @@ class CountingDen:
         return self.inner.d
 
     def step_constants(self, times_c):
-        return (times_c,) + self.inner.step_constants(times_c)
+        return self.inner.step_constants(times_c)
 
     def epsilon(self, x, row):
         self.calls.append(float(en.data_of(row[0])))
-        return self.inner.epsilon(x, row[1:])
+        return self.inner.epsilon(x, row)
 
 
 def point_exact(x_T, t, T=80.0, x0=np.array([1.0, -1.0])):
@@ -296,7 +296,7 @@ class ConstantDen:
         self.value = value
 
     def step_constants(self, times_c):
-        return (times_c,)
+        return ()
 
     def epsilon(self, x, row, tangents=None):
         eps = np.full(x.shape, self.value)

@@ -7,7 +7,7 @@ table with `en.index` and hands `en.lincomb` an array row.  Each case
 marches every step of a grid whose query times are moved off the step
 starts, in one of the four modes a step runs in, and compares bytes: the state after every step
 (cold, tangent), the state and the adjoints of the sweep with every
-accumulated table, alpha and sigma gradient (transpose), and the state and
+accumulated table and query-time gradient (transpose), and the state and
 the gradients of the grid and x_T a tape gives (taped).
 """
 
@@ -45,7 +45,7 @@ def indexing_step(den, spec, i, shared):
         if acc is None:
             eps = den.epsilon(x, row)
         else:
-            eps, eps_vjp = den.epsilon(x, row, pullback=(1 in acc, 2 in acc))
+            eps, eps_vjp = den.epsilon(x, row, pullback=1 in acc)
         out = en.lincomb(en.index(table, head), (x, eps)) if pre else eps
         parts = (x, out) + state[1:]
         new = ((en.lincomb(en.index(table, tail), parts), out)
@@ -65,11 +65,9 @@ def indexing_step(den, spec, i, shared):
                 c_x, c_eps = table[head]
                 g_x = g_x + c_x * g_eps
                 g_eps = c_eps * g_eps
-            g_den, g_a, g_s = eps_vjp(g_eps)
-            if g_a is not None:
-                acc[1][i] += g_a
-            if g_s is not None:
-                acc[2][i] += g_s
+            g_den, g_t = eps_vjp(g_eps)
+            if g_t is not None:
+                acc[1][i] += g_t
             return (g_x + g_den,) + tuple(g[2:])
 
         return new, back
@@ -133,10 +131,10 @@ def tangent(den, sched, spec, steps_of):
 
 def transpose(den, sched, spec, steps_of):
     """The forward states, then the sweep's adjoints after every step and
-    the gradients it accumulated into the table, alpha and sigma."""
+    the gradients it accumulated into the table and the query times."""
     shared = checked_shared(den, sched, spec, *grid(sched, spec.nfe))
     x = sample_prior(sched, den.d, ROWS, 7)
-    acc = {j: np.zeros(shared[j].shape) for j in range(3)}
+    acc = {j: np.zeros(shared[j].shape) for j in range(2)}
     state, backs, trail = initial_state(spec, x), [], []
     for step in steps_of(den, spec, shared):
         state, back = step(state, acc)

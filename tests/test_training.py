@@ -407,7 +407,7 @@ def test_soft_forcing_alone_still_improves():
 def test_zero_radius_reduces_to_hard_forcing():
     ds = small_dataset(count=8)
     spec = SolverSpec(family="dpmpp", order=2, nfe=4)
-    cfg = replace(CFG, r_override=0.0)
+    cfg = replace(CFG, r=0.0)
     report = train(ds, GM, VE, spec, cfg)
     np.testing.assert_array_equal(report.x_prime, ds.x_T)  # ball has radius 0
     assert report.max_ball_violation <= 0.0
