@@ -167,7 +167,8 @@ class GMDenoiser:
         alpha' and sigma', their t-derivatives, each with one row per
         step.  A grid's row i, t^c_i followed by their i-th entries,
         stands in for t_i in `epsilon`."""
-        (a, s, _), (da, ds, _) = self.sched.marginals(times_c)
+        (a, s, _), (da, ds, _) = self.sched.marginals(
+            np.asarray(times_c, dtype=np.float64))
         return (a, s) + _gm_table(a, s, self.log_weights, self.means,
                                   self.variances) + (da, ds)
 
@@ -179,8 +180,8 @@ class GMDenoiser:
         g_t None when unwanted.
         """
         if type(t) is not tuple:
-            t = (t,) + self.step_constants(np.asarray(
-                en.data_of(self.sched.check_domain(t)), dtype=np.float64))
+            t = (t,) + self.step_constants(
+                en.data_of(self.sched.check_domain(t)))
         return _gm_kernel(x, t, self.means, self.variances, tangents,
                           pullback)
 
