@@ -164,7 +164,7 @@ class Wrapped:
         self.inner = inner
         self.d = inner.d
         self.own_copy = own_copy
-        self.n_inner = len(inner.step_constants(np.asarray(inner.sched.T)))
+        self.n_inner = len(inner.step_constants(inner.sched.T))
 
     def step_constants(self, times_c):
         inner = self.inner.step_constants(times_c)
