@@ -162,8 +162,8 @@ class GMDenoiser:
         return np.log(self.weights)
 
     def step_constants(self, times_c):
-        """The time-only terms at the plain query times times_c, 0-d or
-        (N,): alpha and sigma, `_gm_table`'s v, 2v, c and alpha mu, then
+        """The time-only terms at the plain query times times_c, one time
+        or (N,): alpha and sigma, `_gm_table`'s v, 2v, c and alpha mu, then
         alpha' and sigma', their t-derivatives, each with one row per
         step.  A grid's row i, t^c_i followed by their i-th entries,
         stands in for t_i in `epsilon`."""
