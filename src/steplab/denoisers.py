@@ -25,7 +25,7 @@ are built once per grid by `step_constants`, with vector ops over the
 N plain query times: alpha and sigma, then v_k, 2 v_k,
 c_k = log w_k - (d/2)(log v_k + log 2 pi), the log weight plus the
 log-normaliser, and alpha mu_k, then alpha' and sigma', all from one
-`sched.marginals` (under VE alpha is ones and alpha' zeros).  Step i
+`sched.alpha_sigma_slopes` (under VE alpha is ones, alpha' zeros).  Step i
 passes its row, t^c_i followed by their i-th entries, to `epsilon` in
 place of t.  A query time is the one-row case of the same build, so
 epsilon at t_i equals epsilon with row i bit for bit.  The VJP's t
@@ -167,7 +167,7 @@ class GMDenoiser:
         alpha' and sigma', their t-derivatives, each with one row per
         step.  A grid's row i, t^c_i followed by their i-th entries,
         stands in for t_i in `epsilon`."""
-        (a, s, _), (da, ds, _) = self.sched.marginals(
+        (a, s), (da, ds) = self.sched.alpha_sigma_slopes(
             np.asarray(times_c, dtype=np.float64))
         return (a, s) + _gm_table(a, s, self.log_weights, self.means,
                                   self.variances) + (da, ds)

@@ -31,21 +31,21 @@ _RHO_EDM = 7.0  # the EDM grid's sigma^(1/rho) spacing
 
 
 def tau(xi, T, t_min):
-    """The N + 1 decreasing grid times of the N logits xi; engine-generic.
+    """The N + 1 decreasing grid times of the N logits xi; plain NumPy,
+    which tapes when xi is a Value.
 
     A logit spread past float resolution ties neighbouring times, which
     `solvers.checked_shared` refuses.
     """
-    e = en.exp(en.sub(xi, np.maximum.reduce(en.data_of(xi), axis=None)))
+    e = np.exp(xi - np.maximum.reduce(en.data_of(xi), axis=None))
     suffix = en.rcumsum(e)
-    unit = en.div(suffix, en.index(suffix, 0))
-    return en.add(en.mul(unit, T - t_min), t_min)
+    return suffix / suffix[0] * (T - t_min) + t_min
 
 
 def query_times(times, xi_c, T, t_min):
     """t^c_i = clamp(t_i + xi_c_i, t_min, T) for the N steps, times =
-    tau(xi); engine-generic."""
-    return en.clamp(en.add(en.index(times, slice(None, -1)), xi_c), t_min, T)
+    tau(xi); plain NumPy, which tapes when times or xi_c is a Value."""
+    return np.minimum(np.maximum(times[:-1] + xi_c, t_min), T)
 
 
 def tau_transpose(xi, T, t_min, g):
@@ -140,7 +140,7 @@ def heuristic_times(kind, sched, nfe):
         grid = (frac * (T - t_min) + t_min)[::-1].copy()
     elif kind == "edm":
         s_max = sched.sigma_T
-        s_min = float(en.data_of(sched.sigma(t_min)))
+        s_min = float(sched.sigma(t_min))
         inv = 1.0 / _RHO_EDM
         frac = np.arange(n + 1) / n
         sig = (s_max ** inv + frac * (s_min ** inv - s_max ** inv)) ** _RHO_EDM

@@ -1,16 +1,16 @@
 """Reverse-mode automatic differentiation on a tape of numpy float64 values.
 
 A :class:`Value` wraps a scalar or a small numpy array and remembers the tape
-position that produced it.  Operations are provided both as module functions
-(`exp`, `dot`, `stack`, ...) and as operators on :class:`Value`.  Operands
-broadcast as in numpy, so one code path runs a single row of shape (d,) or a
-batch of shape (B, d); the row-wise ops (`dot`, `stack`) act on the last
-axis.  Every function also accepts plain floats/arrays, so the
-same code path can run "hot" (taped) or "cold" (plain numpy) with
-bit-identical results: an op makes the same numpy calls either way, and with
-no taped operand it returns the plain numpy value before it builds a VJP.
-Otherwise it tapes its output and VJP through :func:`record`, the one
-recording path.
+position that produced it.  It takes part in NumPy's ufuncs (NEP 13): `add`,
+`subtract`, `multiply`, `divide`, `negative`, `exp`, `expm1`, `log`, `sqrt`,
+`maximum`, `minimum` and `vecdot` (row-wise on the last axis), called on a
+Value operand or through its operators, run on the operands' data and tape
+the output; any other ufunc, ufunc method (`reduce`, ...) or keyword (`out=`)
+gets NotImplemented, so NumPy raises TypeError rather than drop the tape.
+Plain NumPy code thus runs "cold" on arrays and "hot" on Values with the
+same bits.  `index`, `stack`, `rcumsum` and `lincomb` are not ufunc calls,
+so they are functions here.  Every op tapes through :func:`record`, the one
+recording path, which returns plain numpy when no operand is taped.
 
 Gradients are pulled with :meth:`Tape.backward`, which allocates its own
 adjoint buffer per call; a tape can therefore be differentiated several times
@@ -45,11 +45,10 @@ replacement runs the same reduction in the same order.  The Jacobian
 march stacks x_T over an identity it fills itself, not over `np.eye` with
 `np.broadcast_to`; one wrapper from another file remains, once per bound
 call rather than per step: the log-det is `np.linalg.slogdet`.  A step
-reads rows its grid built once:
-it calls neither `ndarray.tolist` nor :func:`index`, and :func:`lincomb`
-takes its list of Python floats as it is and, over plain arrays, returns
-their sum before any tape bookkeeping.  tests/test_hotpaths.py holds the
-rule.
+reads rows its grid built once: it calls neither `ndarray.tolist` nor
+:func:`index`, and :func:`lincomb` takes its list of Python floats as it
+is and, over plain arrays, returns their sum before any tape bookkeeping.
+tests/test_hotpaths.py holds the rule.
 """
 
 from __future__ import annotations
@@ -57,47 +56,40 @@ from __future__ import annotations
 from types import FunctionType
 
 import numpy as np
+from numpy.lib.mixins import NDArrayOperatorsMixin
 
 
 class EngineError(ValueError):
     """Malformed tape use: mixed tapes, bad shapes, non-finite adjoints."""
 
 
-class Value:
+class Value(NDArrayOperatorsMixin):
+    # the mixin's operators call the ufuncs; hash stays object's
     __slots__ = ("data", "tape", "idx")
-
-    # numpy operands defer to the reflected operators below instead of
-    # wrapping the Value in an object array, which would drop the tape
-    __array_ufunc__ = None
+    __hash__ = object.__hash__
 
     def __repr__(self):
         return f"Value({self.data!r}, op={self.idx})"
 
-    # arithmetic operators; reflected variants cover raw-op-Value
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        """NEP 13: a `_VJPS` ufunc runs on the operands' data and tapes its
+        output, `equal` and `not_equal` compare identities, as object's ==
+        does, and any other call returns NotImplemented (a TypeError)."""
+        if method != "__call__" or kwargs:
+            return NotImplemented
+        make = _VJPS.get(ufunc)
+        if make is None:
+            if ufunc is np.equal or ufunc is np.not_equal:
+                return (inputs[0] is inputs[1]) is (ufunc is np.equal)
+            return NotImplemented
+        live = [type(x) is Value for x in inputs]
+        data = [x.data if lv else x for x, lv in zip(inputs, live)]
+        try:
+            out = ufunc(*data)
+        except ValueError:
+            raise EngineError(f"{ufunc.__name__}: shape mismatch " + " vs ".join(
+                str(np.shape(d)) for d in data)) from None
+        return record(out, inputs, make(data, out, live), ufunc.__name__)
 
     def __getitem__(self, i):
         return index(self, i)
@@ -201,99 +193,45 @@ class Tape:
 # ---------------------------------------------------------------- primitives
 
 
-def _unary(x, fwd, dfn, name):
-    # the most frequent ops return before building a closure when cold
-    if type(x) is not Value:
-        return fwd(x)
-    xd = x.data
-    out = fwd(xd)
-    return record(out, (x,), lambda adj: (adj * dfn(xd, out),), name)
+def _each(*ds):
+    """A ufunc's VJP maker from one derivative per operand, d(adj, *data,
+    out), summed back onto the operand's shape; never a constant's."""
+    def make(data, out, live):
+        return lambda adj: tuple(
+            _reduce(d(adj, *data, out), x) if lv else None
+            for d, x, lv in zip(ds, data, live))
+    return make
 
 
-def _binary(a, b, fwd, da, db, name):
-    live_a, live_b = type(a) is Value, type(b) is Value
-    ad = a.data if live_a else a
-    bd = b.data if live_b else b
-    try:
-        out = fwd(ad, bd)
-    except ValueError:
-        raise EngineError(f"{name}: shape mismatch {np.shape(ad)} vs "
-                          f"{np.shape(bd)}") from None
-    if not (live_a or live_b):
-        return out
-
-    def vjp(adj):
-        return (_reduce(da(adj, ad, bd), ad) if live_a else None,
-                _reduce(db(adj, ad, bd), bd) if live_b else None)
-
-    return record(out, (a, b), vjp, name)
+def _pick(tie, strict):
+    """maximum's (tie `>=`, strict `>`) or minimum's VJP maker: the adjoint
+    goes to the operand taken, at a tie to the first Value."""
+    def make(data, out, live):
+        x, y = data
+        take = (tie if live[0] else strict)(x, y)
+        return lambda adj: (_reduce(adj * take, x) if live[0] else None,
+                            _reduce(adj * ~take, y) if live[1] else None)
+    return make
 
 
-def add(a, b):
-    return _binary(a, b, np.add, lambda g, x, y: g, lambda g, x, y: g, "add")
-
-
-def sub(a, b):
-    return _binary(a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g, "sub")
-
-
-def mul(a, b):
-    return _binary(a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x, "mul")
-
-
-def div(a, b):
-    return _binary(a, b, np.divide, lambda g, x, y: g / y,
-                   lambda g, x, y: -g * x / (y * y), "div")
-
-
-def neg(x):
-    return _unary(x, np.negative, lambda xd, out: -1.0, "neg")
-
-
-def exp(x):
-    return _unary(x, np.exp, lambda xd, out: out, "exp")
-
-
-def expm1(x):
-    return _unary(x, np.expm1, lambda xd, out: np.exp(xd), "expm1")
-
-
-def log(x):
-    return _unary(x, np.log, lambda xd, out: 1.0 / xd, "log")
-
-
-def sqrt(x):
-    return _unary(x, np.sqrt, lambda xd, out: 0.5 / out, "sqrt")
-
-
-def clamp(x, lo, hi):
-    """Clip to [lo, hi]; gradient passes through wherever lo <= x <= hi."""
-
-    def dfn(xd, out):
-        return ((xd >= lo) & (xd <= hi)).astype(np.float64)
-
-    return _unary(x, lambda v: np.minimum(np.maximum(v, lo), hi), dfn,
-                  "clamp")
-
-
-def dot(a, b):
-    """Row-wise inner product over the last axis: (..., d) x (..., d) -> (...)."""
-    ad, bd = data_of(a), data_of(b)
-    try:
-        # np.vecdot rounds each row exactly as a 1-D np.dot does
-        out = np.vecdot(ad, bd)
-    except ValueError:
-        raise EngineError("dot: shape mismatch") from None
-    live_a, live_b = type(a) is Value, type(b) is Value
-    if not (live_a or live_b):
-        return out
-
-    def vjp(adj):
-        col = np.asarray(adj)[..., None]
-        return (_reduce(col * bd, ad) if live_a else None,
-                _reduce(col * ad, bd) if live_b else None)
-
-    return record(out, (a, b), vjp, "dot")
+# the ufuncs a Value tapes, each with its VJP maker
+_VJPS = {
+    np.add: _each(lambda g, x, y, o: g, lambda g, x, y, o: g),
+    np.subtract: _each(lambda g, x, y, o: g, lambda g, x, y, o: -g),
+    np.multiply: _each(lambda g, x, y, o: g * y, lambda g, x, y, o: g * x),
+    np.divide: _each(lambda g, x, y, o: g / y,
+                     lambda g, x, y, o: -g * x / (y * y)),
+    np.negative: _each(lambda g, x, o: -g),
+    np.exp: _each(lambda g, x, o: g * o),
+    np.expm1: _each(lambda g, x, o: g * np.exp(x)),
+    np.log: _each(lambda g, x, o: g * (1.0 / x)),
+    np.sqrt: _each(lambda g, x, o: g * (0.5 / o)),
+    np.maximum: _pick(np.greater_equal, np.greater),
+    np.minimum: _pick(np.less_equal, np.less),
+    # row-wise over the last axis, rounding each row as a 1-D np.dot does
+    np.vecdot: _each(lambda g, x, y, o: g[..., None] * y,
+                     lambda g, x, y, o: g[..., None] * x),
+}
 
 
 def stack(xs):
@@ -306,8 +244,6 @@ def stack(xs):
     for k, p in enumerate(parts):
         out[..., k] = p
     live = [type(x) is Value for x in xs]
-    if not any(live):
-        return out
 
     def vjp(adj):
         return tuple(_reduce(adj[..., k], p) if lv else None
@@ -380,8 +316,6 @@ def rcumsum(x):
     xd = data_of(x)
     out = np.zeros(xd.shape[0] + 1)
     np.add.accumulate(xd[::-1], out=out[-2::-1])
-    if type(x) is not Value:
-        return out
     return record(out, (x,), lambda adj: (np.add.accumulate(adj[:-1]),),
                   "rcumsum")
 

@@ -18,12 +18,11 @@ domain.  Both families invert in closed form: VE by t = exp(-lambda) and
 t = sigma, VP by the positive root of c2 t^2 + (beta0/2) t + log alpha_t = 0
 with c2 = (beta1 - beta0)/4 (DPM-Solver, Lu et al. 2022, arXiv 2206.00927).
 
-All value-returning methods but `marginals` accept plain floats/arrays or
-engine Values, so schedule quantities can sit inside differentiated solver
-graphs.  `marginals` gives alpha, sigma and lambda with their
-t-derivatives on plain arrays, and `ode_slopes` those of f and g^2, for
-the closed-form transposes of a grid build and the denoiser's step
-constants.
+The value-returning methods are plain NumPy, which tapes when given an
+engine Value.  On plain arrays, `marginals` gives alpha, sigma and lambda
+with their t-derivatives, and `ode_slopes` those of f and g^2, for the
+closed-form transposes of a grid build; `alpha_sigma_slopes` gives alpha,
+sigma, alpha' and sigma' alone, for the denoiser's step constants.
 """
 
 from __future__ import annotations
@@ -104,35 +103,51 @@ class NoiseSchedule:
     def _vp_sigma_sq(la):
         """VP: sigma^2 = 1 - alpha^2 = -expm1(2 log alpha), stable near
         t_min, from log alpha la."""
-        return en.neg(en.expm1(2.0 * la))
+        return -np.expm1(2.0 * la)
 
     def alpha_sigma(self, t):
-        """(alpha_t, sigma_t), the one evaluation of the marginals: under VP
-        from one log alpha, under VE alpha as ones shaped like t.  `sigma`
-        and `lam`, which need no alpha, share its sigma^2."""
+        """(alpha_t, sigma_t): under VP from one log alpha, under VE alpha
+        as ones shaped like t.  `sigma` and `lam` share its sigma^2."""
         if self.family == VE_EDM:
             return en.full(np.asarray(en.data_of(t)).shape, 1.0), t
         la = self._vp_log_alpha(t)
-        return en.exp(la), en.sqrt(self._vp_sigma_sq(la))
+        return np.exp(la), np.sqrt(self._vp_sigma_sq(la))
+
+    def alpha_sigma_lam(self, t):
+        """`alpha_sigma` and `lam`, bit for bit, from one log alpha: what a
+        grid's table reads."""
+        if self.family == VE_EDM:
+            return self.alpha_sigma(t) + (-np.log(t),)
+        la = self._vp_log_alpha(t)
+        s2 = self._vp_sigma_sq(la)
+        return np.exp(la), np.sqrt(s2), la - 0.5 * np.log(s2)
+
+    def alpha_sigma_slopes(self, t):
+        """((alpha, sigma), (alpha', sigma')) at the plain times t, as
+        `marginals` gives them with no lambda: the denoiser's constants."""
+        a, s = self.alpha_sigma(t)
+        if self.family == VE_EDM:
+            return (a, s), (np.zeros(t.shape), a)
+        dla = self.drift(t)
+        return (a, s), (a * dla, -a * a * dla / s)
 
     def sigma(self, t):
         if self.family == VE_EDM:
             return t
-        return en.sqrt(self._vp_sigma_sq(self._vp_log_alpha(t)))
+        return np.sqrt(self._vp_sigma_sq(self._vp_log_alpha(t)))
 
     def lam(self, t):
         """Log-SNR lambda(t) = log(alpha_t / sigma_t), strictly decreasing."""
         if self.family == VE_EDM:
-            return en.neg(en.log(t))
+            return -np.log(t)
         la = self._vp_log_alpha(t)
-        return la - 0.5 * en.log(self._vp_sigma_sq(la))
+        return la - 0.5 * np.log(self._vp_sigma_sq(la))
 
     def marginals(self, t):
         """((alpha, sigma, lambda), their t-derivatives) at the plain times
         t, from one log alpha: under VE 1, t, -log t and 0, 1, -1/t; under
         VP, with la' = d log alpha / dt = -beta(t)/2, alpha la',
-        -alpha^2 la' / sigma and la' / sigma^2.  The transposes of the grid
-        build and the denoiser's step constants read them."""
+        -alpha^2 la' / sigma and la' / sigma^2, for the grid's transposes."""
         if self.family == VE_EDM:
             ones = en.full(t.shape, 1.0)
             return (ones, t, -np.log(t)), (np.zeros(t.shape), ones, -1.0 / t)
@@ -170,12 +185,11 @@ class NoiseSchedule:
 
     @cached_property
     def sigma_T(self):
-        return float(en.data_of(self.sigma(self.T)))
+        return float(self.sigma(self.T))
 
     def lambda_range(self):
         """(lambda(T), lambda(t_min)), the decreasing map's value range."""
-        return (float(en.data_of(self.lam(self.T))),
-                float(en.data_of(self.lam(self.t_min))))
+        return float(self.lam(self.T)), float(self.lam(self.t_min))
 
     def _in_range(self, name, x, lo, hi):
         """x as a float array; refused if any entry lies outside [lo, hi]."""
@@ -204,7 +218,7 @@ class NoiseSchedule:
 
     def t_of_sigma(self, sigma_target):
         """Invert sigma(t), elementwise on floats and arrays."""
-        s_lo = float(en.data_of(self.sigma(self.t_min)))
+        s_lo = float(self.sigma(self.t_min))
         sig = self._in_range("sigma", sigma_target, s_lo, self.sigma_T)
         t = sig if self.family == VE_EDM else \
             self._t_of_log_alpha(0.5 * np.log1p(-sig * sig))

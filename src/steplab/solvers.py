@@ -121,35 +121,28 @@ def initial_state(spec, x_T):
 
 def coeffs(sched, spec, times):
     """The (N, k) coefficient table of the grid `times`, one row per step
-    as in the module docstring; engine-generic, so a learned grid tapes it
-    once per chain prelude."""
+    as in the module docstring; plain NumPy, which tapes when `times` is a
+    Value, from one `sched.alpha_sigma_lam`."""
     steps = np.arange(spec.nfe)
-    head, tail = slice(None, -1), slice(1, None)
     if spec.family == EULER:
-        t0 = en.index(times, head)
-        dt = en.sub(en.index(times, tail), t0)
-        return en.stack([en.add(1.0, en.mul(dt, sched.drift(t0))),
-                         en.div(en.mul(dt, sched.diffusion_sq(t0)),
-                                en.mul(2.0, sched.sigma(t0)))])
-    # one evaluation of the marginals on the grid, sliced per step end
-    a0, a1, s0, s1 = [en.index(c, k) for c in sched.alpha_sigma(times)
-                      for k in (head, tail)]
-    lam = sched.lam(times)
-    h = en.sub(en.index(lam, tail), en.index(lam, head))
+        t0 = times[:-1]
+        dt = times[1:] - t0
+        return en.stack([1.0 + dt * sched.drift(t0),
+                         dt * sched.diffusion_sq(t0) / (2.0 * sched.sigma(t0))])
+    a, s, lam = sched.alpha_sigma_lam(times)
+    a0, a1, s0, s1 = a[:-1], a[1:], s[:-1], s[1:]
+    h = lam[1:] - lam[:-1]
     if spec.family == IPNDM:
-        base = en.neg(en.mul(s1, en.expm1(h)))
+        base = -(s1 * np.expm1(h))
         ab = _AB[np.minimum(steps, spec.order - 1)]
-        return en.stack([en.div(a1, a0)]
-                        + [en.mul(base, ab[:, j]) for j in range(spec.order)])
-    em = en.mul(a1, en.expm1(en.neg(h)))  # negative along sampling
-    cols = [en.div(1.0, a0), en.neg(en.div(s0, a0)), en.div(s1, s0)]
+        return en.stack([a1 / a0] + [base * c for c in ab.T[:spec.order]])
+    em = a1 * np.expm1(-h)  # negative along sampling
+    cols = [1.0 / a0, -(s0 / a0), s1 / s0]
     if spec.order == 1:
-        return en.stack(cols + [en.neg(em)])
+        return en.stack(cols + [-em])
     # c_i = h_i / (2 h_{i-1}); c_0 = 0 divides by a repeated h_0
-    c = en.div(en.mul(h, 0.5 * (steps > 0)),
-               en.index(h, np.maximum(steps - 1, 0)))
-    return en.stack(cols + [en.neg(en.mul(em, en.add(1.0, c))),
-                            en.mul(em, c)])
+    c = h * (0.5 * (steps > 0)) / h[np.maximum(steps - 1, 0)]
+    return en.stack(cols + [-(em * (1.0 + c)), em * c])
 
 
 def coeffs_transpose(sched, spec, times, g):
@@ -226,15 +219,14 @@ def make_steps(den, spec, shared):
         reads = [(r[:pre], r[pre:], row)
                  for r, row in zip(table.tolist(), zip(*shared[1:]))]
     else:
-        reads = [(en.index(table, (i, slice(0, pre))) if pre else None,
-                  en.index(table, (i, slice(pre, None))),
+        reads = [(table[i, :pre] if pre else None, table[i, pre:],
                   tuple([c[i] for c in shared[1:]]))
                  for i in range(spec.nfe)]
     return [_step(den, spec, i, *r) for i, r in enumerate(reads)]
 
 
 def _step(den, spec, i, head, tail, row):
-    """Step i on its reads: step(state) -> state', engine-generic; or,
+    """Step i on its reads: step(state) -> state', plain or taped; or,
     given acc, its transpose pair on plain arrays, step(state, acc) ->
     (state', back), where back(adj') -> adj maps the adjoints of state' to
     those of state and adds the step's gradients of the table row and of
@@ -322,7 +314,7 @@ def solver_map(den, sched, spec, times, times_c=None):
 
 
 def checked_shared(den, sched, spec, times, times_c=None):
-    """What every step reads, engine-generic: the table of `times`, the nfe
+    """What every step reads, plain or taped: the table of `times`, the nfe
     query times times_c (default times[:-1], each step's start), then den's
     step constants on their plain data.  Raises GridError or
     ScheduleDomainError unless the grid has nfe + 1 strictly decreasing
@@ -338,7 +330,7 @@ def checked_shared(den, sched, spec, times, times_c=None):
         raise GridError("time grid must be strictly decreasing")
     sched.check_domain(td)
     if times_c is None:
-        times_c = en.index(times, slice(None, -1))
+        times_c = times[:-1]
     else:
         times_c = _as_grid(times_c)
         if en.data_of(times_c).shape != (spec.nfe,):

@@ -92,11 +92,10 @@ def project(x_prime, x_T, rho_ball):
 
 
 def distance(a, b):
-    """Dimension-normalized squared error (1/d) ||a - b||^2 per row;
-    engine-generic."""
-    diff = en.sub(a, b)
-    d = en.data_of(diff).shape[-1]
-    return en.mul(en.dot(diff, diff), 1.0 / d)
+    """Dimension-normalized squared error (1/d) ||a - b||^2 per row; plain
+    NumPy, which tapes when a or b is a Value."""
+    diff = a - b
+    return np.vecdot(diff, diff) * (1.0 / en.data_of(diff).shape[-1])
 
 
 # ------------------------------------------------------------------ teacher

@@ -322,30 +322,30 @@ def gm_epsilon_k_loop(den, x, t):
     sched.check_domain(t)
     a, s = sched.alpha_sigma(t)
     d = means.shape[1]
-    s2 = en.mul(s, s)
+    s2 = s * s
     terms, diffs, varis = [], [], []
     for k in range(means.shape[0]):
         v = (a * a) * float(variances[k]) + s2
-        diff = en.sub(x, a * means[k])
-        q = en.dot(diff, diff)
-        c = float(np.log(weights[k])) + -0.5 * d * (en.log(v)
+        diff = x - a * means[k]
+        q = np.vecdot(diff, diff)
+        c = float(np.log(weights[k])) + -0.5 * d * (np.log(v)
                                                      + np.log(2.0 * np.pi))
         terms.append(c - q / (2.0 * v))
         diffs.append(diff)
         varis.append(v)
     # one exp pass: e_k = exp(term_k - max), a constant shift, then e / sum e
     top = np.maximum.reduce([en.data_of(term) for term in terms])
-    es = [en.exp(en.sub(term, top)) for term in terms]
+    es = [np.exp(term - top) for term in terms]
     total = es[0]
     for e in es[1:]:  # np.add.reduce sums a few entries left to right
-        total = en.add(total, e)
+        total = total + e
     acc = None
     for e, diff, v in zip(es, diffs, varis):
-        w = en.div(en.div(e, total), v)
+        w = e / total / v
         if np.ndim(en.data_of(w)):
             w = en.index(w, (Ellipsis, None))
-        acc = en.mul(w, diff) if acc is None else en.add(acc, en.mul(w, diff))
-    return en.mul(s, acc)
+        acc = w * diff if acc is None else acc + w * diff
+    return s * acc
 
 
 def random_mixture(k, d, seed):

@@ -49,21 +49,26 @@ W = np.array([0.7, -1.3, 0.4])  # fixed weights make per-element errors visible
 X = np.array([0.3, -0.8, 1.7])
 
 
+def w_total(y):
+    """W . y, so per-element errors show; a row-wise op's scalar as it is."""
+    return np.vecdot(W, y) if np.ndim(en.data_of(y)) else y
+
+
 def weighted(op):
-    return lambda x: en.dot(W, op(x))
+    return lambda *xs: w_total(op(*xs))
 
 
 def wsum(w, m):
     """sum_ij w_ij m_ij of (B, d) rows, through two row-wise dots."""
-    return en.dot(np.ones(w.shape[0]), en.dot(w, m))
+    return np.vecdot(np.ones(w.shape[0]), np.vecdot(w, m))
 
 
 UNARY_CASES = [
-    ("neg", en.neg, X),
-    ("exp", en.exp, X),
-    ("expm1", en.expm1, X),
-    ("log", en.log, np.array([0.2, 1.1, 3.0])),
-    ("sqrt", en.sqrt, np.array([0.5, 1.0, 4.2])),
+    ("neg", np.negative, X),
+    ("exp", np.exp, X),
+    ("expm1", np.expm1, X),
+    ("log", np.log, np.array([0.2, 1.1, 3.0])),
+    ("sqrt", np.sqrt, np.array([0.5, 1.0, 4.2])),
     ("rcumsum", en.rcumsum, X[:2]),  # 2 entries, 3 suffix sums
 ]
 
@@ -74,16 +79,35 @@ def test_unary_ops_match_fd(name, op, x):
 
 
 def test_clamp_grad_passes_through_inside_only():
-    x = np.array([-2.0, 0.5, 3.0])
-    g = taped_grad(weighted(lambda v: en.clamp(v, 0.0, 1.0)), x)
-    np.testing.assert_allclose(g, [0.0, W[1], 0.0])
+    # a bound that x meets passes the gradient, at 0 and at 1
+    x = np.array([-2.0, 0.0, 0.5, 1.0, 3.0])
+    w = np.array([0.7, -1.3, 0.4, 0.9, -0.6])
+    g = taped_grad(
+        lambda v: np.vecdot(w, np.minimum(np.maximum(v, 0.0), 1.0)), x)
+    np.testing.assert_allclose(g, [0.0, w[1], w[2], w[3], 0.0])
+
+
+@pytest.mark.parametrize("op", [np.maximum, np.minimum],
+                         ids=["maximum", "minimum"])
+def test_extremum_gradient_at_a_tie_goes_to_one_value(op):
+    """At a tie with a constant, in either slot, the Value takes the whole
+    adjoint; with a Value in both slots, the first takes it, once."""
+    x = np.array([0.5, 1.0, 1.5])
+    took = (x >= 1.0) if op is np.maximum else (x <= 1.0)
+    for f in (lambda v: op(v, 1.0), lambda v: op(1.0, v)):
+        np.testing.assert_array_equal(taped_grad(weighted(f), x), W * took)
+    np.testing.assert_array_equal(taped_grad(weighted(lambda v: op(v, v)), x),
+                                  W)
 
 
 BINARY_CASES = [
-    ("add", en.add),
-    ("sub", en.sub),
-    ("mul", en.mul),
-    ("div", en.div),
+    ("add", np.add),
+    ("sub", np.subtract),
+    ("mul", np.multiply),
+    ("div", np.divide),
+    ("maximum", np.maximum),
+    ("minimum", np.minimum),
+    ("vecdot", np.vecdot),
 ]
 
 
@@ -91,33 +115,74 @@ BINARY_CASES = [
 def test_binary_ops_match_fd_both_slots(name, op):
     a = np.array([0.4, -1.2, 2.5])
     b = np.array([1.3, 0.7, -0.6])
-    check_op(lambda x: en.dot(W, op(x, b)), a)
-    check_op(lambda x: en.dot(W, op(a, x)), b)
+    check_op(weighted(lambda x: op(x, b)), a)
+    check_op(weighted(lambda x: op(a, x)), b)
+    check_op(weighted(lambda ab: op(ab[0], ab[1])), np.stack([a, b]))
 
 
 def test_scalar_array_broadcast_reduces_adjoint():
     a = np.array([1.0, 2.0, 3.0])
-    check_op(lambda s: en.dot(W, en.mul(s, a)), 0.7)
-    check_op(lambda s: en.dot(W, en.add(a, s)), -0.3)
+    check_op(lambda s: np.vecdot(W, s * a), 0.7)
+    check_op(lambda s: np.vecdot(W, a + s), -0.3)
 
 
 def test_row_broadcast_reduces_adjoint():
     rows = np.array([[0.4, -1.2, 2.5], [1.3, 0.7, -0.6]])
     vec = np.array([0.9, -0.3, 1.1])
     weights = np.array([[0.7, -1.3, 0.4], [0.2, 0.5, -0.8]])
-    for op in (en.add, en.sub, en.mul, en.div):
+    for op in (np.add, np.subtract, np.multiply, np.divide, np.maximum,
+               np.minimum):
         check_op(lambda m: wsum(weights, op(m, vec)), rows)
         check_op(lambda v: wsum(weights, op(rows, v)), vec)
-    check_op(lambda s: wsum(weights, en.mul(s, rows)), 0.7)
-    check_op(lambda m: wsum(weights, en.mul(0.7, m)), rows)
+    check_op(lambda s: wsum(weights, s * rows), 0.7)
+    check_op(lambda m: wsum(weights, 0.7 * m), rows)
+    # vecdot's adjoint of the broadcast vector sums over the rows
+    check_op(lambda m: np.vecdot(weights[:, 0], np.vecdot(m, vec)), rows)
+    check_op(lambda v: np.vecdot(weights[:, 0], np.vecdot(rows, v)), vec)
 
 
 def test_unbroadcastable_shapes_rejected():
     tape = en.Tape()
-    with pytest.raises(en.EngineError, match="shape mismatch"):
-        en.add(tape.leaf(np.ones(2)), np.ones(3))
-    with pytest.raises(en.EngineError, match="shape mismatch"):
-        en.add(np.ones(2), np.ones(3))
+    with pytest.raises(en.EngineError,
+                       match=r"^add: shape mismatch \(2,\) vs \(3,\)$"):
+        np.add(tape.leaf(np.ones(2)), np.ones(3))
+    with pytest.raises(en.EngineError,
+                       match=r"^vecdot: shape mismatch \(3,\) vs \(2,\)$"):
+        np.vecdot(np.ones(3), tape.leaf(np.ones(2)))
+    assert len(tape) == 2  # the two leaves alone
+
+
+@pytest.mark.parametrize("call", [
+    lambda v, buf: np.sin(v),
+    lambda v, buf: np.add.reduce(v),
+    lambda v, buf: np.add.accumulate(v),
+    lambda v, buf: np.add(v, 1.0, out=buf),
+    lambda v, buf: operator.iadd(v, 1.0),
+    lambda v, buf: np.equal(v, v, out=buf),
+], ids=["sin", "reduce", "accumulate", "out", "in_place", "equal_out"])
+def test_ufunc_calls_off_the_table_refuse_a_value(call):
+    """Another ufunc, a ufunc method or a keyword raises TypeError rather
+    than return plain numbers that drop the tape.  So does an in-place
+    operator, which would write into an array cold but rebind a Value."""
+    tape = en.Tape()
+    v = tape.leaf(X)
+    with pytest.raises(TypeError):
+        call(v, np.zeros(3))
+    assert len(tape) == 1
+
+
+def test_value_keeps_its_identity():
+    """== and != compare identities, an array on either side included, and
+    taping nothing; a Value is hashable and has no order."""
+    tape = en.Tape()
+    v, w = tape.leaf(X), tape.leaf(X)
+    assert hash(v) == hash(v) and len({v, w}) == 2
+    assert v == v and not v != v and v != w
+    assert v in [v] and v not in [w] and v in [X, v]
+    assert not v == X and v != X and not X == v and X != v
+    assert len(tape) == 2
+    with pytest.raises(TypeError):
+        v < v
 
 
 def test_operator_overloads_and_reflected_forms():
@@ -131,7 +196,7 @@ def test_operator_overloads_and_reflected_forms():
 
 def test_dot_norm_matches_fd():
     x = np.array([0.9, -0.4, 0.2])
-    check_op(lambda v: en.dot(v, v), x)
+    check_op(lambda v: np.vecdot(v, v), x)
 
 
 def test_index_matches_fd():
@@ -152,13 +217,13 @@ def test_ndarray_left_operand_keeps_the_tape(op):
     arr = np.array([1.5, -0.5, 2.0])
     tape = en.Tape()
     assert isinstance(op(arr, tape.leaf(X)), en.Value)
-    check_op(lambda v: en.dot(W, op(arr, v)), X)
+    check_op(lambda v: np.vecdot(W, op(arr, v)), X)
 
 
 def test_stack_mixed_parents():
     def f(v):
         s = en.stack([en.index(v, 0), 2.5, en.index(v, 2)])  # constant slot
-        return en.dot(W, s)
+        return np.vecdot(W, s)
     check_op(f, X)
 
     # rows (B,) and a broadcast scalar slot pack into (B, K)
@@ -167,16 +232,16 @@ def test_stack_mixed_parents():
     def g(m):
         s = en.stack([en.index(m, (Ellipsis, 0)), en.index(m, (1, 1)),
                       en.index(m, (Ellipsis, 1))])
-        return en.dot(np.ones(2), en.dot(np.array([0.7, -1.3, 0.4]), s))
+        return np.vecdot(np.ones(2), np.vecdot(np.array([0.7, -1.3, 0.4]), s))
     check_op(g, rows)
 
 
 def test_index_repeated_array_index_adds_adjoints():
     # entry 0 is read three times, so its gradient sums three weights
     w = np.array([0.5, -1.0, 2.0, 0.3])
-    check_op(lambda v: en.dot(w, en.index(v, np.array([0, 0, 2, 0]))), X)
+    check_op(lambda v: np.vecdot(w, en.index(v, np.array([0, 0, 2, 0]))), X)
     np.testing.assert_array_equal(
-        taped_grad(lambda v: en.dot(np.ones(2), en.index(v, [1, 1])), X),
+        taped_grad(lambda v: np.vecdot(np.ones(2), en.index(v, [1, 1])), X),
         [0.0, 2.0, 0.0])
     rows = np.array([[0.3, -0.8], [1.7, 0.2]])
     check_op(lambda m: wsum(
@@ -214,7 +279,7 @@ def test_lincomb_sums_left_to_right_and_checks_its_row():
 def test_fanout_accumulates():
     tape = en.Tape()
     x = tape.leaf(1.5)
-    y = x * x + en.exp(x) * x  # x used three times
+    y = x * x + np.exp(x) * x  # x used three times
     g = tape.backward([(y, 1.0)], [x])[0]
     want = 2 * 1.5 + np.exp(1.5) * (1 + 1.5)
     assert abs(g - want) < 1e-12
@@ -224,17 +289,19 @@ def test_unused_leaf_gets_zeros():
     tape = en.Tape()
     x = tape.leaf(np.array([1.0, 2.0]))
     z = tape.leaf(np.array([3.0, 4.0]))
-    g = tape.backward([(en.dot(x, np.ones(2)), 1.0)], [x, z])
+    g = tape.backward([(np.vecdot(x, np.ones(2)), 1.0)], [x, z])
     np.testing.assert_array_equal(g[1], np.zeros(2))
 
 
 PRIMITIVES = [
-    ("neg", en.neg, (X,)), ("exp", en.exp, (X,)), ("expm1", en.expm1, (X,)),
-    ("log", en.log, (np.abs(X),)), ("sqrt", en.sqrt, (np.abs(X),)),
-    ("clamp", lambda x: en.clamp(x, 0.0, 1.0), (X,)),
-    ("add", en.add, (X, W)), ("sub", en.sub, (X, W)),
-    ("mul", en.mul, (X, W)), ("div", en.div, (X, W)),
-    ("dot", en.dot, (X, W)),
+    ("neg", np.negative, (X,)), ("exp", np.exp, (X,)),
+    ("expm1", np.expm1, (X,)), ("log", np.log, (np.abs(X),)),
+    ("sqrt", np.sqrt, (np.abs(X),)),
+    ("clamp", lambda x: np.minimum(np.maximum(x, 0.0), 1.0), (X,)),
+    ("add", np.add, (X, W)), ("sub", np.subtract, (X, W)),
+    ("mul", np.multiply, (X, W)), ("div", np.divide, (X, W)),
+    ("maximum", np.maximum, (X, W)), ("minimum", np.minimum, (X, W)),
+    ("dot", np.vecdot, (X, W)),
     ("stack", lambda *xs: en.stack(xs), (0.5, X, W)),
     ("index", lambda x: en.index(x, 1), (X,)),
     ("lincomb", lambda r, a, b: en.lincomb(r, (a, b)),
@@ -329,7 +396,7 @@ def test_cold_index_repeated_array_index():
 def test_repeated_backward_same_tape():
     tape = en.Tape()
     x = tape.leaf(np.array([1.0, 2.0, 3.0]))
-    y = en.dot(x, x)
+    y = np.vecdot(x, x)
     g1 = tape.backward([(y, 1.0)], [x])[0]
     g2 = tape.backward([(y, 1.0)], [x])[0]
     np.testing.assert_array_equal(g1, g2)
@@ -382,8 +449,8 @@ def test_foreign_seed_and_leaf_rejected():
 def test_nonfinite_adjoint_names_the_op():
     tape = en.Tape()
     x = tape.leaf(0.0)
-    v = en.expm1(x)         # 0, recorded as op "expm1"
-    y = en.sqrt(v)          # d/dv is inf at 0, so the expm1 node gets inf
+    v = np.expm1(x)         # 0, recorded as op "expm1"
+    y = np.sqrt(v)          # d/dv is inf at 0, so the expm1 node gets inf
     with np.errstate(divide="ignore"), \
             pytest.raises(en.EngineError,
                           match=r"non-finite adjoint at op \d+ \(expm1\)"):
@@ -398,23 +465,23 @@ def chain_parts(n_steps):
     each step mixes the state nonlinearly, finale is a quadratic loss."""
 
     def prelude(env):
-        times = en.mul(0.25, en.exp(env["xi"]))
-        return (times,), (env["x"], en.mul(0.0, env["x"]))
+        times = 0.25 * np.exp(env["xi"])
+        return (times,), (env["x"], 0.0 * env["x"])
 
     def make_step(dt):
         def step(state):
             x, h = state
-            u = en.sub(x, h)
-            xn = en.add(x, en.mul(dt, en.div(u, en.add(1.0, en.mul(u, u)))))
-            return (xn, en.mul(0.5, en.add(h, x)))
+            u = x - h
+            xn = x + dt * (u / (1.0 + u * u))
+            return (xn, 0.5 * (h + x))
         return step
 
     def steps(shared):
         return [make_step(en.index(shared[0], i)) for i in range(n_steps)]
 
     def finale(state):
-        r = en.sub(state[0], 0.3)
-        return en.dot(r, r)
+        r = state[0] - 0.3
+        return np.vecdot(r, r)
 
     return prelude, steps, finale
 
@@ -479,7 +546,7 @@ def test_replay_divergence_is_caught():
             # match
             calls.append(None)
             x, h = middle(state)
-            return (en.add(x, 1e-3 * len(calls)), h)
+            return (x + 1e-3 * len(calls), h)
 
         return [first, drifting, last]
 
@@ -511,10 +578,10 @@ def test_constant_state_slots_are_fine():
 
     def step(state):
         x, pad = state
-        return (en.mul(0.9, x), pad)
+        return (0.9 * x, pad)
 
     def finale(state):
-        return en.dot(state[0], state[0])
+        return np.vecdot(state[0], state[0])
 
     leaves = {"x": np.array([1.0, 2.0])}
     ck = checkpointed_chain_grad(leaves, prelude, lambda shared: [step, step],

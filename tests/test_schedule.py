@@ -51,11 +51,16 @@ def test_ve_sigma_inverse_is_identity():
 @pytest.mark.parametrize("sched", [VE, VP], ids=["ve", "vp"])
 def test_marginals_and_ode_slopes_match_central_differences(sched):
     """`marginals` gives alpha, sigma and lambda as the other methods do,
-    and its t-derivatives, like `ode_slopes`' of drift and g^2, match
-    central differences near t_min and T and in between."""
+    and `alpha_sigma_lam` and `alpha_sigma_slopes` give its bits, and its
+    t-derivatives, like `ode_slopes`' of drift and g^2, match central
+    differences near t_min and T and in between."""
     t = np.array([sched.t_min * 1.5, 0.3 * sched.T, sched.T * 0.999])
     eps = 1e-5 * t
     (a, s, lam), slopes = sched.marginals(t)
+    (a2, s2), (da, ds) = sched.alpha_sigma_slopes(t)
+    for got, want in zip(sched.alpha_sigma_lam(t) + (a2, s2, da, ds),
+                         (a, s, lam, a, s) + slopes[:2]):
+        assert got.tobytes() == want.tobytes()
     np.testing.assert_allclose(a, sched.alpha_sigma(t)[0], rtol=1e-15)
     np.testing.assert_allclose(s, sched.sigma(t), rtol=1e-15)
     np.testing.assert_allclose(lam, sched.lam(t), rtol=1e-14)
