@@ -80,7 +80,7 @@ def one_leaf(den, sched, spec, x, y, steps):
 def fine_prelude(den, sched, spec):
     """The learned grid's prelude as a tape of its fine ops, as it was
     taken before the closed-form transposes: tau, the query times and
-    checked_shared, all engine-generic, on the taped leaves."""
+    checked_shared, plain NumPy that tapes when given the taped leaves."""
     def prelude(env):
         times = tau(env["xi"], sched.T, sched.t_min)
         times_c = query_times(times, env["xi_c"], sched.T, sched.t_min)
