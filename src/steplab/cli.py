@@ -14,7 +14,6 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -157,6 +156,8 @@ def _cmd_bench(args, cfg, sched, den):
              for nfe in nfes for method in methods]
     workers = min(args.jobs, len(cells))
     if workers > 1:
+        # imported here so that no other command loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futs = [pool.submit(bench_cell, *cell) for cell in cells]
             rows = [f.result() for f in futs]  # submission order, not finish
@@ -188,6 +189,8 @@ def _cmd_sweep_r(args, cfg, sched, den):
 
 
 def _cmd_bound(args, cfg, sched, den):
+    """The bound of the config's student grid against the teacher: the
+    teacher's kept `solver_map` is its transport map."""
     n_samples = at_least(cfg, "bound.samples", 1)
     r = float(at_least(cfg, "bound.r", 0.0))
     grid = one_of(cfg, "bound.grid", HEURISTICS + ("checkpoint",))
@@ -200,7 +203,7 @@ def _cmd_bound(args, cfg, sched, den):
     else:
         times = heuristic_times(grid, sched, spec.nfe)
         times_c = None
-    t_map = solver_map(den, sched, teacher.spec, teacher.times)
+    t_map = teacher.solver_map
     s_map = solver_map(den, sched, spec, times, times_c)
     report = estimate_bound(t_map, s_map, sched, r, den.d, n_samples,
                             cfg["seed"])

@@ -207,13 +207,15 @@ def make_steps(den, spec, shared):
     the one generic step (see `_step`); given `_Tangents(den)` they march
     stacked tangent slots.  Each step is bound to its reads of shared,
     built here once for all: the (head, tail) parts of table row i, split
-    after DPM-Solver++'s two data-prediction entries (head is empty for the
-    other families), and den's row: t^c_i, then row i of its step
-    constants.  On a plain table the parts are lists of Python floats from
-    one tolist; on a taped one each read is taped, as the whole-tape
-    reference differentiates it."""
+    after DPM-Solver++'s `pre` = 2 data-prediction entries (head is empty
+    for the other families), and den's row: t^c_i, then row i of its step
+    constants.  `pre` and the state width come from spec once per grid.
+    On a plain table the parts are lists of Python floats from one tolist;
+    on a taped one each read is taped, as the whole-tape reference
+    differentiates it."""
     table = shared[0]
     pre = 2 if spec.family == DPMPP else 0
+    width = 1 + spec.history_width
     if type(table) is not en.Value:
         # iterating the constants yields the rows c[i] gives
         reads = [(r[:pre], r[pre:], row)
@@ -222,18 +224,16 @@ def make_steps(den, spec, shared):
         reads = [(table[i, :pre] if pre else None, table[i, pre:],
                   tuple([c[i] for c in shared[1:]]))
                  for i in range(spec.nfe)]
-    return [_step(den, spec, i, *r) for i, r in enumerate(reads)]
+    return [_step(den, pre, width, i, *r) for i, r in enumerate(reads)]
 
 
-def _step(den, spec, i, head, tail, row):
-    """Step i on its reads: step(state) -> state', plain or taped; or,
+def _step(den, pre, width, i, head, tail, row):
+    """Step i on its reads, with the grid's `pre` head entries and state
+    width from `make_steps`: step(state) -> state', plain or taped; or,
     given acc, its transpose pair on plain arrays, step(state, acc) ->
     (state', back), where back(adj') -> adj maps the adjoints of state' to
     those of state and adds the step's gradients of the table row and of
     the query time t^c_i into acc[0] and acc[1] where acc has them."""
-    width = 1 + spec.history_width
-    pre = 2 if spec.family == DPMPP else 0
-    cols_head, cols_tail = (i, slice(0, pre)), (i, slice(pre, None))
 
     def step(state, acc=None):
         x = state[0]
@@ -255,12 +255,12 @@ def _step(den, spec, i, head, tail, row):
             g = [c * adj[0] for c in tail]
             g[1:width] = [a + b for a, b in zip(adj[1:], g[1:width])]
             if 0 in acc:
-                acc[0][cols_tail] += [np.vdot(adj[0], p) for p in parts]
+                acc[0][i, pre:] += [np.vdot(adj[0], p) for p in parts]
             g_x, g_eps = g[0], g[1]
             if pre:
                 if 0 in acc:
-                    acc[0][cols_head] += [np.vdot(g_eps, x),
-                                          np.vdot(g_eps, eps)]
+                    acc[0][i, :pre] += [np.vdot(g_eps, x),
+                                        np.vdot(g_eps, eps)]
                 c_x, c_eps = head
                 g_x = g_x + c_x * g_eps
                 g_eps = c_eps * g_eps

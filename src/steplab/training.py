@@ -45,7 +45,7 @@ from .discretize import (Discretization, HEURISTICS, heuristic_times,
                          tau_transpose)
 from .solvers import (GridError, SolverSpec, checked_shared,
                       coeffs_transpose, initial_state, make_steps,
-                      march_steps, solve)
+                      march_steps, solve, solver_map)
 
 
 class TrainingError(RuntimeError):
@@ -103,7 +103,9 @@ def distance(a, b):
 
 @dataclass(frozen=True)
 class Teacher:
-    """Frozen fine-grid solver producing targets Psi*(x_T)."""
+    """Frozen fine-grid solver producing targets Psi*(x_T).  Its grid is
+    checked and built, and its steps built, once, on first use: the
+    teacher keeps its `solver_map`, and every solve marches it."""
 
     den: object
     sched: object
@@ -118,9 +120,16 @@ class Teacher:
         times = heuristic_times(grid, sched, nfe)
         return cls(den=den, sched=sched, spec=spec, times=times, grid=grid)
 
+    @functools.cached_property
+    def solver_map(self):
+        """The teacher grid's `solvers.solver_map`, built on first use and
+        kept; its Jacobian mode serves the bound's teacher map."""
+        return solver_map(self.den, self.sched, self.spec, self.times)
+
     def solve_many(self, xs):
-        """Targets for the rows of xs, solved as one batch."""
-        return solve(self.den, self.sched, self.spec, self.times, None, xs)
+        """Targets for the rows of xs, (d,) or (B, d), solved as one batch
+        on the kept map; equal bit for bit to `solve` on the same grid."""
+        return self.solver_map(np.asarray(xs, dtype=np.float64))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 """End-to-end command line runs in a temp workspace: artifacts, reruns,
 seed overrides, and the error paths that must exit with status 2."""
 
+import concurrent.futures
 import json
 import os
 import struct
+import subprocess
+import sys
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -472,10 +475,21 @@ def test_bench_pool_no_larger_than_its_cells(ws, tmp_path, monkeypatch):
             fut.set_result(fn(*args))
             return fut
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    # bench imports the pool only when it fans out
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     assert main(["bench", "--config", cfg_of(ws), "--data", data_of(ws),
                  "--out", str(tmp_path / "b"), "--jobs", "64"]) == 0
     assert sizes == [2]  # SMALL_CFG has one NFE and two methods
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    code = "import sys, steplab.cli; print('multiprocessing' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_bound_checkpoint_grid_needs_checkpoint(ws, tmp_path, capsys):

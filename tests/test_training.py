@@ -8,10 +8,11 @@ from dataclasses import fields, replace
 import steplab.engine as en
 from steplab.denoisers import GMDenoiser
 from steplab.discretize import Discretization, heuristic_times
-from steplab import config, training
+from steplab import config, solvers, training
+from steplab import rng as rngmod
 from steplab.schedule import ScheduleDomainError, ve_edm, vp_linear
 from steplab.solvers import (GridError, SolverSpec, checked_shared,
-                             make_steps, solve)
+                             make_steps, solve, solver_map)
 from steplab.training import (RmsPropMomentum, Teacher, TrainConfig,
                               TrainingError, clip_to_norm,
                               distance, generate_dataset, mean_loss,
@@ -111,12 +112,37 @@ def test_generate_dataset_shapes_and_copy():
         generate_dataset(GM, VE, Teacher.create(GM, VE, nfe=10), 1, 0)
 
 
-def test_teacher_targets_are_solver_outputs():
+def test_teacher_targets_are_solver_outputs(monkeypatch):
     ds = small_dataset(count=3, teacher_nfe=30)
     teacher = Teacher.create(GM, VE, nfe=30)
     np.testing.assert_array_equal(ds.y, teacher.solve_many(ds.x_T))
     np.testing.assert_array_equal(
         ds.y[1], solve(GM, VE, teacher.spec, teacher.times, x_T=ds.x_T[1]))
+    # the teacher keeps its map: three solves build its grid once
+    builds = []
+    real = solvers.checked_shared
+
+    def counted(*args, **kwargs):
+        builds.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "checked_shared", counted)
+    for den, sched in ((GM, VE), (VP_GM, VP)):
+        fresh = Teacher.create(den, sched, nfe=30)
+        x_T = rngmod.sample_prior(sched, den.d, 4, 11)
+        rows = (list(x_T[:2]), x_T[2], x_T)
+        want = [solve(den, sched, fresh.spec, fresh.times, None, xs)
+                for xs in rows]
+        builds.clear()
+        got = [fresh.solve_many(xs) for xs in rows]
+        assert len(builds) == 1
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        # `steplab bound` marches the kept map's Jacobian mode
+        np.testing.assert_array_equal(
+            fresh.solver_map(x_T, jacobian=True),
+            solver_map(den, sched, fresh.spec, fresh.times)(x_T,
+                                                            jacobian=True))
 
 
 def test_split_indices_partition():
