@@ -46,8 +46,9 @@ step constant regardless of grid length.
 
 `march_steps` is the one loop that applies the steps outside the
 engine's chain gradients: the closure `solver_map` returns runs it for
-`solve`, the bound's transport maps and, through `solve`, teacher targets
-and student losses, and training's refresh runs it on steps it built.  The
+`solve`, a `Teacher`'s kept map (its targets and `bound`'s teacher map),
+the student's bound map and, through `solve`, student losses, and
+training's refresh runs it on steps it built.  The
 closure's Jacobian mode carries the d tangents of x_T beside the state:
 every slot is stacked as (..., 1 + d, d), row 0 the state and row j the
 pushforward of e_j.  An update linear in its arrays moves the tangents by the same

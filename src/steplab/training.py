@@ -103,9 +103,9 @@ def distance(a, b):
 
 @dataclass(frozen=True)
 class Teacher:
-    """Frozen fine-grid solver producing targets Psi*(x_T).  Its grid is
-    checked and built, and its steps built, once, on first use: the
-    teacher keeps its `solver_map`, and every solve marches it."""
+    """Frozen fine-grid solver producing targets Psi*(x_T).  It keeps its
+    `solver_map`: the grid is checked and built, and its steps built, on
+    the first solve, and every later solve marches the same steps."""
 
     den: object
     sched: object
@@ -122,8 +122,8 @@ class Teacher:
 
     @functools.cached_property
     def solver_map(self):
-        """The teacher grid's `solvers.solver_map`, built on first use and
-        kept; its Jacobian mode serves the bound's teacher map."""
+        """The teacher grid's `solvers.solver_map`, built once; its
+        Jacobian mode is `steplab bound`'s teacher transport map."""
         return solver_map(self.den, self.sched, self.spec, self.times)
 
     def solve_many(self, xs):
